@@ -27,10 +27,11 @@ repo's core invariant — results byte-identical to a local serial run:
   broker, streams progress, and reassembles an ordinary
   :class:`~repro.study.study.StudyResult`.
 
-Results move as single-cell :func:`~repro.study.archive.save_study`
-archives (manifest text + npz bytes), the byte-deterministic format the
-cache already round-trips bit-exactly — which is what makes
-service-backed archives ``cmp``-identical to in-process ones.
+Results move as single-cell study archives — the ``(manifest text, npz
+bytes)`` pair of :func:`~repro.study.archive.dump_study`, encoded and
+decoded in memory — the byte-deterministic format the cache already
+round-trips bit-exactly, which is what makes service-backed archives
+``cmp``-identical to in-process ones.
 """
 
 from ..errors import ServiceError

@@ -56,11 +56,10 @@ from collections.abc import Callable, Mapping
 from typing import Any
 
 from ..errors import ConfigError, ServiceError
-from ..study.archive import _jsonify
+from ..study.archive import _jsonify, parse_study
 from ..study.cache import StudyCache, code_fingerprint
 from ..study.registry import get_experiment
 from ..study.study import Study
-from .cells import load_cell_archive
 
 __all__ = ["Broker"]
 
@@ -182,12 +181,10 @@ class Broker:
             manifest: str | None = None
             npz: bytes | None = None
             if self.cache is not None:
-                hit = self.cache.lookup(definition, cell_params, fingerprint)
+                hit = self.cache.lookup_archive(definition, cell_params, fingerprint)
                 if hit is not None:
-                    key = self.cache.cell_key(definition, cell_params, fingerprint)
-                    json_path, npz_path = self.cache.entry_files(key)
-                    manifest = json_path.read_text()
-                    npz = npz_path.read_bytes()
+                    # Born done from the very bytes lookup validated.
+                    _cell, manifest, npz = hit
                     state = "done"
                     from_cache = 1
                     cached += 1
@@ -346,19 +343,19 @@ class Broker:
     ) -> dict[str, Any]:
         """Commit one cell's result archive (first commit wins).
 
-        The archive is fully validated (strict ``load_study`` plus an
-        experiment/params match against the queued cell) before any
-        state changes; an invalid archive charges the attempt like a
-        worker failure.  ``lease_id`` is advisory — determinism means
-        any valid result is *the* result, so late completions from lost
-        leases (or even for quarantined cells) are accepted whenever
-        the cell is not already done.
+        The archive is fully validated (strict ``parse_study`` of the
+        request's bytes plus an experiment/params match against the
+        queued cell) before any state changes; an invalid archive
+        charges the attempt like a worker failure.  ``lease_id`` is
+        advisory — determinism means any valid result is *the* result,
+        so late completions from lost leases (or even for quarantined
+        cells) are accepted whenever the cell is not already done.
         """
         del lease_id  # recorded nowhere: validity, not ownership, decides
         invalid: str | None = None
         loaded = None
         try:
-            loaded = load_cell_archive(manifest_text, npz_bytes)
+            loaded = parse_study(manifest_text, npz_bytes, f"{job_id} cell {cell}")
             loaded_cell = loaded.only()
         except ConfigError as exc:
             invalid = str(exc)

@@ -1,28 +1,30 @@
 """Cell-level execution and archive transport for the study service.
 
 The service's unit of work is one grid cell, and its wire format for a
-finished cell is the single-cell :func:`~repro.study.archive.save_study`
-archive — exactly the representation the content-addressed cache
-(:mod:`repro.study.cache`) stores.  That choice is what buys the
-byte-identity guarantee for free: the archive writer is deterministic
-(pinned zip metadata, canonical JSON), and the cache tests already pin
-that a cell rebuilt from such an archive is bit-identical to a freshly
-computed one.  The broker, the workers, and the client all speak this
-format; nothing else crosses the wire.
+finished cell is the single-cell study archive pair ``(manifest_text,
+npz_bytes)`` of :func:`~repro.study.archive.dump_study` — exactly the
+bytes the content-addressed cache (:mod:`repro.study.cache`) stores.
+That choice is what buys the byte-identity guarantee for free: the
+codec is deterministic (pinned zip metadata, canonical JSON), and the
+cache tests already pin that a cell rebuilt from such an archive is
+bit-identical to a freshly computed one.  The broker, the workers, and
+the client all speak this format; nothing else crosses the wire, and
+nothing touches the file system on the way: workers encode with
+:func:`cell_archive`, the broker and the client check and decode with
+:func:`~repro.study.archive.parse_study`.
 """
 
 from __future__ import annotations
 
-import tempfile
-from pathlib import Path
 from typing import Any
 
 from ..sim.campaign import run_together
-from ..study.archive import load_study, save_study
+from ..study.archive import dump_study
+from ..study.cache import single_cell_study
 from ..study.registry import get_experiment
-from ..study.study import StudyCell, StudyResult, _batch_columns
+from ..study.study import StudyCell, _batch_columns
 
-__all__ = ["cell_archive", "execute_cell", "load_cell_archive"]
+__all__ = ["cell_archive", "execute_cell"]
 
 
 def execute_cell(experiment_id: str, params: dict[str, Any], engine: Any = None) -> StudyCell:
@@ -52,39 +54,9 @@ def cell_archive(experiment_id: str, cell: StudyCell) -> tuple[str, bytes]:
     """Serialize one finished cell to ``(manifest_text, npz_bytes)``.
 
     The pair is a complete single-cell study archive — the same bytes
-    ``StudyCache.store`` would put on disk for this cell, written
-    through the same deterministic ``save_study`` path.
+    ``StudyCache.store`` would put on disk for this cell, rendered in
+    memory by the same deterministic ``dump_study`` codec.  The
+    receiving side checks and decodes it with
+    :func:`~repro.study.archive.parse_study`.
     """
-    definition = get_experiment(experiment_id)
-    normalized = StudyCell(
-        index=0,
-        overrides={},
-        params=dict(cell.params),
-        result=cell.result,
-        columns=cell.columns,
-    )
-    single = StudyResult(
-        experiment_id=definition.experiment_id,
-        kind=definition.kind,
-        params=dict(cell.params),
-        axes={},
-        cells=[normalized],
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-cell-") as tmp:
-        json_path, npz_path = save_study(single, Path(tmp) / "cell")
-        return Path(json_path).read_text(), Path(npz_path).read_bytes()
-
-
-def load_cell_archive(manifest_text: str, npz_bytes: bytes) -> StudyResult:
-    """Parse a cell archive back into its (strictly checked) result.
-
-    Runs the full ``load_study`` validation — schema version, manifest
-    shape, column metadata — so a corrupt or hand-rolled submission is
-    rejected with a :class:`~repro.errors.ConfigError`, never stored.
-    The caller reads the single cell via ``.only()``.
-    """
-    with tempfile.TemporaryDirectory(prefix="repro-cell-") as tmp:
-        base = Path(tmp) / "cell"
-        base.with_suffix(".npz").write_bytes(npz_bytes)
-        base.with_suffix(".json").write_text(manifest_text)
-        return load_study(base)
+    return dump_study(single_cell_study(get_experiment(experiment_id), cell.params, cell))

@@ -25,9 +25,9 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from ..errors import ConfigError, ServiceError
+from ..study.archive import parse_study
 from ..study.cache import CacheInfo
 from ..study.study import Study, StudyCell, StudyResult
-from .cells import load_cell_archive
 from .client import BrokerClient
 
 __all__ = ["ServiceEngine", "resolve_broker"]
@@ -120,7 +120,9 @@ class ServiceEngine:
             info = by_index[index]
             if info["state"] == "done":
                 manifest_text, npz_bytes = self.client.result(job_id, index)
-                loaded = load_cell_archive(manifest_text, npz_bytes).only()
+                loaded = parse_study(
+                    manifest_text, npz_bytes, f"{job_id} cell {index}"
+                ).only()
                 cells.append(
                     StudyCell(
                         index=index,

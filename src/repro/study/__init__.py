@@ -13,13 +13,22 @@ The public surface every scenario PR targets (see DESIGN.md
 * :func:`run_experiment` — one-shot convenience the legacy
   ``analysis.experiments`` wrappers delegate to;
 * :data:`SCHEMA_VERSION` and ``StudyResult.save()/load()`` — versioned
-  JSON + npz result archives;
+  JSON + npz result archives; :func:`dump_study` / :func:`parse_study`
+  are the same format as an in-memory ``(manifest_text, npz_bytes)``
+  pair;
 * :class:`StudyCache` / :class:`CacheInfo` / :func:`code_fingerprint` /
   :func:`resolve_cache` — the content-addressed cell cache behind
   ``Study.run(cache=...)`` / ``REPRO_CACHE`` / ``repro cache``.
 """
 
-from .archive import ARCHIVE_FORMAT, SCHEMA_VERSION, load_study, save_study
+from .archive import (
+    ARCHIVE_FORMAT,
+    SCHEMA_VERSION,
+    dump_study,
+    load_study,
+    parse_study,
+    save_study,
+)
 from .cache import CacheInfo, StudyCache, code_fingerprint, resolve_cache
 from .params import Param, ParamSchema, schema
 from .registry import (
@@ -44,9 +53,11 @@ __all__ = [
     "StudyCell",
     "StudyResult",
     "code_fingerprint",
+    "dump_study",
     "experiment_ids",
     "get_experiment",
     "load_study",
+    "parse_study",
     "register",
     "resolve_cache",
     "run_experiment",

@@ -42,6 +42,13 @@ Round-trip guarantees (held by ``tests/test_study_archive.py``):
 * metadata survives modulo JSON's tuple→list collapse — params are
   re-coerced through the experiment's schema on load, which restores
   tuples for ``many`` params.
+
+The format lives in one in-memory codec: :func:`dump_study` renders a
+result to ``(manifest_text, npz_bytes)`` and :func:`parse_study` checks
+and decodes such a pair.  :func:`save_study` / :func:`load_study` are
+the codec plus an atomic file write / a file read; the study cache and
+the study service move the same pair as bytes, so no archive is ever
+written to disk just to be read back.
 """
 
 from __future__ import annotations
@@ -49,9 +56,11 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 import zipfile
 from contextlib import suppress
+from functools import lru_cache
 from pathlib import Path
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
@@ -60,11 +69,20 @@ if TYPE_CHECKING:  # import cycle: study.py imports this module lazily
     from .study import StudyResult
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ..errors import ConfigError
 from .registry import get_experiment
 
-__all__ = ["ARCHIVE_FORMAT", "SCHEMA_VERSION", "load_study", "save_study"]
+__all__ = [
+    "ARCHIVE_FORMAT",
+    "SCHEMA_VERSION",
+    "dump_study",
+    "load_study",
+    "parse_study",
+    "read_study",
+    "save_study",
+]
 
 #: Manifest format tag — rejects arbitrary JSON handed to ``load``.
 ARCHIVE_FORMAT = "repro-study"
@@ -126,38 +144,68 @@ def _tmp_path(path: Path) -> Path:
     return path.with_name(f"{path.name}.tmp-{os.getpid()}-{next(_TMP_COUNTER)}")
 
 
-def _write_npz(path: Path, arrays: Mapping[str, np.ndarray]) -> None:
-    """Write an npz payload with byte-deterministic output.
+#: Distinct ``.npy`` headers kept parsed / rendered.  An archive holds a
+#: handful of (dtype, shape) pairs repeated over every cell and label,
+#: so a small bound covers a whole sweep.
+_HEADER_MEMO = 512
 
-    ``np.savez`` round-trips the array bits exactly, but its zip member
-    metadata (timestamps) is numpy-version-dependent; writing the
-    members explicitly with pinned ``ZipInfo`` fields makes the *file
-    bytes* a pure function of the arrays, which is what lets the study
-    cache assert "second run produced the identical archive" with a
-    plain byte compare.  Uncompressed (``ZIP_STORED``) like
-    ``np.savez``: the columns are small and loads skip decompression.
+
+@lru_cache(maxsize=_HEADER_MEMO)
+def _npy_header(dtype: np.dtype[Any], fortran_order: bool, shape: tuple[int, ...]) -> bytes:
+    """The ``.npy`` magic + header bytes numpy writes for an array of
+    this dtype, order and shape (format 1.0, or 2.0 when the header
+    outgrows 1.0's 16-bit length)."""
+    meta: dict[str, Any] = {
+        "descr": npy_format.dtype_to_descr(dtype),
+        "fortran_order": fortran_order,
+        "shape": shape,
+    }
+    buffer = io.BytesIO()
+    try:
+        npy_format.write_array_header_1_0(buffer, meta)
+    except ValueError:
+        buffer = io.BytesIO()
+        npy_format.write_array_header_2_0(buffer, meta)
+    return buffer.getvalue()
+
+
+def _encode_npy(array: np.ndarray) -> bytes:
+    """One array as ``.npy`` bytes, identical to ``np.lib.format.
+    write_array(..., allow_pickle=False)``."""
+    if array.dtype.hasobject:
+        raise ConfigError(f"cannot archive a column of object dtype {array.dtype}")
+    # Like numpy: Fortran-contiguous data is stored in Fortran order,
+    # anything else (strided views included) as a C-order copy.
+    fortran_order = array.flags.f_contiguous and not array.flags.c_contiguous
+    header = _npy_header(array.dtype, fortran_order, array.shape)
+    return header + (array.T if fortran_order else array).tobytes("C")
+
+
+def _write_npz(arrays: Mapping[str, np.ndarray]) -> bytes:
+    """Render an npz payload with byte-deterministic output.
+
+    numpy's ``savez`` round-trips the array bits exactly, but its zip
+    member metadata (timestamps) is numpy-version-dependent; writing
+    the members explicitly with pinned ``ZipInfo`` fields makes the
+    *file bytes* a pure function of the arrays, which is what lets the
+    study cache assert "second run produced the identical archive" with
+    a plain byte compare.  Uncompressed (``ZIP_STORED``) like ``savez``:
+    the columns are small and loads skip decompression.
     """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
         for name, array in arrays.items():
-            buffer = io.BytesIO()
-            np.lib.format.write_array(
-                buffer, np.asanyarray(array), allow_pickle=False
-            )
             member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
             member.compress_type = zipfile.ZIP_STORED
-            archive.writestr(member, buffer.getvalue())
+            archive.writestr(member, _encode_npy(np.asanyarray(array)))
+    return buffer.getvalue()
 
 
-def save_study(result: StudyResult, path: str | Path) -> tuple[str, str]:
-    """Write ``result`` to ``<path>.json`` + ``<path>.npz`` atomically.
+def dump_study(result: StudyResult) -> tuple[str, bytes]:
+    """Render ``result`` to its archive pair ``(manifest_text, npz_bytes)``.
 
-    Both files land under temp names first and are committed with
-    ``os.replace`` — payload before manifest, so no reader (or crash)
-    can ever observe a manifest whose payload has not been fully
-    written.  Concurrent saves of the same base are last-writer-wins
-    with both files valid, which is exactly what a content-addressed
-    cache directory needs (two processes storing the same key wrote the
-    same bytes anyway).
+    The pair is exactly what :func:`save_study` puts in ``<path>.json``
+    and ``<path>.npz`` — a pure function of the result.
     """
     failed = [cell.index for cell in result.cells if cell.error is not None]
     if failed:
@@ -167,8 +215,6 @@ def save_study(result: StudyResult, path: str | Path) -> tuple[str, str]:
             f"cannot archive a study with failed cells {failed}; see "
             "StudyResult.errors for the per-cell reasons and re-run them"
         )
-    json_path, npz_path = _paths(path)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
     cells = []
     for cell in result.cells:
@@ -199,10 +245,27 @@ def save_study(result: StudyResult, path: str | Path) -> tuple[str, str]:
             for key, column in sorted(arrays.items())
         },
     }
+    return json.dumps(manifest, indent=2) + "\n", _write_npz(arrays)
+
+
+def save_study(result: StudyResult, path: str | Path) -> tuple[str, str]:
+    """Write ``result`` to ``<path>.json`` + ``<path>.npz`` atomically.
+
+    Both files land under temp names first and are committed with
+    ``os.replace`` — payload before manifest, so no reader (or crash)
+    can ever observe a manifest whose payload has not been fully
+    written.  Concurrent saves of the same base are last-writer-wins
+    with both files valid, which is exactly what a content-addressed
+    cache directory needs (two processes storing the same key wrote the
+    same bytes anyway).
+    """
+    manifest_text, npz_bytes = dump_study(result)
+    json_path, npz_path = _paths(path)
+    json_path.parent.mkdir(parents=True, exist_ok=True)
     json_tmp, npz_tmp = _tmp_path(json_path), _tmp_path(npz_path)
     try:
-        _write_npz(npz_tmp, arrays)
-        json_tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+        npz_tmp.write_bytes(npz_bytes)
+        json_tmp.write_text(manifest_text, encoding="utf-8")
         os.replace(npz_tmp, npz_path)
         os.replace(json_tmp, json_path)
     finally:
@@ -233,8 +296,76 @@ _CELL_TYPES = {
 }
 
 
+@lru_cache(maxsize=_HEADER_MEMO)
+def _parse_npy_header(prefix: bytes) -> tuple[tuple[int, ...], bool, np.dtype[Any], int]:
+    """``(shape, fortran_order, dtype, payload bytes)`` declared by the
+    magic + header bytes of one ``.npy`` member.
+
+    The parse is numpy's own (magic, version, ``literal_eval`` of the
+    header dict, key/shape/descr checks); memoising it on the header
+    bytes runs it once per distinct header instead of once per member.
+    """
+    stream = io.BytesIO(prefix)
+    version = npy_format.read_magic(stream)
+    if version == (1, 0):
+        shape, fortran_order, dtype = npy_format.read_array_header_1_0(stream)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = npy_format.read_array_header_2_0(stream)
+    else:
+        raise ValueError(f"unsupported .npy format version {version}")
+    if stream.tell() != len(prefix):
+        # _decode_npy sliced the prefix by its own reading of the length
+        # field; the data offset is only right if numpy agrees.
+        raise ValueError("array header length does not match its length field")
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded from a study archive")
+    return shape, fortran_order, dtype, math.prod(shape) * dtype.itemsize
+
+
+def _decode_npy(raw: bytes) -> np.ndarray:
+    """One ``.npy`` member's bytes as a fresh C-contiguous array."""
+    # The header's own length field sits after magic (6) + version (2):
+    # 2 bytes in format 1.0, 4 bytes otherwise.
+    length_end = 10 if raw[6:7] == b"\x01" else 12
+    offset = length_end + int.from_bytes(raw[8:length_end], "little")
+    shape, fortran_order, dtype, nbytes = _parse_npy_header(raw[:offset])
+    if len(raw) - offset != nbytes:
+        raise ValueError(
+            f"array data is {len(raw) - offset} bytes, header declares "
+            f"{shape} x {dtype.str} = {nbytes}"
+        )
+    # np.ndarray, not np.empty: zero-width string dtypes survive it.
+    array = np.ndarray(shape[::-1] if fortran_order else shape, dtype=dtype)
+    if nbytes:
+        array.reshape(-1).view(np.uint8)[:] = np.frombuffer(raw, np.uint8, nbytes, offset)
+    return np.ascontiguousarray(array.T) if fortran_order else array
+
+
+def _read_npz(data: bytes) -> dict[str, np.ndarray]:
+    """Decode an npz payload held in memory, in one pass.
+
+    Checks everything numpy's ``load(allow_pickle=False)`` checks: the
+    zip structure and each member's CRC-32 (``zipfile``), the ``.npy``
+    magic, version and header (numpy's own parser), no object dtypes,
+    and a data section of exactly ``count x itemsize`` bytes.  Raises
+    ``zipfile.BadZipFile`` / ``ValueError`` and friends; the caller
+    names the archive.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        for member in archive.infolist():
+            name = member.filename
+            if not name.endswith(".npy"):
+                raise ValueError(f"member {name!r} is not a .npy array")
+            key = name[: -len(".npy")]
+            if key in arrays:
+                raise ValueError(f"duplicate member {name!r}")
+            arrays[key] = _decode_npy(archive.read(member))
+    return arrays
+
+
 def _check_column_meta(
-    meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray], json_path: Path
+    meta: Mapping[str, Any], arrays: Mapping[str, np.ndarray], name: str
 ) -> None:
     """Validate payload arrays against the manifest's dtype/shape record.
 
@@ -245,7 +376,7 @@ def _check_column_meta(
     """
     if sorted(meta) != sorted(arrays):
         raise ConfigError(
-            f"study archive {json_path}: column_meta does not cover the "
+            f"study archive {name}: column_meta does not cover the "
             "manifest's columns"
         )
     for key, column in arrays.items():
@@ -254,17 +385,17 @@ def _check_column_meta(
             entry.get("shape"), list
         ):
             raise ConfigError(
-                f"study archive {json_path}: column_meta[{key!r}] must be an "
+                f"study archive {name}: column_meta[{key!r}] must be an "
                 "object with 'dtype' and 'shape'"
             )
         if column.dtype.str != entry["dtype"]:
             raise ConfigError(
-                f"study archive {json_path}: column {key!r} has dtype "
+                f"study archive {name}: column {key!r} has dtype "
                 f"{column.dtype.str!r}, manifest says {entry['dtype']!r}"
             )
         if list(column.shape) != entry["shape"]:
             raise ConfigError(
-                f"study archive {json_path}: column {key!r} has shape "
+                f"study archive {name}: column {key!r} has shape "
                 f"{list(column.shape)}, manifest says {entry['shape']}"
             )
 
@@ -280,67 +411,67 @@ def _check(mapping: Mapping, types: Mapping[str, type], where: str) -> None:
             )
 
 
-def load_study(path: str | Path) -> StudyResult:
-    """Load a :class:`StudyResult` archived by :func:`save_study`."""
-    from ..analysis.experiments import ExperimentResult
-    from .study import StudyCell, StudyResult
+def _check_strings(values: list[Any], where: str, what: str) -> None:
+    if not all(isinstance(value, str) for value in values):
+        raise ConfigError(f"study archive {where}: {what!r} must be a list of strings")
 
-    json_path, npz_path = _paths(path)
-    if not json_path.exists():
-        raise ConfigError(f"study archive not found: {json_path}")
+
+def _parse_manifest(manifest_text: str, name: str) -> dict[str, Any]:
+    """The manifest half of the decoder: JSON, keys, format, version,
+    registered experiment and kind."""
     try:
-        manifest = json.loads(json_path.read_text())
+        manifest = json.loads(manifest_text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"study archive {json_path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"study archive {name} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
-        raise ConfigError(f"study archive {json_path}: manifest must be an object")
-    _check(manifest, _MANIFEST_TYPES, "manifest")
+        raise ConfigError(f"study archive {name}: manifest must be an object")
+    _check(manifest, _MANIFEST_TYPES, f"{name} manifest")
     if manifest["format"] != ARCHIVE_FORMAT:
         raise ConfigError(
-            f"study archive {json_path}: format {manifest['format']!r} is not "
+            f"study archive {name}: format {manifest['format']!r} is not "
             f"{ARCHIVE_FORMAT!r}"
         )
     if manifest["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
-            f"study archive {json_path}: schema version "
+            f"study archive {name}: schema version "
             f"{manifest['schema_version']} is not the supported {SCHEMA_VERSION}"
         )
-    definition = get_experiment(manifest["experiment"])
-    if manifest["kind"] != definition.kind:
+    kind = get_experiment(manifest["experiment"]).kind
+    if manifest["kind"] != kind:
         raise ConfigError(
-            f"study archive {json_path}: kind {manifest['kind']!r} does not "
-            f"match the registered {definition.kind!r}"
+            f"study archive {name}: kind {manifest['kind']!r} does not "
+            f"match the registered {kind!r}"
         )
-    schema = definition.schema
-    if not npz_path.exists():
-        raise ConfigError(
-            f"study archive payload not found: {npz_path} (torn archive: the "
-            "manifest exists without its npz payload — the pair was partially "
-            "copied or the payload deleted; saves are atomic, so re-run or "
-            "re-copy the archive)"
-        )
+    _check_strings(manifest["columns"], f"{name} manifest", "columns")
+    return manifest
+
+
+def _assemble(manifest: dict[str, Any], npz_bytes: bytes, name: str) -> StudyResult:
+    """The payload half: decode the npz, check it against the manifest,
+    and build the result."""
+    from ..analysis.experiments import ExperimentResult
+    from .study import StudyCell, StudyResult
+
+    schema = get_experiment(manifest["experiment"]).schema
     try:
-        # Hold the file handle ourselves: np.load on a truncated zip
-        # raises while constructing the NpzFile, before anything owns
-        # (and would close) the handle it opened from a path.
-        with open(npz_path, "rb") as stream:
-            with np.load(stream, allow_pickle=False) as payload:
-                arrays = {key: payload[key] for key in payload.files}
+        arrays = _read_npz(npz_bytes)
     except (zipfile.BadZipFile, ValueError, OSError, EOFError, KeyError) as exc:
         raise ConfigError(
-            f"study archive payload {npz_path} is not a readable npz archive "
+            f"study archive {name}: payload is not a readable npz archive "
             f"(truncated or corrupt): {exc}"
         ) from None
     if sorted(arrays) != sorted(manifest["columns"]):
         raise ConfigError(
-            f"study archive {json_path}: npz columns do not match the manifest"
+            f"study archive {name}: npz columns do not match the manifest"
         )
-    _check_column_meta(manifest["column_meta"], arrays, json_path)
+    _check_column_meta(manifest["column_meta"], arrays, name)
     cells = []
     for index, cell in enumerate(manifest["cells"]):
+        where = f"{name} cell {index}"
         if not isinstance(cell, dict):
-            raise ConfigError(f"study archive cell {index}: must be an object")
-        _check(cell, _CELL_TYPES, f"cell {index}")
+            raise ConfigError(f"study archive {where}: must be an object")
+        _check(cell, _CELL_TYPES, where)
+        _check_strings(cell["labels"], where, "labels")
         columns: dict[str, dict[str, np.ndarray]] = {
             label: {} for label in cell["labels"]
         }
@@ -348,16 +479,16 @@ def load_study(path: str | Path) -> StudyResult:
         for key, column in arrays.items():
             if not key.startswith(prefix):
                 continue
-            label, name = key[len(prefix) :].rsplit(_KEY_SEP, 1)
+            label, _sep, column_name = key[len(prefix) :].rpartition(_KEY_SEP)
             if label not in columns:
                 raise ConfigError(
-                    f"study archive cell {index}: column for unknown label "
+                    f"study archive {where}: column for unknown label "
                     f"{label!r}"
                 )
-            columns[label][name] = column
+            columns[label][column_name] = column
         overrides = {
-            name: schema[name].coerce(value)
-            for name, value in cell["overrides"].items()
+            param: schema[param].coerce(value)
+            for param, value in cell["overrides"].items()
         }
         cells.append(
             StudyCell(
@@ -370,10 +501,13 @@ def load_study(path: str | Path) -> StudyResult:
                 columns=columns,
             )
         )
-    axes = {
-        name: [schema[name].coerce(value) for value in values]
-        for name, values in manifest["axes"].items()
-    }
+    axes = {}
+    for param, values in manifest["axes"].items():
+        if not isinstance(values, list):
+            raise ConfigError(
+                f"study archive {name}: axis {param!r} must be a list of values"
+            )
+        axes[param] = [schema[param].coerce(value) for value in values]
     return StudyResult(
         experiment_id=manifest["experiment"],
         kind=manifest["kind"],
@@ -381,3 +515,55 @@ def load_study(path: str | Path) -> StudyResult:
         axes=axes,
         cells=cells,
     )
+
+
+def parse_study(
+    manifest_text: str, npz_bytes: bytes, name: str = "<memory>"
+) -> StudyResult:
+    """Check and decode an archive pair produced by :func:`dump_study`.
+
+    ``name`` labels the archive in error messages (the manifest path
+    for :func:`load_study`).  Every malformed input — manifest or
+    payload — is a :class:`~repro.errors.ConfigError`.
+    """
+    return _assemble(_parse_manifest(manifest_text, name), npz_bytes, name)
+
+
+def _read_file(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"study archive {path} is not readable: {exc}") from None
+
+
+def read_study(path: str | Path) -> tuple[StudyResult, str, bytes]:
+    """Load an archive and return it with the pair it was decoded from:
+    ``(result, manifest_text, npz_bytes)``.
+
+    Each file is read once, so the returned bytes are exactly the bytes
+    that passed validation — what the cache hands the study service to
+    serve, with no second read that could see a different file.
+    """
+    json_path, npz_path = _paths(path)
+    if not json_path.exists():
+        raise ConfigError(f"study archive not found: {json_path}")
+    name = str(json_path)
+    try:
+        manifest_text = _read_file(json_path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"study archive {name} is not UTF-8 text: {exc}") from None
+    manifest = _parse_manifest(manifest_text, name)
+    if not npz_path.exists():
+        raise ConfigError(
+            f"study archive payload not found: {npz_path} (torn archive: the "
+            "manifest exists without its npz payload — the pair was partially "
+            "copied or the payload deleted; saves are atomic, so re-run or "
+            "re-copy the archive)"
+        )
+    npz_bytes = _read_file(npz_path)
+    return _assemble(manifest, npz_bytes, name), manifest_text, npz_bytes
+
+
+def load_study(path: str | Path) -> StudyResult:
+    """Load a :class:`StudyResult` archived by :func:`save_study`."""
+    return read_study(path)[0]

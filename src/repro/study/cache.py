@@ -63,11 +63,11 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigError
-from .archive import SCHEMA_VERSION, _jsonify, _tmp_path, load_study, save_study
+from .archive import SCHEMA_VERSION, _jsonify, _tmp_path, load_study, read_study, save_study
 from .registry import ExperimentDef, get_experiment
 
 if TYPE_CHECKING:  # import cycle: study.py imports this module lazily
-    from .study import StudyCell
+    from .study import StudyCell, StudyResult
 
 __all__ = [
     "CACHE_FORMAT",
@@ -77,6 +77,7 @@ __all__ = [
     "StudyCache",
     "code_fingerprint",
     "resolve_cache",
+    "single_cell_study",
 ]
 
 #: Meta-manifest format tag — rejects foreign JSON handed to the cache.
@@ -183,6 +184,31 @@ class CacheEntry:
 # ---------------------------------------------------------------------------
 
 
+def single_cell_study(
+    definition: ExperimentDef, params: Mapping[str, Any], cell: "StudyCell"
+) -> "StudyResult":
+    """``cell`` as a gridless one-cell study: the canonical form of a
+    cache entry and of a cell on the service wire (index 0, no
+    overrides, no axes), so equal cells archive to equal bytes."""
+    from .study import StudyCell, StudyResult
+
+    return StudyResult(
+        experiment_id=definition.experiment_id,
+        kind=definition.kind,
+        params=dict(params),
+        axes={},
+        cells=[
+            StudyCell(
+                index=0,
+                overrides={},
+                params=dict(params),
+                result=cell.result,
+                columns=cell.columns,
+            )
+        ],
+    )
+
+
 class StudyCache:
     """A content-addressed store of single-cell study archives."""
 
@@ -236,17 +262,6 @@ class StudyCache:
             Path(f"{base}{_META_SUFFIX}"),
         )
 
-    def entry_files(self, key: str) -> tuple[Path, Path]:
-        """The ``(json, npz)`` archive paths behind one content key.
-
-        The study service serves cache hits straight from these files
-        (the entry *is* the wire format), so the broker never re-renders
-        a cell just to ship bytes that already exist.  Callers should
-        :meth:`lookup` first — this accessor does not validate.
-        """
-        json_path, npz_path, _meta = self._entry_paths(key)
-        return json_path, npz_path
-
     # -- lookup / store -----------------------------------------------------
 
     def lookup(
@@ -262,12 +277,29 @@ class StudyCache:
         reported as a miss — the cache never raises on a bad entry and
         never serves one either.
         """
+        hit = self.lookup_archive(definition, params, fingerprint)
+        return None if hit is None else hit[0]
+
+    def lookup_archive(
+        self,
+        definition: ExperimentDef,
+        params: Mapping[str, Any],
+        fingerprint: str | None = None,
+    ) -> "tuple[StudyCell, str, bytes] | None":
+        """:meth:`lookup`, plus the entry's archive pair: ``(cell,
+        manifest_text, npz_bytes)``.
+
+        Each entry file is read once and the cell is decoded from those
+        bytes, so the pair returned *is* what was validated.  The study
+        service serves hits from it (the entry is the wire format) —
+        never from a second read of a file that may have changed.
+        """
         key = self.cell_key(definition, params, fingerprint)
-        json_path, npz_path, meta_path = self._entry_paths(key)
+        json_path, _npz_path, meta_path = self._entry_paths(key)
         if not meta_path.exists() or not json_path.exists():
             return None
         try:
-            loaded = load_study(json_path)
+            loaded, manifest_text, npz_bytes = read_study(json_path)
             if loaded.experiment_id != definition.experiment_id:
                 raise ConfigError(
                     f"cache entry {key} holds experiment "
@@ -283,7 +315,7 @@ class StudyCache:
         except ConfigError:
             self._quarantine(key)
             return None
-        return cell
+        return cell, manifest_text, npz_bytes
 
     def store(
         self,
@@ -301,27 +333,10 @@ class StudyCache:
         """
         if fingerprint is None:
             fingerprint = code_fingerprint()
-        from .study import StudyCell, StudyResult
-
         key = self.cell_key(definition, params, fingerprint)
-        json_path, npz_path, meta_path = self._entry_paths(key)
+        _json_path, _npz_path, meta_path = self._entry_paths(key)
         self.entries_dir.mkdir(parents=True, exist_ok=True)
-        single = StudyResult(
-            experiment_id=definition.experiment_id,
-            kind=definition.kind,
-            params=dict(params),
-            axes={},
-            cells=[
-                StudyCell(
-                    index=0,
-                    overrides={},
-                    params=dict(params),
-                    result=cell.result,
-                    columns=cell.columns,
-                )
-            ],
-        )
-        save_study(single, self.entries_dir / key)
+        save_study(single_cell_study(definition, params, cell), self.entries_dir / key)
         meta = {
             "format": CACHE_FORMAT,
             "cache_version": CACHE_VERSION,

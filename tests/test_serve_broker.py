@@ -13,9 +13,10 @@ import pytest
 
 from repro.errors import ConfigError, ServiceError
 from repro.serve.broker import Broker
-from repro.serve.cells import cell_archive, execute_cell, load_cell_archive
+from repro.serve.cells import cell_archive, execute_cell
 from repro.serve.worker import run_worker
 from repro.sim.execution import SerialEngine
+from repro.study.archive import parse_study
 from repro.study.cache import StudyCache
 
 
@@ -133,7 +134,7 @@ class TestLeaseLifecycle:
         manifest, npz = broker.result(job, 0)
         assert (manifest, npz) == archives[2014]
         # The stored archive round-trips through strict validation.
-        assert load_cell_archive(manifest, npz).only().params["seed"] == 2014
+        assert parse_study(manifest, npz).only().params["seed"] == 2014
 
     def test_empty_queue_leases_none(self, make_broker):
         assert make_broker().lease("w0") is None

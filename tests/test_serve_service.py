@@ -10,6 +10,8 @@ error instead of sinking the study.
 """
 
 import filecmp
+import json
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -20,11 +22,13 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError, ServiceError
 from repro.serve.broker import Broker
+from repro.serve.cells import cell_archive, execute_cell
 from repro.serve.client import BrokerClient
 from repro.serve.engine import ServiceEngine, resolve_broker
 from repro.serve.httpd import create_server, run_server
 from repro.serve.worker import run_worker
-from repro.study import Study
+from repro.study import Study, StudyCache
+from repro.study.archive import dump_study, parse_study
 from repro.study.params import Param, ParamSchema
 from repro.study.registry import (
     _REGISTRY,
@@ -200,6 +204,113 @@ class TestByteIdentity:
         assert second.cache_info == CacheInfo(hits=2, misses=0, submitted_units=0)
         assert second.rendered == first.rendered
         assert second.column_mismatches(first) == []
+
+
+class TestInMemoryTransport:
+    """Archives cross the service as bytes: no temp files, and a cache
+    hit is served from the very bytes ``lookup`` validated."""
+
+    PAYLOAD = {"experiment": "fig2", "params": {"trials": 1}, "axes": {"seed": [2014, 2015]}}
+
+    def test_round_trip_and_cached_resubmission_touch_no_temp_files(
+        self, tmp_path, monkeypatch
+    ):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the service path created a temp file")
+
+        for name in ("TemporaryDirectory", "mkdtemp", "mkstemp", "NamedTemporaryFile"):
+            monkeypatch.setattr(tempfile, name, forbidden)
+        cache = StudyCache(tmp_path / "cache")
+        with service_stack(tmp_path, cache=cache) as stack:
+            client = BrokerClient(stack.url)
+            # submit -> lease -> complete (the worker thread) -> fetch
+            fresh = client.submit(self.PAYLOAD)
+            assert fresh["cached"] == 0
+            assert wait_done(client, fresh["job_id"])["state"] == "done"
+            wire = [client.result(fresh["job_id"], index) for index in range(2)]
+            # ... and again, served from the cache with zero leases.
+            cached = client.submit(self.PAYLOAD)
+            assert (cached["cached"], cached["units"]) == (2, 0)
+            assert wait_done(client, cached["job_id"])["state"] == "done"
+            rewire = [client.result(cached["job_id"], index) for index in range(2)]
+        assert not any("temp file" in line for line in stack.log)
+        definition = get_experiment("fig2")
+        for (manifest_text, npz_bytes), again in zip(wire, rewire, strict=True):
+            assert again == (manifest_text, npz_bytes)
+            cell = parse_study(manifest_text, npz_bytes).only()
+            key = cache.cell_key(definition, cell.params)
+            assert (cache.entries_dir / f"{key}.json").read_text() == manifest_text
+            assert (cache.entries_dir / f"{key}.npz").read_bytes() == npz_bytes
+            assert dump_study(parse_study(manifest_text, npz_bytes)) == (
+                manifest_text,
+                npz_bytes,
+            )
+
+    def test_submit_serves_exactly_the_bytes_lookup_validated(self, tmp_path, monkeypatch):
+        cache = StudyCache(tmp_path / "cache")
+        payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
+        with service_stack(tmp_path, cache=cache) as stack:
+            client = BrokerClient(stack.url)
+            job = client.submit(payload)["job_id"]
+            wait_done(client, job)
+            good = client.result(job, 0)
+            (entry,) = cache.entries()
+
+            # The entry changes on disk right after lookup validated it:
+            # a broker that re-read the files would serve the torn ones.
+            real_lookup = cache.lookup_archive
+
+            def lookup_then_tear(*args, **kwargs):
+                hit = real_lookup(*args, **kwargs)
+                assert hit is not None
+                entry.npz_path.write_bytes(entry.npz_path.read_bytes()[:64])
+                return hit
+
+            monkeypatch.setattr(cache, "lookup_archive", lookup_then_tear)
+            second = client.submit(payload)
+            assert second["cached"] == 1
+            assert client.result(second["job_id"], 0) == good
+            monkeypatch.undo()
+
+            # The next submission finds the truncated entry: quarantined,
+            # recomputed by the worker, never served.
+            third = client.submit(payload)
+            assert third["cached"] == 0
+            assert (cache.quarantine_dir / entry.npz_path.name).exists()
+            status = wait_done(client, third["job_id"])
+            assert status["cells"][0]["from_cache"] is False
+            assert client.result(third["job_id"], 0) == good
+            assert entry.npz_path.read_bytes() == good[1]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda manifest: manifest.update(columns=[1, "a"]),
+            lambda manifest: manifest["cells"][0].update(labels=[[1]]),
+            lambda manifest: manifest.update(axes={"seed": 5}),
+        ],
+        ids=["columns", "labels", "axes"],
+    )
+    def test_malformed_manifest_over_http_is_charged_and_requeued(self, tmp_path, mutate):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            client = BrokerClient(stack.url)
+            payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
+            job = client.submit(payload)["job_id"]
+            lease = client.lease("sloppy")
+            cell = execute_cell(lease["experiment"], lease["params"])
+            manifest_text, npz_bytes = cell_archive(lease["experiment"], cell)
+            manifest = json.loads(manifest_text)
+            mutate(manifest)
+            reply = client.complete(
+                job, lease["cell"], json.dumps(manifest), npz_bytes, lease["lease_id"], "sloppy"
+            )
+            assert reply["accepted"] is False
+            assert reply["reason"].startswith("invalid-archive")
+            info = client.status(job)["cells"][0]
+            assert (info["state"], info["attempts"]) == ("pending", 1)
+            assert any("requeued" in line for line in stack.log)
+            # The honest archive still lands.
+            assert client.complete(job, lease["cell"], manifest_text, npz_bytes)["accepted"]
 
 
 class TestWorkerFailure:

@@ -267,6 +267,18 @@ class TestQuarantine:
         rerun = small_grid().run(cache=cache)
         assert rerun.cache_info.hits == 1 and rerun.cache_info.misses == 1
 
+    def test_non_utf8_manifest_is_quarantined_and_recomputed(self, tmp_path):
+        cache, entries = self.stored_entry(tmp_path)
+        victim = entries[0]
+        victim.json_path.write_bytes(b"\xff\xfe\x00garbage")
+        ok, bad = cache.verify()
+        assert len(ok) == 1 and [key for key, _reason in bad] == [victim.key]
+        rerun = small_grid().run(cache=cache)
+        assert rerun.cache_info == CacheInfo(hits=1, misses=1, submitted_units=6)
+        assert (cache.quarantine_dir / victim.json_path.name).exists()
+        assert_identical(rerun, small_grid().run())
+        assert small_grid().run(cache=cache).cache_info.submitted_units == 0
+
     def test_wrong_experiment_behind_a_key_is_quarantined(self, tmp_path):
         cache, entries = self.stored_entry(tmp_path)
         other = Study("fig4", trials=1).run()
