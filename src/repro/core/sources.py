@@ -77,9 +77,15 @@ class SourceManager:
         *next* ``active`` read) when all candidates are spent.  The
         failed server is struck; servers under the strike limit remain
         eligible for a later retry round.
+
+        With no active server — a first bootstrap that died before the
+        proxy's list was installed, or a list already spent — there is
+        nothing to strike and nothing to switch to: that is exhaustion
+        too, reported the same way so the session drops this path and
+        carries on over the other one.
         """
         if self._active_index is None:
-            raise SourcesExhaustedError(f"no active server in {self.network_id}")
+            return None
         failed = self._candidates[self._active_index]
         failed.strikes += 1
         viable = [

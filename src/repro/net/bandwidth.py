@@ -34,6 +34,11 @@ from ..errors import ConfigError
 #: A capacity segment: hold ``rate`` bytes/s for ``duration`` seconds.
 Segment = tuple[float, float]
 
+#: Segments an AR(1) process samples per vectorized block.  Kept small:
+#: every live link holds a block, and a population has hundreds of
+#: links that each consume only a few segments per ON period.
+_AR_BLOCK = 16
+
 
 class BandwidthProcess:
     """Interface: an endless iterator of piecewise-constant capacity segments."""
@@ -143,7 +148,7 @@ class MarkovBandwidth(BandwidthProcess):
         while True:
             rate, holding = self.states[state]
             duration = float(self._rng.exponential(holding))
-            # Clamp pathological zero-length draws so the link process
+            # Clamp pathological zero-length draws so the link
             # always makes progress.
             yield (max(duration, 1e-6), rate)
             state = int(self._rng.choice(n, p=self._transitions[state]))
@@ -190,16 +195,30 @@ class ARLogNormalBandwidth(BandwidthProcess):
         self._mu = np.log(mean_rate) - 0.5 * sigma**2
 
     def segments(self) -> Iterator[Segment]:
-        innovation_std = self.sigma * np.sqrt(1.0 - self.rho**2)
-        log_rate = self._mu + self._rng.normal(0.0, self.sigma)
+        # Innovations are drawn a block at a time and ``exp``/``clip``
+        # run once per block.  The stream is the scalar one bit for bit:
+        # ``normal(size=k)`` equals k scalar draws and ``np.exp`` of an
+        # array equals ``np.exp`` of each element (``math.exp`` does
+        # not), while the recursion itself is plain float arithmetic in
+        # the original operation order.  Drawing ahead is invisible: the
+        # generator belongs to this process alone.
+        rho = self.rho
+        mu = float(self._mu)
+        drift = (1.0 - rho) * mu
+        innovation_std = self.sigma * float(np.sqrt(1.0 - rho**2))
+        interval, floor, ceiling = self.interval, self.floor, self.ceiling
+        normal = self._rng.normal
+        log_rate = mu + float(normal(0.0, self.sigma))
+        block = [log_rate]
         while True:
-            rate = float(np.clip(np.exp(log_rate), self.floor, self.ceiling))
-            yield (self.interval, rate)
-            log_rate = (
-                (1.0 - self.rho) * self._mu
-                + self.rho * log_rate
-                + self._rng.normal(0.0, innovation_std)
-            )
+            rates = np.clip(np.exp(block), floor, ceiling).tolist()
+            del block  # a suspended generator holds one list, not two
+            for rate in rates:
+                yield (interval, rate)
+            block = normal(0.0, innovation_std, size=_AR_BLOCK).tolist()
+            for index, innovation in enumerate(block):
+                log_rate = drift + rho * log_rate + innovation
+                block[index] = log_rate
 
 
 class TraceBandwidth(BandwidthProcess):

@@ -16,6 +16,11 @@ set, a cap, or the capacity changes, the link settles the bytes
 delivered since the last change, recomputes the allocation, and
 schedules the next completion.  Stale wake-ups are filtered with a
 version counter, so no O(n²) cancellation bookkeeping is needed.
+
+Capacity is a pure function of simulated time, so no process drives it:
+the link steps its segment iterator forward when someone looks and
+schedules segment boundaries only while a flow is there to feel them —
+an idle link costs no events (DESIGN.md "Lazy link capacity").
 """
 
 from __future__ import annotations
@@ -214,13 +219,15 @@ class FlowHandle:
 
 
 class Link:
-    """One bottleneck link: capacity process + active flow set."""
+    """One bottleneck link: lazily advanced capacity schedule + active flow set."""
 
     __slots__ = (
         "env",
         "name",
         "bandwidth",
-        "capacity",
+        "_capacity",
+        "_segment_end",
+        "_armed",
         "_flows",
         "_version",
         "_last_settle",
@@ -239,7 +246,12 @@ class Link:
         self.env = env
         self.name = name
         self.bandwidth = bandwidth
-        self.capacity = bandwidth.mean_rate
+        # The current segment holds ``_capacity`` until ``_segment_end``;
+        # the first segment starts now and is drawn at the first look.
+        self._capacity = bandwidth.mean_rate
+        self._segment_end = env.now
+        #: True while a boundary wake-up is queued (one chain per link).
+        self._armed = False
         self._flows: list[FlowHandle] = []
         self._version = 0
         self._last_settle = env.now
@@ -249,9 +261,14 @@ class Link:
         #: Observers notified on up/down transitions (mobility handling).
         self.status_listeners: list[Callable[[bool], None]] = []
         self._segments: Iterator[tuple[float, float]] = bandwidth.segments()
-        env.process(self._capacity_process())
 
     # -- public API -----------------------------------------------------------
+
+    @property
+    def capacity(self) -> float:
+        """The bandwidth process's rate at ``env.now`` (bytes/s)."""
+        self._advance_capacity()
+        return self._capacity
 
     @property
     def is_down(self) -> bool:
@@ -303,13 +320,38 @@ class Link:
 
     # -- internal fluid machinery ----------------------------------------------
 
-    def _capacity_process(self):
-        """Apply the bandwidth process's piecewise-constant segments."""
-        for duration, rate in self._segments:
-            self._settle()
-            self.capacity = rate
-            self._state_changed(settled=True)
-            yield self.env.pooled_timeout(duration)
+    def _advance_capacity(self) -> None:
+        """Step the segment schedule forward to the one covering ``now``.
+
+        Boundaries accumulate as ``end + duration`` — the floats a
+        process sleeping ``duration`` at each boundary would wake at —
+        so a settlement at a boundary sees the same ``elapsed`` whether
+        or not the link was watched in between.
+        """
+        end = self._segment_end
+        now = self.env.now
+        if end > now:
+            return
+        segments = self._segments
+        while end <= now:
+            duration, rate = next(segments)
+            end = end + duration
+        self._capacity = rate
+        self._segment_end = end
+
+    def _boundary(self) -> None:
+        """A segment ended while flows were (or had just been) active.
+
+        Settles and re-allocates even if the rate did not change: the
+        split of ``elapsed`` at the boundary is part of every byte
+        count's rounding.  A link left without flows ends the chain;
+        the next ``start_flow`` arms a new one.
+        """
+        self._state_changed()
+        if self._flows:
+            self.env.call_at(self._segment_end, self._boundary)
+        else:
+            self._armed = False
 
     def _settle(self) -> None:
         """Account bytes delivered since the last allocation change."""
@@ -348,7 +390,10 @@ class Link:
         The wake-up is the earliest of (a) the next flow completion at
         current rates and (b) the next slow-start doubling of a flow
         whose cap currently binds its rate — the closed-form substitute
-        for the per-exchange pacer process.
+        for the per-exchange pacer process.  With flows present it also
+        steps the capacity schedule to ``now`` and makes sure the
+        segment-boundary chain is armed; without any, capacity is left
+        alone and nothing is scheduled.
         """
         if not settled:
             self._settle()
@@ -375,8 +420,16 @@ class Link:
                 flow.done.succeed(flow)
             self._version += 1
 
-        capacity = 0.0 if self._down else self.capacity
         flows = self._flows
+        if not flows:
+            return
+        self._advance_capacity()
+        if not self._armed:
+            # ``call_at``, not ``call_later``: ``now + (end - now)`` can
+            # land an ulp off the boundary and move every later byte count.
+            self._armed = True
+            self.env.call_at(self._segment_end, self._boundary)
+        capacity = 0.0 if self._down else self._capacity
         if len(flows) >= _VECTOR_THRESHOLD:
             caps = np.array([f.cap for f in flows])
             rate_array = _max_min_allocation_array(capacity, caps)
@@ -423,5 +476,5 @@ class Link:
             self._state_changed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "down" if self._down else f"{self.capacity:.0f}B/s"
+        state = "down" if self._down else f"{self._capacity:.0f}B/s"
         return f"<Link {self.name} {state} flows={len(self._flows)}>"

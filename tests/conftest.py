@@ -7,10 +7,16 @@ import pytest
 
 from repro.core.config import PlayerConfig
 from repro.net.bandwidth import ConstantBandwidth
+from repro.net.calendar import KERNELS, compiled_core
 from repro.net.env import Environment
 from repro.net.latency import ConstantLatency
 from repro.net.link import Link
 from repro.units import mbit
+
+#: Kernels actually runnable here ("compiled" only when built).
+BUILT_KERNELS = [
+    kernel for kernel in KERNELS if kernel != "compiled" or compiled_core() is not None
+]
 
 
 @pytest.fixture

@@ -60,6 +60,21 @@ class TestSourceManager:
         assert manager.report_failure(1.0) == "v0.example"  # retry once
         assert manager.report_failure(2.0) is None
 
+    def test_failure_before_any_list_is_exhaustion_not_an_error(self):
+        """A first bootstrap can be refused before the proxy's server
+        list was installed; that must read as "this network is spent",
+        not abort the caller."""
+        manager = SourceManager("wifi-net")
+        assert manager.report_failure(1.0) is None
+        assert manager.exhausted
+        assert manager.failover_log == []
+
+    def test_failure_after_exhaustion_stays_exhausted(self):
+        manager = self.make(n=1, max_strikes=1)
+        assert manager.report_failure(1.0) is None
+        assert manager.report_failure(2.0) is None
+        assert manager.failover_log == [(1.0, "v0.example", None)]
+
 
 class TestPathState:
     def make(self):

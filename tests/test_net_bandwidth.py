@@ -1,5 +1,7 @@
 """Bandwidth processes: segment validity and long-run means."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,3 +150,138 @@ class TestComposite:
         for _, (duration, rate) in zip(range(200), composite.segments(), strict=False):
             assert duration > 0
             assert rate > 0
+
+
+# ---------------------------------------------------------------------------
+# The block sampler is the scalar stream, bit for bit
+# ---------------------------------------------------------------------------
+
+
+class ScalarARLogNormal(ARLogNormalBandwidth):
+    """Reference: the original one-draw-per-segment AR(1) sampler, verbatim
+    (three scalar numpy calls per segment, numpy-scalar arithmetic)."""
+
+    __slots__ = ()
+
+    def segments(self):
+        innovation_std = self.sigma * np.sqrt(1.0 - self.rho**2)
+        log_rate = self._mu + self._rng.normal(0.0, self.sigma)
+        while True:
+            rate = float(np.clip(np.exp(log_rate), self.floor, self.ceiling))
+            yield (self.interval, rate)
+            log_rate = (
+                (1.0 - self.rho) * self._mu
+                + self.rho * log_rate
+                + self._rng.normal(0.0, innovation_std)
+            )
+
+
+def _generator(seed, stream=0):
+    return np.random.Generator(np.random.PCG64([seed, stream]))
+
+
+def _markov(seed):
+    return MarkovBandwidth([(1.0, 2.0), (0.4, 0.7), (1.6, 1.1)], rng=_generator(seed, 1))
+
+
+class TestBlockSamplerEqualsScalarStream:
+    SEGMENTS = 10_000
+
+    @pytest.mark.parametrize("seed", [0, 7, 2014])
+    @pytest.mark.parametrize("rho", [0.0, 0.8, 0.99])
+    @pytest.mark.parametrize("sigma", [0.0, 0.35, 2.5])
+    def test_ar_stream_equals_the_scalar_reference(self, seed, rho, sigma):
+        kwargs = dict(mean_rate=2.0e6, sigma=sigma, rho=rho, interval=0.5)
+        block = ARLogNormalBandwidth(rng=_generator(seed), **kwargs)
+        scalar = ScalarARLogNormal(rng=_generator(seed), **kwargs)
+        got = list(itertools.islice(block.segments(), self.SEGMENTS))
+        assert got == list(itertools.islice(scalar.segments(), self.SEGMENTS))
+        assert all(type(rate) is float for _duration, rate in got[:40])
+        if sigma > 0:
+            # sigma=2.5 exercises both clamps, so the block clip is the scalar clip.
+            assert len({rate for _duration, rate in got}) > 2
+
+    @pytest.mark.parametrize("seed", [1, 99])
+    def test_composite_stream_equals_the_scalar_reference(self, seed):
+        kwargs = dict(mean_rate=1.2e6, sigma=0.4, rho=0.8, interval=0.5)
+        block = CompositeBandwidth(
+            ARLogNormalBandwidth(rng=_generator(seed), **kwargs), _markov(seed)
+        )
+        scalar = CompositeBandwidth(
+            ScalarARLogNormal(rng=_generator(seed), **kwargs), _markov(seed)
+        )
+        assert list(itertools.islice(block.segments(), self.SEGMENTS)) == list(
+            itertools.islice(scalar.segments(), self.SEGMENTS)
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        reads=st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=20),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_read_pattern_does_not_matter(self, reads, seed):
+        """Two consumers pulling from two processes in any interleaving
+        see the streams they would have seen alone: a block drawn ahead
+        for one touches no generator but its own."""
+        first = ARLogNormalBandwidth(1.0e6, sigma=0.3, rng=_generator(seed, 0)).segments()
+        second = ARLogNormalBandwidth(3.0e6, sigma=0.6, rng=_generator(seed, 1)).segments()
+        pulled: tuple[list, list] = ([], [])
+        for turn, count in enumerate(reads):
+            stream, sink = ((first, pulled[0]), (second, pulled[1]))[turn % 2]
+            sink.extend(itertools.islice(stream, count))
+        alone = (
+            ScalarARLogNormal(1.0e6, sigma=0.3, rng=_generator(seed, 0)).segments(),
+            ScalarARLogNormal(3.0e6, sigma=0.6, rng=_generator(seed, 1)).segments(),
+        )
+        for got, reference in zip(pulled, alone, strict=True):
+            assert got == list(itertools.islice(reference, len(got)))
+
+    def test_numpy_block_normal_equals_scalar_draws(self):
+        """Pinned numpy fact #1: ``normal(size=k)`` is k scalar draws."""
+        for scale in (0.0, 0.21, 3.0):
+            block_rng, scalar_rng = _generator(5), _generator(5)
+            for size in (1, 3, 16, 7, 32, 16):
+                block = block_rng.normal(0.0, scale, size=size)
+                scalars = [scalar_rng.normal(0.0, scale) for _ in range(size)]
+                assert block.tolist() == scalars
+
+    def test_numpy_array_exp_equals_scalar_exp(self):
+        """Pinned numpy fact #2: ``np.exp`` of an array (or list) is
+        ``np.exp`` of each element — at every block length, so a SIMD
+        body and its scalar tail agree."""
+        values = _generator(11).normal(12.0, 4.0, size=20_000)
+        scalar = [float(np.exp(value)) for value in values]
+        assert np.exp(values).tolist() == scalar
+        for size in (1, 2, 3, 5, 8, 15, 16, 17, 31):
+            for offset in range(0, 2_000, size):
+                chunk = values[offset : offset + size].tolist()
+                assert np.exp(chunk).tolist() == scalar[offset : offset + size]
+
+    def test_live_block_storage_of_a_200_link_world_is_bounded(self):
+        """Every started AR(1) stream keeps one block alive.  Budget:
+        1 KiB per link (measured: 0.8 KiB at the block size of 16, the
+        list plus its boxed floats; 1.3 KiB at 32; 8.3 KiB at 256, which
+        showed up as +9.5 % peak RSS on the 100-client population)."""
+        import tracemalloc
+
+        from repro.net import bandwidth as bandwidth_module
+
+        processes = [
+            ARLogNormalBandwidth(1.0e6, sigma=0.3, rng=_generator(index)) for index in range(200)
+        ]
+        tracemalloc.start()
+        try:
+            streams = [process.segments() for process in processes]
+            for stream in streams:
+                # Into the second block: the first holds the initial state only.
+                assert len(list(itertools.islice(stream, 3))) == 3
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            stat.size
+            for stat in snapshot.filter_traces(
+                [tracemalloc.Filter(True, bandwidth_module.__file__)]
+            ).statistics("filename")
+        )
+        assert 0 < held <= 200 * 1024, f"{held} bytes of live block storage"

@@ -24,20 +24,15 @@ from hypothesis import strategies as st
 
 from repro.errors import ClockError, ConfigError, Interrupt
 from repro.net.calendar import (
-    KERNELS,
     CalendarScheduler,
     HeapScheduler,
-    compiled_core,
     make_scheduler,
     resolve_kernel,
     set_default_kernel,
 )
 from repro.net.env import Environment
 
-#: Kernels actually runnable here ("compiled" only when built).
-BUILT_KERNELS = [
-    kernel for kernel in KERNELS if kernel != "compiled" or compiled_core() is not None
-]
+from conftest import BUILT_KERNELS
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.scenarios.churn import (
     schedule_churn,
 )
 from repro.sim.scenario import LTE_NET, WIFI_NET
+from repro.study import Study
 
 
 class TestDiurnalCurve:
@@ -249,6 +250,20 @@ class TestScenarioExperiment:
         result = experiment.run("rotate")
         assert len(result.outcomes) == 4
         assert sum(result.server_bytes.values()) > 0
+
+    def test_refused_first_bootstrap_does_not_abort_the_population(self):
+        """x9 at seed 16140: the crash window opens while a client's
+        first bootstrap is warming its connection to the crashed server.
+        The refusal used to escape ``env.run`` as SourcesExhaustedError
+        and lose every session; the client must instead drop that path
+        and play over the other interface."""
+        result = Study(
+            "x9", replicates=1, clients=45, policies=("least_loaded",), seed=16140
+        ).run(jobs="serial")
+        assert not result.errors
+        columns = result.only().columns["least_loaded"]
+        assert columns["sessions"].tolist() == [45]
+        assert columns["completed"].tolist() == [45]
 
     def test_specs_are_picklable(self):
         experiment = ScenarioExperiment(client_count=3, seed=9)

@@ -108,3 +108,20 @@ class TestPaperScaleScenarios:
         reference = run_experiment("x9", jobs="serial", kernel="heapq", **kwargs)
         got = run_experiment("x9", jobs="auto", kernel="calendar", **kwargs)
         _assert_identical(got, reference)
+
+    @pytest.mark.parametrize("kernel", ["heapq", "calendar"])
+    def test_x9_lazy_links_equal_the_eager_oracle_at_100_clients(self, kernel, monkeypatch):
+        """The benchmark's flash crowd (200 access links, most idle most
+        of the time) with every link swapped for the pre-lazy reference
+        in ``tests/eager_link.py``: same panel, same raw SLOs, same
+        dense columns."""
+        from eager_link import EagerLink
+
+        kwargs = dict(replicates=1, clients=100, policies=("least_loaded",))
+        lazy = Study("x9", **kwargs).run(jobs="serial", kernel=kernel)
+        monkeypatch.setattr("repro.ext.multi_client.Link", EagerLink)
+        monkeypatch.setattr("repro.sim.scenario.Link", EagerLink)
+        eager = Study("x9", **kwargs).run(jobs="serial", kernel=kernel)
+        assert lazy.rendered == eager.rendered
+        assert lazy.only().result.raw == eager.only().result.raw
+        assert lazy.column_mismatches(eager) == []
