@@ -2,7 +2,8 @@
 
 Unlike the figure benches (which assert paper *shapes*), this one
 tracks *speed*: raw kernel event throughput, TCP exchange throughput
-(the hot path the closed-form slow start optimizes), end-to-end trial
+(the hot path the closed-form slow start optimizes), whole HTTP range
+requests per second with the kernel events each one buys, end-to-end trial
 throughput serial vs ``--jobs auto``, whole-sweep campaign submission
 vs the per-configuration barrier path, and columnar (OutcomeBatch /
 vectorized bootstrap) vs per-trial Python-loop aggregation.  Numbers
@@ -32,13 +33,24 @@ import pytest
 from conftest import RESULTS_DIR
 
 from repro.analysis.stats import bootstrap_ci, summarize
+from repro.cdn.catalog import Catalog
+from repro.cdn.tokens import TokenMint
+from repro.cdn.videos import VideoMeta
+from repro.cdn.videoserver import VideoServerApp
+from repro.cdn.webproxy import stream_signature
 from repro.core.config import PlayerConfig
+from repro.http.client import SimHTTPClient
+from repro.http.messages import Request
+from repro.http.ranges import ByteRange
+from repro.http.server import SimHTTPServer
 from repro.net.bandwidth import ConstantBandwidth
 from repro.net.calendar import KERNELS, compiled_core
 from repro.net.env import Environment
+from repro.net.iface import NetworkInterface
 from repro.net.latency import ConstantLatency
 from repro.net.link import Link
 from repro.net.tcp import TCPConnection, TCPParams
+from repro.net.topology import Host, Network
 from repro.sim.campaign import Campaign, OutcomeBatch
 from repro.sim.profiles import testbed_profile
 from repro.sim.runner import TrialRunner
@@ -184,6 +196,79 @@ def test_tcp_exchange_throughput(perf_record, smoke):
         perf_record[f"tcp_exchanges_per_sec_{kernel}"] = round(rate)
         assert rate > 100  # sanity floor
     perf_record["tcp_exchanges_per_sec"] = perf_record["tcp_exchanges_per_sec_heapq"]
+
+
+#: requests -> kernel entries the whole warm run schedules when its
+#: caller delegates to ``client.get`` with ``yield from``.  Per request:
+#: the RTT timer, ``flow.done`` and the link's wakes for the body (the
+#: completion, a slow-start doubling while the window still binds, a
+#: share of the once-per-second segment boundary).  Through the
+#: five-deep process chain this replaced, every request bought eight
+#: more (DESIGN.md "Request path").  Exact on every kernel.
+RANGE_REQUEST_EVENTS = {300: 1237, 3000: 12368}
+
+
+def test_http_range_request_throughput(perf_record, smoke):
+    """Warm ``SimHTTPClient.get`` of 64 KB ranges against a token-checking
+    ``VideoServerApp`` — MSPlayer's unit of work, whole: request build,
+    header validation, token + signature check, range slicing, think
+    time, RTT, body flow.  No floor on the rate (it tracks the
+    trajectory); the event count is exact and asserted."""
+    requests = 300 if smoke else 3000
+    repeats = 1 if smoke else 3
+
+    def run(kernel: str) -> tuple[float, int]:
+        env = Environment(kernel=kernel)
+        network = Network(env)
+        iface = NetworkInterface(
+            env,
+            "wlan0",
+            "wifi",
+            Link(env, ConstantBandwidth(mbit(80.0))),
+            ConstantLatency(0.020),
+            "wifi-net",
+            "10.0.0.2",
+        )
+        catalog = Catalog()
+        catalog.add(
+            VideoMeta(video_id="benchVIDEO1", title="t", author="a", duration_s=600.0, itags=(22,))
+        )
+        mint = TokenMint(secret=b"bench-token-secret")
+        host = network.add_host(Host("v1.example", network_id="wifi-net"))
+        SimHTTPServer(
+            host,
+            VideoServerApp(
+                catalog, mint, clock=lambda: env.now, pool="wifi-net", signature_secret=b"sig"
+            ),
+        )
+        token = mint.issue(0.0, "benchVIDEO1", "10.0.0.2", pool="wifi-net")
+        signature = stream_signature("benchVIDEO1", 22, b"sig")
+        target = f"/videoplayback?v=benchVIDEO1&itag=22&token={token}&sig={signature}"
+        client = SimHTTPClient(env, network, iface)
+
+        def main(env):
+            yield from client.connect("v1.example")
+            before = env.scheduled_count
+            start = time.perf_counter()
+            for index in range(requests):
+                byte_range = ByteRange(index * 64 * KB, (index + 1) * 64 * KB)
+                request = Request.get(target, host="v1.example", byte_range=byte_range)
+                response, _timing = yield from client.get("v1.example", request, expect=(206,))
+                assert response.body_size == 64 * KB
+            rate = requests / (time.perf_counter() - start)
+            return rate, env.scheduled_count - before
+
+        return env.run(until=env.process(main(env)))
+
+    for kernel in BUILT_KERNELS:
+        runs = [run(kernel) for _ in range(repeats)]
+        assert {events for _, events in runs} == {RANGE_REQUEST_EVENTS[requests]}, runs
+        perf_record[f"http_range_requests_per_sec_{kernel}"] = round(max(r for r, _ in runs))
+        perf_record[f"kernel_events_per_range_request_{kernel}"] = round(
+            RANGE_REQUEST_EVENTS[requests] / requests, 3
+        )
+    for key in ("http_range_requests_per_sec", "kernel_events_per_range_request"):
+        perf_record[key] = perf_record[f"{key}_heapq"]
 
 
 def test_campaign_throughput_serial_vs_parallel(perf_record, smoke):

@@ -78,7 +78,7 @@ class MPTCPLikeDriver(MSPlayerDriver):
         # The data connection must go to the pinned server, not the
         # path-local pool: warm it now (the super() call warmed the
         # local one, which simply goes unused for the secondary path).
-        yield self.scenario.env.process(runtime.client.connect(self.primary_server))
+        yield from runtime.client.connect(self.primary_server)
         return pinned
 
     def _fetch(self, command):

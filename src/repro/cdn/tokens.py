@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import TokenError
 
@@ -23,6 +24,25 @@ from ..errors import TokenError
 DEFAULT_TTL_S = 3600.0
 
 _FIELD_SEPARATOR = "~"
+
+#: Payloads whose MAC a mint remembers.  A session presents one token
+#: per path on every range request, so a handful is the working set;
+#: the bound is what distinct (forged) payloads can pin.
+_MAC_MEMO_SIZE = 256
+
+
+def _keyed_mac(secret: bytes):
+    """``payload -> MAC`` under ``secret``, remembering recent payloads.
+
+    One memo per call, closed over the secret (not over a mint, so it
+    keeps no instance alive): two mints never see each other's entries.
+    """
+
+    @lru_cache(maxsize=_MAC_MEMO_SIZE)
+    def mac(payload: str) -> str:
+        return hmac.new(secret, payload.encode("utf-8"), hashlib.sha256).hexdigest()[:24]
+
+    return mac
 
 
 @dataclass(frozen=True)
@@ -44,8 +64,10 @@ class TokenMint:
             raise TokenError("mint secret must be non-empty")
         if ttl_s <= 0:
             raise TokenError("ttl must be positive")
-        self._secret = secret
         self.ttl_s = ttl_s
+        # Only the keyed hash is remembered — every claim check in
+        # verify() still runs on every call.
+        self._mac = _keyed_mac(secret)
 
     # -- issuing -----------------------------------------------------------
 
@@ -59,13 +81,15 @@ class TokenMint:
     ) -> str:
         """Mint a token valid for :attr:`ttl_s` seconds from ``now``."""
         claims = TokenClaims(video_id, client_address, operations, pool, now + self.ttl_s)
-        return self._encode(claims)
+        payload = self._payload(claims)
+        return f"{payload}{_FIELD_SEPARATOR}{self._mac(payload)}"
 
-    def _encode(self, claims: TokenClaims) -> str:
+    @staticmethod
+    def _payload(claims: TokenClaims) -> str:
         for field in (claims.video_id, claims.client_address, claims.operations, claims.pool):
             if _FIELD_SEPARATOR in field:
                 raise TokenError(f"claim field may not contain {_FIELD_SEPARATOR!r}: {field!r}")
-        payload = _FIELD_SEPARATOR.join(
+        return _FIELD_SEPARATOR.join(
             [
                 claims.video_id,
                 claims.client_address,
@@ -74,8 +98,6 @@ class TokenMint:
                 f"{claims.expires_at:.3f}",
             ]
         )
-        mac = hmac.new(self._secret, payload.encode("utf-8"), hashlib.sha256).hexdigest()[:24]
-        return f"{payload}{_FIELD_SEPARATOR}{mac}"
 
     # -- verifying -----------------------------------------------------------
 
@@ -89,8 +111,10 @@ class TokenMint:
     ) -> TokenClaims:
         """Validate ``token``; returns its claims or raises TokenError."""
         claims, mac = self._decode(token)
-        expected = self._encode(claims).rsplit(_FIELD_SEPARATOR, 1)[1]
-        if not hmac.compare_digest(mac, expected):
+        expected = self._mac(self._payload(claims))
+        # compare_digest raises TypeError on a non-ASCII str; such a MAC
+        # cannot be a hex digest, so it is a mismatch like any other.
+        if not mac.isascii() or not hmac.compare_digest(mac, expected):
             raise TokenError("token signature mismatch")
         if now > claims.expires_at:
             raise TokenError(f"token expired {now - claims.expires_at:.0f}s ago")

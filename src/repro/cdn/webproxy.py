@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable
+from functools import lru_cache
 
 from ..errors import ServerUnavailableError, VideoNotFoundError
 from ..http.messages import Request, Response
@@ -28,8 +29,14 @@ from .tokens import TokenMint
 from .videos import VideoAsset
 
 
+@lru_cache(maxsize=512)
 def stream_signature(video_id: str, itag: int, secret: bytes) -> str:
-    """The plain per-stream signature the video server will re-derive."""
+    """The plain per-stream signature the video server will re-derive.
+
+    Pure in its arguments and re-derived by the video server on every
+    range request, hence memoised; the bound caps what distinct
+    (hostile) video ids can pin.
+    """
     material = f"{video_id}:{itag}".encode("utf-8") + secret
     return hashlib.sha1(material).hexdigest()
 

@@ -307,19 +307,14 @@ class AdaptiveSimDriver:
     # -- IO ------------------------------------------------------------------------
 
     def _bootstrap(self, path_id: int):
-        env = self.scenario.env
         path = self._paths[path_id]
         network_id = self.scenario.iface_for(path_id).network_id
-        addresses = yield env.process(
-            self.scenario.resolver.resolve(PROXY_DNS_NAME, network_id)
-        )
+        addresses = yield from self.scenario.resolver.resolve(PROXY_DNS_NAME, network_id)
         proxy = addresses[0]
-        response, _ = yield env.process(
-            path.client.get(
-                proxy,
-                Request.get(f"/videoinfo?v={self.scenario.video.video_id}", host=proxy),
-                expect=(200,),
-            )
+        response, _ = yield from path.client.get(
+            proxy,
+            Request.get(f"/videoinfo?v={self.scenario.video.video_id}", host=proxy),
+            expect=(200,),
         )
         info = parse_video_info(response.parsed_json())
         path.info = info
@@ -328,10 +323,8 @@ class AdaptiveSimDriver:
             stream = info.stream(itag)
             if stream.needs_decipher:
                 if decoder_program is None:
-                    page, _ = yield env.process(
-                        path.client.get(
-                            proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
-                        )
+                    page, _ = yield from path.client.get(
+                        proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
                     )
                     decoder_program = parse_decoder_page(page.body)
                 path.signatures[itag] = decipher(
@@ -340,7 +333,7 @@ class AdaptiveSimDriver:
             else:
                 path.signatures[itag] = stream.signature
         path.server = info.stream(self._ladder[0]).hosts[0]
-        yield env.process(path.client.connect(path.server))
+        yield from path.client.connect(path.server)
 
     def _segment_range(self, info: VideoInfo, index: int, itag: int) -> ByteRange:
         size = info.stream(itag).size_bytes
@@ -356,9 +349,7 @@ class AdaptiveSimDriver:
         byte_range = self._segment_range(path.info, index, itag)
         target = path.info.playback_target(itag, path.signatures[itag])
         request = Request.get(target, host=path.server, byte_range=byte_range)
-        _response, timing = yield env.process(
-            path.client.get(path.server, request, expect=(206,))
-        )
+        _response, timing = yield from path.client.get(path.server, request, expect=(206,))
         self._estimators[path_id].update(byte_range.length / timing.duration)
         prebuffering = self.buffer.phase is BufferPhase.PREBUFFERING
         self.metrics.record_chunk(

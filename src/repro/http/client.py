@@ -10,6 +10,14 @@ feed on.
 
 Connections are cached per server address; losing one (path break,
 server failure) evicts it so the next request redials.
+
+``connect``/``request``/``get`` are generator functions, and each
+delegates to its sub-steps with ``yield from``: a whole request runs
+inside the *caller's* process and schedules only the waits that model
+something (handshake and request RTTs, the body flow).  A caller that
+wants a request to run concurrently wraps it — ``env.process(client.get(
+...))`` — and that is the only ``Process`` it costs (DESIGN.md "Request
+path").
 """
 
 from __future__ import annotations
@@ -54,7 +62,12 @@ class SimHTTPClient:
     # -- session management -----------------------------------------------------
 
     def connect(self, address: str):
-        """Process: establish (or reuse) a secure session to ``address``."""
+        """Generator: establish (or reuse) a secure session to ``address``.
+
+        Drive with ``yield from``, or wrap in ``env.process`` to run
+        concurrently.  A usable cached session returns at once, costing
+        no kernel event under ``yield from``.
+        """
         session = self._sessions.get(address)
         if session is not None and session.usable:
             return session
@@ -62,10 +75,10 @@ class SimHTTPClient:
         connection, host = self.network.connect(self.iface, address)
         session = ClientSession(connection, host)
         try:
-            yield self.env.process(connection.connect())
+            yield from connection.connect()
             session.connected_at = self.env.now
             resumed = address in self._tickets and host.tls.resumption
-            yield self.env.process(connection.secure_handshake(host.tls, resumed=resumed))
+            yield from connection.secure_handshake(host.tls, resumed=resumed)
             session.secured_at = self.env.now
         except NetworkError:
             connection.close()
@@ -87,7 +100,10 @@ class SimHTTPClient:
     # -- requests -------------------------------------------------------------
 
     def request(self, address: str, request: Request):
-        """Process: send ``request``; returns ``(response, timing)``.
+        """Generator: send ``request``; returns ``(response, timing)``.
+
+        Drive with ``yield from``, or wrap in ``env.process`` to run
+        concurrently.
 
         The server application attached to the host computes the
         response (and its think time); the response's *wire size* —
@@ -97,7 +113,7 @@ class SimHTTPClient:
         On any network failure the cached session is evicted before the
         exception propagates, so a retry dials fresh.
         """
-        session = yield self.env.process(self.connect(address))
+        session = yield from self.connect(address)
         host = session.host
         if host.app is None:
             raise NetworkError(f"host {address} has no application attached")
@@ -105,8 +121,8 @@ class SimHTTPClient:
         app.begin_request()
         try:
             response, think_time = app.handle(request, client_network=self.iface.network_id)
-            timing = yield self.env.process(
-                session.connection.exchange(response.wire_size(), server_delay=think_time)
+            timing = yield from session.connection.exchange(
+                response.wire_size(), server_delay=think_time
             )
         except NetworkError:
             self.disconnect(address)
@@ -117,8 +133,12 @@ class SimHTTPClient:
         return response, timing
 
     def get(self, address: str, request: Request, expect: tuple[int, ...] = (200, 206)):
-        """Process: request + status check; returns ``(response, timing)``."""
-        response, timing = yield self.env.process(self.request(address, request))
+        """Generator: request + status check; returns ``(response, timing)``.
+
+        Drive with ``yield from``, or wrap in ``env.process`` to run
+        concurrently.
+        """
+        response, timing = yield from self.request(address, request)
         if response.status not in expect:
             raise HTTPStatusError(response.status, response.reason)
         return response, timing

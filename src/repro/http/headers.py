@@ -9,12 +9,18 @@ video service only needs single values.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from ..errors import HTTPParseError
 
 _ILLEGAL_NAME_CHARS = set(" \t\r\n:")
 
 
+# Validity is a pure function of the name and every message carries the
+# same dozen names, so the verdict is remembered.  ``lru_cache`` never
+# stores a call that raised: an illegal name is re-examined, and
+# rejected, on every call; the bound caps what hostile input can pin.
+@lru_cache(maxsize=256)
 def _validate_name(name: str) -> None:
     if not name or any(ch in _ILLEGAL_NAME_CHARS for ch in name):
         raise HTTPParseError(f"illegal header name {name!r}")
@@ -25,6 +31,8 @@ def _validate_name(name: str) -> None:
 def _validate_value(value: str) -> None:
     if "\r" in value or "\n" in value:
         raise HTTPParseError(f"illegal header value {value!r} (CR/LF injection)")
+    if value.isascii():
+        return  # ASCII is a subset of latin-1: nothing left to prove
     try:
         value.encode("latin-1")
     except UnicodeEncodeError:

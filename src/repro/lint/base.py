@@ -23,7 +23,9 @@ from .findings import Finding
 
 #: Directory components whose files carry the cross-backend bit-identity
 #: guarantee: ambient nondeterminism (DET001) is forbidden there.
-DETERMINISTIC_DIRS = frozenset({"sim", "net", "core", "cdn", "ext"})
+#: ``http`` and ``baselines`` run inside the simulated world too (the
+#: range-request client, the MPTCP driver).
+DETERMINISTIC_DIRS = frozenset({"sim", "net", "core", "cdn", "ext", "http", "baselines"})
 
 #: Directory components whose classes sit on the event-kernel hot path
 #: and must declare ``__slots__`` (SLT001); ``core`` is restricted to

@@ -1,6 +1,6 @@
 """KER001 — respect the Environment API and its fast lanes.
 
-Two halves:
+Three parts:
 
 * **Bypass** — the scheduler's internals (``env._scheduler``, the
   cached ``_push`` bindings, ``_schedule_event``/``_schedule_resume``,
@@ -17,6 +17,17 @@ Two halves:
   forget wake-ups.  Sites that genuinely need a composable event
   (stored, raced with ``AnyOf``) keep ``env.timeout`` and waive or
   baseline the finding with a justification.
+
+* **Spawn-and-wait advisory** — ``yield env.process(gen(...))``, bare
+  or as an assignment's value, starts a ``Process`` only to wait for it
+  on the spot: one ``Initialize`` event, one completion event and two
+  allocations per call, for a step that ``yield from gen(...)`` runs
+  inside the caller at no kernel cost.  Sub-steps delegate; only
+  concurrency spawns (``env.process(...)`` *not* yielded there — a
+  ticker, a per-path loop, a fetch the session races).  A site that
+  must be a Process although it is awaited at once (interrupted from
+  outside, raced in ``AnyOf``, handle kept for later) waives the
+  finding with that reason.
 """
 
 from __future__ import annotations
@@ -56,12 +67,14 @@ class KernelApiBypass(Rule):
         "scheduler internals are owned by net/env|calendar|events|simclock; "
         "external access skips delay validation and breaks when the kernel "
         "changes.  Discarded per-wait Timeouts should ride the pooled-timer "
-        "or bare-callback fast lanes."
+        "or bare-callback fast lanes, and a sub-step awaited on the spot "
+        "should be delegated to with `yield from`, not spawned as a Process."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.is_kernel_internal():
             return
+        deterministic = ctx.in_deterministic_path()
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Attribute)
@@ -80,7 +93,7 @@ class KernelApiBypass(Rule):
                 and isinstance(node.value.value, ast.Call)
                 and isinstance(node.value.value.func, ast.Attribute)
                 and node.value.value.func.attr == "timeout"
-                and ctx.in_deterministic_path()
+                and deterministic
             ):
                 yield ctx.finding(
                     self.id,
@@ -90,3 +103,28 @@ class KernelApiBypass(Rule):
                     "dispatch) or waive with a justification if the event "
                     "must compose",
                 )
+            elif deterministic and _is_spawn_and_wait(node):
+                yield ctx.finding(
+                    self.id,
+                    node,
+                    "spawn-and-wait costs a Process and two kernel events per "
+                    "call; delegate with `yield from`, or waive with the "
+                    "reason it must be a Process (interrupted, raced in "
+                    "`AnyOf`, awaited later)",
+                )
+
+
+def _is_spawn_and_wait(node: ast.AST) -> bool:
+    """``yield X.process(<Call>)`` as a statement or an assignment's value."""
+    if not isinstance(node, (ast.Expr, ast.Assign, ast.AnnAssign)):
+        return False
+    value = node.value
+    if not isinstance(value, ast.Yield) or not isinstance(value.value, ast.Call):
+        return False
+    spawn = value.value
+    return (
+        isinstance(spawn.func, ast.Attribute)
+        and spawn.func.attr == "process"
+        and len(spawn.args) == 1
+        and isinstance(spawn.args[0], ast.Call)
+    )

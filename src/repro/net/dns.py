@@ -50,11 +50,15 @@ class StubResolver:
     # -- queries ----------------------------------------------------------------
 
     def resolve(self, name: str, network_id: str | None = None):
-        """Process: resolve ``name`` as seen from ``network_id``.
+        """Generator: resolve ``name`` as seen from ``network_id``.
 
-        Returns the address list.  Cached answers return immediately
-        (YouTube player behaviour: the JSON URL is resolved once per
-        session); cold lookups cost ``lookup_delay``.
+        Drive with ``yield from``, or wrap in ``env.process`` to run
+        concurrently.
+
+        Returns the address list.  Cached answers return immediately —
+        under ``yield from`` without touching the kernel (YouTube player
+        behaviour: the JSON URL is resolved once per session); cold
+        lookups cost ``lookup_delay``.
         """
         key = (name, network_id)
         if key in self._cache:

@@ -104,7 +104,7 @@ class NetworkInterface:
         on top of the access-link latency; by default the access link
         dominates (the common case for last-mile wireless).
         The returned connection is *not* yet connected: drive its
-        ``connect()`` process from a simulation process.
+        ``connect()`` generator from a simulation process.
         """
         if not self.is_up:
             raise LinkDownError(f"{self.name} is down")

@@ -147,7 +147,11 @@ class TCPConnection:
     # -- lifecycle -----------------------------------------------------------
 
     def connect(self):
-        """Process: TCP 3-way handshake (one RTT before data can flow)."""
+        """Generator: TCP 3-way handshake (one RTT before data can flow).
+
+        Drive with ``yield from``, or wrap in ``env.process`` to run
+        concurrently.
+        """
         self._check_usable(allow_unconnected=True)
         yield self.env.pooled_timeout(2.0 * self.latency.sample())
         if self.link.is_down:
@@ -156,7 +160,10 @@ class TCPConnection:
         self._last_activity = self.env.now
 
     def secure_handshake(self, tls: TLSParams, resumed: bool = False):
-        """Process: TLS handshake per the Fig. 1 message sequence."""
+        """Generator: TLS handshake per the Fig. 1 message sequence.
+
+        Driven like :meth:`connect`.
+        """
         self._check_usable()
         rtt = 2.0 * self.latency.sample()
         yield self.env.pooled_timeout(tls_handshake_duration(rtt, tls, resumed=resumed))
@@ -188,7 +195,10 @@ class TCPConnection:
     # -- data transfer ---------------------------------------------------------
 
     def exchange(self, response_bytes: int, server_delay: float = 0.0):
-        """Process: one request/response; returns a :class:`TransferResult`.
+        """Generator: one request/response; returns a :class:`TransferResult`.
+
+        Drive with ``yield from``, or wrap in ``env.process`` to run
+        concurrently.
 
         Timeline charged:
 

@@ -124,7 +124,7 @@ class Network:
         """Open a TCP connection to ``address``, bound to ``iface``.
 
         Returns the (unconnected) connection and the host; the caller
-        drives the handshake processes.  Refused immediately if the host
+        drives the handshake generators.  Refused immediately if the host
         is down — the trigger for MSPlayer's source failover.
         """
         host = self.host(address)

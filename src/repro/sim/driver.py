@@ -172,7 +172,7 @@ class MSPlayerDriver:
             if server is not None and runtime.details is not None:
                 # Failover within the network: token and signature stay
                 # valid, only the data connection moves (§2).
-                yield env.process(runtime.client.connect(server))
+                yield from runtime.client.connect(server)
                 details = runtime.details
             else:
                 details = yield from self._full_bootstrap(path_id, runtime)
@@ -194,18 +194,12 @@ class MSPlayerDriver:
         """The §3.1/§4 sequence against the web proxy, then the video server."""
         env = self.scenario.env
         network_id = self.session.paths[path_id].network_id
-        addresses = yield env.process(
-            self.scenario.resolver.resolve(PROXY_DNS_NAME, network_id)
-        )
+        addresses = yield from self.scenario.resolver.resolve(PROXY_DNS_NAME, network_id)
         proxy = addresses[0]
-        response, _timing = yield env.process(
-            runtime.client.get(
-                proxy,
-                Request.get(
-                    f"/videoinfo?v={self.scenario.video.video_id}", host=proxy
-                ),
-                expect=(200,),
-            )
+        response, _timing = yield from runtime.client.get(
+            proxy,
+            Request.get(f"/videoinfo?v={self.scenario.video.video_id}", host=proxy),
+            expect=(200,),
         )
         info = parse_video_info(response.parsed_json())
         json_completed_at = env.now
@@ -214,10 +208,8 @@ class MSPlayerDriver:
 
         if stream.needs_decipher:
             if runtime.decoder_program is None:
-                page, _ = yield env.process(
-                    runtime.client.get(
-                        proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
-                    )
+                page, _ = yield from runtime.client.get(
+                    proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
                 )
                 runtime.decoder_program = parse_decoder_page(page.body)
             runtime.signature = decipher(
@@ -228,7 +220,7 @@ class MSPlayerDriver:
 
         # Warm the data-plane connection (TCP + TLS) to the primary
         # video server so the first range request pays only its RTT.
-        yield env.process(runtime.client.connect(stream.hosts[0]))
+        yield from runtime.client.connect(stream.hosts[0])
         details = StreamDetails(
             total_bytes=stream.size_bytes,
             bitrate_bytes_per_s=stream.size_bytes / info.duration_s,
@@ -250,8 +242,8 @@ class MSPlayerDriver:
         target = info.playback_target(self.config.itag, runtime.signature)
         request = Request.get(target, host=command.server, byte_range=command.byte_range)
         try:
-            _response, timing = yield env.process(
-                runtime.client.get(command.server, request, expect=(206,))
+            _response, timing = yield from runtime.client.get(
+                command.server, request, expect=(206,)
             )
         except (NetworkError, CDNError, HTTPError) as exc:
             iface = self.scenario.iface_for(command.path_id)

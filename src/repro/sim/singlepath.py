@@ -121,23 +121,21 @@ class SinglePathDriver:
 
     def _bootstrap(self):
         env = self.scenario.env
-        addresses = yield env.process(
-            self.scenario.resolver.resolve(PROXY_DNS_NAME, self.iface.network_id)
+        addresses = yield from self.scenario.resolver.resolve(
+            PROXY_DNS_NAME, self.iface.network_id
         )
         proxy = addresses[0]
-        response, _ = yield env.process(
-            self._client.get(
-                proxy,
-                Request.get(f"/videoinfo?v={self.scenario.video.video_id}", host=proxy),
-                expect=(200,),
-            )
+        response, _ = yield from self._client.get(
+            proxy,
+            Request.get(f"/videoinfo?v={self.scenario.video.video_id}", host=proxy),
+            expect=(200,),
         )
         info = parse_video_info(response.parsed_json())
         self._info = info
         stream = info.stream(self.config.itag)
         if stream.needs_decipher:
-            page, _ = yield env.process(
-                self._client.get(proxy, Request.get(info.decoder_path, host=proxy), expect=(200,))
+            page, _ = yield from self._client.get(
+                proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
             )
             self._signature = decipher(
                 stream.enciphered_signature, parse_decoder_page(page.body)
@@ -149,7 +147,7 @@ class SinglePathDriver:
         self._bitrate = stream.size_bytes / info.duration_s
         self.buffer = PlayoutBuffer(self.config, info.duration_s)
         self.buffer.phase_entered_at = env.now
-        yield env.process(self._client.connect(self._server))
+        yield from self._client.connect(self._server)
 
     def _prebuffer(self):
         """One large range covering the pre-buffer amount (§6)."""
@@ -172,9 +170,7 @@ class SinglePathDriver:
         assert self._info is not None
         target = self._info.playback_target(self.config.itag, self._signature)
         request = Request.get(target, host=self._server, byte_range=byte_range)
-        _response, timing = yield env.process(
-            self._client.get(self._server, request, expect=(206,))
-        )
+        _response, timing = yield from self._client.get(self._server, request, expect=(206,))
         self._frontier = byte_range.stop
         self.metrics.record_chunk(
             self.iface_index, byte_range.length, prebuffering, duration=timing.duration

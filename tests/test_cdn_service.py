@@ -226,6 +226,30 @@ class TestVideoServer:
         response = world["video"](playback_request(world, info), "lte-net")
         assert response.status == 403
 
+    def test_non_ascii_token_mac_403(self, world):
+        # Used to raise TypeError out of __call__ (and so out of env.run).
+        info = video_info(world)
+        request = playback_request(world, info)
+        forged = Request.get(
+            request.target.replace(info.token, info.token[:-1] + "é"),
+            host="v1",
+            byte_range=ByteRange(0, 1024),
+        )
+        response = world["video"](forged, "wifi-net")
+        assert response.status == 403
+        assert b"token rejected" in response.body
+        assert world["video"](request, "wifi-net").status == 206
+
+    def test_stream_signature_memo_is_bounded_and_keyed_on_the_secret(self, world):
+        maxsize = stream_signature.cache_info().maxsize
+        assert maxsize is not None
+        for index in range(2 * maxsize):
+            stream_signature(f"hostile{index}", 22, b"stream-secret")
+        assert stream_signature.cache_info().currsize == maxsize
+        assert stream_signature("plainVIDEO1", 22, b"stream-secret") != stream_signature(
+            "plainVIDEO1", 22, b"other-secret"
+        )
+
     def test_bad_signature_403(self, world):
         info = video_info(world)
         response = world["video"](

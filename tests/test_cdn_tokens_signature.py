@@ -63,6 +63,16 @@ class TestTokenMint:
         with pytest.raises(TokenError):
             self.make().verify("garbage", now=0.0, video_id="v", pool="p")
 
+    def test_non_ascii_mac_is_a_signature_mismatch(self):
+        # hmac.compare_digest raises TypeError on a non-ASCII str; the
+        # video server catches only TokenError, so it used to escape.
+        mint = self.make()
+        token = mint.issue(0.0, "videoVIDEO1", "c", pool="p")
+        for forged in (token[:-1] + "é", token[:-24] + "é" * 24, token + "\u20ac"):
+            with pytest.raises(TokenError, match="signature"):
+                mint.verify(forged, now=1.0, video_id="videoVIDEO1", pool="p")
+        assert mint.verify(token, now=1.0, video_id="videoVIDEO1", pool="p")
+
     def test_operation_scope(self):
         mint = self.make()
         token = mint.issue(0.0, "videoVIDEO1", "c", pool="p", operations="play,seek")
@@ -80,6 +90,52 @@ class TestTokenMint:
             TokenMint(secret=b"")
         with pytest.raises(TokenError):
             TokenMint(secret=b"k", ttl_s=0.0)
+
+
+class TestMacMemo:
+    """The mint remembers MACs per payload; every claim check still runs."""
+
+    def test_verified_once_still_rejected_on_every_claim(self):
+        mint = TokenMint(secret=b"test-secret", ttl_s=10.0)
+        token = mint.issue(0.0, "videoVIDEO1", "c", pool="wifi-net")
+        assert mint.verify(token, now=5.0, video_id="videoVIDEO1", pool="wifi-net")
+        assert mint._mac.cache_info().currsize == 1
+        with pytest.raises(TokenError, match="expired"):
+            mint.verify(token, now=10.5, video_id="videoVIDEO1", pool="wifi-net")
+        with pytest.raises(TokenError, match="different video"):
+            mint.verify(token, now=5.0, video_id="otherVIDEO2", pool="wifi-net")
+        with pytest.raises(TokenError, match="pool"):
+            mint.verify(token, now=5.0, video_id="videoVIDEO1", pool="lte-net")
+        with pytest.raises(TokenError, match="not authorized"):
+            mint.verify(token, 5.0, "videoVIDEO1", "wifi-net", operation="seek")
+        flipped = token[:-1] + ("1" if token[-1] == "0" else "0")
+        with pytest.raises(TokenError, match="signature"):
+            mint.verify(flipped, now=5.0, video_id="videoVIDEO1", pool="wifi-net")
+        # ... all answered from the one remembered MAC.
+        assert mint._mac.cache_info().currsize == 1
+        assert mint._mac.cache_info().hits >= 5
+
+    def test_mints_with_different_secrets_never_share_a_mac(self):
+        first, second = TokenMint(secret=b"a"), TokenMint(secret=b"b")
+        token = first.issue(0.0, "videoVIDEO1", "c", pool="p")
+        assert first.verify(token, now=1.0, video_id="videoVIDEO1", pool="p")
+        # Same payload, warm in the first mint's memo: the second mint
+        # derives its own MAC and refuses.
+        with pytest.raises(TokenError, match="signature"):
+            second.verify(token, now=1.0, video_id="videoVIDEO1", pool="p")
+        payload = token.rsplit("~", 1)[0]
+        assert first._mac(payload) != second._mac(payload)
+        assert first._mac is not second._mac
+        assert second.issue(0.0, "videoVIDEO1", "c", pool="p") != token
+
+    def test_memo_is_bounded_under_forged_payloads(self):
+        from repro.cdn.tokens import _MAC_MEMO_SIZE
+
+        mint = TokenMint(secret=b"k")
+        for index in range(4 * _MAC_MEMO_SIZE):
+            with pytest.raises(TokenError, match="signature"):
+                mint.verify(f"v{index}~c~play~p~3600.000~{'0' * 24}", 1.0, f"v{index}", "p")
+        assert mint._mac.cache_info().currsize == _MAC_MEMO_SIZE
 
 
 class TestSignatureCipher:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import HTTPParseError
-from repro.http.headers import Headers
+from repro.http.headers import Headers, _validate_name
 
 header_names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
@@ -106,3 +106,49 @@ class TestWire:
     def test_wire_size_always_matches_encode(self, items):
         headers = Headers(items)
         assert headers.wire_size() == len(headers.encode())
+
+
+class TestValidationMemo:
+    """Name verdicts are remembered; rejections never are; values keep every check."""
+
+    @pytest.mark.parametrize(
+        "name", ["", "Bad Name", "Bad:Name", "X\r\nEvil", "Tab\tbed", "Naïve"]
+    )
+    def test_invalid_name_raises_on_every_call(self, name):
+        before = _validate_name.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(HTTPParseError):
+                Headers().add(name, "v")
+            with pytest.raises(HTTPParseError):
+                Headers().set(name, "v")
+        assert _validate_name.cache_info().currsize == before
+
+    def test_valid_name_is_answered_from_the_memo(self):
+        Headers().add("X-Memo-Probe", "1")
+        hits = _validate_name.cache_info().hits
+        Headers([("X-Memo-Probe", "2")]).set("X-Memo-Probe", "3")
+        assert _validate_name.cache_info().hits == hits + 2
+
+    def test_hostile_names_leave_the_cache_at_its_bound(self):
+        maxsize = _validate_name.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 1024
+        headers = Headers()
+        for index in range(10_000):
+            headers.add(f"X-Hostile-{index}", "v")  # distinct, all legal
+            with pytest.raises(HTTPParseError):
+                headers.add(f"X Hostile {index}", "v")  # distinct, all illegal
+        assert _validate_name.cache_info().currsize == maxsize
+        assert len(headers) == 10_000
+        with pytest.raises(HTTPParseError):
+            headers.add("X Hostile 0", "v")
+
+    def test_value_checks_survive_the_ascii_fast_path(self):
+        headers = Headers()
+        for bad in ("a\rb", "a\nb", "café\r\n", "€\n"):
+            with pytest.raises(HTTPParseError, match="CR/LF"):
+                headers.add("X", bad)
+        with pytest.raises(HTTPParseError, match="latin-1"):
+            headers.add("X", "price €")
+        headers.add("X", "plain ascii")
+        headers.add("X", "café")  # latin-1, not ASCII: the slow path accepts it
+        assert headers.get_all("x") == ["plain ascii", "café"]

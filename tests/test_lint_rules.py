@@ -358,6 +358,65 @@ class TestKER001:
         )
         assert "KER001" not in rules_hit(findings)
 
+    def test_flags_spawn_and_wait_bare_and_assigned(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "http/mod.py",  # the client's own directory is covered
+            """
+            def fetch(self, env, client, address):
+                yield env.process(client.connect(address))
+                response, timing = yield self.scenario.env.process(
+                    client.get(address, "/video")
+                )
+                checked: object = yield env.process(client.request(address, response))
+                return timing, checked
+            """,
+        )
+        ker = [f for f in findings if f.rule == "KER001"]
+        assert [f.line for f in ker] == [3, 4, 7]
+        assert all("delegate with `yield from`" in f.message for f in ker)
+
+    def test_clean_for_delegation_and_real_concurrency(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "sim/mod.py",
+            """
+            def launch(self, env, client, address, other):
+                env.process(self._ticker())  # fire and forget
+                worker = env.process(client.get(address, "/a"))  # awaited later
+                timing = yield from client.get(address, "/b")
+                yield worker  # a handle, not a call
+                yield env.process(worker)  # argument is not a generator call
+                yield env.process(client.get(address, "/c")) | other  # raced
+                return timing
+            """,
+        )
+        assert "KER001" not in rules_hit(findings)
+
+    def test_spawn_and_wait_outside_deterministic_paths_is_not_flagged(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "analysis/mod.py",
+            """
+            def drive(env, client):
+                yield env.process(client.connect("a"))
+            """,
+        )
+        assert "KER001" not in rules_hit(findings)
+
+    def test_spawn_and_wait_waiver_carries_its_reason(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "ext/mod.py",
+            """
+            def supervise(env, client):
+                # Must be a Process: the churn controller interrupts it.
+                yield env.process(client.connect("a"))  # replint: disable=KER001
+                yield env.process(client.connect("b"))
+            """,
+        )
+        assert [f.line for f in findings if f.rule == "KER001"] == [5]
+
 
 # ---------------------------------------------------------------------------
 # SLT001 — hot-module __slots__
@@ -510,3 +569,6 @@ class TestEngine:
             path="src/repro/analysis/stats.py", tree=tree, lines=["x = 1"]
         )
         assert not cold.in_hot_path() and not cold.in_deterministic_path()
+        for simulated in ("src/repro/http/client.py", "src/repro/baselines/mptcp.py"):
+            ctx = ModuleContext(path=simulated, tree=tree, lines=["x = 1"])
+            assert ctx.in_deterministic_path() and not ctx.in_hot_path()

@@ -4,8 +4,14 @@ import asyncio
 
 import pytest
 
+from repro.cdn.catalog import Catalog
+from repro.cdn.tokens import TokenMint
+from repro.cdn.videos import VideoMeta
+from repro.cdn.videoserver import VideoServerApp
+from repro.cdn.webproxy import stream_signature
 from repro.http.h1 import H1Parser
 from repro.http.messages import Request, Response
+from repro.http.ranges import ByteRange
 from repro.live.server import LiveHTTPServer, make_app_adapter
 from repro.live.shaping import PathShape
 
@@ -116,6 +122,47 @@ class TestLiveHTTPServer:
 
         data = run(main())
         assert b"400" in data.split(b"\r\n")[0]
+
+    def test_non_ascii_token_mac_gets_403_not_a_dead_connection(self):
+        # hmac.compare_digest raised TypeError on the non-ASCII MAC, which
+        # VideoServerApp does not catch: the handler died without a reply.
+        catalog = Catalog()
+        catalog.add(
+            VideoMeta(video_id="plainVIDEO1", title="t", author="a", duration_s=60.0, itags=(22,))
+        )
+        mint = TokenMint(secret=b"live-secret")
+        app = VideoServerApp(
+            catalog, mint, clock=lambda: 10.0, pool="test-net", signature_secret=b"s"
+        )
+        token = mint.issue(0.0, "plainVIDEO1", "c", pool="test-net")
+        signature = stream_signature("plainVIDEO1", 22, b"s")
+
+        def target(presented: str) -> str:
+            return f"/videoplayback?v=plainVIDEO1&itag=22&token={presented}&sig={signature}"
+
+        async def main():
+            shape = PathShape(name="test", rate=5_000_000.0, one_way_delay=0.001)
+            server = LiveHTTPServer(app, shape, client_network="test-net")
+            await server.start()
+            try:
+                forged = await roundtrip(
+                    server,
+                    Request.get(
+                        target(token[:-1] + "é"), host=server.address, byte_range=ByteRange(0, 64)
+                    ),
+                )
+                honest = await roundtrip(
+                    server,
+                    Request.get(target(token), host=server.address, byte_range=ByteRange(0, 64)),
+                )
+            finally:
+                await server.stop()
+            return forged, honest
+
+        forged, honest = run(main())
+        assert forged.status == 403
+        assert b"token rejected" in forged.body
+        assert honest.status == 206 and len(honest.body) == 64
 
     def test_address_requires_start(self):
         shape = PathShape(name="t", rate=1e6, one_way_delay=0.0)
