@@ -299,13 +299,12 @@ def test_campaign_throughput_serial_vs_parallel(perf_record, smoke):
         o.finished_at for o in parallel.outcomes
     ]
 
-    cpus = os.cpu_count() or 1
-    if smoke:
-        pass  # measured and archived; shared runners are too noisy to gate on
-    elif cpus >= 4:
-        assert speedup >= 3.0, f"expected >=3x on {cpus} CPUs, got {speedup:.2f}x"
-    elif cpus >= 2:
-        assert speedup >= 1.2, f"expected >=1.2x on {cpus} CPUs, got {speedup:.2f}x"
+    # Measured and archived everywhere; gated only where a pool can win.
+    # Twenty short trials cannot amortise forking a pool on 2 CPUs (the
+    # parent process competes with both workers), so the floor starts at
+    # 4 CPUs, as in test_campaign_vs_barrier_throughput.
+    if not smoke and (os.cpu_count() or 1) >= 4:
+        assert speedup >= 3.0, f"expected >=3x on {os.cpu_count()} CPUs, got {speedup:.2f}x"
 
 
 def _sweep_configs() -> list[tuple[str, PlayerConfig]]:

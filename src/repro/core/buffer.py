@@ -111,6 +111,26 @@ class PlayoutBuffer:
             self.cycle_fetched_s += seconds_received
         self._maybe_transition(now)
 
+    def receive(self, seconds: float, now: float, first_byte_at: float | None = None) -> float:
+        """``on_data`` for bytes that streamed in over ``[first_byte_at, now]``;
+        returns when the threshold they crossed was actually crossed.
+
+        Bytes arrive (to first order) linearly over a transfer, so a
+        pre-buffer or ON-cycle target reached mid-chunk is credited at the
+        proportional instant, not at completion — otherwise large chunks
+        would cost up to one chunk duration of pure measurement granularity.
+        """
+        if self.phase is BufferPhase.PREBUFFERING:
+            needed = self.config.prebuffer_s - self.level_s
+        elif self.phase in (BufferPhase.REBUFFERING, BufferPhase.STALLED):
+            needed = self.config.rebuffer_fetch_s - self.cycle_fetched_s
+        else:
+            needed = 0.0
+        self.on_data(seconds, now)
+        if first_byte_at is None or first_byte_at >= now or not 0.0 < needed < seconds:
+            return now
+        return first_byte_at + needed / seconds * (now - first_byte_at)
+
     def mark_download_complete(self, now: float) -> None:
         self.download_complete = True
         if self.phase is not BufferPhase.FINISHED:
@@ -127,6 +147,75 @@ class PlayoutBuffer:
         self.level_s -= played
         self._maybe_transition(now)
         return played
+
+    # -- lazy playback (repro.sim.playout) ------------------------------------------
+    #
+    # Between data arrivals the buffer is a straight line: a driver can
+    # replay the ticks a look has passed and wake only for the tick that
+    # changes something.  Both walk the grid ``t = t + dt`` with the very
+    # floats ``on_tick`` produces.
+
+    def replay_ticks(self, t: float, until: float, dt: float) -> float:
+        """Apply the ticks at ``t, t + dt, …`` strictly before ``until``, bit
+        for bit as ``on_tick`` would; returns the first instant not applied.
+
+        The ticks must change no phase and not finish playback (level only
+        falls and the playhead only rises, so checking the end suffices).
+        """
+        if dt <= 0.0:
+            raise BufferError_(f"non-positive tick {dt}")
+        level, playhead, duration = self.level_s, self.playhead_s, self.video_duration_s
+        playing = self.playing
+        while t < until:
+            if playing:
+                played = min(dt, level, duration - playhead)
+                playhead += played
+                level -= played
+            t = t + dt
+        self.level_s, self.playhead_s = level, playhead
+        if self._crossed(level, playhead):
+            raise BufferError_(f"replayed ticks past a phase change before {until}")
+        return t
+
+    def next_change_at(self, t: float, dt: float) -> float | None:
+        """The first grid instant from ``t`` on whose tick would change phase
+        or finish playback if no data arrives; ``None`` while not playing or
+        once playback cannot move (drained short of the end)."""
+        if dt <= 0.0:
+            raise BufferError_(f"non-positive tick {dt}")
+        if not self.playing:
+            return None
+        level, playhead, duration = self.level_s, self.playhead_s, self.video_duration_s
+        while True:
+            played = min(dt, level, duration - playhead)
+            playhead += played
+            level -= played
+            if self._crossed(level, playhead):
+                return t
+            if played <= 0.0:
+                return None
+            t = t + dt
+
+    def safe_ticks(self, dt: float) -> int | None:
+        """A closed-form lower bound: this many coming ticks cannot change
+        phase or finish playback (``None`` while not playing).  Each tick
+        plays at most ``dt``; one tick and 1e-9 relative absorb rounding."""
+        if not self.playing:
+            return None
+        gap = self.video_duration_s - 1e-9 - self.playhead_s
+        if self.phase is BufferPhase.STEADY:
+            gap = min(gap, self.level_s - self.config.low_watermark_s)
+        elif self.phase is BufferPhase.REBUFFERING:
+            gap = min(gap, self.level_s - 1e-9)
+        return max(int(gap / dt * (1.0 - 1e-9)) - 1, 0)
+
+    def _crossed(self, level: float, playhead: float) -> bool:
+        """Would a tick ending at ``level``/``playhead`` change phase or finish?"""
+        if playhead >= self.video_duration_s - 1e-9:
+            return True
+        if self.phase is BufferPhase.STEADY:
+            return level < self.config.low_watermark_s
+        return self.phase is BufferPhase.REBUFFERING and level <= 1e-9
 
     # -- state machine ----------------------------------------------------------------
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .buffer import BufferPhase
+
 
 @dataclass
 class StallEvent:
@@ -100,6 +102,34 @@ class QoEMetrics:
         if self.rebuffer_cycles and self.rebuffer_cycles[-1].ended_at is None:
             cycle = self.rebuffer_cycles[-1]
             cycle.ended_at = max(now, cycle.started_at)
+
+    def note_phase_change(
+        self, previous: BufferPhase, current: BufferPhase, now: float, level_s: float
+    ) -> bool:
+        """Record the buffer's ``previous → current`` transition at ``now``.
+
+        The one translation of buffer phases into QoE every driver
+        shares.  Returns True when the transition starts playback (the
+        first exit from pre-buffering), which the caller announces.
+        """
+        if current is previous:
+            return False
+        started = previous is BufferPhase.PREBUFFERING and self.playback_started_at is None
+        if started:
+            self.prebuffer_completed_at = now
+            self.playback_started_at = now
+        if current is BufferPhase.REBUFFERING and previous is BufferPhase.STEADY:
+            self.begin_rebuffer_cycle(now, level_s)
+        if previous in (BufferPhase.REBUFFERING, BufferPhase.STALLED) and current in (
+            BufferPhase.STEADY,
+            BufferPhase.FINISHED,
+        ):
+            self.end_rebuffer_cycle(now)
+        if current is BufferPhase.STALLED:
+            self.begin_stall(now)
+        if previous is BufferPhase.STALLED:
+            self.end_stall(now)
+        return started
 
     # -- derived results -----------------------------------------------------------
 

@@ -140,7 +140,6 @@ class PlayerSession:
         self._bitrate: float | None = None
         self._started = False
         self._done = False
-        self._playback_announced = False
 
     # -- event: session start ------------------------------------------------
 
@@ -208,8 +207,6 @@ class PlayerSession:
         prebuffering = buffer.phase is BufferPhase.PREBUFFERING
 
         before = ledger.contiguous_frontier
-        before_level = buffer.level_s
-        before_cycle = buffer.cycle_fetched_s
         ledger.complete_assignment(path_id)
         path.chunk_finished(now, first_byte_at=first_byte_at)
         if path.t_first_video_byte is not None and path_id in self.paths:
@@ -225,16 +222,7 @@ class PlayerSession:
         advanced = ledger.contiguous_frontier - before
         if advanced > 0:
             previous_phase = buffer.phase
-            advanced_s = advanced / self._bitrate_()
-            buffer.on_data(advanced_s, now)
-            credit_time = self._interpolate_crossing(
-                previous_phase,
-                before_level,
-                before_cycle,
-                advanced_s,
-                first_byte_at,
-                now,
-            )
+            credit_time = buffer.receive(advanced / self._bitrate_(), now, first_byte_at)
             commands.extend(self._phase_change_commands(previous_phase, credit_time))
 
         if ledger.complete:
@@ -385,65 +373,13 @@ class PlayerSession:
             )
         return commands
 
-    def _interpolate_crossing(
-        self,
-        previous_phase: BufferPhase,
-        before_level_s: float,
-        before_cycle_s: float,
-        advanced_s: float,
-        first_byte_at: float | None,
-        now: float,
-    ) -> float:
-        """When did the buffer actually cross its active threshold?
-
-        Bytes of the completed chunk arrived (to first order) linearly
-        over ``[first_byte_at, now]``; if the pre-buffer target or the
-        ON-cycle fetch target was crossed by this chunk, place the
-        crossing at the proportional instant instead of at completion.
-        """
-        buffer = self.buffer
-        assert buffer is not None
-        if first_byte_at is None or advanced_s <= 0 or first_byte_at >= now:
-            return now
-        if previous_phase is BufferPhase.PREBUFFERING:
-            needed_s = self.config.prebuffer_s - before_level_s
-        elif previous_phase in (BufferPhase.REBUFFERING, BufferPhase.STALLED):
-            needed_s = self.config.rebuffer_fetch_s - before_cycle_s
-        else:
-            return now
-        if needed_s <= 0 or needed_s >= advanced_s:
-            return now
-        fraction = needed_s / advanced_s
-        return first_byte_at + fraction * (now - first_byte_at)
-
     def _phase_change_commands(self, previous: BufferPhase, now: float) -> list[Command]:
         """Translate buffer transitions into metrics and commands."""
         buffer = self.buffer
         assert buffer is not None
-        current = buffer.phase
-        if current is previous:
-            return []
-        commands: list[Command] = []
-
-        # Leaving pre-buffering: playback begins.
-        if previous is BufferPhase.PREBUFFERING and not self._playback_announced:
-            self._playback_announced = True
-            self.metrics.prebuffer_completed_at = now
-            self.metrics.playback_started_at = now
-            commands.append(StartPlayback(at=now))
-
-        if current is BufferPhase.REBUFFERING and previous is BufferPhase.STEADY:
-            self.metrics.begin_rebuffer_cycle(now, buffer.level_s)
-        if previous in (BufferPhase.REBUFFERING, BufferPhase.STALLED) and current in (
-            BufferPhase.STEADY,
-            BufferPhase.FINISHED,
-        ):
-            self.metrics.end_rebuffer_cycle(now)
-        if current is BufferPhase.STALLED:
-            self.metrics.begin_stall(now)
-        if previous is BufferPhase.STALLED:
-            self.metrics.end_stall(now)
-        return commands
+        if self.metrics.note_phase_change(previous, buffer.phase, now, buffer.level_s):
+            return [StartPlayback(at=now)]
+        return []
 
     def _path(self, path_id: int) -> PathState:
         try:

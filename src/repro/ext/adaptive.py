@@ -32,11 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cdn.deployment import PROXY_DNS_NAME
-from ..cdn.jsonapi import VideoInfo, parse_video_info
+from ..cdn.jsonapi import VideoInfo
 from ..cdn.signature import decipher
 from ..cdn.videos import FORMATS
-from ..cdn.webproxy import parse_decoder_page
 from ..core.buffer import BufferPhase, PlayoutBuffer
 from ..core.config import PlayerConfig
 from ..core.estimators import HarmonicMeanEstimator
@@ -45,6 +43,8 @@ from ..errors import CDNError, ConfigError, HTTPError, NetworkError
 from ..http.client import SimHTTPClient
 from ..http.messages import Request
 from ..http.ranges import ByteRange
+from ..sim.driver import fetch_decoder, fetch_video_info
+from ..sim.playout import PlayoutClock
 from ..sim.scenario import Scenario
 
 
@@ -202,13 +202,9 @@ class AdaptiveSimDriver:
         self.controller = controller
         self.config = config or PlayerConfig()
         self.segment_s = segment_s
-        self.stop = stop
-        self.max_sim_time = max_sim_time
         self.metrics = QoEMetrics()
         self.itag_history: list[int] = []
         env = scenario.env
-        self._finish = env.event()
-        self._stop_reason = "unknown"
         self._paths = {
             i: _AdaptivePath(client=SimHTTPClient(env, scenario.network, scenario.iface_for(i)))
             for i in range(self.config.max_paths)
@@ -219,6 +215,10 @@ class AdaptiveSimDriver:
         duration = scenario.video.duration_s
         self._segment_count = max(int(duration // segment_s) + (duration % segment_s > 0), 1)
         self.buffer = PlayoutBuffer(self.config, duration)
+        self._clock = PlayoutClock(
+            env, self.metrics, self.config.tick_s, stop=stop, max_sim_time=max_sim_time
+        )
+        self._clock.buffer = self.buffer
         self._next_to_schedule = 0
         self._arrived: set[int] = set()
         self._playable_frontier = 0  # segments contiguously received
@@ -228,13 +228,12 @@ class AdaptiveSimDriver:
         # both paths concurrently).
         self._estimators = {i: HarmonicMeanEstimator() for i in self._paths}
         self._current_itag = self._ladder[0]
-        self._playback_announced = False
 
     # -- public -----------------------------------------------------------------
 
     def run(self) -> AdaptiveOutcome:
         self.launch()
-        self.scenario.env.run(until=self._finish)
+        self.scenario.env.run(until=self._clock.finished)
         return self.collect()
 
     def launch(self) -> None:
@@ -248,18 +247,17 @@ class AdaptiveSimDriver:
         self.metrics.session_started_at = env.now
         for path_id in self._paths:
             env.process(self._path_loop(path_id))
-        env.process(self._ticker())
-        env.process(self._watchdog())
+        self._clock.launch()
 
     @property
     def finished(self):
         """Event fired when the driver's stop condition is met."""
-        return self._finish
+        return self._clock.finished
 
     def collect(self) -> AdaptiveOutcome:
         return AdaptiveOutcome(
             metrics=self.metrics,
-            stop_reason=self._stop_reason,
+            stop_reason=self._clock.stop_reason,
             finished_at=self.scenario.env.now,
             itag_history=list(self.itag_history),
         )
@@ -267,16 +265,16 @@ class AdaptiveSimDriver:
     # -- per-path fetch loop --------------------------------------------------------
 
     def _path_loop(self, path_id: int):
-        env = self.scenario.env
+        clock = self._clock
         try:
             yield from self._bootstrap(path_id)
         except (NetworkError, CDNError, HTTPError):
             # Single-shot bootstrap per path; a dead path just idles
             # (robust failover is exercised by the core player).
             return
-        while not self._finish.triggered and not self._download_complete():
+        while not clock.finished.triggered and not self._download_complete():
             if not self.buffer.fetch_on or self._next_to_schedule >= self._segment_count:
-                yield env.pooled_timeout(self.config.tick_s)
+                yield clock.park()
                 continue
             index = self._next_to_schedule
             self._next_to_schedule += 1
@@ -286,6 +284,7 @@ class AdaptiveSimDriver:
             except (NetworkError, CDNError, HTTPError):
                 # Requeue the segment for the other path and retire.
                 self._next_to_schedule = min(self._next_to_schedule, index)
+                clock.open_gates()
                 return
 
     def _aggregate_estimate(self) -> float | None:
@@ -295,6 +294,7 @@ class AdaptiveSimDriver:
         return sum(estimates) if estimates else None
 
     def _choose_itag(self) -> int:
+        self._clock.look()
         itag = self.controller.select(
             self._ladder,
             self.buffer.level_s,
@@ -309,24 +309,14 @@ class AdaptiveSimDriver:
     def _bootstrap(self, path_id: int):
         path = self._paths[path_id]
         network_id = self.scenario.iface_for(path_id).network_id
-        addresses = yield from self.scenario.resolver.resolve(PROXY_DNS_NAME, network_id)
-        proxy = addresses[0]
-        response, _ = yield from path.client.get(
-            proxy,
-            Request.get(f"/videoinfo?v={self.scenario.video.video_id}", host=proxy),
-            expect=(200,),
-        )
-        info = parse_video_info(response.parsed_json())
+        proxy, info = yield from fetch_video_info(self.scenario, path.client, network_id)
         path.info = info
         decoder_program = None
         for itag in self._ladder:
             stream = info.stream(itag)
             if stream.needs_decipher:
                 if decoder_program is None:
-                    page, _ = yield from path.client.get(
-                        proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
-                    )
-                    decoder_program = parse_decoder_page(page.body)
+                    decoder_program = yield from fetch_decoder(path.client, proxy, info)
                 path.signatures[itag] = decipher(
                     stream.enciphered_signature, decoder_program
                 )
@@ -360,6 +350,7 @@ class AdaptiveSimDriver:
     # -- reassembly + buffer ----------------------------------------------------------
 
     def _on_segment_arrived(self, index: int, itag: int, now: float) -> None:
+        self._clock.look()
         self._arrived.add(index)
         while len(self.itag_history) <= index:
             self.itag_history.append(itag)
@@ -376,55 +367,11 @@ class AdaptiveSimDriver:
                 - (self.buffer.playhead_s + self.buffer.level_s),
             )
             self.buffer.on_data(max(seconds, 0.0), now)
-            self._note_transitions(previous, now)
+            self._clock.note(previous, now)
         if self._download_complete():
             self.buffer.mark_download_complete(now)
+            self._clock.open_gates()
+        self._clock.rearm()
 
     def _download_complete(self) -> bool:
         return self._playable_frontier >= self._segment_count
-
-    # -- playback clock ------------------------------------------------------------------
-
-    def _ticker(self):
-        env = self.scenario.env
-        tick = self.config.tick_s
-        while not self._finish.triggered:
-            yield env.pooled_timeout(tick)
-            previous = self.buffer.phase
-            self.buffer.on_tick(tick, env.now)
-            self._note_transitions(previous, env.now)
-            if self.buffer.playback_finished:
-                if self.metrics.playback_finished_at is None:
-                    self.metrics.playback_finished_at = env.now
-                self._finish_once("playback-finished")
-
-    def _note_transitions(self, previous: BufferPhase, now: float) -> None:
-        current = self.buffer.phase
-        if current is previous:
-            return
-        if previous is BufferPhase.PREBUFFERING and not self._playback_announced:
-            self._playback_announced = True
-            self.metrics.prebuffer_completed_at = now
-            self.metrics.playback_started_at = now
-            if self.stop == "prebuffer":
-                self._finish_once("prebuffer-complete")
-        if current is BufferPhase.REBUFFERING and previous is BufferPhase.STEADY:
-            self.metrics.begin_rebuffer_cycle(now, self.buffer.level_s)
-        if previous in (BufferPhase.REBUFFERING, BufferPhase.STALLED) and current in (
-            BufferPhase.STEADY,
-            BufferPhase.FINISHED,
-        ):
-            self.metrics.end_rebuffer_cycle(now)
-        if current is BufferPhase.STALLED:
-            self.metrics.begin_stall(now)
-        if previous is BufferPhase.STALLED:
-            self.metrics.end_stall(now)
-
-    def _watchdog(self):
-        yield self.scenario.env.pooled_timeout(self.max_sim_time)
-        self._finish_once("timeout")
-
-    def _finish_once(self, reason: str) -> None:
-        if not self._finish.triggered:
-            self._stop_reason = reason
-            self._finish.succeed(reason)

@@ -1,6 +1,6 @@
 """KER001 — respect the Environment API and its fast lanes.
 
-Three parts:
+Four parts:
 
 * **Bypass** — the scheduler's internals (``env._scheduler``, the
   cached ``_push`` bindings, ``_schedule_event``/``_schedule_resume``,
@@ -28,6 +28,14 @@ Three parts:
   must be a Process although it is awaited at once (interrupted from
   outside, raced in ``AnyOf``, handle kept for later) waives the
   finding with that reason.
+
+* **Fixed-period wake** — ``yield env.pooled_timeout(<…>.tick_s)`` is a
+  loop waking every playback tick whether or not anything changed: one
+  kernel entry per 0.1 s per session.  Playback lives on the playout
+  clock (:mod:`repro.sim.playout`), which replays ticks lazily and
+  wakes only where a threshold is crossed; a poller waits on
+  ``clock.park()``.  ``live/`` is outside the deterministic paths: a
+  wall-clock player ticks for real.
 """
 
 from __future__ import annotations
@@ -67,14 +75,16 @@ class KernelApiBypass(Rule):
         "scheduler internals are owned by net/env|calendar|events|simclock; "
         "external access skips delay validation and breaks when the kernel "
         "changes.  Discarded per-wait Timeouts should ride the pooled-timer "
-        "or bare-callback fast lanes, and a sub-step awaited on the spot "
-        "should be delegated to with `yield from`, not spawned as a Process."
+        "or bare-callback fast lanes, a sub-step awaited on the spot "
+        "should be delegated to with `yield from`, not spawned as a Process, "
+        "and playback must not poll at the tick period."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.is_kernel_internal():
             return
         deterministic = ctx.in_deterministic_path()
+        periods = _tick_period_names(ctx.tree)
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Attribute)
@@ -103,6 +113,13 @@ class KernelApiBypass(Rule):
                     "dispatch) or waive with a justification if the event "
                     "must compose",
                 )
+            elif deterministic and _is_tick_period_wait(node, periods):
+                yield ctx.finding(
+                    self.id,
+                    node,
+                    "a fixed-period wake; wait on the playout clock "
+                    "(look/rearm, or yield clock.park() in an OFF-period loop)",
+                )
             elif deterministic and _is_spawn_and_wait(node):
                 yield ctx.finding(
                     self.id,
@@ -114,17 +131,49 @@ class KernelApiBypass(Rule):
                 )
 
 
-def _is_spawn_and_wait(node: ast.AST) -> bool:
-    """``yield X.process(<Call>)`` as a statement or an assignment's value."""
+def _yielded_call(node: ast.AST) -> ast.Call | None:
+    """The call in ``yield <Call>``, as a statement or an assignment's value."""
     if not isinstance(node, (ast.Expr, ast.Assign, ast.AnnAssign)):
-        return False
+        return None
     value = node.value
-    if not isinstance(value, ast.Yield) or not isinstance(value.value, ast.Call):
-        return False
-    spawn = value.value
+    if isinstance(value, ast.Yield) and isinstance(value.value, ast.Call):
+        return value.value
+    return None
+
+
+def _is_spawn_and_wait(node: ast.AST) -> bool:
+    """``yield X.process(<Call>)``."""
+    spawn = _yielded_call(node)
     return (
-        isinstance(spawn.func, ast.Attribute)
+        spawn is not None
+        and isinstance(spawn.func, ast.Attribute)
         and spawn.func.attr == "process"
         and len(spawn.args) == 1
         and isinstance(spawn.args[0], ast.Call)
+    )
+
+
+def _tick_period_names(tree: ast.AST) -> frozenset[str]:
+    """``tick_s`` and every name the module binds to ``<…>.tick_s``."""
+    return frozenset({"tick_s"}) | {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "tick_s"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _is_tick_period_wait(node: ast.AST, periods: frozenset[str]) -> bool:
+    """``yield X.pooled_timeout(<…>.tick_s)``, or of a name bound to it."""
+    call = _yielded_call(node)
+    if call is None or not call.args:
+        return False
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr == "pooled_timeout"):
+        return False
+    period = call.args[0]
+    return (isinstance(period, ast.Attribute) and period.attr == "tick_s") or (
+        isinstance(period, ast.Name) and period.id in periods
     )

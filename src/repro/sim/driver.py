@@ -11,7 +11,11 @@ session's commands as simulated network activity —
   π₂−π₁ head start of §3.2 emerges rather than being scripted;
 * ``FetchChunk`` → an HTTP range request on the path's persistent
   connection, feeding the completion (or failure) back in;
-* a playback ticker drives ``on_tick`` at the configured granularity.
+* playback runs on a :class:`~repro.sim.playout.PlayoutClock`: no
+  ticker process — the clock replays the ``tick_s`` grid lazily at each
+  look (each handler that feeds the session chunk data looks first) and
+  wakes only for the tick that changes a phase or ends playback, where
+  it calls ``on_tick`` exactly as a ticker would have.
 
 Stop conditions support the experiments: ``"prebuffer"`` ends the run
 at playback start (Figs. 2–4), ``"cycles"`` after N completed
@@ -41,6 +45,7 @@ from ..core.session import (
 from ..errors import CDNError, HTTPError, NetworkError
 from ..http.client import SimHTTPClient
 from ..http.messages import Request
+from .playout import PlayoutClock
 from .scenario import Scenario
 
 
@@ -75,6 +80,27 @@ class SessionOutcome:
         return self.metrics.startup_delay
 
 
+def fetch_video_info(scenario: Scenario, client: SimHTTPClient, network_id: str):
+    """Generator: resolve the web proxy and fetch the video's JSON (§3.1);
+    returns ``(proxy, info)``.  Drive with ``yield from``."""
+    addresses = yield from scenario.resolver.resolve(PROXY_DNS_NAME, network_id)
+    proxy = addresses[0]
+    response, _ = yield from client.get(
+        proxy,
+        Request.get(f"/videoinfo?v={scenario.video.video_id}", host=proxy),
+        expect=(200,),
+    )
+    return proxy, parse_video_info(response.parsed_json())
+
+
+def fetch_decoder(client: SimHTTPClient, proxy: str, info: VideoInfo):
+    """Generator: the signature-decoder program of footnote 1."""
+    page, _ = yield from client.get(
+        proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
+    )
+    return parse_decoder_page(page.body)
+
+
 class MSPlayerDriver:
     """Simulated-IO executor for one MSPlayer session."""
 
@@ -86,17 +112,19 @@ class MSPlayerDriver:
         target_cycles: int = 3,
         max_sim_time: float = 1800.0,
     ) -> None:
-        if stop not in ("prebuffer", "cycles", "full"):
-            raise ValueError(f"unknown stop condition {stop!r}")
         self.scenario = scenario
         self.config = config or PlayerConfig()
-        self.stop = stop
-        self.target_cycles = target_cycles
-        self.max_sim_time = max_sim_time
         self.session = PlayerSession(self.config, scenario.path_specs(self.config.max_paths))
         env = scenario.env
-        self._finish = env.event()
-        self._stop_reason = "unknown"
+        self._clock = PlayoutClock(
+            env,
+            self.session.metrics,
+            self.config.tick_s,
+            stop=stop,
+            target_cycles=target_cycles,
+            max_sim_time=max_sim_time,
+            on_tick=self._tick,
+        )
         self._runtimes: dict[int, PathRuntime] = {}
         for path_id in self.session.paths:
             iface = scenario.iface_for(path_id)
@@ -124,13 +152,12 @@ class MSPlayerDriver:
         env = self.scenario.env
         result = self.session.start(env.now)
         self._execute(result.commands)
-        env.process(self._ticker())
-        env.process(self._watchdog())
+        self._clock.launch()
 
     @property
     def finished(self):
         """Event fired when the driver's stop condition is met."""
-        return self._finish
+        return self._clock.finished
 
     def collect(self) -> SessionOutcome:
         return self._collect()
@@ -139,28 +166,20 @@ class MSPlayerDriver:
 
     def _execute(self, commands: list[Command]) -> None:
         env = self.scenario.env
+        clock = self._clock
         for command in commands:
             if isinstance(command, StartBootstrap):
                 env.process(self._bootstrap(command.path_id, command.server))
             elif isinstance(command, FetchChunk):
                 env.process(self._fetch(command))
             elif isinstance(command, StartPlayback):
-                if self.stop == "prebuffer":
-                    self._finish_once("prebuffer-complete")
+                clock.started()
             elif isinstance(command, SessionDone):
-                self._finish_once(command.reason)
+                clock.finish_once(command.reason)
             elif isinstance(command, PathDead):
                 pass  # informational; metrics carry the details
-        if (
-            self.stop == "cycles"
-            and len(self.session.metrics.completed_cycle_durations()) >= self.target_cycles
-        ):
-            self._finish_once("cycles-complete")
-
-    def _finish_once(self, reason: str) -> None:
-        if not self._finish.triggered:
-            self._stop_reason = reason
-            self._finish.succeed(reason)
+        clock.check_cycles()
+        clock.rearm()
 
     # -- bootstrap -----------------------------------------------------------------
 
@@ -178,6 +197,7 @@ class MSPlayerDriver:
                 details = yield from self._full_bootstrap(path_id, runtime)
         except (NetworkError, CDNError, HTTPError) as exc:
             iface = self.scenario.iface_for(path_id)
+            self._clock.look()
             result = self.session.on_chunk_failed(
                 path_id,
                 bytes_delivered=0,
@@ -187,31 +207,23 @@ class MSPlayerDriver:
             )
             self._execute(result.commands)
             return
+        self._clock.look()
         result = self.session.on_path_ready(path_id, details, env.now)
+        self._clock.buffer = self.session.buffer
         self._execute(result.commands)
 
     def _full_bootstrap(self, path_id: int, runtime: PathRuntime):
         """The §3.1/§4 sequence against the web proxy, then the video server."""
         env = self.scenario.env
         network_id = self.session.paths[path_id].network_id
-        addresses = yield from self.scenario.resolver.resolve(PROXY_DNS_NAME, network_id)
-        proxy = addresses[0]
-        response, _timing = yield from runtime.client.get(
-            proxy,
-            Request.get(f"/videoinfo?v={self.scenario.video.video_id}", host=proxy),
-            expect=(200,),
-        )
-        info = parse_video_info(response.parsed_json())
+        proxy, info = yield from fetch_video_info(self.scenario, runtime.client, network_id)
         json_completed_at = env.now
         runtime.info = info
         stream = info.stream(self.config.itag)
 
         if stream.needs_decipher:
             if runtime.decoder_program is None:
-                page, _ = yield from runtime.client.get(
-                    proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
-                )
-                runtime.decoder_program = parse_decoder_page(page.body)
+                runtime.decoder_program = yield from fetch_decoder(runtime.client, proxy, info)
             runtime.signature = decipher(
                 stream.enciphered_signature, runtime.decoder_program
             )
@@ -252,6 +264,7 @@ class MSPlayerDriver:
             # survivor refetches only the missing suffix.
             wire_delivered = int(getattr(exc, "flow_bytes_delivered", 0))
             delivered = max(0, min(wire_delivered - 512, command.byte_range.length))
+            self._clock.look()
             result = self.session.on_chunk_failed(
                 command.path_id,
                 bytes_delivered=delivered,
@@ -261,6 +274,7 @@ class MSPlayerDriver:
             )
             self._execute(result.commands)
             return
+        self._clock.look()
         result = self.session.on_chunk_complete(
             command.path_id,
             num_bytes=command.byte_range.length,
@@ -270,20 +284,11 @@ class MSPlayerDriver:
         )
         self._execute(result.commands)
 
-    # -- background processes ------------------------------------------------------------
+    # -- clock and interface events --------------------------------------------------------
 
-    def _ticker(self):
-        env = self.scenario.env
-        tick = self.config.tick_s
-        while not self._finish.triggered:
-            yield env.pooled_timeout(tick)
-            result = self.session.on_tick(tick, env.now)
-            self._execute(result.commands)
-
-    def _watchdog(self):
-        env = self.scenario.env
-        yield env.pooled_timeout(self.max_sim_time)
-        self._finish_once("timeout")
+    def _tick(self, dt: float, now: float) -> None:
+        """The clock's tick body: one playback step through the session."""
+        self._execute(self.session.on_tick(dt, now).commands)
 
     def _on_iface_status(self, path_id: int, down: bool) -> None:
         if down:
@@ -298,7 +303,7 @@ class MSPlayerDriver:
         outcome = SessionOutcome(
             metrics=metrics,
             finished_at=self.scenario.env.now,
-            stop_reason=self._stop_reason,
+            stop_reason=self._clock.stop_reason,
             peak_out_of_order=(
                 self.session.ledger.peak_out_of_order if self.session.ledger else 0
             ),

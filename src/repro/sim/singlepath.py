@@ -12,8 +12,9 @@ interface, per the paper's description (§6) and [23]:
   MSPlayer (the comparison isolates multi-source/multi-path + dynamic
   chunking).
 
-The driver reuses the sans-IO :class:`~repro.core.buffer.PlayoutBuffer`
-and :class:`~repro.core.metrics.QoEMetrics`, so the measured quantities
+The driver reuses the sans-IO :class:`~repro.core.buffer.PlayoutBuffer`,
+:class:`~repro.core.metrics.QoEMetrics` and MSPlayer's
+:class:`~repro.sim.playout.PlayoutClock`, so the measured quantities
 are identical in definition to MSPlayer's.
 """
 
@@ -21,11 +22,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..cdn.deployment import PROXY_DNS_NAME
-from ..cdn.jsonapi import VideoInfo, parse_video_info
+from ..cdn.jsonapi import VideoInfo
 from ..cdn.signature import decipher
-from ..cdn.webproxy import parse_decoder_page
-from ..core.buffer import BufferPhase, PlayoutBuffer
+from ..core.buffer import PlayoutBuffer
 from ..core.config import PlayerConfig
 from ..core.metrics import QoEMetrics
 from ..errors import CDNError, HTTPError, NetworkError
@@ -33,7 +32,8 @@ from ..http.client import SimHTTPClient
 from ..http.messages import Request
 from ..http.ranges import ByteRange
 from ..units import KB
-from .driver import SessionOutcome
+from .driver import SessionOutcome, fetch_decoder, fetch_video_info
+from .playout import PlayoutClock
 from .scenario import Scenario
 
 #: Chunk sizes of the commercial comparators [23].
@@ -54,8 +54,6 @@ class SinglePathDriver:
         target_cycles: int = 3,
         max_sim_time: float = 1800.0,
     ) -> None:
-        if stop not in ("prebuffer", "cycles", "full"):
-            raise ValueError(f"unknown stop condition {stop!r}")
         if chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
         self.scenario = scenario
@@ -63,21 +61,23 @@ class SinglePathDriver:
         self.iface_index = iface_index
         self.chunk_bytes = chunk_bytes
         self.config = config or PlayerConfig()
-        self.stop = stop
-        self.target_cycles = target_cycles
-        self.max_sim_time = max_sim_time
         self.metrics = QoEMetrics()
         self.buffer: PlayoutBuffer | None = None
         self._client = SimHTTPClient(scenario.env, scenario.network, self.iface)
-        self._finish = scenario.env.event()
-        self._stop_reason = "unknown"
+        self._clock = PlayoutClock(
+            scenario.env,
+            self.metrics,
+            self.config.tick_s,
+            stop=stop,
+            target_cycles=target_cycles,
+            max_sim_time=max_sim_time,
+        )
         self._info: VideoInfo | None = None
         self._signature = ""
         self._server = ""
         self._total_bytes = 0
         self._bitrate = 0.0
         self._frontier = 0
-        self._playback_announced = False
 
     # -- public -----------------------------------------------------------------
 
@@ -85,13 +85,12 @@ class SinglePathDriver:
         env = self.scenario.env
         self.metrics.session_started_at = env.now
         env.process(self._main())
-        env.process(self._ticker())
-        env.process(self._watchdog())
-        env.run(until=self._finish)
+        self._clock.launch()
+        env.run(until=self._clock.finished)
         return SessionOutcome(
             metrics=self.metrics,
             finished_at=env.now,
-            stop_reason=self._stop_reason,
+            stop_reason=self._clock.stop_reason,
             peak_out_of_order=0,
             server_bytes=self.scenario.deployment.total_bytes_served(),
             requests_by_path=dict(self.metrics.requests_by_path),
@@ -100,46 +99,36 @@ class SinglePathDriver:
     # -- the player loop ------------------------------------------------------------
 
     def _main(self):
-        env = self.scenario.env
+        clock = self._clock
         try:
             yield from self._bootstrap()
             yield from self._prebuffer()
-            while not self._finish.triggered and self._frontier < self._total_bytes:
-                # OFF period: wait until the buffer opens an ON cycle.
+            while not clock.finished.triggered and self._frontier < self._total_bytes:
+                # OFF period: parked until the buffer may open an ON cycle.
                 while not self._buffer().fetch_on:
-                    if self._finish.triggered or self._buffer().playback_finished:
+                    if clock.finished.triggered or self._buffer().playback_finished:
                         return
-                    yield env.pooled_timeout(self.config.tick_s)
+                    yield clock.park()
                 yield from self._fetch_cycle()
-                self._check_cycles_stop()
+                clock.check_cycles()
             if self.buffer is not None and self._frontier >= self._total_bytes:
-                self.buffer.mark_download_complete(env.now)
+                self._download_complete()
         except (NetworkError, CDNError, HTTPError) as exc:
             # Single path, no failover: the baseline simply dies —
             # exactly the §2 robustness gap MSPlayer exists to close.
-            self._finish_once(f"failed: {exc}")
+            clock.look()
+            clock.finish_once(f"failed: {exc}")
 
     def _bootstrap(self):
         env = self.scenario.env
-        addresses = yield from self.scenario.resolver.resolve(
-            PROXY_DNS_NAME, self.iface.network_id
+        proxy, info = yield from fetch_video_info(
+            self.scenario, self._client, self.iface.network_id
         )
-        proxy = addresses[0]
-        response, _ = yield from self._client.get(
-            proxy,
-            Request.get(f"/videoinfo?v={self.scenario.video.video_id}", host=proxy),
-            expect=(200,),
-        )
-        info = parse_video_info(response.parsed_json())
         self._info = info
         stream = info.stream(self.config.itag)
         if stream.needs_decipher:
-            page, _ = yield from self._client.get(
-                proxy, Request.get(info.decoder_path, host=proxy), expect=(200,)
-            )
-            self._signature = decipher(
-                stream.enciphered_signature, parse_decoder_page(page.body)
-            )
+            program = yield from fetch_decoder(self._client, proxy, info)
+            self._signature = decipher(stream.enciphered_signature, program)
         else:
             self._signature = stream.signature
         self._server = stream.hosts[0]
@@ -147,6 +136,7 @@ class SinglePathDriver:
         self._bitrate = stream.size_bytes / info.duration_s
         self.buffer = PlayoutBuffer(self.config, info.duration_s)
         self.buffer.phase_entered_at = env.now
+        self._clock.buffer = self.buffer
         yield from self._client.connect(self._server)
 
     def _prebuffer(self):
@@ -163,7 +153,12 @@ class SinglePathDriver:
             stop = min(self._frontier + self.chunk_bytes, self._total_bytes)
             yield from self._fetch_range(ByteRange(self._frontier, stop), prebuffering=False)
         if self._frontier >= self._total_bytes:
-            buffer.mark_download_complete(self.scenario.env.now)
+            self._download_complete()
+
+    def _download_complete(self) -> None:
+        self._clock.look()
+        self._buffer().mark_download_complete(self.scenario.env.now)
+        self._clock.rearm()
 
     def _fetch_range(self, byte_range: ByteRange, prebuffering: bool):
         env = self.scenario.env
@@ -171,86 +166,16 @@ class SinglePathDriver:
         target = self._info.playback_target(self.config.itag, self._signature)
         request = Request.get(target, host=self._server, byte_range=byte_range)
         _response, timing = yield from self._client.get(self._server, request, expect=(206,))
+        self._clock.look()
         self._frontier = byte_range.stop
         self.metrics.record_chunk(
             self.iface_index, byte_range.length, prebuffering, duration=timing.duration
         )
         buffer = self._buffer()
         previous = buffer.phase
-        before_level = buffer.level_s
-        before_cycle = buffer.cycle_fetched_s
-        advanced_s = byte_range.length / self._bitrate
-        buffer.on_data(advanced_s, env.now)
-        # Credit threshold crossings at the in-transfer instant the
-        # crossing bytes arrived (same interpolation as PlayerSession).
-        credit = env.now
-        if previous is BufferPhase.PREBUFFERING:
-            needed = self.config.prebuffer_s - before_level
-        elif previous in (BufferPhase.REBUFFERING, BufferPhase.STALLED):
-            needed = self.config.rebuffer_fetch_s - before_cycle
-        else:
-            needed = -1.0
-        if 0 < needed < advanced_s and timing.first_byte_at < env.now:
-            fraction = needed / advanced_s
-            credit = timing.first_byte_at + fraction * (env.now - timing.first_byte_at)
-        self._note_transitions(previous, credit)
-
-    # -- buffer bookkeeping -------------------------------------------------------------
-
-    def _ticker(self):
-        env = self.scenario.env
-        tick = self.config.tick_s
-        while not self._finish.triggered:
-            yield env.pooled_timeout(tick)
-            if self.buffer is None:
-                continue
-            previous = self.buffer.phase
-            self.buffer.on_tick(tick, env.now)
-            self._note_transitions(previous, env.now)
-            if self.buffer.playback_finished:
-                if self.metrics.playback_finished_at is None:
-                    self.metrics.playback_finished_at = env.now
-                self._finish_once("playback-finished")
-
-    def _note_transitions(self, previous: BufferPhase, now: float) -> None:
-        buffer = self._buffer()
-        current = buffer.phase
-        if current is previous:
-            return
-        if previous is BufferPhase.PREBUFFERING and not self._playback_announced:
-            self._playback_announced = True
-            self.metrics.prebuffer_completed_at = now
-            self.metrics.playback_started_at = now
-            if self.stop == "prebuffer":
-                self._finish_once("prebuffer-complete")
-        if current is BufferPhase.REBUFFERING and previous is BufferPhase.STEADY:
-            self.metrics.begin_rebuffer_cycle(now, buffer.level_s)
-        if previous in (BufferPhase.REBUFFERING, BufferPhase.STALLED) and current in (
-            BufferPhase.STEADY,
-            BufferPhase.FINISHED,
-        ):
-            self.metrics.end_rebuffer_cycle(now)
-        if current is BufferPhase.STALLED:
-            self.metrics.begin_stall(now)
-        if previous is BufferPhase.STALLED:
-            self.metrics.end_stall(now)
-        self._check_cycles_stop()
-
-    def _check_cycles_stop(self) -> None:
-        if (
-            self.stop == "cycles"
-            and len(self.metrics.completed_cycle_durations()) >= self.target_cycles
-        ):
-            self._finish_once("cycles-complete")
-
-    def _watchdog(self):
-        yield self.scenario.env.pooled_timeout(self.max_sim_time)
-        self._finish_once("timeout")
-
-    def _finish_once(self, reason: str) -> None:
-        if not self._finish.triggered:
-            self._stop_reason = reason
-            self._finish.succeed(reason)
+        credit = buffer.receive(byte_range.length / self._bitrate, env.now, timing.first_byte_at)
+        self._clock.note(previous, credit)
+        self._clock.rearm()
 
     def _buffer(self) -> PlayoutBuffer:
         if self.buffer is None:

@@ -417,6 +417,64 @@ class TestKER001:
         )
         assert [f.line for f in findings if f.rule == "KER001"] == [5]
 
+    def test_flags_tick_period_waits(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "sim/mod.py",
+            """
+            def ticker(self, env):
+                tick = self.config.tick_s
+                while True:
+                    yield env.pooled_timeout(tick)
+                    self.session.on_tick(tick, env.now)
+
+            def off_period(self, env):
+                while not self.buffer.fetch_on:
+                    yield self.scenario.env.pooled_timeout(self.config.tick_s)
+                woke = yield env.pooled_timeout(tick_s)
+                return woke
+            """,
+        )
+        ker = [f for f in findings if f.rule == "KER001"]
+        assert [f.line for f in ker] == [5, 10, 11]
+        assert all("a fixed-period wake; wait on the playout clock" in f.message for f in ker)
+
+    def test_tick_period_clean_for_other_delays_the_clock_and_live(self, tmp_path):
+        deterministic = lint_snippet(
+            tmp_path,
+            "ext/mod.py",
+            """
+            def loop(self, env, clock, rtt):
+                yield env.pooled_timeout(rtt)
+                yield env.pooled_timeout(self.max_sim_time)
+                yield clock.park()
+                env.call_at(env.now + self.config.tick_s, clock.look)
+            """,
+        )
+        assert "KER001" not in rules_hit(deterministic)
+        live = lint_snippet(
+            tmp_path,
+            "live/mod.py",  # wall-clock playback ticks for real
+            """
+            def ticker(self, env):
+                yield env.pooled_timeout(self.config.tick_s)
+            """,
+        )
+        assert "KER001" not in rules_hit(live)
+
+    def test_tick_period_waiver_carries_its_reason(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "sim/mod.py",
+            """
+            def sampler(self, env):
+                # A trace sampler whose period is the tick by definition.
+                yield env.pooled_timeout(self.config.tick_s)  # replint: disable=KER001
+                yield env.pooled_timeout(self.config.tick_s)
+            """,
+        )
+        assert [f.line for f in findings if f.rule == "KER001"] == [5]
+
 
 # ---------------------------------------------------------------------------
 # SLT001 — hot-module __slots__

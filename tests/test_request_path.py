@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from repro.core.buffer import BufferPhase
 from repro.core.config import PlayerConfig
 from repro.errors import HTTPStatusError, NetworkError
 from repro.http.client import SimHTTPClient
@@ -31,7 +32,7 @@ from repro.net.tls import TLSParams
 from repro.net.topology import Host, Network
 from repro.sim.driver import MSPlayerDriver
 from repro.sim.profiles import testbed_profile
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.singlepath import SinglePathDriver
 from repro.units import mbit
 
@@ -491,7 +492,9 @@ def test_warm_get_inside_one_process_schedules_four_entries(kernel):
 
 
 def test_single_path_world_event_budget():
-    """310 range requests: 5184 scheduled entries before, 2684 now."""
+    """310 range requests: 5184 scheduled entries through the process
+    chain, 2684 with a ticker and OFF-period polls, 1286 on the playout
+    clock (same ``finished_at``)."""
     driver = SinglePathDriver(
         Scenario(testbed_profile(), seed=7),
         iface_index=0,
@@ -502,14 +505,15 @@ def test_single_path_world_event_budget():
     outcome = driver.run()
     assert sum(outcome.requests_by_path.values()) == 310
     assert outcome.finished_at == 88.52255411505418
-    assert driver.scenario.env.scheduled_count == 2684
+    assert driver.scenario.env.scheduled_count == 1286
 
 
 def test_two_path_msplayer_session_event_budget():
     """MSPlayer spawns one process per fetch (the session races paths);
     everything under it delegates.  Pinned so a new spawn-and-wait link
     anywhere on the request path shows up as a count, not as a slowdown
-    three PRs later."""
+    three PRs later.  With the playback ticker it took 2121 entries; the
+    playout clock wakes only around threshold crossings."""
     driver = MSPlayerDriver(
         Scenario(testbed_profile(), seed=7),
         PlayerConfig(scheduler="ratio", base_chunk_bytes=64 * 1024),
@@ -519,4 +523,34 @@ def test_two_path_msplayer_session_event_budget():
     outcome = driver.run()
     assert outcome.requests_by_path == {0: 116, 1: 110}
     assert outcome.finished_at == 65.55653360861271
-    assert driver.scenario.env.scheduled_count == 2121  # 3974 through the chain
+    assert driver.scenario.env.scheduled_count == 1472  # 2121 ticking, 3974 chained
+
+
+def test_idle_steady_session_schedules_nothing():
+    """A minute of STEADY playback with fetching OFF costs no kernel
+    entry (a ticker spent 300 per 30 s): the clock's one wake sits just
+    before the low-watermark crossing, ~80 s on."""
+    config = PlayerConfig(prebuffer_s=80.0)
+
+    def world():
+        return MSPlayerDriver(
+            Scenario(testbed_profile(), seed=7, config=ScenarioConfig(video_duration_s=300.0)),
+            config,
+            stop="cycles",
+            target_cycles=1,
+        )
+
+    first = world()
+    first.run()
+    (steady_at, phase), (rebuffer_at, _) = first.session.buffer.transitions[:2]
+    assert phase is BufferPhase.STEADY and rebuffer_at - steady_at > 100.0
+
+    driver = world()
+    driver.launch()
+    env = driver.scenario.env
+    counts = []
+    for offset in (1.0, 31.0, 61.0):
+        env.run(until=steady_at + offset)
+        counts.append(env.scheduled_count)
+    assert driver.session.buffer.phase is BufferPhase.STEADY
+    assert counts[0] == counts[1] == counts[2]
