@@ -44,7 +44,6 @@ from repro.http.messages import Request
 from repro.http.ranges import ByteRange
 from repro.http.server import SimHTTPServer
 from repro.net.bandwidth import ConstantBandwidth
-from repro.net.calendar import KERNELS, compiled_core
 from repro.net.env import Environment
 from repro.net.iface import NetworkInterface
 from repro.net.latency import ConstantLatency
@@ -62,11 +61,6 @@ RESULT_FILE = RESULTS_DIR / "BENCH_perf_core.json"
 #: Trial count of the paper's campaigns (§5.2) — the parallel target.
 CAMPAIGN_TRIALS = 20
 
-#: Kernels measurable on this machine ("compiled" only when built).
-BUILT_KERNELS = [
-    kernel for kernel in KERNELS if kernel != "compiled" or compiled_core() is not None
-]
-
 #: The seed tree's archived ``kernel_events_per_sec`` (commit 89e28d2,
 #: this machine): the monolithic heapq kernel driving the same periodic
 #: wake-up storm through generator timeouts — the workload the fast
@@ -78,7 +72,7 @@ SEED_KERNEL_EVENTS_PER_SEC = 516_785
 @pytest.fixture(scope="module")
 def perf_record(smoke):
     record: dict[str, object] = {
-        "schema": "perf_core/v2",
+        "schema": "perf_core/v3",
         "cpu_count": os.cpu_count(),
         "smoke": smoke,
     }
@@ -106,11 +100,11 @@ class _Ticker:
             self.call_later(0.001, self)
 
 
-def _callback_storm(kernel: str, chains: int, depth: int) -> float:
+def _callback_storm(chains: int, depth: int) -> float:
     """Fast-lane events per second: ``chains`` concurrent churners,
     ``depth`` wake-ups each — the same logical workload the seed
     baseline drove through generator timeouts."""
-    env = Environment(kernel=kernel)
+    env = Environment()
     for _ in range(chains):
         env.call_later(0.001, _Ticker(env.call_later, depth))
     start = time.perf_counter()
@@ -119,16 +113,16 @@ def _callback_storm(kernel: str, chains: int, depth: int) -> float:
     return env.scheduled_count / elapsed
 
 
-def _generator_storm(kernel: str, procs: int, timeouts: int) -> float:
+def _generator_storm(procs: int, timeouts: int) -> float:
     """Generator-timeout events per second — the seed's exact workload
-    (``kernel_events_per_sec`` in the archived baseline), kept per
-    kernel so the classic lane's trajectory stays visible too."""
+    (``kernel_events_per_sec`` in the archived baseline), kept so the
+    classic lane's trajectory stays visible too."""
 
     def worker(env, n):
         for _ in range(n):
             yield env.timeout(0.001)
 
-    env = Environment(kernel=kernel)
+    env = Environment()
     for _ in range(procs):
         env.process(worker(env, timeouts))
     start = time.perf_counter()
@@ -138,43 +132,32 @@ def _generator_storm(kernel: str, procs: int, timeouts: int) -> float:
 
 
 def test_kernel_event_throughput(perf_record, smoke):
-    """Dispatch rate of the bare discrete-event kernel, per kernel and
-    per lane.  The headline ``kernel_events_per_sec`` is the calendar
-    kernel on the fast lane — the rewrite's production hot path — and
-    ``kernel_speedup_vs_seed`` is its ratio against the pinned seed
-    baseline (same machine, same logical workload)."""
+    """Dispatch rate of the bare discrete-event kernel, per lane.  The
+    headline ``kernel_events_per_sec`` is the fast lane — the
+    production hot path — and ``kernel_speedup_vs_seed`` is its ratio
+    against the pinned seed baseline (same machine, same logical
+    workload); ``kernel_live_speedup`` is its live ratio against the
+    generator-timeout lane."""
     chains, depth = (10, 300) if smoke else (50, 2000)
     repeats = 1 if smoke else 5
-    for kernel in BUILT_KERNELS:
-        fast = max(_callback_storm(kernel, chains, depth) for _ in range(repeats))
-        classic = max(_generator_storm(kernel, chains, depth) for _ in range(repeats))
-        perf_record[f"kernel_events_per_sec_{kernel}"] = round(fast)
-        perf_record[f"kernel_generator_events_per_sec_{kernel}"] = round(classic)
-        assert fast > 10_000  # sanity floor, not a target
-    headline = perf_record["kernel_events_per_sec_calendar"]
-    perf_record["kernel_events_per_sec"] = headline
-    perf_record["kernel_speedup_vs_seed"] = round(
-        headline / SEED_KERNEL_EVENTS_PER_SEC, 3
-    )
-    if not smoke:
-        # Live same-machine floor (the nightly wall re-asserts this via
-        # tests/test_kernel_perf_floor.py): the calendar fast lane must
-        # comfortably beat the seed-shaped heapq generator path.
-        live_ratio = headline / perf_record["kernel_generator_events_per_sec_heapq"]
-        perf_record["kernel_live_speedup"] = round(live_ratio, 3)
-        assert live_ratio >= 1.8, f"calendar fast lane only {live_ratio:.2f}x heapq"
+    fast = max(_callback_storm(chains, depth) for _ in range(repeats))
+    classic = max(_generator_storm(chains, depth) for _ in range(repeats))
+    assert fast > 10_000  # sanity floor, not a target
+    perf_record["kernel_events_per_sec"] = round(fast)
+    perf_record["kernel_generator_events_per_sec"] = round(classic)
+    perf_record["kernel_speedup_vs_seed"] = round(fast / SEED_KERNEL_EVENTS_PER_SEC, 3)
+    perf_record["kernel_live_speedup"] = round(fast / classic, 3)
 
 
 def test_tcp_exchange_throughput(perf_record, smoke):
-    """Slow-start exchanges per second, per kernel — the path where the
-    closed-form cap schedule replaced a pacer process and the pooled
-    timers replaced per-exchange Timeout allocations.  The headline key
-    stays the default kernel (heapq) for run-over-run comparability."""
+    """Slow-start exchanges per second — the path where the closed-form
+    cap schedule replaced a pacer process and the pooled timers
+    replaced per-exchange Timeout allocations."""
     exchanges = 300 if smoke else 2000
     repeats = 1 if smoke else 2
 
-    def run(kernel: str) -> float:
-        env = Environment(kernel=kernel)
+    def run() -> float:
+        env = Environment()
         link = Link(env, ConstantBandwidth(mbit(80.0)))
         conn = TCPConnection(
             env, link, ConstantLatency(0.020), TCPParams(idle_reset_after=0.05)
@@ -191,11 +174,9 @@ def test_tcp_exchange_throughput(perf_record, smoke):
         env.run(until=proc)
         return exchanges / (time.perf_counter() - start)
 
-    for kernel in BUILT_KERNELS:
-        rate = max(run(kernel) for _ in range(repeats))
-        perf_record[f"tcp_exchanges_per_sec_{kernel}"] = round(rate)
-        assert rate > 100  # sanity floor
-    perf_record["tcp_exchanges_per_sec"] = perf_record["tcp_exchanges_per_sec_heapq"]
+    rate = max(run() for _ in range(repeats))
+    assert rate > 100  # sanity floor
+    perf_record["tcp_exchanges_per_sec"] = round(rate)
 
 
 #: requests -> kernel entries the whole warm run schedules when its
@@ -204,7 +185,7 @@ def test_tcp_exchange_throughput(perf_record, smoke):
 #: completion, a slow-start doubling while the window still binds, a
 #: share of the once-per-second segment boundary).  Through the
 #: five-deep process chain this replaced, every request bought eight
-#: more (DESIGN.md "Request path").  Exact on every kernel.
+#: more (DESIGN.md "Request path").  Exact.
 RANGE_REQUEST_EVENTS = {300: 1237, 3000: 12368}
 
 
@@ -217,8 +198,8 @@ def test_http_range_request_throughput(perf_record, smoke):
     requests = 300 if smoke else 3000
     repeats = 1 if smoke else 3
 
-    def run(kernel: str) -> tuple[float, int]:
-        env = Environment(kernel=kernel)
+    def run() -> tuple[float, int]:
+        env = Environment()
         network = Network(env)
         iface = NetworkInterface(
             env,
@@ -260,15 +241,12 @@ def test_http_range_request_throughput(perf_record, smoke):
 
         return env.run(until=env.process(main(env)))
 
-    for kernel in BUILT_KERNELS:
-        runs = [run(kernel) for _ in range(repeats)]
-        assert {events for _, events in runs} == {RANGE_REQUEST_EVENTS[requests]}, runs
-        perf_record[f"http_range_requests_per_sec_{kernel}"] = round(max(r for r, _ in runs))
-        perf_record[f"kernel_events_per_range_request_{kernel}"] = round(
-            RANGE_REQUEST_EVENTS[requests] / requests, 3
-        )
-    for key in ("http_range_requests_per_sec", "kernel_events_per_range_request"):
-        perf_record[key] = perf_record[f"{key}_heapq"]
+    runs = [run() for _ in range(repeats)]
+    assert {events for _, events in runs} == {RANGE_REQUEST_EVENTS[requests]}, runs
+    perf_record["http_range_requests_per_sec"] = round(max(r for r, _ in runs))
+    perf_record["kernel_events_per_range_request"] = round(
+        RANGE_REQUEST_EVENTS[requests] / requests, 3
+    )
 
 
 def test_campaign_throughput_serial_vs_parallel(perf_record, smoke):
@@ -455,18 +433,14 @@ def test_columnar_aggregation_throughput(perf_record, smoke):
         )
 
 
-def test_ipc_collection_pickle_vs_shm(perf_record, smoke):
-    """The trial-result collection layer in isolation, per IPC mode.
+def test_shm_collection_throughput(perf_record, smoke):
+    """The trial-result collection layer in isolation.
 
-    Pickle path (``REPRO_IPC=pickle``): every outcome crosses the pool
-    pipe as a deep pickle of the ``SessionOutcome`` object graph, and
-    the parent unpickles it all back before transposing into an
-    ``OutcomeBatch``.  Shm path (the default): the worker stores the
-    dense scalars straight into the arena row and pickles only the
-    flat ``SideRecord`` remainder; the parent assembles the batch from
-    the arena columns without materializing a single outcome object.
-    Simulation time is excluded on purpose — this measures collection,
-    the part the shm arena changes.
+    The worker stores the dense scalars straight into the arena row and
+    pickles only the flat ``SideRecord`` remainder through the pool
+    pipe; the parent assembles the batch from the arena columns without
+    materializing a single outcome object.  Simulation time is excluded
+    on purpose — this measures collection alone.
     """
     n = 400 if smoke else 2000
     runner = TrialRunner(testbed_profile, trials=4)
@@ -474,10 +448,6 @@ def test_ipc_collection_pickle_vs_shm(perf_record, smoke):
         "ipc", runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
     )
     outcomes = (seed_result.outcomes * (1 + n // len(seed_result.outcomes)))[:n]
-
-    def pickle_collection() -> OutcomeBatch:
-        received = [pickle.loads(pickle.dumps(o)) for o in outcomes]
-        return OutcomeBatch.from_outcomes(received)
 
     def shm_collection() -> OutcomeBatch:
         arena = OutcomeArena.create(len(outcomes))
@@ -492,34 +462,19 @@ def test_ipc_collection_pickle_vs_shm(perf_record, smoke):
             arena.destroy()
         return OutcomeBatch.from_dense_and_sides(dense, sides)
 
-    # Determinism before speed: both collection paths assemble the
-    # same batch, bit for bit — every column the dataclass declares.
-    via_pickle, via_shm = pickle_collection(), shm_collection()
-    assert via_pickle.column_mismatches(via_shm) == []
+    # Determinism before speed: the collected batch is the object-built
+    # one, bit for bit — every column the dataclass declares.
+    assert shm_collection().column_mismatches(OutcomeBatch.from_outcomes(outcomes)) == []
 
-    def best_of(fn, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    pickle_s = best_of(pickle_collection)
-    shm_s = best_of(shm_collection)
-    speedup = pickle_s / shm_s
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        shm_collection()
+        best = min(best, time.perf_counter() - start)
 
     perf_record["ipc_outcomes"] = n
     perf_record["ipc_side_record_bytes"] = len(pickle.dumps(encode_side(outcomes[0])))
-    perf_record["ipc_full_outcome_bytes"] = len(pickle.dumps(outcomes[0]))
-    perf_record["ipc_pickle_collection_ms"] = round(pickle_s * 1000, 3)
-    perf_record["ipc_shm_collection_ms"] = round(shm_s * 1000, 3)
-    perf_record["ipc_shm_speedup"] = round(speedup, 3)
-
-    if not smoke:
-        assert speedup > 1.1, (
-            f"shm collection should beat full-outcome pickling, got {speedup:.2f}x"
-        )
+    perf_record["ipc_shm_collection_ms"] = round(best * 1000, 3)
 
 
 def test_bootstrap_vectorization_throughput(perf_record, smoke):

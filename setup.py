@@ -2,23 +2,10 @@
 
 import os
 
-from setuptools import Extension, find_packages, setup
+from setuptools import find_packages, setup
 
 setup(
     name="repro-msplayer",
-    # Best-effort compiled event-kernel core: `optional` means a missing
-    # or broken C toolchain degrades the build to pure python instead of
-    # failing it; repro.net.calendar falls back at import when the
-    # extension is absent (REPRO_KERNEL=compiled then runs the python
-    # calendar queue).  Build in place with
-    # `python setup.py build_ext --inplace`.
-    ext_modules=[
-        Extension(
-            "repro.net._ckernel",
-            sources=["src/repro/net/_ckernel.c"],
-            optional=True,
-        )
-    ],
     version="0.2.0",
     description=(
         "Reproduction of 'MSPlayer: Multi-Source and multi-Path "

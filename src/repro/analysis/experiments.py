@@ -16,7 +16,7 @@ functions (``fig2_prebuffer_testbed(...)`` and friends) remain as thin
 compatibility wrappers over :func:`repro.study.run_experiment`.
 
 Execution knobs are uniform across every experiment: ``seed`` is a
-schema param everywhere, and ``jobs``/``ipc`` select the execution
+schema param everywhere, and ``jobs`` selects the execution
 backend at :meth:`Study.run` time (``1`` serial, ``N`` or ``"auto"`` a
 process pool; see :mod:`repro.sim.execution`).  Every experiment —
 including the formerly serial-only fig1 and x3 — runs its whole sweep

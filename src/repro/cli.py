@@ -24,10 +24,8 @@ are derived from its :class:`~repro.study.params.ParamSchema` — so
 aimed at the wrong experiment is an argparse error, and a new
 experiment needs zero CLI edits.  Every id additionally accepts:
 
-* ``--jobs`` / ``--ipc`` — execution backend and collection mode
-  (uniform across ids; fig1/x3 fan out like everything else);
-* ``--kernel`` — event-kernel selection (``heapq`` / ``calendar`` /
-  ``compiled``); byte-identical results whichever dispatches;
+* ``--jobs`` — execution backend (uniform across ids; fig1/x3 fan out
+  like everything else);
 * ``--set key=value`` — generic schema-validated override (same
   strings the flags take: ``--set chunks=64KB,1MB``);
 * ``--grid key=v1,v2`` — sweep a param across study cells; all cells
@@ -60,7 +58,6 @@ from collections.abc import Sequence
 
 from .core.config import PlayerConfig
 from .errors import ConfigError
-from .net.calendar import KERNELS
 from .lint.cli import add_lint_parser, command_lint
 from .ext.adaptive import (
     AdaptiveSimDriver,
@@ -88,8 +85,6 @@ _RESERVED_DESTS = frozenset(
         "command",
         "id",
         "jobs",
-        "ipc",
-        "kernel",
         "save",
         "set",
         "grid",
@@ -153,25 +148,6 @@ def _experiment_parser(sub: argparse._SubParsersAction) -> None:
             "submission: an integer worker count, 'auto' (one per CPU), "
             "or 'serial' (default; REPRO_JOBS env overrides).  Results "
             "are byte-identical whatever the backend",
-        )
-        parser.add_argument(
-            "--ipc",
-            choices=("pickle", "shm"),
-            default=None,
-            help="result collection for process backends: 'shm' (default) "
-            "has workers write dense outcome columns into a shared-memory "
-            "arena, 'pickle' sends full result objects through the pool "
-            "pipe.  Byte-identical either way; sets REPRO_IPC for the run",
-        )
-        parser.add_argument(
-            "--kernel",
-            choices=KERNELS,
-            default=None,
-            help="event-kernel for every simulated environment: 'heapq' "
-            "(default), 'calendar' (bucketed queue), or 'compiled' (C "
-            "extension when built, else calendar).  Dispatch-order "
-            "identical — results are byte-identical whichever runs; "
-            "REPRO_KERNEL env overrides the default",
         )
         parser.add_argument(
             "--set",
@@ -508,11 +484,8 @@ def _experiment_inputs(args: argparse.Namespace):
 def _command_experiment(args: argparse.Namespace) -> int:
     try:
         # Validate the backend before anything runs so a typo'd --jobs
-        # (or REPRO_JOBS) fails in milliseconds with a one-line error —
-        # engine construction also resolves the ipc mode, and the --ipc
-        # override must already be in force while it does.
+        # (or REPRO_JOBS) fails in milliseconds with a one-line error.
         from .sim.execution import resolve_engine
-        from .study.study import _ipc_override, _kernel_override
 
         overrides, grid = _experiment_inputs(args)
         if args.backend == "service":
@@ -528,17 +501,16 @@ def _command_experiment(args: argparse.Namespace) -> int:
                 )
         elif args.broker is not None:
             raise ConfigError("--broker requires --backend service")
-        with _ipc_override(args.ipc), _kernel_override(args.kernel):
-            if args.backend == "service":
-                from .serve.engine import ServiceEngine
+        if args.backend == "service":
+            from .serve.engine import ServiceEngine
 
-                engine = ServiceEngine(args.broker)
-            else:
-                engine = resolve_engine(args.jobs)
-            study = Study(args.id, **overrides)
-            if grid:
-                study = study.grid(**grid)
-            result = study.run(engine=engine, cache=args.cache)
+            engine = ServiceEngine(args.broker)
+        else:
+            engine = resolve_engine(args.jobs)
+        study = Study(args.id, **overrides)
+        if grid:
+            study = study.grid(**grid)
+        result = study.run(engine=engine, cache=args.cache)
         print(result.rendered)
         if result.cache_info is not None:
             info = result.cache_info

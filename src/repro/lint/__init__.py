@@ -1,8 +1,8 @@
 """repro-lint: AST-based determinism & invariant analysis.
 
-The simulator's hard guarantees — bit-identical results across
-serial/process backends, pickle/shm IPC, and the three event kernels —
-are enforced at runtime by expensive test walls.  This package encodes
+The simulator's hard guarantees — bit-identical results across the
+serial and process backends, and across commits — are enforced at
+runtime by expensive test walls.  This package encodes
 the *static* half of those invariants as rule plugins over the python
 AST, so a stray ``random.random()`` or an unsorted set feeding a demux
 loop fails ``repro lint`` in milliseconds instead of a nightly sweep.

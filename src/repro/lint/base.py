@@ -37,7 +37,6 @@ HOT_CORE_STEMS = ("buffer", "chunks")
 #: itself.  Matched on the trailing path components.
 KERNEL_INTERNAL_SUFFIXES = (
     "net/env.py",
-    "net/calendar.py",
     "net/events.py",
     "net/simclock.py",
 )

@@ -66,7 +66,7 @@ class FloatTimeEquality(Rule):
     title = "no ==/!= on simulated times, delays, or priorities"
     rationale = (
         "simulated timestamps are accumulated floats; exact equality is a "
-        "last-ulp coin flip across kernels and platforms — compare ordering, "
+        "last-ulp coin flip across platforms — compare ordering, "
         "the integer tie counter, or an epsilon band."
     )
 

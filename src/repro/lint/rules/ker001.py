@@ -2,13 +2,12 @@
 
 Four parts:
 
-* **Bypass** — the scheduler's internals (``env._scheduler``, the
-  cached ``_push`` bindings, ``_schedule_event``/``_schedule_resume``,
-  calendar bucket state, the timer pool) are owned by the kernel
-  modules (``net/env.py``, ``net/calendar.py``, ``net/events.py``,
+* **Bypass** — the scheduler's internals (the ``env._heap`` queue,
+  ``_schedule_event``/``_schedule_resume``, the timer pool) are owned
+  by the kernel modules (``net/env.py``, ``net/events.py``,
   ``net/simclock.py``).  Anything else reaching for them skips the
-  one-validation-per-schedule contract and couples itself to kernel
-  data layout that PRs rewrite (heap → calendar → compiled).
+  one-validation-per-schedule contract and couples itself to the
+  kernel's data layout.
 
 * **Fast-lane advisory** — a bare ``yield env.timeout(...)`` statement
   allocates a fresh ``Timeout`` event per wait and discards it; per-
@@ -51,15 +50,8 @@ from ..findings import Finding
 #: unrelated classes legitimately use them for their own state.
 _SCHEDULER_INTERNALS = frozenset(
     {
-        "_scheduler",
-        "_push",
-        "_push_callback",
         "_schedule_event",
         "_schedule_resume",
-        "_buckets",
-        "_dirty",
-        "_cursor",
-        "_far",
         "_heap",
         "_timer_pool",
         "_active_process",
@@ -72,7 +64,7 @@ class KernelApiBypass(Rule):
     id = "KER001"
     title = "no scheduler-internal access; prefer the kernel fast lanes"
     rationale = (
-        "scheduler internals are owned by net/env|calendar|events|simclock; "
+        "scheduler internals are owned by net/env|events|simclock; "
         "external access skips delay validation and breaks when the kernel "
         "changes.  Discarded per-wait Timeouts should ride the pooled-timer "
         "or bare-callback fast lanes, a sub-step awaited on the spot "

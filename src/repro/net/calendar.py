@@ -1,469 +1,22 @@
-"""Pluggable event schedulers: binary heap and calendar queue.
+"""Kernel-selection names kept for the benchmark harness.
 
-The environment's pending-event store is a *scheduler*: a total order
-over ``(time, priority, FIFO-counter)`` entries with ``push``-family
-operations, ``pop`` and ``peek``.  Two pure-python implementations live
-here —
-
-* :class:`HeapScheduler` — the classic global binary heap (``heapq``),
-  the seed kernel and the default;
-* :class:`CalendarScheduler` — a calendar queue [Brown 1988]: fixed-
-  width time buckets covering a near-future window, an unsorted
-  far-future overflow list, lazy per-bucket sorting, and automatic
-  width resize at window turnover.  Dispatch order is bit-identical to
-  the heap's (the same ``(time, priority, counter)`` total order), but
-  the common operations are O(1) list appends/pops instead of O(log n)
-  sift chains, which wins on both the small steady-state queues of the
-  paper experiments and the thousands-deep queues of population runs;
-
-plus the selection machinery (``REPRO_KERNEL`` / ``--kernel``, resolved
-lazily like ``REPRO_IPC``) and the optional compiled core: when the
-``repro.net._ckernel`` extension is built (``python setup.py
-build_ext --inplace``; best-effort, see ``setup.py``),
-``REPRO_KERNEL=compiled`` selects its C implementation of the calendar
-queue; otherwise the name falls back to this module's pure-python
-calendar, which remains the tested source of truth.
-
-Entry layout (shared by every scheduler, ordered by tuple comparison —
-the counter is unique, so payload slots are never compared):
-
-* ``(time, priority, counter, event, None)`` — dispatch ``event``;
-* ``(time, priority, counter, event, process)`` — direct resume of
-  ``process`` with the already-processed ``event`` (dropped if stale);
-* ``(time, priority, counter, callback)`` — fast lane: call the bare
-  callable, no Event machinery at all (note: a 4-tuple — the fast lane
-  does not pay for the ``None`` process slot).
+The simulator has one event kernel, the binary heap inside
+:class:`repro.net.env.Environment`.  ``perfbench/round.py`` records the
+kernel in every run's environment block through the two calls below.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from heapq import heappop, heappush
-from collections.abc import Callable
-from typing import TYPE_CHECKING
-
-from ..errors import ConfigError
-
-if TYPE_CHECKING:  # import cycle: env.py imports this module
-    from .simclock import SimClock
-
-__all__ = [
-    "CalendarScheduler",
-    "HeapScheduler",
-    "KERNELS",
-    "compiled_core",
-    "make_scheduler",
-    "resolve_kernel",
-    "set_default_kernel",
-]
-
-#: Valid ``REPRO_KERNEL`` / ``--kernel`` values.
-KERNELS = ("heapq", "calendar", "compiled")
-
-#: Process-wide default set by :func:`set_default_kernel` (the worker-
-#: side kernel pin shipped by the execution engine, and the CLI/Study
-#: ``--kernel`` override).  Checked before the environment variable.
-_DEFAULT_KERNEL: str | None = None
+__all__ = ["compiled_core", "resolve_kernel"]
 
 
-def set_default_kernel(kernel: str | None) -> str | None:
-    """Pin (or with ``None`` unpin) the process-wide default kernel.
-
-    Worker processes inherit their environment at fork time, so a
-    ``REPRO_KERNEL`` set in the parent after the shared pools forked
-    would silently not reach them; the engines instead resolve the
-    kernel parent-side and ship the name with each work unit, pinning
-    it here before the unit runs.  Returns the previous value so
-    scoped overrides can restore it.
-    """
-    global _DEFAULT_KERNEL
-    previous = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = kernel
-    return previous
+# perfbench/round.py reads this; removing it breaks every benchmark round.
+def resolve_kernel() -> str:
+    """The event kernel's name."""
+    return "heapq"
 
 
-def resolve_kernel(kernel: str | None = None) -> str:
-    """Turn a ``--kernel`` / ``REPRO_KERNEL``-style value into a name.
-
-    ``None`` consults the process-wide default, then ``REPRO_KERNEL``;
-    unset means ``"heapq"`` (the seed kernel stays the default until
-    calendar parity is proven in production use).  ``"compiled"``
-    degrades to ``"calendar"`` when the extension is not built — the
-    selection is best-effort by contract, like the ipc backend.
-    """
-    if kernel is None:
-        kernel = _DEFAULT_KERNEL or os.environ.get("REPRO_KERNEL") or "heapq"
-    token = str(kernel).strip().lower()
-    if token not in KERNELS:
-        raise ConfigError(
-            f"unknown kernel {token!r}; expected one of {', '.join(KERNELS)}"
-        )
-    if token == "compiled" and compiled_core() is None:
-        return "calendar"
-    return token
-
-
-def compiled_core() -> type | None:
-    """The compiled scheduler class, or ``None`` when not built."""
-    try:
-        from . import _ckernel  # type: ignore[attr-defined]
-    except ImportError:
-        return None
-    return _ckernel.CalendarScheduler
-
-
-def make_scheduler(kernel: str) -> HeapScheduler | CalendarScheduler:
-    """Instantiate the scheduler for a resolved kernel name."""
-    if kernel == "heapq":
-        return HeapScheduler()
-    if kernel == "calendar":
-        return CalendarScheduler()
-    if kernel == "compiled":
-        compiled = compiled_core()
-        if compiled is None:  # pragma: no cover - resolve_kernel degrades first
-            return CalendarScheduler()
-        return compiled()
-    raise ConfigError(f"unknown kernel {kernel!r}")  # pragma: no cover
-
-
-class HeapScheduler:
-    """The seed kernel's global binary heap, behind the scheduler API."""
-
-    __slots__ = ("_heap", "_counter", "_n")
-
-    kernel = "heapq"
-
-    def __init__(self) -> None:
-        self._heap: list[tuple] = []
-        self._counter = 0  # FIFO tie-breaker for co-timed entries
-        self._n = 0
-
-    def schedule(self, when: float, priority: int, event) -> None:
-        self._counter += 1
-        self._n += 1
-        heappush(self._heap, (when, priority, self._counter, event, None))
-
-    def schedule_resume(self, when: float, priority: int, event, process) -> None:
-        self._counter += 1
-        self._n += 1
-        heappush(self._heap, (when, priority, self._counter, event, process))
-
-    def schedule_callback(self, when: float, priority: int, callback) -> None:
-        self._counter += 1
-        self._n += 1
-        heappush(self._heap, (when, priority, self._counter, callback))
-
-    def pop(self) -> tuple:
-        self._n -= 1
-        return heappop(self._heap)
-
-    def peek(self) -> float:
-        return self._heap[0][0] if self._heap else math.inf
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __bool__(self) -> bool:
-        return self._n > 0
-
-
-#: Calendar geometry: bucket count is fixed; the *width* adapts.  512
-#: buckets keeps the near-window array cache-friendly while giving the
-#: width policy enough room to spread a full window at ~O(1) events per
-#: bucket.
-_NBUCKETS = 512
-
-#: Width policy cap: at window turnover the overflow's observed span
-#: spreads at ~1 entry per bucket (Brown's average-gap estimate), but
-#: over at most half the buckets (the other half absorbs events
-#: scheduled *during* the window), floored so a window always advances.
-_SPREAD_FRACTION = _NBUCKETS // 2
-
-
-class CalendarScheduler:
-    """A calendar queue with lazy-sorted buckets and a far overflow.
-
-    Geometry: ``_NBUCKETS`` fixed-width buckets cover the near window
-    ``[base, base + nbuckets * width)``; entries beyond it accumulate
-    unsorted in ``_far``.  Buckets are plain lists: a push is an
-    ``append`` that marks the bucket dirty, and the first pop from a
-    dirty bucket sorts it *descending* once so subsequent pops are
-    O(1) ``list.pop()`` from the end.  Simulated time is monotonic, so
-    a cursor walks the buckets left to right; when the window is
-    exhausted the queue *rebases*: the far list is scanned once for its
-    span, the width is resized to spread that span at ~2 entries per
-    bucket (the "automatic resize"), and the far entries are dealt into
-    the new window.
-
-    Ordering is exactly the heap's: the bucket index is a monotonic
-    function of time (equal times share a bucket), so cross-bucket
-    order is strict time order and the in-bucket sort settles
-    ``(priority, counter)`` ties.  Late entries that land *behind* the
-    cursor (possible only after a rebase moved ``base`` past ``now``)
-    are clamped into the cursor bucket, where the sort restores their
-    place — every entry behind the cursor is, by construction, earlier
-    than everything still queued.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_dirty",
-        "_base",
-        "_width",
-        "_inv_width",
-        "_cursor",
-        "_far",
-        "_far_min",
-        "_counter",
-        "_n",
-    )
-
-    kernel = "calendar"
-
-    def __init__(self, width: float = 0.001) -> None:
-        if width <= 0:
-            raise ConfigError(f"bucket width must be positive, got {width}")
-        self._buckets: list[list[tuple]] = [[] for _ in range(_NBUCKETS)]
-        self._dirty = [False] * _NBUCKETS
-        self._base = 0.0
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._cursor = 0
-        self._far: list[tuple] = []
-        self._far_min = math.inf
-        self._counter = 0
-        self._n = 0
-
-    # -- scheduling -------------------------------------------------------
-    #
-    # The three entry points duplicate the insert arithmetic on purpose:
-    # they are the kernel's hottest few lines, and a shared _insert would
-    # cost one extra Python call per scheduled event.
-
-    def schedule(self, when: float, priority: int, event) -> None:
-        self._counter = counter = self._counter + 1
-        self._n += 1
-        offset = (when - self._base) * self._inv_width
-        if offset < _NBUCKETS:
-            # A (rare) entry behind the cursor — or behind the window
-            # base entirely, possible after a run(until=...) boundary
-            # left base past now — is earlier than everything still
-            # queued: clamp into the cursor bucket, whose sort restores
-            # its place (int() on a negative offset truncates toward
-            # zero, so the clamp below catches every behind-base case).
-            # The float comparison also routes +inf times to the far
-            # list instead of overflowing int().
-            index = int(offset)
-            if index < self._cursor:
-                index = self._cursor
-            self._buckets[index].append((when, priority, counter, event, None))
-            self._dirty[index] = True
-        else:
-            self._far.append((when, priority, counter, event, None))
-            if when < self._far_min:
-                self._far_min = when
-
-    def schedule_resume(self, when: float, priority: int, event, process) -> None:
-        self._counter = counter = self._counter + 1
-        self._n += 1
-        offset = (when - self._base) * self._inv_width
-        if offset < _NBUCKETS:
-            index = int(offset)
-            if index < self._cursor:
-                index = self._cursor
-            self._buckets[index].append(
-                (when, priority, counter, event, process)
-            )
-            self._dirty[index] = True
-        else:
-            self._far.append((when, priority, counter, event, process))
-            if when < self._far_min:
-                self._far_min = when
-
-    def schedule_callback(self, when: float, priority: int, callback) -> None:
-        self._counter = counter = self._counter + 1
-        self._n += 1
-        offset = (when - self._base) * self._inv_width
-        if offset < _NBUCKETS:
-            index = int(offset)
-            if index < self._cursor:
-                index = self._cursor
-            self._buckets[index].append((when, priority, counter, callback))
-            self._dirty[index] = True
-        else:
-            self._far.append((when, priority, counter, callback))
-            if when < self._far_min:
-                self._far_min = when
-
-    def make_call_later(
-        self,
-        clock: SimClock,
-        priority: int,
-        clock_error: type[Exception],
-    ) -> Callable[[float, Callable[[], None]], None]:
-        """A bound ``call_later(delay, callback)`` for ``clock``.
-
-        The environment installs this closure as its instance-level
-        ``call_later`` when this scheduler is active: the fast lane's
-        push then costs one call frame instead of two, with the insert
-        arithmetic from :meth:`schedule_callback` inlined against
-        captured state.  ``_buckets`` and ``_dirty`` are captured as
-        list objects (never replaced, only mutated); ``_far`` is
-        re-read each push because :meth:`_rebase` swaps it.
-        """
-        scheduler = self
-        buckets = self._buckets
-        dirty = self._dirty
-
-        def call_later(delay: float, callback: Callable[[], None]) -> None:
-            if delay < 0:
-                raise clock_error(
-                    f"cannot schedule a callback {delay} seconds in the past"
-                )
-            when = clock._now + delay
-            scheduler._counter = counter = scheduler._counter + 1
-            scheduler._n += 1
-            offset = (when - scheduler._base) * scheduler._inv_width
-            if offset < _NBUCKETS:
-                index = int(offset)
-                if index < scheduler._cursor:
-                    index = scheduler._cursor
-                buckets[index].append((when, priority, counter, callback))
-                dirty[index] = True
-            else:
-                scheduler._far.append((when, priority, counter, callback))
-                if when < scheduler._far_min:
-                    scheduler._far_min = when
-
-        return call_later
-
-    # -- dequeue ----------------------------------------------------------
-
-    def pop(self) -> tuple:
-        # Common case inlined: the cursor bucket is non-empty and clean
-        # (steady-state dispatch pops several entries per sort), so no
-        # _advance call is paid.
-        cursor = self._cursor
-        bucket = self._buckets[cursor]
-        if bucket:
-            if self._dirty[cursor]:
-                bucket.sort(reverse=True)
-                self._dirty[cursor] = False
-            self._n -= 1
-            return bucket.pop()
-        bucket = self._advance()
-        self._n -= 1
-        return bucket.pop()
-
-    def peek(self) -> float:
-        if self._n == 0:
-            return math.inf
-        if self._n == len(self._far):
-            # Everything pending is beyond the window; its minimum is
-            # maintained incrementally, so no rebase is needed to peek.
-            return self._far_min
-        return self._advance()[-1][0]
-
-    def _advance(self) -> list[tuple]:
-        """The list to pop from, sorted, guaranteed non-empty.
-
-        Walks the cursor over empty buckets; when the window is
-        exhausted, rebases onto the far list — except in the degenerate
-        all-infinite case, where the far list itself is served.
-        Callers guarantee the queue is non-empty.
-        """
-        buckets = self._buckets
-        dirty = self._dirty
-        index = self._cursor
-        while True:
-            bucket = buckets[index]
-            if bucket:
-                self._cursor = index
-                if dirty[index]:
-                    # Descending, so pops take from the end: the sort
-                    # compares (time, priority, counter) and never
-                    # reaches the payload (counters are unique).
-                    bucket.sort(reverse=True)
-                    dirty[index] = False
-                return bucket
-            index += 1
-            if index >= _NBUCKETS:
-                far = self._far
-                if not far:
-                    raise IndexError("pop from an empty scheduler")
-                if self._far_min == math.inf:
-                    # Degenerate but legal: every pending entry is at
-                    # +inf (e.g. a timeout(inf) sentinel).  Dealing them
-                    # into a bucket would be wrong: the window's base
-                    # would have to sit past every finite float, sending
-                    # later finite pushes to the far list *behind* the
-                    # already-bucketed infs.  Instead the far list is
-                    # served directly — the window (base, width, cursor)
-                    # is left untouched, so a finite push still lands in
-                    # a bucket and the next walk finds it first, and inf
-                    # pushes append here where the sort keeps the exact
-                    # (priority, counter) heap order.
-                    far.sort(reverse=True)
-                    return far
-                self._rebase()
-                index = self._cursor
-
-    def _rebase(self) -> None:
-        """Advance the window onto the far-future overflow.
-
-        One pass over the far list finds its span; the width resizes so
-        the span spreads over half the window (clamped so a window is
-        never narrower than float resolution around its base), then the
-        entries are dealt into buckets — still-too-far ones stay in the
-        overflow for the next turnover.
-        """
-        far = self._far
-        # _advance guarantees far is non-empty with a finite minimum
-        # (the all-inf case is served in place, never rebased).
-        base = self._far_min
-        latest = max(entry[0] for entry in far)
-        span = latest - base
-        if math.isfinite(span) and span > 0.0:
-            # Brown's width estimate: spread the span at ~1 entry per
-            # bucket.  For sparse overflows (a periodic workload's idle
-            # gaps) this makes the width the *average inter-event gap*,
-            # so the cursor walk crosses O(1) empty buckets per event;
-            # dense overflows cap at the spread fraction as before.
-            # Width never affects order, only walk cost.
-            spread = len(far)
-            if spread > _SPREAD_FRACTION:
-                spread = _SPREAD_FRACTION
-            width = span / spread
-        else:
-            width = self._width
-        # Floor: buckets narrower than the float spacing at `base` would
-        # strand equal-index entries forever behind huge indices.
-        minimum = math.ulp(base) * 4.0 if base > 0.0 else 1e-12
-        if width < minimum:
-            width = minimum
-        self._base = base
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._cursor = 0
-        self._far = []
-        self._far_min = math.inf
-        buckets = self._buckets
-        dirty = self._dirty
-        inv_width = self._inv_width
-        for entry in far:
-            offset = (entry[0] - base) * inv_width
-            if offset < _NBUCKETS:  # float compare first: +inf stays far
-                index = int(offset)
-                buckets[index].append(entry)
-                dirty[index] = True
-            else:
-                self._far.append(entry)
-                if entry[0] < self._far_min:
-                    self._far_min = entry[0]
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __bool__(self) -> bool:
-        return self._n > 0
+# perfbench/round.py reads this; removing it breaks every benchmark round.
+def compiled_core() -> None:
+    """There is no compiled core."""
+    return None

@@ -40,8 +40,8 @@ from .events import Event
 #: arithmetic to one vectorized numpy pass (settlement, allocation, and
 #: completion scheduling).  Below the threshold the scalar code runs so
 #: small experiments keep their historical bit-exact outputs; the two
-#: paths agree to float rounding (reduction order differs), and every
-#: kernel runs the same path for a given flow count.
+#: paths agree to float rounding (reduction order differs), and the
+#: path taken depends on the flow count alone.
 _VECTOR_THRESHOLD = 8
 
 

@@ -19,7 +19,7 @@ exists:
 :class:`~repro.rng.RngFactory` streams, and :func:`schedule_churn`
 registers the timer processes on the shared environment.  The timeline
 is data — the same ``(seed, spec)`` pair yields the same events on
-every backend and kernel.
+every backend.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ CDN underneath them.  The result is a plain
 :class:`~repro.ext.multi_client.MultiClientResult`, so the whole
 population rides the existing :class:`~repro.ext.population`
 machinery — dense arena rows, side records, byte-identical batches on
-every backend and kernel — without a new collection path.
+every backend — without a new collection path.
 
 Adaptive-bitrate clients run :class:`~repro.ext.adaptive.
 AdaptiveSimDriver` inside the shared world; their outcomes are folded

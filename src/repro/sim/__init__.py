@@ -26,8 +26,7 @@ the paper, as code:
   (:class:`~repro.sim.campaign.OutcomeBatch`);
 * :mod:`repro.sim.shm` — shared-memory result collection for the
   process backends: workers write dense outcome columns into an arena
-  in place, only the ragged/string remainder rides the pool pipe
-  (``REPRO_IPC=pickle|shm`` selects; byte-identical either way).
+  in place, only the ragged/string remainder rides the pool pipe.
 """
 
 from .profiles import (
@@ -51,10 +50,8 @@ from .execution import (
     TrialSpec,
     WorkSpec,
     resolve_engine,
-    run_trial,
-    run_unit,
 )
-from .shm import OutcomeArena, SideRecord, TrialCollection, collect_trials, resolve_ipc
+from .shm import OutcomeArena, SideRecord, TrialCollection, collect_trials
 from .campaign import Campaign, OutcomeBatch
 from .runner import TrialRunner, TrialResult
 
@@ -63,7 +60,6 @@ __all__ = [
     "SideRecord",
     "TrialCollection",
     "collect_trials",
-    "resolve_ipc",
     "DriverFactory",
     "MPTCPLikeSpec",
     "MSPlayerSpec",
@@ -74,8 +70,6 @@ __all__ = [
     "TrialSpec",
     "WorkSpec",
     "resolve_engine",
-    "run_trial",
-    "run_unit",
     "InterfaceProfile",
     "NetworkProfile",
     "testbed_profile",

@@ -17,17 +17,16 @@ Backends:
   machine that silently falls back to serial when a spec cannot be
   pickled (e.g. a hand-written closure factory).
 
-Result collection (process backends) is pluggable too: the default
-``shm`` path has workers write each trial's dense scalar columns
-directly into a ``multiprocessing.shared_memory`` arena at their trial
-row index, with only the ragged/string remainder pickled back through
-the pool pipe (see :mod:`repro.sim.shm`); ``REPRO_IPC=pickle`` (or
-``ProcessEngine(ipc="pickle")``) restores full-outcome pickling.
+Result collection on the process backend goes through shared memory:
+workers write each trial's dense scalar columns directly into a
+``multiprocessing.shared_memory`` arena at their trial row index, with
+only the ragged/string remainder pickled back through the pool pipe
+(see :mod:`repro.sim.shm`).
 
 Determinism is the acceptance bar: ``engine.map(specs)`` returns
 outcomes in spec order, and every trial derives its randomness from its
 own seed, so parallel results are byte-identical to serial ones for the
-same root seed — whatever the IPC mode.  Select a backend with
+same root seed.  Select a backend with
 ``TrialRunner(jobs=...)``, ``repro experiment --jobs N``, or the
 ``REPRO_JOBS`` environment variable (``N``, ``auto``, or ``serial``).
 
@@ -52,7 +51,6 @@ from typing import ClassVar, Protocol, runtime_checkable
 
 from ..core.config import PlayerConfig
 from ..errors import ConfigError
-from ..net.calendar import resolve_kernel, set_default_kernel
 from .driver import MSPlayerDriver, SessionOutcome
 from .profiles import NetworkProfile
 from .scenario import Scenario, ScenarioConfig
@@ -64,7 +62,6 @@ from .shm import (
     TrialCollection,
     encode_side,
     rebuild_outcomes,
-    resolve_ipc,
 )
 from .singlepath import HTML5_CHUNK, SinglePathDriver
 
@@ -214,11 +211,6 @@ class TrialSpec:
         return rebuild_outcomes(dense, sides)
 
 
-def run_trial(spec: TrialSpec) -> SessionOutcome:
-    """Execute one trial start to finish (kept for direct callers)."""
-    return spec.run()
-
-
 #: Worker-side arena attachment cache, keyed by segment name.  A worker
 #: serves one campaign at a time, so a task naming a new arena means the
 #: cached ones belong to finished (already unlinked) campaigns — close
@@ -237,27 +229,10 @@ def _attached_arena(name: str, rows: int, columns: ColumnLayout) -> OutcomeArena
     return arena
 
 
-def run_unit(spec: WorkSpec) -> object:
-    """Execute one work unit (the pickle-path pool entry point)."""
-    return spec.run()
-
-
-def _run_scoped(kernel: str, fn: Callable[[object], object], item: object) -> object:
-    """Worker-side wrapper pinning the parent's event-kernel choice.
-
-    Worker pools are cached across campaigns and fork with whatever
-    environment the *first* campaign saw, so ``REPRO_KERNEL`` cannot be
-    trusted inside a worker — the parent resolves the kernel and ships
-    it with every task instead.
-    """
-    set_default_kernel(kernel)
-    return fn(item)
-
-
 def run_unit_into_arena(
     arena_name: str, rows: int, item: tuple[int, WorkSpec]
 ) -> object:
-    """The shm-path work unit: run the spec, store its dense scalars
+    """The pool work unit: run the spec, store its dense scalars
     at its row of the shared arena (whose layout the spec kind
     declares), return only the ragged/string remainder through the
     pool pipe."""
@@ -266,14 +241,6 @@ def run_unit_into_arena(
     arena = _attached_arena(arena_name, rows, spec.dense_columns)
     spec.write_dense(arena, index, result)
     return spec.encode_side(result)
-
-
-def run_trial_into_arena(
-    arena_name: str, rows: int, item: tuple[int, TrialSpec]
-) -> SideRecord:
-    """Kept for direct callers; :func:`run_unit_into_arena` is the
-    engine's generic entry point."""
-    return run_unit_into_arena(arena_name, rows, item)
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +312,18 @@ class ProcessEngine:
     pointer at the declarative specs, so the misconfiguration is loud.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        fallback_to_serial: bool = False,
-        ipc: str | None = None,
-    ) -> None:
+    def __init__(self, jobs: int | None = None, fallback_to_serial: bool = False) -> None:
         self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.fallback_to_serial = fallback_to_serial
         self.name = "auto" if fallback_to_serial else "process"
-        #: Result collection mode: "shm" (default — dense columns via a
-        #: shared-memory arena) or "pickle" (full outcomes through the
-        #: pool pipe).  ``None`` consults ``REPRO_IPC``.
-        self.ipc = resolve_ipc(ipc)
 
     def map(self, specs: Sequence[WorkSpec]) -> list:
         return self.collect(specs).outcomes
 
     def collect(self, specs: Sequence[WorkSpec]) -> TrialCollection:
-        """Run the batch; on the shm path, return it columnar.
+        """Run the batch; on the pool, return it columnar.
 
         The campaign layer assembles each label's batch straight from
         a columnar collection's dense arrays; result objects
@@ -399,11 +357,7 @@ class ProcessEngine:
         # overhead against tail latency from uneven trial durations.
         active = min(self.jobs, len(specs))
         chunksize = max(1, -(-len(specs) // (active * 4)))
-        if self.ipc == "pickle":
-            return TrialCollection(
-                outcomes=self._pool_map(run_unit, specs, chunksize)
-            )
-        # shm path: the parent sizes the arena from the spec count (and
+        # The parent sizes the arena from the spec count (and
         # the spec kind's column layout), the workers write dense rows
         # in place, and only the side records come back through the
         # pipe.  The arena is destroyed (closed + unlinked) in the
@@ -434,7 +388,6 @@ class ProcessEngine:
         # The pool is sized (and keyed) by self.jobs, not the batch:
         # idle workers are harmless, and campaigns with varying trial
         # counts then reuse one pool instead of forking per count.
-        fn = partial(_run_scoped, resolve_kernel(), fn)
         try:
             pool = _shared_pool(self.jobs)
             return list(pool.map(fn, items, chunksize=chunksize))
@@ -453,7 +406,7 @@ class ProcessEngine:
                 raise
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessEngine(jobs={self.jobs}, name={self.name!r}, ipc={self.ipc!r})"
+        return f"ProcessEngine(jobs={self.jobs}, name={self.name!r})"
 
 
 def resolve_engine(jobs: int | str | ExecutionEngine | None = None) -> ExecutionEngine:

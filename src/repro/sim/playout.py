@@ -75,13 +75,20 @@ class PlayoutClock:
         if self.finished.triggered:
             return
         self.stop_reason = reason
-        self.finished.succeed(reason)
         if self._ticking:
+            self.finished.succeed(reason)
             return  # this tick is the last
         self._catch_up(self.env.now)
+        # The ticker still ran the tick it had queued, then stopped.  One
+        # due now was queued before the finish, so it runs before
+        # ``finished`` is processed.
+        due_now = self._next <= self.env.now
+        if due_now:
+            self.env.call_at(self._next, self._wake)
+        self.finished.succeed(reason)
         self.open_gates()
-        # The ticker still ran the tick it had queued, then stopped.
-        self.env.call_at(self._next, self._wake)
+        if not due_now:
+            self.env.call_at(self._next, self._wake)
 
     def _timeout(self) -> None:
         if self.finished.triggered:

@@ -1,11 +1,10 @@
 """Shared-memory outcome collection for campaign trials.
 
-The process execution backend used to return every trial's full
-:class:`~repro.sim.driver.SessionOutcome` through the pool's result
-pipe: a deep pickle of the outcome, its :class:`~repro.core.metrics.
-QoEMetrics`, and every ``StallEvent`` / ``RebufferCycle`` inside — per
-trial — which the parent then unpickled back into an object graph only
-to transpose it into the columnar
+The process execution backend does not pickle whole
+:class:`~repro.sim.driver.SessionOutcome` graphs (outcome, its
+:class:`~repro.core.metrics.QoEMetrics`, every ``StallEvent`` /
+``RebufferCycle``) back through the pool's result pipe only to
+transpose them into the columnar
 :class:`~repro.sim.campaign.OutcomeBatch`.  This module splits that
 round trip along the batch's own layout:
 
@@ -44,12 +43,10 @@ the columns out and calls ``destroy`` (close + unlink) in a
 breaks the fresh-pool retry too — cannot leak ``/dev/shm`` segments or
 provoke ``resource_tracker`` leak warnings.
 
-Backend selection: the shm path is the default for the process engine;
-``REPRO_IPC=pickle`` (or ``ProcessEngine(ipc="pickle")``, or
-``repro experiment --ipc pickle``) restores the classic full-pickle
-collection.  Both paths are byte-identical for the same root seed — the
-test wall in ``tests/test_sim_shm.py`` /
-``tests/test_sim_campaign_properties.py`` holds them to it.
+This is the process engine's only collection path, and it is
+byte-identical to a serial run for the same root seed — the test wall
+in ``tests/test_sim_shm.py`` / ``tests/test_sim_campaign_properties.py``
+holds it to that.
 """
 
 from __future__ import annotations
@@ -104,20 +101,10 @@ def _row_bytes(columns: ColumnLayout) -> int:
     return sum(np.dtype(dtype).itemsize for _name, dtype in columns)
 
 
-def resolve_ipc(ipc: str | None = None) -> str:
-    """Turn an ``--ipc`` / ``REPRO_IPC``-style value into a backend name.
-
-    ``None`` consults ``REPRO_IPC``; unset means ``"shm"`` (the
-    default).  Only ``"pickle"`` and ``"shm"`` are valid.
-    """
-    if ipc is None:
-        ipc = os.environ.get("REPRO_IPC") or "shm"
-    token = str(ipc).strip().lower()
-    if token not in ("pickle", "shm"):
-        raise ConfigError(
-            f"unknown ipc mode {token!r}; expected 'pickle' or 'shm'"
-        )
-    return token
+# perfbench/round.py reads this; removing it breaks every benchmark round.
+def resolve_ipc() -> str:
+    """The process engine's one collection mode."""
+    return "shm"
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +374,7 @@ def rebuild_outcomes(
 class TrialCollection:
     """An engine's collected work units: result objects, maybe columnar.
 
-    The pickle/serial paths carry ``outcomes`` only.  The shm path
+    The serial path carries ``outcomes`` only.  The shm path
     carries ``dense`` (arena column copies, spec order) and ``sides``
     (side records, spec order) and materializes result objects lazily
     — the campaign's analytics path assembles its batch straight from

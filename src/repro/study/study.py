@@ -33,8 +33,6 @@ preserves the column bits exactly.
 from __future__ import annotations
 
 import itertools
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any, cast
@@ -42,7 +40,6 @@ from typing import TYPE_CHECKING, Any, cast
 import numpy as np
 
 from ..errors import ConfigError
-from ..net.calendar import resolve_kernel, set_default_kernel
 from ..sim.campaign import run_together
 from ..sim.execution import ExecutionEngine, resolve_engine
 from .registry import ExperimentDef, get_experiment
@@ -51,49 +48,6 @@ if TYPE_CHECKING:  # import cycle: cache.py imports this module lazily
     from .cache import CacheInfo, StudyCache
 
 __all__ = ["Study", "StudyCell", "StudyResult", "run_experiment"]
-
-
-@contextmanager
-def _ipc_override(ipc: str | None) -> Iterator[None]:
-    """Scope an ``--ipc``-style collection-mode override to one run.
-
-    The engines consult ``REPRO_IPC`` at construction, so the variable
-    is set before engine resolution and restored afterwards — in-process
-    callers never inherit the override (same contract the CLI has had
-    since the flag existed).
-    """
-    if ipc is None:
-        yield
-        return
-    previous = os.environ.get("REPRO_IPC")
-    os.environ["REPRO_IPC"] = ipc
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_IPC", None)
-        else:
-            os.environ["REPRO_IPC"] = previous
-
-
-@contextmanager
-def _kernel_override(kernel: str | None) -> Iterator[None]:
-    """Scope a ``--kernel``-style event-kernel override to one run.
-
-    Pins the in-process default (which every ``Environment()`` consults
-    before ``REPRO_KERNEL``) and restores it afterwards.  The process
-    backends re-pin per task from the parent's resolved kernel
-    (:func:`repro.sim.execution._run_scoped`), so the override reaches
-    cached worker pools too.
-    """
-    if kernel is None:
-        yield
-        return
-    previous = set_default_kernel(resolve_kernel(kernel))
-    try:
-        yield
-    finally:
-        set_default_kernel(previous)
 
 
 def _study_runner(
@@ -341,20 +295,15 @@ class Study:
     def run(
         self,
         jobs: int | str | ExecutionEngine | None = None,
-        ipc: str | None = None,
         engine: ExecutionEngine | None = None,
-        kernel: str | None = None,
         cache: "str | StudyCache | None" = None,
     ) -> StudyResult:
         """Execute every cell as one merged engine submission.
 
-        ``jobs``/``ipc`` take the usual values (``resolve_engine`` /
-        ``REPRO_IPC`` semantics); an explicit ``engine`` wins over
-        ``jobs``; ``kernel`` scopes an event-kernel override
-        (``REPRO_KERNEL`` semantics) to this run.  Cells are
+        ``jobs`` takes the usual values (``resolve_engine`` semantics);
+        an explicit ``engine`` wins over ``jobs``.  Cells are
         byte-identical to running each alone — the grid only changes
-        scheduling, never outcomes (and the kernels are dispatch-order
-        identical, so neither does the kernel).
+        scheduling, never outcomes.
 
         ``cache`` names a content-addressed cell cache directory (a
         :class:`~repro.study.cache.StudyCache` also works; ``None``
@@ -364,19 +313,19 @@ class Study:
         submits the delta cells — and every fresh cell is stored back.
         Cached and fresh cells are bit-identical (the archive round
         trip is exact), so the cache changes cost, never results.  The
-        cache key deliberately excludes the backend/ipc/kernel choice:
-        those are byte-identity-equivalent by the determinism wall, so
-        a cache written under one serves runs under any other.
+        cache key deliberately excludes the backend choice: backends are
+        byte-identity-equivalent by the determinism wall, so a cache
+        written under one serves runs under any other.
         Accounting lands in ``StudyResult.cache_info``.
 
         A *service* backend (``jobs="service"``, an engine exposing
         ``run_study`` — e.g. :class:`repro.serve.engine.ServiceEngine`)
         takes the whole study: the declarative description ships to a
         broker, a worker fleet executes the cells, and the reassembled
-        result is byte-identical to a local run.  The local ``cache``/
-        ``ipc``/``kernel`` knobs don't apply there — the broker owns
-        the cache and each worker its execution details (results are
-        invariant to both by the determinism wall).
+        result is byte-identical to a local run.  The local ``cache``
+        does not apply there — the broker owns the cache and each
+        worker its execution details (results are invariant to both by
+        the determinism wall).
         """
         from .cache import CacheInfo, code_fingerprint, resolve_cache
 
@@ -386,33 +335,32 @@ class Study:
         if delegated is not None:
             return delegated(self)
         study_cache = resolve_cache(cache)
-        with _ipc_override(ipc), _kernel_override(kernel):
-            cell_overrides = self.cells()
-            plans = []
-            cell_params = []
-            for overrides in cell_overrides:
-                params = dict(self.params)
-                params.update(overrides)
-                plans.append(self.definition.build(params))
-                cell_params.append(params)
-            cached: dict[int, StudyCell] = {}
-            fingerprint = "" if study_cache is None else code_fingerprint()
-            if study_cache is not None:
-                for index, params in enumerate(cell_params):
-                    hit = study_cache.lookup(self.definition, params, fingerprint)
-                    if hit is not None:
-                        cached[index] = hit
-            if engine is None and len(cached) < len(plans):
-                # Lazy on purpose: a fully-cached run must not consult
-                # REPRO_JOBS at all.  That also means REPRO_JOBS=service
-                # only reaches the broker when there is work to ship.
-                engine = resolve_engine(jobs)
-                delegated = _study_runner(engine)
-                if delegated is not None:
-                    return delegated(self)
-            per_cell = run_together(
-                [plan.campaign for plan in plans], engine, skip=cached.keys()
-            )
+        cell_overrides = self.cells()
+        plans = []
+        cell_params = []
+        for overrides in cell_overrides:
+            params = dict(self.params)
+            params.update(overrides)
+            plans.append(self.definition.build(params))
+            cell_params.append(params)
+        cached: dict[int, StudyCell] = {}
+        fingerprint = "" if study_cache is None else code_fingerprint()
+        if study_cache is not None:
+            for index, params in enumerate(cell_params):
+                hit = study_cache.lookup(self.definition, params, fingerprint)
+                if hit is not None:
+                    cached[index] = hit
+        if engine is None and len(cached) < len(plans):
+            # Lazy on purpose: a fully-cached run must not consult
+            # REPRO_JOBS at all.  That also means REPRO_JOBS=service
+            # only reaches the broker when there is work to ship.
+            engine = resolve_engine(jobs)
+            delegated = _study_runner(engine)
+            if delegated is not None:
+                return delegated(self)
+        per_cell = run_together(
+            [plan.campaign for plan in plans], engine, skip=cached.keys()
+        )
         cells = []
         submitted = 0
         for index, (plan, results) in enumerate(zip(plans, per_cell, strict=True)):
@@ -458,8 +406,6 @@ class Study:
 def run_experiment(
     experiment_id: str,
     jobs: int | str | ExecutionEngine | None = None,
-    ipc: str | None = None,
-    kernel: str | None = None,
     cache: "str | StudyCache | None" = None,
     **params: Any,
 ):
@@ -472,7 +418,7 @@ def run_experiment(
     """
     return (
         Study(experiment_id, **params)
-        .run(jobs=jobs, ipc=ipc, kernel=kernel, cache=cache)
+        .run(jobs=jobs, cache=cache)
         .only()
         .result
     )

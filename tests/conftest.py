@@ -7,17 +7,10 @@ import pytest
 
 from repro.core.config import PlayerConfig
 from repro.net.bandwidth import ConstantBandwidth
-from repro.net.calendar import KERNELS, compiled_core
 from repro.net.env import Environment
 from repro.net.latency import ConstantLatency
 from repro.net.link import Link
 from repro.units import mbit
-
-#: Kernels actually runnable here ("compiled" only when built).
-BUILT_KERNELS = [
-    kernel for kernel in KERNELS if kernel != "compiled" or compiled_core() is not None
-]
-
 
 @pytest.fixture
 def env() -> Environment:
@@ -52,8 +45,8 @@ def latency() -> ConstantLatency:
 def assert_batches_identical(a, b) -> None:
     """Two OutcomeBatches hold bit-identical columns (dtypes included).
 
-    The acceptance bar for every collection path (serial, process-
-    pickle, process-shm) and both assembly paths (``from_outcomes``,
+    The acceptance bar for both collection paths (serial, process-
+    shm) and both assembly paths (``from_outcomes``,
     ``from_dense_and_sides``): not statistically close — the same bits.
     Delegates to ``OutcomeBatch.column_mismatches`` so the column
     enumeration and comparison semantics live in one place.

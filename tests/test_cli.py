@@ -70,11 +70,17 @@ class TestParser:
     def test_common_flags_exist_on_every_id(self):
         for key in experiment_ids():
             args = build_parser().parse_args(
-                ["experiment", key, "--jobs", "2", "--ipc", "shm",
-                 "--set", "seed=1", "--save", "out"]
+                ["experiment", key, "--jobs", "2", "--set", "seed=1", "--save", "out"]
             )
-            assert args.jobs == "2" and args.ipc == "shm"
+            assert args.jobs == "2"
             assert args.set == ["seed=1"] and args.save == "out"
+
+    @pytest.mark.parametrize("flag,value", [("--kernel", "calendar"), ("--ipc", "pickle")])
+    def test_retired_backend_flags_are_rejected(self, flag, value, capsys):
+        """One event kernel and one collection path: nothing to select."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "fig2", flag, value])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSchemaRejectionWall:
@@ -115,7 +121,7 @@ class TestHelpSnapshots:
         help_text = capsys.readouterr().out
         for param in get_experiment(experiment_id).schema:
             assert param.flag in help_text, (experiment_id, param.flag)
-        for common in ("--jobs", "--ipc", "--set", "--grid", "--save"):
+        for common in ("--jobs", "--set", "--grid", "--save"):
             assert common in help_text
 
     def test_experiment_overview_lists_ids(self, capsys):

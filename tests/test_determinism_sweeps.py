@@ -3,8 +3,8 @@
 PR-1/PR-2 pinned fig3/fig5/table1 to the serial path; this extends the
 wall to the x1 (robustness: scenario hooks, mixed profiles and root
 seeds in one campaign) and x2 (source diversity: walks rebuilt outcome
-objects for ``server_bytes``) experiments, parametrized over every
-collection path: serial, process-pickle, and process-shm.  "Identical"
+objects for ``server_bytes``) experiments, on both collection paths:
+serial and process-shm.  "Identical"
 means the rendered panel *and* the raw dict — the same bytes a paper
 figure is generated from.
 
@@ -29,11 +29,12 @@ from repro.sim.execution import ProcessEngine
 from repro.study import run_experiment
 from repro.units import KB
 
-#: jobs values for each collection path (engine instances pass through
-#: ``resolve_engine``); factories so each run gets a fresh engine.
+#: jobs values for the parallel collection path (engine instances pass
+#: through ``resolve_engine``); factories so each run gets a fresh engine.
 PARALLEL_BACKENDS = [
-    pytest.param(lambda: ProcessEngine(2, ipc="pickle"), id="process-pickle"),
-    pytest.param(lambda: ProcessEngine(2, ipc="shm"), id="process-shm"),
+    pytest.param(lambda: ProcessEngine(2), id="process-shm"),
+    # Three workers cut the specs into other chunks than two do.
+    pytest.param(lambda: ProcessEngine(3), id="process-shm-3"),
 ]
 
 
@@ -44,7 +45,7 @@ def _assert_experiments_identical(got, reference):
 
 
 class TestX1X2CrossBackend:
-    """x1/x2 byte-identical over serial / process-pickle / process-shm."""
+    """x1/x2 byte-identical over serial / process-shm."""
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_x1_robustness_matches_serial(self, make_jobs):
@@ -126,7 +127,7 @@ class TestPaperScaleSweeps:
 
 
 # ---------------------------------------------------------------------------
-# Event-kernel equality: REPRO_KERNEL must never change a single byte
+# Every registered experiment, serial against process
 # ---------------------------------------------------------------------------
 
 #: Small per-id overrides so the all-ten wall stays affordable; the
@@ -144,56 +145,28 @@ _MINI_PARAMS: dict[str, dict] = {
     "x6": {"replicates": 2, "clients": 4},
 }
 
-#: Kernels under test: the seed heapq is the reference; "compiled"
-#: resolves to the C core when built and degrades to the pure-python
-#: calendar otherwise (resolve_kernel semantics), so the leg is
-#: meaningful either way.
-SWEEP_KERNELS = ("calendar", "compiled")
+
+def _run_mini(experiment_id, jobs):
+    return run_experiment(experiment_id, jobs=jobs, **_MINI_PARAMS[experiment_id])
 
 
-def _run_mini(experiment_id, jobs, kernel=None):
-    return run_experiment(experiment_id, jobs=jobs, kernel=kernel, **_MINI_PARAMS[experiment_id])
-
-
-class TestKernelEquality:
-    """fig3/fig5/table1 minis: calendar == heapq, serial and process."""
+class TestMiniCrossBackend:
+    """The paper-figure minis on every tier-1 run; the slow wall below
+    runs every registered experiment."""
 
     @pytest.mark.parametrize("experiment_id", ["fig3", "fig5", "table1"])
-    @pytest.mark.parametrize("kernel", SWEEP_KERNELS)
-    def test_mini_serial(self, experiment_id, kernel):
-        reference = _run_mini(experiment_id, jobs="serial", kernel="heapq")
-        _assert_experiments_identical(
-            _run_mini(experiment_id, jobs="serial", kernel=kernel), reference
-        )
-
-    @pytest.mark.parametrize("experiment_id", ["fig3"])
-    def test_mini_process(self, experiment_id):
-        """The kernel pin must reach (possibly pre-forked, cached) pool
-        workers: the engines ship it per task, not via the environ."""
-        reference = _run_mini(experiment_id, jobs="serial", kernel="heapq")
-        _assert_experiments_identical(
-            _run_mini(experiment_id, jobs=ProcessEngine(2, ipc="shm"), kernel="calendar"),
-            reference,
-        )
+    def test_process(self, experiment_id):
+        reference = _run_mini(experiment_id, jobs="serial")
+        _assert_experiments_identical(_run_mini(experiment_id, jobs=ProcessEngine(2)), reference)
 
 
 @pytest.mark.slow
-class TestKernelEqualityAllExperiments:
-    """Every registered experiment, byte-identical across kernels on
-    both the serial and process backends."""
-
-    @pytest.mark.parametrize("experiment_id", sorted(_MINI_PARAMS))
-    @pytest.mark.parametrize("kernel", SWEEP_KERNELS)
-    def test_serial(self, experiment_id, kernel):
-        reference = _run_mini(experiment_id, jobs="serial", kernel="heapq")
-        _assert_experiments_identical(
-            _run_mini(experiment_id, jobs="serial", kernel=kernel), reference
-        )
+class TestAllExperimentsCrossBackend:
+    """Every registered experiment, byte-identical on the serial and
+    process backends."""
 
     @pytest.mark.parametrize("experiment_id", sorted(_MINI_PARAMS))
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_process(self, experiment_id, make_jobs):
-        reference = _run_mini(experiment_id, jobs="serial", kernel="heapq")
-        _assert_experiments_identical(
-            _run_mini(experiment_id, jobs=make_jobs(), kernel="calendar"), reference
-        )
+        reference = _run_mini(experiment_id, jobs="serial")
+        _assert_experiments_identical(_run_mini(experiment_id, jobs=make_jobs()), reference)

@@ -1,7 +1,7 @@
 """The cross-commit digest wall.
 
 Byte identity is checked everywhere *within* a commit (backends,
-kernels, IPC modes, cache, service); this file checks it *across*
+cache, service); this file checks it *across*
 commits.  ``golden_digests.json`` holds one blake2b digest per entry of
 ``CASES`` — every registered experiment at its smoke size plus two
 populations deep enough to share links — over the rendered text and
@@ -13,9 +13,6 @@ The digests were generated at the commit *before* the lazy link landed
 that moves results on purpose regenerates the file and says so::
 
     PYTHONPATH=src python tests/test_golden_digests.py
-
-The test runs on whatever kernel ``REPRO_KERNEL`` selects, so the
-``calendar`` and ``compiled`` CI legs hold the same digests as ``heapq``.
 """
 
 from __future__ import annotations

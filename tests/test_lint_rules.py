@@ -315,7 +315,7 @@ class TestKER001:
             """
             def cheat(env, event):
                 env._schedule_event(event)
-                return env._scheduler.pop()
+                return env._heap.pop()
             """,
         )
         ker = [f for f in findings if f.rule == "KER001"]
@@ -339,7 +339,7 @@ class TestKER001:
             "net/env.py",
             """
             def drive(self, event):
-                self._scheduler.schedule(0.0, 1, event)
+                self._schedule_event(event)
             """,
         )
         assert "KER001" not in rules_hit(findings)

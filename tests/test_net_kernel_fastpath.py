@@ -2,6 +2,9 @@
 
 These pin the microbehaviour the perf work must not change:
 
+* the heap's total order: time, then priority (urgent first), then
+  FIFO; ``+inf`` entries pend behind every finite one; ``run(until=)``
+  dispatches the boundary instant and nothing after it;
 * yielding an *already-processed* event resumes the process at the same
   timestamp with the event's original outcome (success and failure);
 * an interrupt racing that fast-path resume loses the same way it lost
@@ -11,11 +14,181 @@ These pin the microbehaviour the perf work must not change:
   timeline the per-exchange pacer process used to produce.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClockError, ConfigError, Interrupt
 from repro.net.bandwidth import ConstantBandwidth
+from repro.net.env import EmptySchedule, Environment
 from repro.net.link import Link
+
+
+class TestHeapOrdering:
+    def test_empty_queue_peeks_inf_and_refuses_to_step(self, env):
+        assert env.peek() == math.inf
+        with pytest.raises(EmptySchedule):
+            env.step()
+
+    def test_same_time_priority_then_fifo(self, env):
+        """At one instant, urgent entries (process starts) dispatch
+        before normal ones, and each priority class in schedule order."""
+        env.run(until=5.0)
+        order = []
+
+        def start(tag):
+            order.append(tag)
+            yield from ()
+
+        for index in range(20):
+            env.call_later(0.0, lambda index=index: order.append(("normal", index)))
+        for index in range(20):
+            env.process(start(("urgent", index)))
+        env.run()
+        assert order == [("urgent", i) for i in range(20)] + [("normal", i) for i in range(20)]
+        assert env.now == 5.0
+
+    def test_infinite_times_pend_behind_every_finite_entry(self, env):
+        fired = []
+        for index in range(3):
+            env.timeout(math.inf).callbacks.append(lambda _e, index=index: fired.append(index))
+        env.call_at(1.0, lambda: fired.append("soon"))
+        assert env.peek() == 1.0
+        env.run(until=1e300)
+        assert fired == ["soon"] and env.peek() == math.inf
+        env.run()
+        assert fired == ["soon", 0, 1, 2]
+
+    def test_run_until_dispatches_the_boundary_instant_only(self, env):
+        order = []
+        env.call_at(2.0, lambda: order.append(("at", env.now)))
+        env.call_at(2.5, lambda: order.append(("after", env.now)))
+        env.run(until=2.0)
+        assert order == [("at", 2.0)] and env.now == 2.0
+        # Scheduled after the boundary, due before the pending entry.
+        env.call_later(0.25, lambda: order.append(("late", env.now)))
+        env.run()
+        assert order == [("at", 2.0), ("late", 2.25), ("after", 2.5)]
+
+    def test_scheduled_count_counts_every_lane(self, env):
+        early = env.timeout(1.0)  # event lane
+        env.call_later(1.0, lambda: None)  # fast lane
+
+        def late(env):
+            yield env.pooled_timeout(2.0)  # pooled lane
+            yield early  # processed: the direct-resume lane
+
+        env.process(late(env))  # an urgent Initialize entry
+        env.run()
+        # + the resume entry and the process's own completion event
+        assert env.scheduled_count == 6
+
+    def test_far_future_entries_dispatch_in_time_order(self, env):
+        times = [1000.0 + i * 7.0 for i in range(50)]
+        fired = []
+        for when in reversed(times):
+            env.call_at(when, lambda: fired.append(env.now))
+        env.run()
+        assert fired == times
+
+    def test_infinite_entries_drain_in_schedule_order(self, env):
+        fired = []
+        for index in range(5):
+            env.timeout(math.inf).callbacks.append(lambda _e, index=index: fired.append(index))
+        assert env.peek() == math.inf
+        env.run()
+        assert fired == [0, 1, 2, 3, 4]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        times=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 1.0, 999.0, math.inf]),
+                st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+            ),
+            max_size=60,
+        )
+    )
+    def test_dispatch_is_a_stable_sort_by_time(self, times):
+        env = Environment()
+        order = []
+        for index, when in enumerate(times):
+            env.call_at(when, lambda index=index: order.append(index))
+        env.run()
+        assert order == sorted(range(len(times)), key=times.__getitem__)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("push"),
+                    st.one_of(
+                        st.sampled_from([0.0, 0.0, 1e-12, 0.5, 1.0, 1.0, 999.0, 1e6]),
+                        st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+                    ),
+                    st.sampled_from(["event", "callback"]),
+                ),
+                st.tuples(st.just("step")),
+            ),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    def test_scheduling_while_dispatching_matches_a_sorted_reference(self, ops):
+        """Entries pushed relative to the last dispatch (as a running
+        environment pushes them), on the event and fast lanes, pop in
+        ``(time, schedule order)`` — the order of a sorted list."""
+        env = Environment()
+        dispatched, expected, pending = [], [], []
+        for op in ops:
+            if op[0] == "push":
+                _push, delay, lane = op
+                token = len(pending) + len(expected)
+                if lane == "event":
+                    env.timeout(delay).callbacks.append(
+                        lambda _e, token=token: dispatched.append(token)
+                    )
+                else:
+                    env.call_at(env.now + delay, lambda token=token: dispatched.append(token))
+                pending.append((env.now + delay, token))
+            elif pending:
+                pending.sort()
+                expected.append(pending.pop(0)[1])
+                env.step()
+        env.run()
+        assert dispatched == expected + [token for _when, token in sorted(pending)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        first=st.floats(min_value=0.0, max_value=10.0),
+        far=st.floats(min_value=100.0, max_value=1e6),
+        boundary=st.floats(min_value=10.0, max_value=99.0),
+        late_delay=st.floats(min_value=0.0, max_value=500.0),
+    )
+    def test_entries_scheduled_after_a_run_boundary_keep_time_order(
+        self, first, far, boundary, late_delay
+    ):
+        env = Environment()
+        order = []
+        env.call_at(first, lambda: order.append(("first", env.now)))
+        env.call_at(far, lambda: order.append(("far", env.now)))
+        env.call_at(far * 2.0, lambda: order.append(("farther", env.now)))
+        env.run(until=boundary)
+        assert order == [("first", first)] and env.now == boundary
+        env.call_later(late_delay, lambda: order.append(("late", env.now)))
+        env.run()
+        expected = sorted(
+            [
+                (first, 0, "first"),
+                (far, 1, "far"),
+                (far * 2.0, 2, "farther"),
+                (boundary + late_delay, 3, "late"),
+            ]
+        )
+        assert order == [(name, when) for when, _index, name in expected]
 
 
 class TestSlots:

@@ -27,7 +27,6 @@ from repro.net.bandwidth import (
 from repro.net.env import Environment
 from repro.net.link import Link
 
-from conftest import BUILT_KERNELS
 from eager_link import EagerLink
 
 
@@ -45,16 +44,33 @@ def _markov(seed: int) -> MarkovBandwidth:
     return MarkovBandwidth([(2.0e6, 0.8), (4.0e5, 0.3), (1.0e6, 0.5)], rng=_generator(seed, 1))
 
 
+def _trace(loop: bool) -> TraceBandwidth:
+    return TraceBandwidth([(0.3, 1.0e6), (0.7, 2.0e5), (1.1, 3.0e6)], loop=loop)
+
+
 #: name -> factory(seed) of a fresh bandwidth process; two calls with
 #: one seed yield the same segment stream.
 PROCESSES = {
     "constant": lambda seed: ConstantBandwidth(1.0e6),
+    # Boundaries every accumulated 0.1 s: near, but mostly not on, the
+    # schedules' 1/10 s instants.
+    "constant-tenth": lambda seed: ConstantBandwidth(1.0e6, segment_duration=0.1),
     "ar": _ar,
-    "markov": _markov,
-    "composite": lambda seed: CompositeBandwidth(_ar(seed), _markov(seed)),
-    "trace": lambda seed: TraceBandwidth(
-        [(0.3, 1.0e6), (0.7, 2.0e5), (1.1, 3.0e6)], loop=False
+    # A binary interval: boundaries land exactly on schedule instants.
+    "ar-quarter": lambda seed: ARLogNormalBandwidth(
+        1.5e6, sigma=0.8, rng=_generator(seed, 2), rho=0.3, interval=0.25
     ),
+    "markov": _markov,
+    "markov-chain": lambda seed: MarkovBandwidth(
+        [(2.0e6, 0.4), (1.0e5, 0.2), (8.0e5, 0.6)],
+        rng=_generator(seed, 3),
+        transitions=[[0.0, 0.5, 0.5], [0.9, 0.0, 0.1], [0.3, 0.7, 0.0]],
+        initial_state=1,
+    ),
+    "composite": lambda seed: CompositeBandwidth(_ar(seed), _markov(seed)),
+    "composite-trace": lambda seed: CompositeBandwidth(_trace(loop=True), _ar(seed)),
+    "trace": lambda seed: _trace(loop=False),
+    "trace-looped": lambda seed: _trace(loop=True),
 }
 
 # -- schedules ---------------------------------------------------------------
@@ -136,7 +152,7 @@ def _apply(env, link, flows, log, op, read_rates):
     log.append(("state", kind, env.now, state))
 
 
-def _replay(link_class, process, kernel, schedule, drive):
+def _replay(link_class, process, schedule, drive):
     """Run ``schedule`` against one link; return everything observable.
 
     ``drive="outside"`` stops the clock at each instant (every event up
@@ -149,7 +165,7 @@ def _replay(link_class, process, kernel, schedule, drive):
     stepped); no byte moves in zero seconds, so capacity and rates are
     read from outside only and everything else must still agree.
     """
-    env = Environment(kernel=kernel)
+    env = Environment()
     link = link_class(env, process, name="wlan0")
     flows: list = []
     log: list = []
@@ -165,32 +181,32 @@ def _replay(link_class, process, kernel, schedule, drive):
     return log
 
 
-@pytest.mark.parametrize("kernel", BUILT_KERNELS)
 @pytest.mark.parametrize("drive", ["outside", "callbacks"])
 @pytest.mark.parametrize("process", sorted(PROCESSES))
 @settings(max_examples=40, deadline=None)
 @given(schedule=_schedules, seed=st.integers(min_value=0, max_value=2**20))
-def test_lazy_link_equals_the_eager_oracle(process, drive, kernel, schedule, seed):
+def test_lazy_link_equals_the_eager_oracle(process, drive, schedule, seed):
     make = PROCESSES[process]
-    lazy = _replay(Link, make(seed), kernel, schedule, drive)
-    eager = _replay(EagerLink, make(seed), kernel, schedule, drive)
+    lazy = _replay(Link, make(seed), schedule, drive)
+    eager = _replay(EagerLink, make(seed), schedule, drive)
     assert lazy == eager
 
 
 # -- the points the design rests on -----------------------------------------------
 
 
-def _boundary_calls(env):
-    """Record every ``call_at`` made on ``env`` (the boundary lane)."""
-    calls: list[float] = []
-    call_at = env.call_at
+class _RecordingEnvironment(Environment):
+    """Records every ``call_at`` instant (the boundary lane) in ``calls``."""
 
-    def recording_call_at(when, callback):
-        calls.append(when)
-        call_at(when, callback)
+    __slots__ = ("calls",)
 
-    env.call_at = recording_call_at
-    return calls
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[float] = []
+
+    def call_at(self, when, callback):
+        self.calls.append(when)
+        super().call_at(when, callback)
 
 
 class TestIdleLinksAreFree:
@@ -249,9 +265,16 @@ class TestIdleLinksAreFree:
 
 
 class TestBoundaries:
-    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
     @pytest.mark.parametrize("drive", ["outside", "callbacks"])
-    def test_a_flow_starting_exactly_on_a_boundary(self, kernel, drive):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: _ar(11), id="ar"),
+            # The same boundaries with no rate change across them.
+            pytest.param(lambda: ConstantBandwidth(1.5e6, segment_duration=0.3), id="constant"),
+        ],
+    )
+    def test_a_flow_starting_exactly_on_a_boundary(self, make, drive):
         # 0.3 accumulated twelve times is the eager process's 12th
         # wake-up float: 3.599999999999999, neither 3.6 nor 12 * 0.3.
         boundary = 0.0
@@ -259,14 +282,14 @@ class TestBoundaries:
             boundary = boundary + 0.3
         assert boundary != 3.6 and boundary != 12 * 0.3
         schedule = [("start", boundary, 6.0e5, math.inf, None), ("probe", boundary + 0.45)]
-        lazy = _replay(Link, _ar(11), kernel, schedule, drive)
-        eager = _replay(EagerLink, _ar(11), kernel, schedule, drive)
+        lazy = _replay(Link, make(), schedule, drive)
+        eager = _replay(EagerLink, make(), schedule, drive)
         assert lazy == eager
         assert any(entry[0] == "done" for entry in lazy)
 
     def test_boundaries_are_absolute_accumulated_floats(self):
-        env = Environment()
-        calls = _boundary_calls(env)
+        env = _RecordingEnvironment()
+        calls = env.calls
         link = Link(env, ConstantBandwidth(1.0e5, segment_duration=0.1))
         env.run(until=0.25)
         link.start_flow(1.0e5)
@@ -282,16 +305,16 @@ class TestBoundaries:
     def test_the_boundary_is_scheduled_at_its_own_float_not_now_plus_delay(self):
         end, start = 3.599999999999999, 1.4407255710555906
         assert start + (end - start) != end  # what call_later would land on
-        env = Environment()
-        calls = _boundary_calls(env)
+        env = _RecordingEnvironment()
+        calls = env.calls
         link = Link(env, ConstantBandwidth(1.0e5, segment_duration=end))
         env.run(until=start)
         link.start_flow(1.0e6)
         assert calls == [end]
 
     def test_drain_and_refill_inside_one_segment_keeps_one_chain(self):
-        env = Environment()
-        calls = _boundary_calls(env)
+        env = _RecordingEnvironment()
+        calls = env.calls
         link = Link(env, ConstantBandwidth(1.0e6))
         first = link.start_flow(1.0e5)
         env.run(until=0.5)
@@ -324,8 +347,8 @@ class TestBoundaries:
         assert lazy.bytes_carried == eager.bytes_carried
 
     def test_flows_stalled_on_a_down_link_keep_the_chain_alive(self):
-        env = Environment()
-        calls = _boundary_calls(env)
+        env = _RecordingEnvironment()
+        calls = env.calls
         link = Link(env, ConstantBandwidth(1.0e6))
         flow = link.start_flow(1.0e6)
         env.run(until=0.5)

@@ -8,7 +8,9 @@ outcome float is compared with ``==``: ``finished_at``, the stop
 reason, every ``QoEMetrics`` field (cycles with ``level_at_start_s``,
 stalls, per-path bytes and active time, bootstrap milestones), the
 buffer's transition log, requests per path, bytes per server and the
-adaptive itag history.  Each scenario runs on every built kernel.
+adaptive itag history.  The single-session scenarios run on three
+playback grids (``TICKS``), since the clock replays the grid's
+accumulated floats rather than multiples of ``tick_s``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.ext.adaptive import (
     FixedBitrateController,
     ThroughputController,
 )
-from repro.net.calendar import set_default_kernel
 from repro.net.env import Environment
 from repro.scenarios.experiments import _x9_experiment
 from repro.sim.driver import MSPlayerDriver
@@ -41,7 +42,6 @@ from repro.sim.singlepath import FLASH_CHUNK, HTML5_CHUNK, SinglePathDriver
 from repro.study import get_experiment
 
 import ticking_drivers as ticking
-from conftest import BUILT_KERNELS
 
 PRODUCT = {"ms": MSPlayerDriver, "sp": SinglePathDriver, "ad": AdaptiveSimDriver}
 ORACLE = {
@@ -49,13 +49,6 @@ ORACLE = {
     "sp": ticking.SinglePathDriver,
     "ad": ticking.AdaptiveSimDriver,
 }
-
-
-@pytest.fixture(params=BUILT_KERNELS)
-def kernel(request):
-    previous = set_default_kernel(request.param)
-    yield request.param
-    set_default_kernel(previous)
 
 
 def observe(driver, outcome) -> dict:
@@ -113,6 +106,16 @@ def short(profile, seed, duration=120.0):
     return lambda: Scenario(profile, seed=seed, config=config)
 
 
+#: Playback grids: the default 0.1 s; 0.25 s, whose accumulated
+#: instants are exact multiples; 0.3 s, whose drift off them (twelve
+#: steps accumulate to 3.599999999999999).
+TICKS = [0.1, 0.25, 0.3]
+
+
+def on_grid(config: PlayerConfig, tick_s: float) -> PlayerConfig:
+    return replace(config, tick_s=tick_s)
+
+
 def thin(mbps: float):
     """The testbed with both access links cut to ``mbps`` / 0.6 x ``mbps``."""
     profile = testbed_profile()
@@ -125,13 +128,15 @@ def thin(mbps: float):
 # -- stop conditions -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("tick_s", TICKS)
 @pytest.mark.parametrize("profile", [testbed_profile, youtube_profile])
 @pytest.mark.parametrize("stop", ["prebuffer", "cycles", "full"])
-def test_msplayer_stop_conditions(kernel, profile, stop):
+def test_msplayer_stop_conditions(profile, stop, tick_s):
+    config = on_grid(PlayerConfig(), tick_s)
     oracle = assert_same(
         "ms",
         short(profile(), seed=3, duration=150.0),
-        lambda cls, sc: cls(sc, PlayerConfig(), stop=stop, target_cycles=2),
+        lambda cls, sc: cls(sc, config, stop=stop, target_cycles=2),
     )
     assert oracle["stop_reason"] == {
         "prebuffer": "prebuffer-complete",
@@ -140,48 +145,59 @@ def test_msplayer_stop_conditions(kernel, profile, stop):
     }[stop]
 
 
+@pytest.mark.parametrize("tick_s", TICKS)
 @pytest.mark.parametrize("chunk", [FLASH_CHUNK, HTML5_CHUNK])
 @pytest.mark.parametrize("stop", ["prebuffer", "cycles", "full"])
-def test_single_path_stop_conditions(kernel, chunk, stop):
+def test_single_path_stop_conditions(chunk, stop, tick_s):
+    config = on_grid(PlayerConfig(), tick_s)
     oracle = assert_same(
         "sp",
         short(youtube_profile(), seed=4, duration=150.0),
-        lambda cls, sc: cls(sc, 0, chunk, PlayerConfig(), stop=stop, target_cycles=2),
+        lambda cls, sc: cls(sc, 0, chunk, config, stop=stop, target_cycles=2),
     )
     assert oracle["stop_reason"] != "timeout"
 
 
+@pytest.mark.parametrize("tick_s", TICKS)
 @pytest.mark.parametrize("controller", [ThroughputController, BufferBasedController])
 @pytest.mark.parametrize("stop", ["prebuffer", "full"])
-def test_adaptive_stop_conditions(kernel, controller, stop):
+def test_adaptive_stop_conditions(controller, stop, tick_s):
+    config = on_grid(PlayerConfig(), tick_s)
     assert_same(
         "ad",
         short(youtube_profile(), seed=5, duration=150.0),
-        lambda cls, sc: cls(sc, controller(), PlayerConfig(), stop=stop),
+        lambda cls, sc: cls(sc, controller(), config, stop=stop),
     )
 
 
-def test_watchdog_timeout(kernel):
+@pytest.mark.parametrize("tick_s", TICKS)
+def test_watchdog_timeout(tick_s):
+    """On the 0.25-s grid the watchdog fires on a tick instant, 25.0 s:
+    the tick the ticker had queued there still runs before the session's
+    ``finished`` is processed."""
+    config = on_grid(PlayerConfig(), tick_s)
     oracle = assert_same(
         "ms",
         short(testbed_profile(), seed=5, duration=60.0),
-        lambda cls, sc: cls(sc, PlayerConfig(), stop="full", max_sim_time=25.0),
+        lambda cls, sc: cls(sc, config, stop="full", max_sim_time=25.0),
     )
     assert oracle["stop_reason"] == "timeout"
 
 
+@pytest.mark.parametrize("tick_s", TICKS)
 @pytest.mark.parametrize("kind", ["ms", "sp", "ad"])
 @pytest.mark.parametrize("stop", ["prebuffer", "full"])
-def test_watchdog_of_a_finished_session(kernel, kind, stop):
+def test_watchdog_of_a_finished_session(kind, stop, tick_s):
     """A shared environment may run past a finished session's
     ``launch + max_sim_time``; its watchdog still fires there and must
     change nothing — a prebuffer-stop buffer has drained on no tick since,
     a full-stop one sits at the end of the video."""
     leading = {"ms": (), "sp": (0, HTML5_CHUNK), "ad": (ThroughputController(),)}[kind]
+    config = on_grid(PlayerConfig(), tick_s)
     oracle = assert_same(
         kind,
         short(testbed_profile(), seed=2, duration=60.0),
-        lambda cls, sc: cls(sc, *leading, PlayerConfig(), stop=stop, max_sim_time=150.0),
+        lambda cls, sc: cls(sc, *leading, config, stop=stop, max_sim_time=150.0),
         until=160.0,
     )
     assert oracle["finished_at"] < 150.0
@@ -191,7 +207,7 @@ def test_watchdog_of_a_finished_session(kernel, kind, stop):
     }[stop]
 
 
-def test_a_gate_opened_by_a_tick_queued_before_the_poll(kernel):
+def test_a_gate_opened_by_a_tick_queued_before_the_poll():
     """A poll that lands on the crossing tick's instant runs after the
     tick when the tick was queued from an earlier instant, and sees the
     gate open.  The floats make it exact: the poller sleeps from just
@@ -243,16 +259,22 @@ def test_a_gate_opened_by_a_tick_queued_before_the_poll(kernel):
 STALLING = PlayerConfig(prebuffer_s=10.0, low_watermark_s=5.0, rebuffer_fetch_s=10.0)
 
 
+@pytest.mark.parametrize("tick_s", TICKS)
 @pytest.mark.parametrize(
     "kind,make_driver",
     [
-        ("ms", lambda cls, sc: cls(sc, STALLING, stop="full")),
-        ("sp", lambda cls, sc: cls(sc, 0, HTML5_CHUNK, STALLING, stop="full")),
-        ("ad", lambda cls, sc: cls(sc, FixedBitrateController(22), STALLING, stop="full")),
+        ("ms", lambda cls, sc, config: cls(sc, config, stop="full")),
+        ("sp", lambda cls, sc, config: cls(sc, 0, HTML5_CHUNK, config, stop="full")),
+        ("ad", lambda cls, sc, config: cls(sc, FixedBitrateController(22), config, stop="full")),
     ],
 )
-def test_stalling_session(kernel, kind, make_driver):
-    oracle = assert_same(kind, short(thin(1.5), seed=1, duration=60.0), make_driver)
+def test_stalling_session(kind, make_driver, tick_s):
+    config = on_grid(STALLING, tick_s)
+    oracle = assert_same(
+        kind,
+        short(thin(1.5), seed=1, duration=60.0),
+        lambda cls, sc: make_driver(cls, sc, config),
+    )
     assert len(oracle["metrics"]["stalls"]) >= 3
     assert oracle["stop_reason"] == "playback-finished"
 
@@ -260,11 +282,17 @@ def test_stalling_session(kernel, kind, make_driver):
 # -- an outage on the tick grid ----------------------------------------------------------
 
 
-def test_nineteen_seconds_is_a_grid_instant():
+#: The grids of ``TICKS`` that hit 19.0 s exactly.  On the 0.1-s grid
+#: it is the only whole second the accumulated instants hit.
+OUTAGE_TICKS = [0.1, 0.25]
+
+
+@pytest.mark.parametrize("tick_s", OUTAGE_TICKS)
+def test_nineteen_seconds_is_a_grid_instant(tick_s):
     t = 0.0
-    for _ in range(190):
-        t = t + 0.1
-    assert t == 19.0  # the only whole second the accumulated 0.1-s grid hits
+    for _ in range(round(19.0 / tick_s)):
+        t = t + tick_s
+    assert t == 19.0
 
 
 #: Re-buffering with a WiFi chunk in flight when WiFi drops at 19.0 s: the
@@ -277,7 +305,8 @@ def outage_at_19(seed: int = 3):
     return short(profile, seed=seed)
 
 
-def test_interface_outage_on_a_tick_instant_msplayer(kernel):
+@pytest.mark.parametrize("tick_s", OUTAGE_TICKS)
+def test_interface_outage_on_a_tick_instant_msplayer(tick_s):
     seen = {}
 
     def probe(scenario, driver):
@@ -292,34 +321,42 @@ def test_interface_outage_on_a_tick_instant_msplayer(kernel):
         scenario.env.process(at_19())
 
     oracle = assert_same(
-        "ms", outage_at_19(), lambda cls, sc: cls(sc, OUTAGE_CONFIG, stop="full"), probe
+        "ms",
+        outage_at_19(),
+        lambda cls, sc: cls(sc, on_grid(OUTAGE_CONFIG, tick_s), stop="full"),
+        probe,
     )
     assert seen[MSPlayerDriver] == (BufferPhase.REBUFFERING, True)
     assert oracle["stop_reason"] == "playback-finished"
     assert oracle["metrics"]["rebuffer_bytes_by_path"][1] > 0
 
 
-def test_interface_outage_on_a_tick_instant_single_path(kernel):
+@pytest.mark.parametrize("tick_s", OUTAGE_TICKS)
+def test_interface_outage_on_a_tick_instant_single_path(tick_s):
     oracle = assert_same(
         "sp",
         outage_at_19(),
-        lambda cls, sc: cls(sc, 0, FLASH_CHUNK, OUTAGE_CONFIG, stop="full"),
+        lambda cls, sc: cls(sc, 0, FLASH_CHUNK, on_grid(OUTAGE_CONFIG, tick_s), stop="full"),
     )
     assert oracle["stop_reason"].startswith("failed")
 
 
-def test_interface_outage_on_a_tick_instant_adaptive(kernel):
+@pytest.mark.parametrize("tick_s", OUTAGE_TICKS)
+def test_interface_outage_on_a_tick_instant_adaptive(tick_s):
     assert_same(
         "ad",
         outage_at_19(),
-        lambda cls, sc: cls(sc, ThroughputController(), OUTAGE_CONFIG, stop="full"),
+        lambda cls, sc: cls(
+            sc, ThroughputController(), on_grid(OUTAGE_CONFIG, tick_s), stop="full"
+        ),
     )
 
 
 # -- failover and requeue --------------------------------------------------------------
 
 
-def test_server_crash_failover(kernel):
+@pytest.mark.parametrize("tick_s", TICKS)
+def test_server_crash_failover(tick_s):
     def probe(scenario, driver):
         def crash():
             yield scenario.env.timeout(3.0)
@@ -327,16 +364,18 @@ def test_server_crash_failover(kernel):
 
         scenario.env.process(crash())
 
+    config = on_grid(PlayerConfig(), tick_s)
     oracle = assert_same(
         "ms",
         short(youtube_profile(), seed=61, duration=90.0),
-        lambda cls, sc: cls(sc, PlayerConfig(), stop="full"),
+        lambda cls, sc: cls(sc, config, stop="full"),
         probe,
     )
     assert oracle["metrics"]["failovers"] >= 1
 
 
-def test_adaptive_requeue_wakes_the_parked_path(kernel, monkeypatch):
+@pytest.mark.parametrize("tick_s", TICKS)
+def test_adaptive_requeue_wakes_the_parked_path(monkeypatch, tick_s):
     """WiFi fails mid-segment; the segment is requeued while the LTE
     loop is parked behind ``next >= count``, and the requeue wakes it."""
     woken = []
@@ -348,10 +387,11 @@ def test_adaptive_requeue_wakes_the_parked_path(kernel, monkeypatch):
         open_gates(self, after_tick)
 
     monkeypatch.setattr(PlayoutClock, "open_gates", spy)
+    config = on_grid(PlayerConfig(), tick_s)
     oracle = assert_same(
         "ad",
         short(mobility_profile(12.0, 212.0), seed=0, duration=90.0),
-        lambda cls, sc: cls(sc, ThroughputController(), PlayerConfig(), stop="full"),
+        lambda cls, sc: cls(sc, ThroughputController(), config, stop="full"),
     )
     assert woken[0] == 1
     assert oracle["stop_reason"] == "playback-finished"
@@ -382,16 +422,16 @@ def population(clients: int, drivers: str, monkeypatch) -> tuple[list, dict]:
     return outcomes, result.server_bytes
 
 
-def test_x9_population_of_30_clients(kernel, monkeypatch):
+def test_x9_population_of_30_clients(monkeypatch):
     assert population(30, "product", monkeypatch) == population(30, "oracle", monkeypatch)
 
 
 @pytest.mark.slow
-def test_x9_population_of_100_clients(kernel, monkeypatch):
+def test_x9_population_of_100_clients(monkeypatch):
     assert population(100, "product", monkeypatch) == population(100, "oracle", monkeypatch)
 
 
-def test_a_finished_session_plays_one_last_tick(kernel, monkeypatch):
+def test_a_finished_session_plays_one_last_tick(monkeypatch):
     """In a shared environment a session outlives its finish: the ticker
     ran the tick it had already queued, then stopped, while chunks in
     flight kept landing.  The clock runs that one tick too."""

@@ -36,7 +36,6 @@ from repro.sim.scenario import Scenario, ScenarioConfig
 from repro.sim.singlepath import SinglePathDriver
 from repro.units import mbit
 
-from conftest import BUILT_KERNELS
 from process_chain_client import ProcessChainClient
 
 ADDRESS = "server.example"
@@ -117,8 +116,8 @@ VARIANTS = {
 class World:
     """One link, two server hosts, ``clients`` clients on one interface."""
 
-    def __init__(self, kernel, client_cls, call, bandwidth=None, clients=1, overload=None):
-        self.env = env = Environment(kernel=kernel)
+    def __init__(self, client_cls, call, bandwidth=None, clients=1, overload=None):
+        self.env = env = Environment()
         self.call = call
         self.network = Network(env)
         self.link = Link(env, bandwidth or ConstantBandwidth(mbit(8)))
@@ -221,7 +220,7 @@ class World:
         return self.log, self.env.now, self.env.scheduled_count
 
 
-def run_everywhere(kernel, *scripts, disturb=None, **world_kwargs):
+def run_everywhere(*scripts, disturb=None, **world_kwargs):
     """Run ``scripts`` on every variant; the logs and clocks must be equal.
 
     Returns ``(log, scheduled counts by variant)`` of the agreed run.
@@ -231,7 +230,7 @@ def run_everywhere(kernel, *scripts, disturb=None, **world_kwargs):
         kwargs = dict(world_kwargs)
         if "bandwidth" in kwargs:
             kwargs["bandwidth"] = kwargs["bandwidth"]()
-        world = World(kernel, client_cls, call, **kwargs)
+        world = World(client_cls, call, **kwargs)
         if disturb is not None:
             disturb(world)
         runs[name] = world.run(*scripts)
@@ -250,16 +249,33 @@ def outcomes(log):
     return [entry.outcome for entry in log]
 
 
-@pytest.mark.parametrize("kernel", BUILT_KERNELS)
+def _variable_link():
+    rng = np.random.Generator(np.random.PCG64([2014, 9]))
+    return ARLogNormalBandwidth(mbit(8), sigma=0.5, rng=rng, rho=0.7, interval=0.3)
+
+
+#: The links every single-client script runs on: the constant 8 Mbit/s
+#: one, and one of the same mean whose rate changes every 0.3 s, so
+#: segment boundaries fall inside requests and handshakes.
+LINKS = {
+    "constant": lambda: ConstantBandwidth(mbit(8)),
+    "variable": _variable_link,
+}
+
+
 class TestFlatClientEqualsProcessChain:
-    def test_cold_then_warm(self, kernel):
+    @pytest.fixture(params=sorted(LINKS))
+    def link(self, request):
+        return LINKS[request.param]
+
+    def test_cold_then_warm(self, link):
         def script(world):
             yield from world.get("/hello")
             yield from world.get("/range")
             yield from world.get("/big")
             yield from world.get("/range")
 
-        log, counts = run_everywhere(kernel, script)
+        log, counts = run_everywhere(script, bandwidth=link)
         assert [o[0] for o in outcomes(log)] == [200, 206, 200, 206]
         assert log[-1].open_sessions == 1 and log[-1].in_flight == 0
         assert log[-1].connection.request_count == 4  # all on the one connection
@@ -267,17 +283,17 @@ class TestFlatClientEqualsProcessChain:
         # TCP, TLS, exchange; each warm get: get, request, connect, exchange.
         assert counts["parent"] - counts["product"] == 2 * 6 + 3 * 2 * 4
 
-    def test_explicit_warm_connect_then_get(self, kernel):
+    def test_explicit_warm_connect_then_get(self, link):
         def script(world):
             yield from world.connect()
             yield from world.connect()  # already usable: returns at once
             yield from world.get("/range")
 
-        log, _ = run_everywhere(kernel, script)
+        log, _ = run_everywhere(script, bandwidth=link)
         assert log[0].now == log[1].now  # the second connect cost no time
         assert log[0].handshake_time == log[2].handshake_time > 0.0  # charged once
 
-    def test_tls_resumption_after_disconnect(self, kernel):
+    def test_tls_resumption_after_disconnect(self, link):
         def script(world):
             yield from world.get("/hello")
             world.client.disconnect(ADDRESS)
@@ -285,7 +301,7 @@ class TestFlatClientEqualsProcessChain:
             world.client.disconnect_all()
             yield from world.get("/hello", address=OTHER, label="other-host")
 
-        log, _ = run_everywhere(kernel, script)
+        log, _ = run_everywhere(script, bandwidth=link)
         full, resumed, other = (entry.connection for entry in log)
         assert resumed.tls_time < full.tls_time  # abbreviated handshake
         assert other.tls_time == pytest.approx(full.tls_time)  # no ticket for that host
@@ -298,7 +314,7 @@ class TestFlatClientEqualsProcessChain:
             (0.035, "during TLS handshake"),
         ],
     )
-    def test_link_down_during_handshakes(self, kernel, down_at, message):
+    def test_link_down_during_handshakes(self, link, down_at, message):
         def disturb(world):
             world.env.call_at(down_at, lambda: world.iface.set_up(False))
             world.env.call_at(0.5, lambda: world.iface.set_up(True))
@@ -309,7 +325,7 @@ class TestFlatClientEqualsProcessChain:
             yield from world.sleep_until(0.6)
             yield from world.get("/hello", label="redial")
 
-        log, _ = run_everywhere(kernel, script, disturb=disturb)
+        log, _ = run_everywhere(script, disturb=disturb, bandwidth=link)
         first, second, third = outcomes(log)
         assert first[0] == "LinkDownError" and message in first[1]
         assert second[0] == "LinkDownError"  # refused synchronously, same instant
@@ -320,7 +336,7 @@ class TestFlatClientEqualsProcessChain:
         assert log[0].open_sessions == 0 and log[0].handshake_time == 0.0
         assert log[0].tickets == []
 
-    def test_link_down_at_first_byte(self, kernel):
+    def test_link_down_at_first_byte(self, link):
         def disturb(world):
             world.env.call_at(1.010, lambda: world.iface.set_up(False))
             world.env.call_at(1.015, lambda: world.iface.link.set_down(False))
@@ -336,7 +352,7 @@ class TestFlatClientEqualsProcessChain:
             world.iface.link.set_down(False)
             yield from world.get("/range", label="redial")
 
-        log, _ = run_everywhere(kernel, script, disturb=disturb)
+        log, _ = run_everywhere(script, disturb=disturb, bandwidth=link)
         blip, down, redial = outcomes(log)[1:]
         assert blip[0] == 206
         assert down[0] == "LinkDownError" and "first byte" in down[1]
@@ -344,7 +360,7 @@ class TestFlatClientEqualsProcessChain:
         assert redial[0] == 206
         assert log[3].connection.name != log[1].connection.name  # a fresh connection
 
-    def test_link_down_mid_transfer_reports_delivered_bytes(self, kernel):
+    def test_link_down_mid_transfer_reports_delivered_bytes(self, link):
         def disturb(world):
             world.env.call_at(1.5, lambda: world.iface.set_up(False))
             world.env.call_at(3.0, lambda: world.iface.set_up(True))
@@ -356,7 +372,7 @@ class TestFlatClientEqualsProcessChain:
             yield from world.sleep_until(3.5)
             yield from world.get("/big", label="again")
 
-        log, _ = run_everywhere(kernel, script, disturb=disturb)
+        log, _ = run_everywhere(script, disturb=disturb, bandwidth=link)
         cut, again = outcomes(log)[1:]
         assert cut[0] == "LinkDownError"
         assert 0 < cut[2] < 1_000_000  # flow_bytes_delivered rides the error
@@ -364,7 +380,7 @@ class TestFlatClientEqualsProcessChain:
         assert log[1].bytes_served == 0  # only completed responses count
         assert again[0] == 200 and log[2].bytes_served == 1_000_000
 
-    def test_host_down_then_redial(self, kernel):
+    def test_host_down_then_redial(self, link):
         def disturb(world):
             world.env.call_at(1.2, lambda: world.hosts[ADDRESS].fail())
             world.env.call_at(2.0, lambda: world.hosts[ADDRESS].recover())
@@ -378,14 +394,14 @@ class TestFlatClientEqualsProcessChain:
             yield from world.sleep_until(2.5)
             yield from world.get("/hello", label="recovered")
 
-        log, _ = run_everywhere(kernel, script, disturb=disturb)
+        log, _ = run_everywhere(script, disturb=disturb, bandwidth=link)
         died, refused, failover, recovered = outcomes(log)[1:]
         assert died[0] == "ServerUnavailableError" and died[2] > 0
         assert refused[0] == "ServerUnavailableError" and "refused" in refused[1]
         assert failover[0] == 200 and recovered[0] == 200
         assert log[1].host_connections == 0  # the dead host tracks none
 
-    def test_host_down_during_request_rtt(self, kernel):
+    def test_host_down_during_request_rtt(self, link):
         def disturb(world):
             world.env.call_at(1.005, lambda: world.hosts[ADDRESS].fail())
 
@@ -394,18 +410,18 @@ class TestFlatClientEqualsProcessChain:
             yield from world.sleep_until(1.0)
             yield from world.get("/range")
 
-        log, _ = run_everywhere(kernel, script, disturb=disturb)
+        log, _ = run_everywhere(script, disturb=disturb, bandwidth=link)
         assert outcomes(log)[1][:2] == ("ConnectionClosedError", "wlan0#1 closed while waiting")
         assert log[1].in_flight == 0
 
-    def test_403_and_503_keep_the_session(self, kernel):
+    def test_403_and_503_keep_the_session(self, link):
         def script(world):
             yield from world.get("/forbidden")
             yield from world.get("/busy")
             yield from world.get("/busy", expect=(503,), label="expected-503")
             yield from world.get("/range")
 
-        log, _ = run_everywhere(kernel, script)
+        log, _ = run_everywhere(script, bandwidth=link)
         forbidden, busy, expected, served = outcomes(log)
         assert forbidden[0] == "HTTPStatusError" and forbidden[3] == 403
         assert busy[0] == "HTTPStatusError" and busy[3] == 503
@@ -414,7 +430,7 @@ class TestFlatClientEqualsProcessChain:
         assert [entry.in_flight for entry in log] == [0, 0, 0, 0]  # always released
         assert log[-1].requests_served == 4  # the replies were real, paid-for responses
 
-    def test_pipelined_exchange_guard(self, kernel):
+    def test_pipelined_exchange_guard(self, link):
         # Two processes push requests down one warm connection at the
         # same instant: the second trips the guard, which evicts the
         # session and so kills the first while it waits out its RTT.
@@ -430,7 +446,7 @@ class TestFlatClientEqualsProcessChain:
         def warm(world):
             yield from world.connect()
 
-        log, _ = run_everywhere(kernel, warm, first, second)
+        log, _ = run_everywhere(warm, first, second, bandwidth=link)
         by_label = {entry.label: entry for entry in log}
         assert "pipelined" in by_label["second"].outcome[1]
         assert by_label["second"].now == 1.0
@@ -438,7 +454,7 @@ class TestFlatClientEqualsProcessChain:
         assert by_label["second-redials"].outcome[0] == 206
         assert [entry.label for entry in log] == ["connect", "second", "first", "second-redials"]
 
-    def test_two_clients_share_one_link(self, kernel):
+    def test_two_clients_share_one_link(self):
         def bandwidth():
             rng = np.random.Generator(np.random.PCG64([2014, 7]))
             return ARLogNormalBandwidth(1.0e6, sigma=0.5, rng=rng, rho=0.7, interval=0.3)
@@ -455,9 +471,7 @@ class TestFlatClientEqualsProcessChain:
                 )
             yield from world.get("/big", client=world.clients[1], label="b-big")
 
-        log, counts = run_everywhere(
-            kernel, one, two, bandwidth=bandwidth, clients=2, overload=1
-        )
+        log, counts = run_everywhere(one, two, bandwidth=bandwidth, clients=2, overload=1)
         assert all(isinstance(outcome[0], int) for outcome in outcomes(log))
         assert len(log) == 11
         assert counts["product"] < counts["parent"]
@@ -466,12 +480,11 @@ class TestFlatClientEqualsProcessChain:
 # -- event budgets -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", BUILT_KERNELS)
-def test_warm_get_inside_one_process_schedules_four_entries(kernel):
+def test_warm_get_inside_one_process_schedules_four_entries():
     """The RTT timer, then for the body the link's two wakes (one
     slow-start doubling — the remembered window sits a hair under the
     link rate — and the completion) and ``flow.done``."""
-    world = World(kernel, SimHTTPClient, delegate)
+    world = World(SimHTTPClient, delegate)
     counts = []
 
     def script(world):
@@ -485,7 +498,7 @@ def test_warm_get_inside_one_process_schedules_four_entries(kernel):
     assert counts == [4, 4, 4]
 
     # The same request through the process chain bought eight more.
-    chain = World(kernel, ProcessChainClient, spawn)
+    chain = World(ProcessChainClient, spawn)
     counts.clear()
     chain.run(script)
     assert counts == [12, 12, 12]

@@ -32,7 +32,6 @@ from repro.sim.execution import (
     SinglePathSpec,
     TrialSpec,
     resolve_engine,
-    run_trial,
 )
 from repro.sim.profiles import mobility_profile, testbed_profile
 from repro.sim.runner import TrialRunner
@@ -100,10 +99,10 @@ class TestSpecPicklability:
         assert clone.label == spec.label and clone.seed == spec.seed
         assert clone.profile_factory().outages == spec.profile_factory().outages
 
-    def test_run_trial_executes_a_spec(self):
+    def test_spec_run_executes_one_trial(self):
         runner = TrialRunner(testbed_profile, scenario_config=short_config(), trials=1)
         spec = runner.specs_for("one", runner.msplayer(PlayerConfig()))[0]
-        outcome = run_trial(spec)
+        outcome = spec.run()
         assert outcome.stop_reason == "prebuffer-complete"
         assert outcome.startup_delay is not None
 

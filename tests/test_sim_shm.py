@@ -1,8 +1,8 @@
-"""Shared-memory outcome collection: arena, IPC modes, crash cleanup.
+"""Shared-memory outcome collection: arena, engine collection, crash cleanup.
 
-The shm path is the process backend's default, so its acceptance bar is
-the same byte-identity the pickle path earned in PR-1/PR-2 — plus a
-lifecycle guarantee: however a campaign ends (cleanly, one broken pool,
+The shm path is the process backend's only collection path, so its
+acceptance bar is byte-identity with a serial run — plus a lifecycle
+guarantee: however a campaign ends (cleanly, one broken pool,
 two broken pools), no ``/dev/shm`` segment survives it and the resource
 tracker has nothing to complain about at interpreter exit.
 """
@@ -18,13 +18,12 @@ import pytest
 import repro
 from conftest import assert_batches_identical
 from repro.core.config import PlayerConfig
-from repro.errors import ConfigError
 from repro.sim.campaign import Campaign, OutcomeBatch
 from repro.sim.execution import ProcessEngine, SerialEngine
 from repro.sim.profiles import testbed_profile
 from repro.sim.runner import TrialRunner
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.shm import ARENA_PREFIX, OutcomeArena, collect_trials, resolve_ipc
+from repro.sim.shm import ARENA_PREFIX, OutcomeArena, collect_trials
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -52,28 +51,6 @@ def _runner(engine) -> TrialRunner:
 def _kill_worker(scenario) -> None:
     """Module-level (picklable) hook that hard-kills the worker."""
     os._exit(13)
-
-
-class TestIpcResolution:
-    def test_default_is_shm(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IPC", raising=False)
-        assert resolve_ipc() == "shm"
-        assert ProcessEngine(2).ipc == "shm"
-
-    def test_env_var_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IPC", "pickle")
-        assert resolve_ipc() == "pickle"
-        assert ProcessEngine(2).ipc == "pickle"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IPC", "pickle")
-        assert ProcessEngine(2, ipc="shm").ipc == "shm"
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ConfigError, match="ipc"):
-            resolve_ipc("arrow")
-        with pytest.raises(ConfigError, match="ipc"):
-            ProcessEngine(2, ipc="mmap")
 
 
 class TestArenaLifecycle:
@@ -125,10 +102,10 @@ class TestArenaLifecycle:
 
 
 class TestEngineCollection:
-    """collect() shapes, laziness, and cross-mode byte-identity."""
+    """collect() shapes, laziness, and byte-identity with serial."""
 
     def test_serial_conditions_are_not_columnar(self):
-        engine = ProcessEngine(2, ipc="shm")
+        engine = ProcessEngine(2)
         runner = _runner(engine)
         specs = runner.specs_for("one", runner.msplayer(PlayerConfig()))[:1]
         collection = engine.collect(specs)  # single spec: in-process path
@@ -136,7 +113,7 @@ class TestEngineCollection:
         assert len(collection) == 1
 
     def test_shm_collection_is_columnar_and_lazy(self):
-        engine = ProcessEngine(2, ipc="shm")
+        engine = ProcessEngine(2)
         runner = _runner(engine)
         specs = runner.specs_for("col", runner.msplayer(PlayerConfig()))
         collection = engine.collect(specs)
@@ -146,20 +123,23 @@ class TestEngineCollection:
         assert collection.outcomes == reference  # deep dataclass equality
         assert collection._outcomes is not None
 
-    def test_pickle_collection_is_not_columnar(self):
-        engine = ProcessEngine(2, ipc="pickle")
-        runner = _runner(engine)
-        specs = runner.specs_for("pk", runner.msplayer(PlayerConfig()))
-        collection = engine.collect(specs)
-        assert not collection.columnar
-        assert collection.outcomes == SerialEngine().map(specs)
-
-    def test_map_identical_across_modes(self):
+    def test_map_identical_to_serial(self):
         runner = _runner(SerialEngine())
         specs = runner.specs_for("modes", runner.msplayer(PlayerConfig()))
-        serial = SerialEngine().map(specs)
-        assert ProcessEngine(2, ipc="shm").map(specs) == serial
-        assert ProcessEngine(2, ipc="pickle").map(specs) == serial
+        assert ProcessEngine(2).map(specs) == SerialEngine().map(specs)
+
+    @pytest.mark.parametrize(
+        "variable,value", [("REPRO_IPC", "pickle"), ("REPRO_KERNEL", "calendar")]
+    )
+    def test_retired_selection_variables_change_nothing(self, variable, value, monkeypatch):
+        runner = _runner(SerialEngine())
+        specs = runner.specs_for("retired", runner.msplayer(PlayerConfig()))
+        reference = SerialEngine().map(specs)
+        monkeypatch.setenv(variable, value)
+        collection = ProcessEngine(2).collect(specs)
+        assert collection.columnar
+        assert collection.outcomes == reference
+        assert SerialEngine().map(specs) == reference
 
     def test_auto_fallback_for_closures_is_not_columnar(self):
         from repro.sim.driver import MSPlayerDriver
@@ -167,7 +147,7 @@ class TestEngineCollection:
         def closure_factory(scenario):
             return MSPlayerDriver(scenario, PlayerConfig(), stop="prebuffer")
 
-        engine = ProcessEngine(2, fallback_to_serial=True, ipc="shm")
+        engine = ProcessEngine(2, fallback_to_serial=True)
         runner = _runner(engine)
         collection = engine.collect(runner.specs_for("cl", closure_factory))
         assert not collection.columnar
@@ -182,7 +162,7 @@ class TestEngineCollection:
 
     def test_campaign_shm_results_preassembled_and_lazy(self):
         runner = _runner(SerialEngine())  # the runner only builds specs here
-        campaign = Campaign(engine=ProcessEngine(2, ipc="shm"))
+        campaign = Campaign(engine=ProcessEngine(2))
         campaign.add_run(runner, "lazy", runner.msplayer(PlayerConfig()))
         result = campaign.run()["lazy"]
         # The batch came straight off the arena columns...
@@ -212,7 +192,7 @@ class TestCrashCleanup:
         from repro.sim import execution
 
         before = _arena_segments()
-        engine = ProcessEngine(self.JOBS, ipc="shm")
+        engine = ProcessEngine(self.JOBS)
         runner = _runner(engine)
         # Killer specs break the fresh retry pool too: the engine
         # re-raises, but the arena (both attempts') must be gone.
@@ -250,7 +230,7 @@ class TestCrashCleanup:
 
         monkeypatch.setitem(execution._POOLS, self.JOBS, _BrokenOnce())
         before = _arena_segments()
-        engine = ProcessEngine(self.JOBS, ipc="shm")
+        engine = ProcessEngine(self.JOBS)
         runner = _runner(engine)
         result = runner.run("recovered", runner.msplayer(PlayerConfig()))
         reference = _runner(SerialEngine()).run(
@@ -276,7 +256,7 @@ class TestCrashCleanup:
             "    os._exit(13)\n"
             "runner = TrialRunner(testbed_profile,\n"
             "    scenario_config=ScenarioConfig(video_duration_s=120.0),\n"
-            "    trials=4, engine=ProcessEngine(2, ipc='shm'))\n"
+            "    trials=4, engine=ProcessEngine(2))\n"
             "try:\n"
             "    runner.run('killer', runner.msplayer(PlayerConfig()), scenario_hook=kill)\n"
             "except BrokenProcessPool:\n"
@@ -288,7 +268,6 @@ class TestCrashCleanup:
             "print('OK')\n"
         )
         env = {**os.environ, "PYTHONPATH": SRC_DIR}
-        env.pop("REPRO_IPC", None)
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
@@ -297,36 +276,3 @@ class TestCrashCleanup:
         for marker in ("leaked shared_memory", "resource_tracker", "Traceback"):
             assert marker not in proc.stderr, proc.stderr
 
-
-class TestCliIpcFlag:
-    def test_ipc_flag_scoped_to_the_invocation(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.delenv("REPRO_IPC", raising=False)
-        # x3 is a single-pass experiment — the flag must still be
-        # accepted (and validated) uniformly across experiment ids.
-        assert main(["experiment", "x3", "--ipc", "pickle"]) == 0
-        # ...and must not leak past the run for in-process callers.
-        assert "REPRO_IPC" not in os.environ
-
-    def test_ipc_flag_overrides_env_then_restores_it(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        # A broken env value fails --jobs validation (engine
-        # construction resolves the ipc mode)...
-        monkeypatch.setenv("REPRO_IPC", "bogus")
-        assert main(["experiment", "fig2", "--trials", "2", "--jobs", "2"]) == 2
-        # ...but --ipc overrides it for the run, which proves the flag
-        # is actually live while the campaign executes — and the prior
-        # env value (however broken) is restored afterwards.
-        assert (
-            main(["experiment", "fig2", "--trials", "2", "--jobs", "2", "--ipc", "shm"])
-            == 0
-        )
-        assert os.environ["REPRO_IPC"] == "bogus"
-
-    def test_invalid_ipc_rejected_by_parser(self):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig2", "--ipc", "arrow"])
