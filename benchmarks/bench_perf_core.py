@@ -51,6 +51,7 @@ from repro.net.link import Link
 from repro.net.tcp import TCPConnection, TCPParams
 from repro.net.topology import Host, Network
 from repro.sim.campaign import Campaign, OutcomeBatch
+from repro.sim.execution import SerialEngine, resolve_engine
 from repro.sim.profiles import testbed_profile
 from repro.sim.runner import TrialRunner
 from repro.sim.shm import OutcomeArena, encode_side
@@ -253,15 +254,16 @@ def test_campaign_throughput_serial_vs_parallel(perf_record, smoke):
     """A 20-trial fig3-style configuration, serial vs ``jobs='auto'``."""
     config = PlayerConfig(scheduler="harmonic", base_chunk_bytes=64 * KB)
     trials = 6 if smoke else CAMPAIGN_TRIALS
+    runner = TrialRunner(testbed_profile, trials=trials)
 
-    def run(jobs):
-        runner = TrialRunner(testbed_profile, trials=trials, jobs=jobs)
+    def run(engine):
         start = time.perf_counter()
-        result = runner.run("perf-core", runner.msplayer(config))
+        campaign = Campaign().add_run(runner, "perf-core", runner.msplayer(config))
+        result = campaign.run(engine)["perf-core"]
         return time.perf_counter() - start, result
 
-    serial_s, serial = run("serial")
-    parallel_s, parallel = run("auto")
+    serial_s, serial = run(SerialEngine())
+    parallel_s, parallel = run(resolve_engine("auto"))
     speedup = serial_s / parallel_s
 
     perf_record["campaign_trials"] = trials
@@ -300,37 +302,40 @@ def _sweep_configs() -> list[tuple[str, PlayerConfig]]:
 
 
 def test_campaign_vs_barrier_throughput(perf_record, smoke):
-    """Whole-sweep campaign submission vs the PR-1 per-configuration
-    barrier path (``TrialRunner.run`` once per configuration), both on
-    ``jobs='auto'``.  The campaign feeds every configuration's trials
-    to the pool at once, so workers never idle at configuration
-    boundaries."""
+    """Whole-sweep campaign submission vs the per-configuration barrier
+    path (one campaign per configuration, each run to completion before
+    the next), both on ``jobs='auto'``.  The merged campaign feeds every
+    configuration's trials to the pool at once, so workers never idle
+    at configuration boundaries."""
     trials = 3 if smoke else 8
+    engine = resolve_engine("auto")
 
     # Warm the shared pool outside both timed regions so neither path
     # pays the one-off fork cost (pools are cached by worker count —
     # whichever run went first would otherwise absorb it).
-    warmup = TrialRunner(testbed_profile, trials=2, jobs="auto")
-    warmup.run("warmup", warmup.msplayer(PlayerConfig()))
+    warmup = TrialRunner(testbed_profile, trials=2)
+    Campaign().add_run(warmup, "warmup", warmup.msplayer(PlayerConfig())).run(engine)
 
     def run_barrier():
-        runner = TrialRunner(testbed_profile, trials=trials, jobs="auto")
+        runner = TrialRunner(testbed_profile, trials=trials)
         start = time.perf_counter()
         results = {
-            label: runner.run(label, runner.msplayer(config))
+            label: Campaign()
+            .add_run(runner, label, runner.msplayer(config))
+            .run(engine)[label]
             for label, config in _sweep_configs()
         }
         return time.perf_counter() - start, results
 
     def run_campaign():
         runner = TrialRunner(testbed_profile, trials=trials)
-        campaign = Campaign(jobs="auto")
+        campaign = Campaign()
         # Spec construction inside the timed region, symmetric with the
-        # barrier path (TrialRunner.run builds specs per call).
+        # barrier path (which builds specs per configuration).
         start = time.perf_counter()
         for label, config in _sweep_configs():
             campaign.add_run(runner, label, runner.msplayer(config))
-        results = campaign.run()
+        results = campaign.run(engine)
         return time.perf_counter() - start, results
 
     barrier_s, barrier = run_barrier()
@@ -356,16 +361,20 @@ def test_campaign_vs_barrier_throughput(perf_record, smoke):
         assert speedup >= 1.05, f"campaign slower than barrier path: {speedup:.2f}x"
 
 
+def _seed_outcomes(label: str) -> list:
+    """Four real one-cycle testbed sessions, for replicating into
+    campaign-sized outcome lists."""
+    runner = TrialRunner(testbed_profile, trials=4)
+    driver = runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
+    return Campaign().add_run(runner, label, driver).run()[label].outcomes
+
+
 def test_columnar_aggregation_throughput(perf_record, smoke):
     """OutcomeBatch-vectorized analysis vs the retired per-trial
     Python-loop accessors, on a campaign-sized outcome list."""
-    runner = TrialRunner(testbed_profile, trials=4)
-    seed_result = runner.run(
-        "agg", runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
-    )
     # Campaign-scale sample without campaign-scale simulation time:
     # replicate the real outcomes (aggregation cost is what's measured).
-    outcomes = (seed_result.outcomes * 500)[: (400 if smoke else 2000)]
+    outcomes = (_seed_outcomes("agg") * 500)[: (400 if smoke else 2000)]
 
     def python_loop_queries():
         """What the retired accessors did: every statistic re-walks the
@@ -443,11 +452,8 @@ def test_shm_collection_throughput(perf_record, smoke):
     on purpose — this measures collection alone.
     """
     n = 400 if smoke else 2000
-    runner = TrialRunner(testbed_profile, trials=4)
-    seed_result = runner.run(
-        "ipc", runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
-    )
-    outcomes = (seed_result.outcomes * (1 + n // len(seed_result.outcomes)))[:n]
+    seed = _seed_outcomes("ipc")
+    outcomes = (seed * (1 + n // len(seed)))[:n]
 
     def shm_collection() -> OutcomeBatch:
         arena = OutcomeArena.create(len(outcomes))

@@ -24,13 +24,13 @@ import time
 
 from conftest import RESULTS_DIR, trials
 
-from repro.study import run_experiment
+from repro.study import Study
 
 RESULT_FILE = RESULTS_DIR / "BENCH_x6_population.json"
 
 
 def run_comparison(clients: int, replicates: int, jobs):
-    result = run_experiment("x6", replicates=replicates, clients=clients, jobs=jobs)
+    result = Study("x6", replicates=replicates, clients=clients).run(jobs=jobs).only().result
     return result.rendered, result.raw
 
 

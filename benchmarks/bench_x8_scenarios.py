@@ -22,13 +22,13 @@ import time
 
 from conftest import RESULTS_DIR, trials
 
-from repro.study import run_experiment
+from repro.study import Study
 
 RESULT_FILE = RESULTS_DIR / "BENCH_x8_scenarios.json"
 
 
 def run_x8(clients: int, replicates: int, jobs):
-    result = run_experiment("x8", replicates=replicates, clients=clients, jobs=jobs)
+    result = Study("x8", replicates=replicates, clients=clients).run(jobs=jobs).only().result
     return result.rendered, result.raw
 
 
@@ -52,9 +52,7 @@ def test_x8_x9_scenario_slos(benchmark, record_result, smoke):
     assert auto_raw == raw
 
     # The robustness scenario, same scale, parallel backend.
-    x9 = run_experiment(
-        "x9", replicates=replicates, clients=clients, jobs="auto"
-    )
+    x9 = Study("x9", replicates=replicates, clients=clients).run(jobs="auto").only().result
     record_result("x9", x9.rendered)
 
     speedup = serial_s / auto_s

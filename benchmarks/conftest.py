@@ -1,9 +1,10 @@
 """Shared benchmark plumbing.
 
-Each benchmark regenerates one paper figure/table via the experiment
-functions in :mod:`repro.analysis.experiments`, asserts the *shape*
-claims (orderings, trends — not absolute seconds), prints the rendered
-panel, and archives it under ``benchmarks/results/``.
+Each benchmark regenerates one paper figure/table by running its
+registered experiment through :class:`~repro.study.Study` (the one way
+in; ``run_study`` below), asserts the *shape* claims (orderings,
+trends — not absolute seconds), prints the rendered panel, and archives
+it under ``benchmarks/results/``.
 
 Trial count: the paper repeats 20×; benches default to 10 for CI speed.
 Set ``REPRO_TRIALS=20`` for a full paper-fidelity run.
@@ -58,7 +59,7 @@ def trials(default: int = 10) -> int:
 
 
 def jobs(default: str | int | None = None) -> str | int | None:
-    """The ``jobs`` knob benches pass to experiment functions."""
+    """The ``jobs`` knob benches pass to ``Study.run``."""
     return os.environ.get("REPRO_JOBS", default)
 
 
@@ -75,32 +76,25 @@ def record_result(capsys):
     return _record
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
 def run_study(benchmark, experiment_id, *, jobs=None, cache=None, **params):
-    """Run a registered experiment once via the study registry.
+    """Run a registered experiment once, timed; returns its
+    :class:`~repro.analysis.experiments.ExperimentResult`.
 
     The benches drive experiments by id through
-    :func:`repro.study.run_experiment` (the same
-    :class:`~repro.study.Study` path the CLI generates), so bench
+    :class:`~repro.study.Study` (the path the CLI generates), so bench
     coverage cannot drift from ``repro list`` — an id with no schema,
     or params the schema rejects, fails here exactly like it fails on
-    the command line.  ``tests/test_study_registry.py`` gates the
-    inverse: every registered id is referenced by some bench file.
+    the command line, before the timer starts.
+    ``tests/test_study_registry.py`` gates the inverse: every
+    registered id is referenced by some bench file.
 
     ``cache`` (or ``REPRO_CACHE``) points at a study cell cache — the
     panel is byte-identical either way, but a hit measures the cache,
     not the simulation.
     """
-    from repro.study import run_experiment
+    from repro.study import Study
 
+    study = Study(experiment_id, **params)
     return benchmark.pedantic(
-        run_experiment,
-        args=(experiment_id,),
-        kwargs={"jobs": jobs, "cache": cache, **params},
-        rounds=1,
-        iterations=1,
+        lambda: study.run(jobs=jobs, cache=cache).only().result, rounds=1, iterations=1
     )

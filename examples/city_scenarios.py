@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.ext.population import PopulationCampaign
 from repro.scenarios import (
     ArrivalSpec,
     ChurnSpec,
@@ -29,18 +30,18 @@ from repro.scenarios import (
     ScenarioExperiment,
     population_slo,
 )
-from repro.study import run_experiment
+from repro.study import Study
 
 
 def main() -> None:
     clients = int(sys.argv[1]) if len(sys.argv) > 1 else 8
 
     print(f"EXP-X8: city diurnal, {clients} clients per policy...\n")
-    x8 = run_experiment("x8", replicates=1, clients=clients, catalog=8)
+    x8 = Study("x8", replicates=1, clients=clients, catalog=8).run().only().result
     print(x8.rendered)
 
     print(f"\nEXP-X9: flash crowd + brownouts, {clients} clients per policy...\n")
-    x9 = run_experiment("x9", replicates=1, clients=clients, catalog=8)
+    x9 = Study("x9", replicates=1, clients=clients, catalog=8).run().only().result
     print(x9.rendered)
 
     print("\ncustom scenario: lunchtime burst over a browning-out server...")
@@ -56,7 +57,7 @@ def main() -> None:
         client_count=clients,
         seed=2026,
     )
-    population = experiment.compare(policies=("rotate",), replicates=1)
+    population = PopulationCampaign().add(experiment.specs_for("rotate", 1)).run()
     slo = population_slo(population["rotate"].batch)
     print(
         f"  rotate: p95 start-up {slo.p95_startup_s:.2f}s, "

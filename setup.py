@@ -45,13 +45,6 @@ setup(
             "mypy>=1.8",
             "ruff>=0.4",
         ],
-        # The study-service front end (repro serve --fastapi).  The
-        # broker, workers, and stdlib http.server front end need none
-        # of this — the extra only upgrades the HTTP layer.
-        "serve": [
-            "fastapi>=0.100",
-            "uvicorn>=0.23",
-        ],
     },
     entry_points={
         "console_scripts": [

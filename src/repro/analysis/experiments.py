@@ -9,11 +9,10 @@ configurations' work specs registered) coupled with a ``render``
 callable that turns the campaign's per-label results into an
 :class:`ExperimentResult` whose ``rendered`` text reproduces the
 figure/table and whose ``raw`` dict carries the numbers for
-assertions.  The :class:`~repro.study.study.Study` facade, the
-registry-generated CLI (``repro experiment <id>``), and the benchmarks
-all drive experiments through these definitions; the module-level
-functions (``fig2_prebuffer_testbed(...)`` and friends) remain as thin
-compatibility wrappers over :func:`repro.study.run_experiment`.
+assertions.  :class:`~repro.study.study.Study` is the one way to run
+one — ``Study("fig2", trials=5).run(jobs=2).only().result`` — and the
+registry-generated CLI (``repro experiment <id>``) and the benchmarks
+go through it too.
 
 Execution knobs are uniform across every experiment: ``seed`` is a
 schema param everywhere, and ``jobs`` selects the execution
@@ -68,9 +67,6 @@ from .tables import format_table, render_distribution_rows
 
 #: Experiment default: the paper's repetition count.
 PAPER_TRIALS = 20
-
-#: Type of the ``jobs`` knob shared by the compatibility wrappers.
-Jobs = int | str | None
 
 #: Schedulers a sweep may select (everything ``make_scheduler`` knows).
 SCHEDULER_CHOICES = ("harmonic", "ewma", "ratio", "last", "window")
@@ -252,20 +248,6 @@ FIG1 = register(
 )
 
 
-def fig1_bootstrap_timing(
-    rtt_wifi: float = 50 * MS,
-    thetas: tuple[float, ...] = (1.5, 2.0, 2.5, 3.0),
-    seed: int = 7,
-    jobs: Jobs = None,
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("fig1", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment(
-        "fig1", jobs=jobs, rtt_wifi=rtt_wifi, thetas=thetas, seed=seed
-    )
-
-
 # ---------------------------------------------------------------------------
 # Fig. 2 — testbed pre-buffering
 # ---------------------------------------------------------------------------
@@ -317,15 +299,6 @@ FIG2 = register(
         smoke_params={"trials": 1},
     )
 )
-
-
-def fig2_prebuffer_testbed(
-    trials: int = PAPER_TRIALS, seed: int = 2014, jobs: Jobs = None
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("fig2", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment("fig2", jobs=jobs, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +399,6 @@ FIG3 = register(
 )
 
 
-def fig3_scheduler_sweep(
-    trials: int = PAPER_TRIALS,
-    seed: int = 2015,
-    prebuffers: tuple[float, ...] = (20.0, 40.0, 60.0),
-    chunks: tuple[int, ...] = (16 * KB, 64 * KB, 256 * KB, 1 * MB),
-    schedulers: tuple[str, ...] = ("harmonic", "ewma", "ratio"),
-    jobs: Jobs = None,
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("fig3", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment(
-        "fig3",
-        jobs=jobs,
-        trials=trials,
-        seed=seed,
-        prebuffers=prebuffers,
-        chunks=chunks,
-        schedulers=schedulers,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Fig. 4 — YouTube-profile pre-buffering
 # ---------------------------------------------------------------------------
@@ -515,20 +466,6 @@ FIG4 = register(
         smoke_params={"trials": 1, "prebuffers": (20.0,)},
     )
 )
-
-
-def fig4_prebuffer_youtube(
-    trials: int = PAPER_TRIALS,
-    seed: int = 2016,
-    prebuffers: tuple[float, ...] = (20.0, 40.0, 60.0),
-    jobs: Jobs = None,
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("fig4", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment(
-        "fig4", jobs=jobs, trials=trials, seed=seed, prebuffers=prebuffers
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -632,26 +569,6 @@ FIG5 = register(
 )
 
 
-def fig5_rebuffer(
-    trials: int = PAPER_TRIALS,
-    seed: int = 2017,
-    rebuffers: tuple[float, ...] = (20.0, 40.0, 60.0),
-    target_cycles: int = 3,
-    jobs: Jobs = None,
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("fig5", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment(
-        "fig5",
-        jobs=jobs,
-        trials=trials,
-        seed=seed,
-        rebuffers=rebuffers,
-        target_cycles=target_cycles,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Table 1 — traffic fraction over WiFi
 # ---------------------------------------------------------------------------
@@ -729,20 +646,6 @@ TABLE1 = register(
         smoke_params={"trials": 1, "durations": (20.0,)},
     )
 )
-
-
-def table1_traffic_fraction(
-    trials: int = PAPER_TRIALS,
-    seed: int = 2018,
-    durations: tuple[float, ...] = (20.0, 40.0, 60.0),
-    jobs: Jobs = None,
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("table1", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment(
-        "table1", jobs=jobs, trials=trials, seed=seed, durations=durations
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -854,13 +757,6 @@ X1 = register(
 )
 
 
-def x1_robustness(trials: int = 10, seed: int = 2019, jobs: Jobs = None) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("x1", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment("x1", jobs=jobs, trials=trials, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # EXP-X2 — source diversity vs MPTCP analogue
 # ---------------------------------------------------------------------------
@@ -933,13 +829,6 @@ X2 = register(
         smoke_params={"trials": 1},
     )
 )
-
-
-def x2_source_diversity(trials: int = 10, seed: int = 2020, jobs: Jobs = None) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("x2", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment("x2", jobs=jobs, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,15 +907,6 @@ X3 = register(
         smoke_params={"samples": 60},
     )
 )
-
-
-def x3_estimators(
-    seed: int = 2021, samples: int = 400, jobs: Jobs = None
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("x3", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment("x3", jobs=jobs, seed=seed, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,23 +1017,3 @@ X6 = register(
         smoke_params={"replicates": 1, "clients": 2},
     )
 )
-
-
-def x6_population(
-    replicates: int = 5,
-    clients: int = 12,
-    seed: int = 2022,
-    policies: tuple[str, ...] = POLICY_CHOICES,
-    jobs: Jobs = None,
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("x6", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment(
-        "x6",
-        jobs=jobs,
-        replicates=replicates,
-        clients=clients,
-        seed=seed,
-        policies=policies,
-    )

@@ -343,12 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --gc: completed studies younger than this keep their "
         "result blobs (default: %(default)s)",
     )
-    serve.add_argument(
-        "--fastapi",
-        action="store_true",
-        help="serve through FastAPI/uvicorn (needs the 'serve' extra) "
-        "instead of the stdlib http.server",
-    )
 
     worker = sub.add_parser(
         "worker",
@@ -652,20 +646,12 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         return 0
     try:
+        from .serve.httpd import run_server
+
         log(f"[serve] broker db {args.db}; listening on {args.host}:{args.port}")
-        if args.fastapi:
-            from .serve.app import serve_uvicorn
-
-            serve_uvicorn(broker, args.host, args.port)
-        else:
-            from .serve.httpd import run_server
-
-            run_server(broker, args.host, args.port)
+        run_server(broker, args.host, args.port)
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         pass
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         broker.close()
     return 0

@@ -276,26 +276,3 @@ class MultiClientExperiment:
             )
             for replicate in range(replicates)
         ]
-
-    def compare(
-        self,
-        policies: tuple[str, ...] = ("static", "rotate", "least_loaded"),
-        replicates: int = 1,
-        jobs=None,
-    ):
-        """Run every policy over identically seeded replicate populations.
-
-        One :class:`~repro.ext.population.PopulationCampaign`: all
-        ``len(policies) × replicates`` populations are interleaved into
-        a single engine submission (replicate *i* of every policy
-        before replicate *i+1* of any) and demultiplexed per policy
-        into :class:`~repro.ext.population.PopulationResult`s.  Results
-        are byte-identical whatever the backend (``jobs`` takes the
-        usual ``None``/``"serial"``/``"auto"``/``N``/engine values).
-        """
-        from .population import PopulationCampaign
-
-        campaign = PopulationCampaign(jobs=jobs)
-        for policy in policies:
-            campaign.add(self.specs_for(policy, replicates))
-        return campaign.run()

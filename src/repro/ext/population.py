@@ -34,9 +34,9 @@ This module makes a population a campaign work unit:
   the dense replicate columns), wrapped in lazy
   :class:`PopulationResult`s.
 
-Determinism bar, same as every other campaign: serial /
-process-pickle / process-shm produce bit-identical batches for a fixed
-root seed (``tests/test_ext_population.py``,
+Determinism bar, same as every other campaign: the in-process and
+the shared-memory collection paths produce bit-identical batches for a
+fixed root seed (``tests/test_ext_population.py``,
 ``tests/test_determinism_sweeps.py``).
 """
 
@@ -99,7 +99,7 @@ def population_dense_row(result: MultiClientResult) -> dict[str, float]:
     """One population's dense scalars, as stored in the arena row.
 
     The single source of the aggregate arithmetic: the shm path runs it
-    worker-side into the arena, the serial/pickle paths run it
+    worker-side into the arena, the in-process path runs it
     parent-side in :meth:`PopulationBatch.from_results` — same numpy
     operations, so the two collection paths agree bit for bit.
     """
@@ -309,7 +309,7 @@ class PopulationBatch:
 
     @classmethod
     def from_results(cls, results: Sequence[MultiClientResult]) -> "PopulationBatch":
-        """Serial/pickle assembly: aggregate each materialized result
+        """In-process assembly: aggregate each materialized result
         through the same :func:`population_dense_row` the workers use."""
         rows = [population_dense_row(result) for result in results]
         dense = {
@@ -352,8 +352,8 @@ class PopulationResult:
 
     The population analogue of
     :class:`~repro.sim.campaign.TrialResult`: holds materialized
-    :class:`~repro.ext.multi_client.MultiClientResult`s (serial/pickle
-    paths) or — on the shm path — a pre-assembled columnar batch plus a
+    :class:`~repro.ext.multi_client.MultiClientResult`s (the in-process
+    path) or — on the shm path — a pre-assembled columnar batch plus a
     thunk that rebuilds the result objects only if something walks
     them.
     """

@@ -267,20 +267,6 @@ class ScenarioExperiment:
             for replicate in range(replicates)
         ]
 
-    def compare(
-        self,
-        policies: tuple[str, ...] = ("static", "rotate", "least_loaded"),
-        replicates: int = 1,
-        jobs=None,
-    ):
-        """Every policy over identically seeded replicate scenarios."""
-        from ..ext.population import PopulationCampaign
-
-        campaign = PopulationCampaign(jobs=jobs)
-        for policy in policies:
-            campaign.add(self.specs_for(policy, replicates))
-        return campaign.run()
-
 
 @dataclass(frozen=True)
 class ScenarioSpec(PopulationSpec):

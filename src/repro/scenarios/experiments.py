@@ -36,7 +36,7 @@ from .experiment import ScenarioExperiment
 from .mix import MixSpec
 from .slo import SLOReport, population_slo
 
-__all__ = ["X8", "X9", "x8_city_diurnal", "x9_flash_crowd"]
+__all__ = ["X8", "X9"]
 
 
 def _slo_rows(policies, results) -> tuple[list[dict[str, str]], dict[str, dict]]:
@@ -171,34 +171,6 @@ X8 = register(
 )
 
 
-def x8_city_diurnal(
-    replicates: int = 2,
-    clients: int = 200,
-    seed: int = 2026,
-    policies: tuple[str, ...] = POLICY_CHOICES,
-    catalog: int = 24,
-    zipf: float = 1.1,
-    horizon: float = 30.0,
-    amplitude: float = 2.0,
-    jobs=None,
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("x8", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment(
-        "x8",
-        jobs=jobs,
-        replicates=replicates,
-        clients=clients,
-        seed=seed,
-        policies=policies,
-        catalog=catalog,
-        zipf=zipf,
-        horizon=horizon,
-        amplitude=amplitude,
-    )
-
-
 # ---------------------------------------------------------------------------
 # EXP-X9 — flash crowd over a browning-out CDN
 # ---------------------------------------------------------------------------
@@ -290,37 +262,3 @@ X9 = register(
         smoke_params={"replicates": 1, "clients": 3, "catalog": 6},
     )
 )
-
-
-def x9_flash_crowd(
-    replicates: int = 2,
-    clients: int = 200,
-    seed: int = 2026,
-    policies: tuple[str, ...] = POLICY_CHOICES,
-    catalog: int = 24,
-    zipf: float = 1.1,
-    crowd_at: float = 8.0,
-    crowd_width: float = 4.0,
-    crowd_fraction: float = 0.6,
-    brownouts: int = 2,
-    crashes: int = 1,
-    jobs=None,
-) -> ExperimentResult:
-    """Compatibility wrapper over ``Study("x9", ...)``."""
-    from ..study import run_experiment
-
-    return run_experiment(
-        "x9",
-        jobs=jobs,
-        replicates=replicates,
-        clients=clients,
-        seed=seed,
-        policies=policies,
-        catalog=catalog,
-        zipf=zipf,
-        crowd_at=crowd_at,
-        crowd_width=crowd_width,
-        crowd_fraction=crowd_fraction,
-        brownouts=brownouts,
-        crashes=crashes,
-    )

@@ -14,10 +14,8 @@ repo's core invariant — results byte-identical to a local serial run:
   count and poisoned-cell quarantine.  The PR 8
   :class:`~repro.study.cache.StudyCache` plugs in broker-side, so a
   resubmitted cell is served from disk and never leased at all.
-* :mod:`repro.serve.httpd` — a stdlib ``http.server`` front end (what
-  ``repro serve`` runs and the tests exercise); :mod:`repro.serve.app`
-  is the same surface on FastAPI for deployments that installed the
-  optional ``serve`` extra.
+* :mod:`repro.serve.httpd` — the stdlib ``http.server`` front end
+  (what ``repro serve`` runs and the tests exercise), dependency-free.
 * :mod:`repro.serve.worker` — the pull worker behind ``repro worker
   URL``: lease, execute the cell with a local engine, post the result
   archive back, heartbeating all the while.

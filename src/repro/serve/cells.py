@@ -32,7 +32,7 @@ def execute_cell(experiment_id: str, params: dict[str, Any], engine: Any = None)
 
     ``params`` is the cell's full param dict (any JSON-roundtripped
     spelling; the schema re-coerces), ``engine`` the worker's local
-    execution backend (``None`` lets the campaign resolve one, i.e.
+    execution backend (``None`` lets ``run_together`` resolve one, i.e.
     ``REPRO_JOBS`` semantics).  Determinism makes the engine choice
     irrelevant to the bytes produced.
     """

@@ -2,10 +2,11 @@
 
 JSON over ``http.server`` — zero dependencies, which is what lets the
 tier-1 tests and the CI e2e job run a real broker + workers over real
-sockets on any checkout.  :mod:`repro.serve.app` offers the same
-surface on FastAPI for deployments that installed the ``serve`` extra.
+sockets on any checkout.  It is the service's only front end.
 
-Endpoints (all JSON; errors are ``{"error": msg}`` with a 4xx code):
+Endpoints (all JSON; errors are ``{"error": msg}`` with a 4xx code —
+a malformed query, header or body included, never a dropped
+connection):
 
 ====== ====================================== =========================
 POST   /api/v1/studies                         submit a study
@@ -30,9 +31,12 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import re
 import threading
 import time
+from collections.abc import Callable
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 from typing import Any
@@ -49,6 +53,17 @@ _RESULT = re.compile(r"^/api/v1/studies/([^/]+)/cells/(\d+)/result$")
 #: refuses to hold a connection longer than the cap.
 _POLL_STEP = 0.05
 _MAX_WAIT = 30.0
+
+_b64decode = partial(base64.b64decode, validate=True)
+
+
+def _parse(kind: Callable[[Any], Any], raw: Any, what: str) -> Any:
+    """``kind(raw)``; a value it cannot convert is the client's error
+    (a :class:`ConfigError`, hence a 400), not the handler's."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ConfigError(f"malformed {what}: {raw!r:.60}") from None
 
 
 class BrokerServer(ThreadingHTTPServer):
@@ -81,15 +96,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_json(self) -> dict[str, Any]:
+        length = _parse(int, self.headers.get("Content-Length") or 0, "Content-Length")
+        if length < 0:
+            raise ConfigError(f"malformed Content-Length: {length}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
-            return json.loads(raw.decode())
+            body = json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"request body is not valid JSON: {exc}") from None
+        if not isinstance(body, dict):
+            raise ConfigError(f"request body must be a JSON object, got {type(body).__name__}")
+        return body
 
     # -- routes -------------------------------------------------------------
 
@@ -125,12 +145,15 @@ class _Handler(BaseHTTPRequestHandler):
         (done + failed) cell count differs from ``N``, the job leaves
         ``running``, or ``S`` seconds pass — the "streamed progress"
         primitive: a client looping on it sees every transition without
-        hot-polling.
+        hot-polling.  ``S`` must be finite and >= 0 (a NaN deadline
+        would never pass) and is capped at ``_MAX_WAIT``.
         """
         params = parse_qs(query)
-        wait = min(float(params.get("wait", ["0"])[0]), _MAX_WAIT)
-        seen = int(params.get("done", ["-1"])[0])
-        deadline = time.monotonic() + wait
+        wait = _parse(float, params.get("wait", ["0"])[0], "wait")
+        if not 0.0 <= wait < math.inf:
+            raise ConfigError(f"wait must be a finite number of seconds >= 0, got {wait!r}")
+        seen = _parse(int, params.get("done", ["-1"])[0], "done")
+        deadline = time.monotonic() + min(wait, _MAX_WAIT)
         while True:
             status = self.server.broker.status(job_id)
             counts = status["counts"]
@@ -156,9 +179,9 @@ class _Handler(BaseHTTPRequestHandler):
                     200,
                     broker.complete(
                         str(body.get("job_id") or ""),
-                        int(body.get("cell") or 0),
+                        _parse(int, body.get("cell") or 0, "cell"),
                         str(body.get("manifest_text") or ""),
-                        base64.b64decode(str(body.get("npz_b64") or "")),
+                        _parse(_b64decode, str(body.get("npz_b64") or ""), "npz_b64"),
                         lease_id=body.get("lease_id"),
                         worker=body.get("worker"),
                     ),

@@ -12,8 +12,8 @@ the paper, as code:
   against that world, translating its commands into simulated IO;
 * :mod:`repro.sim.singlepath` — drives the single-path baseline player
   (Adobe-Flash/HTML5-style) for Figs. 2, 4 and 5;
-* :mod:`repro.sim.runner` — repeated-trial experiment execution with
-  derived seeds (the paper randomizes configuration order over 20
+* :mod:`repro.sim.runner` — repeated-trial seed derivation and spec
+  factories (the paper randomizes configuration order over 20
   repetitions; we give each (configuration, trial) an independent
   random substream);
 * :mod:`repro.sim.execution` — the trial execution engine: declarative
@@ -52,8 +52,8 @@ from .execution import (
     resolve_engine,
 )
 from .shm import OutcomeArena, SideRecord, TrialCollection, collect_trials
-from .campaign import Campaign, OutcomeBatch
-from .runner import TrialRunner, TrialResult
+from .campaign import Campaign, OutcomeBatch, TrialResult
+from .runner import TrialRunner
 
 __all__ = [
     "OutcomeArena",

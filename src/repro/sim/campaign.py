@@ -1,13 +1,11 @@
 """Campaign-level trial scheduling and columnar outcome aggregation.
 
-PR-1 parallelized *within* one configuration: ``TrialRunner.run`` hands
-its 20 specs to the engine and blocks until all of them return before
-the sweep moves to the next configuration.  That barrier is artificial
-— the paper's seed derivation (``root_seed, label, trial``) makes every
-trial of every configuration independent — so a figure sweep can feed
-the pool *all* of its specs at once and let the scheduler keep every
-worker busy across configuration boundaries.  :class:`Campaign` does
-exactly that:
+The paper's seed derivation (``root_seed, label, trial``) makes every
+trial of every configuration independent, so a figure sweep has no
+reason to wait for one configuration's trials before starting the
+next: it can feed the pool *all* of its specs at once and let the
+scheduler keep every worker busy across configuration boundaries.
+:class:`Campaign` does exactly that:
 
 * configurations register their spec batches with :meth:`Campaign.add`
   (order of registration is the configuration order of the figure);
@@ -17,11 +15,17 @@ exactly that:
   over the pool's chunks — and demultiplexes the outcomes back into one
   :class:`TrialResult` per label, in per-label trial order.
 
+:func:`run_together` is the one place that happens, for one campaign
+or for every cell of a study grid, and the one place below
+:meth:`Study.run <repro.study.study.Study.run>` where a backend left
+unspecified is resolved (``REPRO_JOBS`` semantics, and only when there
+is work to submit).
+
 Determinism: every trial builds its whole world from its own derived
-seed, so execution order is irrelevant to the outcomes and the
-campaign's per-label results are byte-identical to the per-configuration
-``TrialRunner.run`` path for the same root seed (asserted in
-``tests/test_sim_campaign.py`` for fig3 and table1, serial and auto).
+seed, so execution order is irrelevant to the outcomes and a campaign's
+per-label results are byte-identical to running each configuration as
+a campaign of its own (asserted in ``tests/test_sim_campaign.py`` for
+fig3 and table1 shapes, on every backend).
 
 Aggregation: outcomes land in a columnar :class:`OutcomeBatch` — numpy
 arrays for start-up delays, completed cycle durations (CSR layout), and
@@ -48,7 +52,6 @@ __all__ = [
     "OutcomeBatch",
     "TrialResult",
     "dense_field_mismatches",
-    "interleave",
     "run_together",
 ]
 
@@ -288,8 +291,8 @@ class OutcomeBatch:
 class TrialResult:
     """One configuration's results across trials.
 
-    Holds either materialized ``SessionOutcome`` objects (the serial
-    and pickle collection paths) or — on the shm path — a pre-assembled
+    Holds either materialized ``SessionOutcome`` objects (the
+    in-process collection path) or — on the shm path — a pre-assembled
     columnar batch plus a thunk that rebuilds the outcome objects only
     if something actually walks them (EXP-X2's per-server accounting
     does; the figure pipelines never do).
@@ -371,67 +374,30 @@ class TrialResult:
 # ---------------------------------------------------------------------------
 
 
-def interleave(batches: Sequence[Sequence[TrialSpec]]) -> list[TrialSpec]:
-    """Round-robin merge: trial i of every batch before trial i+1 of any.
-
-    Keeps per-batch order (so demultiplexed results stay in trial
-    order) while spreading each configuration's trials across the
-    submission — chunked pool dispatch then hands every worker a mix of
-    configurations instead of a run of identical ones.
-    """
-    merged: list[TrialSpec] = []
-    for rank in range(max((len(b) for b in batches), default=0)):
-        for batch in batches:
-            if rank < len(batch):
-                merged.append(batch[rank])
-    return merged
-
-
 class Campaign:
     """All configurations of a figure sweep, one pool submission.
 
     Usage::
 
-        campaign = Campaign(jobs="auto")
+        campaign = Campaign()
         for label, driver in configurations:
             campaign.add(runner.specs_for(label, driver))
-        results = campaign.run()      # {label: TrialResult}
+        results = campaign.run(engine)      # {label: TrialResult}
 
     ``add`` accepts any spec batch (different runners, scenario
     configs, or profiles per configuration are fine); labels must be
-    unique because they key the demultiplexed results.
+    unique because they key the demultiplexed results.  A campaign is
+    only a description of work: it holds no backend, and ``run`` takes
+    the one to use.
     """
 
-    def __init__(
-        self,
-        jobs: int | str | ExecutionEngine | None = None,
-        engine: ExecutionEngine | None = None,
-    ) -> None:
-        self._jobs = jobs
-        self._engine = engine
+    def __init__(self) -> None:
         self._batches: list[list[TrialSpec]] = []
         self._labels: list[str] = []
 
-    @property
-    def engine(self) -> ExecutionEngine:
-        """The execution backend, resolved on first use.
-
-        Lazy on purpose: experiment plan builders construct unrun
-        campaigns (``Study`` supplies the engine at run time), and an
-        eagerly resolved engine would consult ``REPRO_JOBS`` — letting
-        a broken environment value poison runs whose backend was
-        chosen explicitly.
-        """
-        if self._engine is None:
-            self._engine = resolve_engine(self._jobs)
-        return self._engine
-
-    @engine.setter
-    def engine(self, engine: ExecutionEngine) -> None:
-        self._engine = engine
-
-    def add(self, specs: Sequence[TrialSpec]) -> str:
-        """Register one configuration's trial batch; returns its label."""
+    def add(self, specs: Sequence[TrialSpec]) -> "Campaign":
+        """Register one configuration's trial batch; returns the campaign
+        (so ``Campaign().add(specs).run(engine)`` reads as one line)."""
         specs = list(specs)
         if not specs:
             raise ConfigError("cannot add an empty trial batch to a campaign")
@@ -445,9 +411,9 @@ class Campaign:
             raise ConfigError(f"duplicate campaign label {label!r}")
         self._labels.append(label)
         self._batches.append(specs)
-        return label
+        return self
 
-    def add_run(self, runner, label: str, make_driver, scenario_hook=None) -> str:
+    def add_run(self, runner, label: str, make_driver, scenario_hook=None) -> "Campaign":
         """Convenience: ``add(runner.specs_for(label, make_driver, hook))``."""
         return self.add(runner.specs_for(label, make_driver, scenario_hook))
 
@@ -468,19 +434,14 @@ class Campaign:
         each label's ``OutcomeBatch`` is assembled directly from the
         arena's dense columns — no outcome objects, no deserialization
         of the dense data — and the objects themselves stay lazy.
-
-        ``engine`` overrides the campaign's own backend for this call
-        without resolving or mutating it — the service worker runs
-        leased cells through here with its local engine, and the
-        campaign must stay oblivious to ``REPRO_JOBS`` when told what
-        to use.
+        ``engine=None`` resolves one the way :func:`run_together` does.
         """
-        return run_together([self], engine if engine is not None else self.engine)[0]
+        return run_together([self], engine)[0]
 
     # -- demux hooks (overridden by other campaign kinds) -------------------
 
     def _result_from_outcomes(self, label: str, outcomes: list) -> TrialResult:
-        """Wrap one label's materialized results (serial/pickle paths)."""
+        """Wrap one label's materialized results (the in-process path)."""
         return TrialResult(label, outcomes)
 
     def _result_from_columnar(
@@ -521,8 +482,10 @@ def run_together(
 
     All campaigns must be the same class (their demux hooks decide the
     result kind) and their specs must share one dense column layout,
-    which same-kind campaigns do by construction.  ``engine`` defaults
-    to the first campaign's.
+    which same-kind campaigns do by construction.  ``engine=None``
+    resolves a backend with :func:`~repro.sim.execution.resolve_engine`
+    (``REPRO_JOBS``, else serial) — but only when the merged submission
+    is non-empty, so a fully cached run never reads ``REPRO_JOBS``.
     """
     if not campaigns:
         return []
@@ -555,9 +518,7 @@ def run_together(
                 merged.append(batch[rank])
                 merged_owner.append(owner)
     if merged:
-        if engine is None:
-            engine = campaigns[0].engine
-        collection = collect_trials(engine, merged)
+        collection = collect_trials(resolve_engine(engine), merged)
     else:
         # Everything was skipped (or the campaigns were empty): no
         # submission, no engine resolution — a fully-cached rerun must

@@ -26,9 +26,10 @@ only the ragged/string remainder pickled back through the pool pipe
 Determinism is the acceptance bar: ``engine.map(specs)`` returns
 outcomes in spec order, and every trial derives its randomness from its
 own seed, so parallel results are byte-identical to serial ones for the
-same root seed.  Select a backend with
-``TrialRunner(jobs=...)``, ``repro experiment --jobs N``, or the
-``REPRO_JOBS`` environment variable (``N``, ``auto``, or ``serial``).
+same root seed.  Select a backend with ``Study(...).run(jobs=...)``,
+``repro experiment --jobs N``, or the ``REPRO_JOBS`` environment
+variable (``N``, ``auto``, or ``serial``); :func:`resolve_engine` turns
+any of those into an engine.
 
 The engines are generic over the :class:`WorkSpec` protocol, not tied
 to per-trial specs: a spec kind supplies its own execution, dense arena
@@ -270,9 +271,9 @@ class SerialEngine:
         return "SerialEngine()"
 
 
-#: Shared worker pools, keyed by worker count.  A figure sweep calls
-#: ``TrialRunner.run`` once per configuration; reusing the pool means
-#: the campaign pays the fork cost once, not once per configuration.
+#: Shared worker pools, keyed by worker count.  Reusing the pool across
+#: submissions (every cell of a study, every study of a process) means
+#: the fork cost is paid once, not once per submission.
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 
 

@@ -1,4 +1,4 @@
-"""Repeated-trial experiment execution.
+"""Repeated-trial seed derivation and spec factories.
 
 The paper repeats each configuration 20 times with randomized ordering
 over 12 hours (§5.2).  Ordering randomization exists to decorrelate
@@ -10,19 +10,13 @@ fresh :class:`~repro.sim.scenario.Scenario`, so trials are i.i.d. and
 embarrassingly reproducible: ``(root_seed, config_label, trial_index)``
 fully determines a result.
 
-That independence is also what makes trials embarrassingly *parallel*:
-the runner hands declarative :class:`~repro.sim.execution.TrialSpec`
-batches to a pluggable :class:`~repro.sim.execution.ExecutionEngine`
-(``jobs=1`` serial, ``jobs=N``/``"auto"`` a process pool), and the
-engine guarantees outcomes come back in trial order — parallel results
-are byte-identical to serial ones for the same root seed.
-
-``TrialRunner.run`` executes *one* configuration and blocks until its
-trials finish.  Figure sweeps with several configurations should
-register each configuration's ``specs_for`` batch with a
-:class:`~repro.sim.campaign.Campaign` instead, which submits all of
-them to the pool at once (no per-configuration barrier) and returns
-the same per-label :class:`TrialResult` objects.
+That independence is also what makes trials embarrassingly *parallel*.
+A runner only *describes* work: ``specs_for`` turns one configuration
+into a batch of declarative :class:`~repro.sim.execution.TrialSpec`
+objects, which a :class:`~repro.sim.campaign.Campaign` submits — with
+every other configuration of the figure — to the execution backend
+``Campaign.run(engine)`` is given.  The runner never executes anything
+and never chooses a backend.
 """
 
 from __future__ import annotations
@@ -31,33 +25,22 @@ from collections.abc import Callable
 
 from ..core.config import PlayerConfig
 from ..rng import RngFactory
-from .campaign import OutcomeBatch, TrialResult
-from .shm import collect_trials
 from .execution import (
     DriverFactory,
-    ExecutionEngine,
     MPTCPLikeSpec,
     MSPlayerSpec,
     ScenarioHook,
-    SessionDriver,
     SinglePathSpec,
     TrialSpec,
-    resolve_engine,
 )
 from .profiles import NetworkProfile
 from .scenario import ScenarioConfig
 
-__all__ = [
-    "DriverFactory",
-    "OutcomeBatch",
-    "SessionDriver",
-    "TrialResult",
-    "TrialRunner",
-]
+__all__ = ["TrialRunner"]
 
 
 class TrialRunner:
-    """Runs driver factories over fresh scenarios with derived seeds."""
+    """Derives per-trial seeds and builds one configuration's specs."""
 
     def __init__(
         self,
@@ -65,28 +48,11 @@ class TrialRunner:
         scenario_config: ScenarioConfig | None = None,
         root_seed: int = 20141202,  # CoNEXT'14 started Dec 2, 2014
         trials: int = 20,  # the paper's repetition count (§5.2)
-        jobs: int | str | None = None,
-        engine: ExecutionEngine | None = None,
     ) -> None:
         self.profile_factory = profile_factory
         self.scenario_config = scenario_config or ScenarioConfig()
         self.root = RngFactory(root_seed)
         self.trials = trials
-        self._jobs = jobs
-        self._engine = engine
-
-    @property
-    def engine(self) -> ExecutionEngine:
-        """The execution backend, resolved on first use (``run`` needs
-        it; plan builders that only call ``specs_for`` never do, so a
-        stale ``REPRO_JOBS`` cannot break explicitly-backed runs)."""
-        if self._engine is None:
-            self._engine = resolve_engine(self._jobs)
-        return self._engine
-
-    @engine.setter
-    def engine(self, engine: ExecutionEngine) -> None:
-        self._engine = engine
 
     def seed_for(self, label: str, trial: int) -> int:
         return self.root.child(label).integer(f"trial-{trial}")
@@ -97,7 +63,7 @@ class TrialRunner:
         make_driver: DriverFactory,
         scenario_hook: ScenarioHook | None = None,
     ) -> list[TrialSpec]:
-        """The trial batch ``run`` hands to the execution engine."""
+        """One configuration's trial batch, ready for ``Campaign.add``."""
         return [
             TrialSpec(
                 label=label,
@@ -110,30 +76,6 @@ class TrialRunner:
             )
             for trial in range(self.trials)
         ]
-
-    def run(
-        self,
-        label: str,
-        make_driver: DriverFactory,
-        scenario_hook: ScenarioHook | None = None,
-    ) -> TrialResult:
-        """Execute ``trials`` independent runs of one configuration.
-
-        Collected the same way a campaign is: when the engine's shm
-        path returns columnar data, the batch is assembled straight
-        from the arena columns and outcome objects stay lazy.
-        """
-        specs = self.specs_for(label, make_driver, scenario_hook)
-        collection = collect_trials(self.engine, specs)
-        if collection.columnar:
-            return TrialResult(
-                label,
-                batch=OutcomeBatch.from_dense_and_sides(
-                    collection.dense, collection.sides
-                ),
-                outcome_thunk=lambda: collection.outcomes,
-            )
-        return TrialResult(label, collection.outcomes)
 
     # -- canned factories ---------------------------------------------------------
 

@@ -9,9 +9,8 @@ The public surface every scenario PR targets (see DESIGN.md
   validation point for the Study facade, the generated CLI, and
   archive loading);
 * :class:`Study` / :class:`StudyResult` — declarative runs and
-  parameter grids, every cell one merged pool submission;
-* :func:`run_experiment` — one-shot convenience the legacy
-  ``analysis.experiments`` wrappers delegate to;
+  parameter grids, every cell one merged pool submission; the one way
+  to run an experiment (``Study(id, **params).run(jobs=...)``);
 * :data:`SCHEMA_VERSION` and ``StudyResult.save()/load()`` — versioned
   JSON + npz result archives; :func:`dump_study` / :func:`parse_study`
   are the same format as an in-memory ``(manifest_text, npz_bytes)``
@@ -38,7 +37,7 @@ from .registry import (
     get_experiment,
     register,
 )
-from .study import Study, StudyCell, StudyResult, run_experiment
+from .study import Study, StudyCell, StudyResult
 
 __all__ = [
     "ARCHIVE_FORMAT",
@@ -60,7 +59,6 @@ __all__ = [
     "parse_study",
     "register",
     "resolve_cache",
-    "run_experiment",
     "save_study",
     "schema",
 ]

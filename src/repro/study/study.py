@@ -47,7 +47,7 @@ from .registry import ExperimentDef, get_experiment
 if TYPE_CHECKING:  # import cycle: cache.py imports this module lazily
     from .cache import CacheInfo, StudyCache
 
-__all__ = ["Study", "StudyCell", "StudyResult", "run_experiment"]
+__all__ = ["Study", "StudyCell", "StudyResult"]
 
 
 def _study_runner(
@@ -402,23 +402,3 @@ class Study:
             )
         return result
 
-
-def run_experiment(
-    experiment_id: str,
-    jobs: int | str | ExecutionEngine | None = None,
-    cache: "str | StudyCache | None" = None,
-    **params: Any,
-):
-    """One-shot convenience: run a registered experiment, return its
-    :class:`~repro.analysis.experiments.ExperimentResult`.
-
-    The compatibility wrappers in :mod:`repro.analysis.experiments`
-    (``fig2_prebuffer_testbed(...)`` and friends) delegate here, so the
-    legacy call surface and the Study surface are the same code path.
-    """
-    return (
-        Study(experiment_id, **params)
-        .run(jobs=jobs, cache=cache)
-        .only()
-        .result
-    )

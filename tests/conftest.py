@@ -10,6 +10,7 @@ from repro.net.bandwidth import ConstantBandwidth
 from repro.net.env import Environment
 from repro.net.latency import ConstantLatency
 from repro.net.link import Link
+from repro.study import Study
 from repro.units import mbit
 
 @pytest.fixture
@@ -54,3 +55,9 @@ def assert_batches_identical(a, b) -> None:
     assert a.column_mismatches(b) == [], (
         f"columns differ between batches: {a.column_mismatches(b)}"
     )
+
+
+def study_result(experiment_id: str, jobs=None, **params):
+    """The finished figure/table of one registered experiment, run the
+    one way there is: ``Study(id, **params).run(jobs=...)``."""
+    return Study(experiment_id, **params).run(jobs=jobs).only().result

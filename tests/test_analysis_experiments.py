@@ -1,4 +1,4 @@
-"""Experiment definition functions (quick-trial smoke + shape checks).
+"""Registered experiment definitions (quick-trial smoke + shape checks).
 
 Benchmarks run these at paper scale; here we verify the machinery with
 minimal trials so the unit suite stays fast.
@@ -6,25 +6,19 @@ minimal trials so the unit suite stays fast.
 
 import pytest
 
-from repro.analysis.experiments import (
-    fig1_bootstrap_timing,
-    fig2_prebuffer_testbed,
-    fig4_prebuffer_youtube,
-    table1_traffic_fraction,
-    x3_estimators,
-)
+from conftest import study_result
 
 
 class TestFig1:
     def test_structure(self):
-        result = fig1_bootstrap_timing(thetas=(2.0,))
+        result = study_result("fig1", thetas=(2.0,))
         assert result.experiment_id == "fig1"
         data = result.raw["theta=2.0"]
         assert set(data) == {"measured", "predicted"}
         assert "psi wifi" in result.rendered or "psi" in result.rendered
 
     def test_measured_close_to_predicted(self):
-        result = fig1_bootstrap_timing(thetas=(2.5,))
+        result = study_result("fig1", thetas=(2.5,))
         data = result.raw["theta=2.5"]
         for key in ("psi_wifi", "pi_lte"):
             measured = data["measured"][key]
@@ -34,26 +28,26 @@ class TestFig1:
 
 class TestFig2:
     def test_minimal_run(self):
-        result = fig2_prebuffer_testbed(trials=2)
+        result = study_result("fig2", trials=2)
         assert set(result.raw["medians"]) == {"WiFi", "LTE", "MSPlayer"}
         assert "Fig. 2" in result.rendered
 
     def test_msplayer_wins_even_with_two_trials(self):
-        result = fig2_prebuffer_testbed(trials=2)
+        result = study_result("fig2", trials=2)
         medians = result.raw["medians"]
         assert medians["MSPlayer"] < medians["LTE"]
 
 
 class TestFig4:
     def test_minimal_run(self):
-        result = fig4_prebuffer_youtube(trials=2, prebuffers=(20.0,))
+        result = study_result("fig4", trials=2, prebuffers=(20.0,))
         assert "20s" in result.raw
         assert "reduction" in result.raw["20s"]
 
 
 class TestTable1:
     def test_minimal_run(self):
-        result = table1_traffic_fraction(trials=2, durations=(20.0,))
+        result = study_result("table1", trials=2, durations=(20.0,))
         entry = result.raw["20s"]
         assert 0.0 < entry["prebuffer_mean"] < 1.0
         assert 0.0 <= entry["prebuffer_std"] < 0.5
@@ -61,10 +55,10 @@ class TestTable1:
 
 class TestX3:
     def test_harmonic_wins(self):
-        result = x3_estimators()
+        result = study_result("x3")
         assert result.raw["harmonic"] < min(
             result.raw["ewma"], result.raw["window"], result.raw["last"]
         )
 
     def test_deterministic(self):
-        assert x3_estimators().raw == x3_estimators().raw
+        assert study_result("x3").raw == study_result("x3").raw

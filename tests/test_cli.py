@@ -75,11 +75,20 @@ class TestParser:
             assert args.jobs == "2"
             assert args.set == ["seed=1"] and args.save == "out"
 
-    @pytest.mark.parametrize("flag,value", [("--kernel", "calendar"), ("--ipc", "pickle")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--kernel", "calendar"),
+            ("--ipc", "pickle"),
+            pytest.param("--fastapi", None, id="--fastapi"),
+        ],
+    )
     def test_retired_backend_flags_are_rejected(self, flag, value, capsys):
-        """One event kernel and one collection path: nothing to select."""
+        """One event kernel, one collection path and one HTTP front end:
+        nothing to select."""
+        argv = ["serve", flag] if value is None else ["experiment", "fig2", flag, value]
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig2", flag, value])
+            build_parser().parse_args(argv)
         assert "unrecognized arguments" in capsys.readouterr().err
 
 

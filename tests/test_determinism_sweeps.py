@@ -17,16 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import (
-    fig3_scheduler_sweep,
-    fig5_rebuffer,
-    table1_traffic_fraction,
-    x1_robustness,
-    x2_source_diversity,
-    x6_population,
-)
+from conftest import study_result
 from repro.sim.execution import ProcessEngine
-from repro.study import run_experiment
 from repro.units import KB
 
 #: jobs values for the parallel collection path (engine instances pass
@@ -49,9 +41,9 @@ class TestX1X2CrossBackend:
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_x1_robustness_matches_serial(self, make_jobs):
-        reference = x1_robustness(trials=2, jobs="serial")
+        reference = study_result("x1", "serial", trials=2)
         _assert_experiments_identical(
-            x1_robustness(trials=2, jobs=make_jobs()), reference
+            study_result("x1", make_jobs(), trials=2), reference
         )
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
@@ -59,9 +51,9 @@ class TestX1X2CrossBackend:
         """x2 is the outcome-object consumer: its per-server byte
         accounting walks ``result.outcomes``, so this also pins the
         shm path's lazy outcome rebuild to the serial objects."""
-        reference = x2_source_diversity(trials=2, jobs="serial")
+        reference = study_result("x2", "serial", trials=2)
         _assert_experiments_identical(
-            x2_source_diversity(trials=2, jobs=make_jobs()), reference
+            study_result("x2", make_jobs(), trials=2), reference
         )
 
 
@@ -77,39 +69,39 @@ class TestPaperScaleSweeps:
             chunks=(64 * KB, 256 * KB),
             schedulers=("harmonic", "ewma", "ratio"),
         )
-        reference = fig3_scheduler_sweep(jobs="serial", **kwargs)
+        reference = study_result("fig3", "serial", **kwargs)
         _assert_experiments_identical(
-            fig3_scheduler_sweep(jobs=make_jobs(), **kwargs), reference
+            study_result("fig3", make_jobs(), **kwargs), reference
         )
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_fig5_matches_serial(self, make_jobs):
         kwargs = dict(trials=5, rebuffers=(20.0, 40.0), target_cycles=2)
-        reference = fig5_rebuffer(jobs="serial", **kwargs)
+        reference = study_result("fig5", "serial", **kwargs)
         _assert_experiments_identical(
-            fig5_rebuffer(jobs=make_jobs(), **kwargs), reference
+            study_result("fig5", make_jobs(), **kwargs), reference
         )
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_table1_matches_serial(self, make_jobs):
         kwargs = dict(trials=5, durations=(20.0, 40.0, 60.0))
-        reference = table1_traffic_fraction(jobs="serial", **kwargs)
+        reference = study_result("table1", "serial", **kwargs)
         _assert_experiments_identical(
-            table1_traffic_fraction(jobs=make_jobs(), **kwargs), reference
+            study_result("table1", make_jobs(), **kwargs), reference
         )
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_x1_paper_trials_matches_serial(self, make_jobs):
-        reference = x1_robustness(trials=10, jobs="serial")
+        reference = study_result("x1", "serial", trials=10)
         _assert_experiments_identical(
-            x1_robustness(trials=10, jobs=make_jobs()), reference
+            study_result("x1", make_jobs(), trials=10), reference
         )
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_x2_paper_trials_matches_serial(self, make_jobs):
-        reference = x2_source_diversity(trials=10, jobs="serial")
+        reference = study_result("x2", "serial", trials=10)
         _assert_experiments_identical(
-            x2_source_diversity(trials=10, jobs=make_jobs()), reference
+            study_result("x2", make_jobs(), trials=10), reference
         )
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
@@ -120,9 +112,9 @@ class TestPaperScaleSweeps:
         The rendered panel and raw dict come entirely off the batch,
         so equality here is batch-level bit equality."""
         kwargs = dict(replicates=10, clients=12)
-        reference = x6_population(jobs="serial", **kwargs)
+        reference = study_result("x6", "serial", **kwargs)
         _assert_experiments_identical(
-            x6_population(jobs=make_jobs(), **kwargs), reference
+            study_result("x6", make_jobs(), **kwargs), reference
         )
 
 
@@ -147,7 +139,7 @@ _MINI_PARAMS: dict[str, dict] = {
 
 
 def _run_mini(experiment_id, jobs):
-    return run_experiment(experiment_id, jobs=jobs, **_MINI_PARAMS[experiment_id])
+    return study_result(experiment_id, jobs, **_MINI_PARAMS[experiment_id])
 
 
 class TestMiniCrossBackend:

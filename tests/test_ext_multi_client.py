@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.ext.multi_client import MultiClientExperiment
+from repro.ext.population import PopulationCampaign, PopulationResult
 from repro.sim.profiles import testbed_profile
 
 
@@ -64,15 +65,18 @@ class TestMultiClient:
 
 
 class TestCompare:
-    """``compare`` rides the population campaign layer."""
+    """Policies compare through ``specs_for`` + one population campaign."""
 
     def test_returns_population_results_per_policy(self):
-        from repro.ext.population import PopulationResult
-
         experiment = MultiClientExperiment(
             testbed_profile, client_count=2, video_duration_s=60.0, seed=5
         )
-        results = experiment.compare(("static", "rotate"), replicates=2)
+        results = (
+            PopulationCampaign()
+            .add(experiment.specs_for("static", 2))
+            .add(experiment.specs_for("rotate", 2))
+            .run()
+        )
         assert list(results) == ["static", "rotate"]
         for result in results.values():
             assert isinstance(result, PopulationResult)
@@ -80,12 +84,12 @@ class TestCompare:
             assert len(result.startup_delays()) == 4  # 2 replicates x 2 clients
 
     def test_single_replicate_matches_direct_run_distribution(self):
-        """One replicate of ``compare`` is one seeded ``run`` — same
+        """One replicate in a campaign is one seeded ``run`` — same
         machinery, derived seed."""
         experiment = MultiClientExperiment(
             testbed_profile, client_count=2, video_duration_s=60.0, seed=5
         )
-        compared = experiment.compare(("rotate",), replicates=1)["rotate"]
+        compared = PopulationCampaign().add(experiment.specs_for("rotate", 1)).run()["rotate"]
         direct = MultiClientExperiment(
             testbed_profile,
             client_count=2,

@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import x6_population
+from conftest import study_result
 from repro.errors import ConfigError
 from repro.ext.multi_client import MultiClientExperiment, MultiClientResult
 from repro.ext.population import (
@@ -23,14 +23,14 @@ from repro.ext.population import (
     PopulationResult,
     population_dense_row,
 )
-from repro.sim.execution import ProcessEngine
+from repro.sim.execution import ProcessEngine, SerialEngine, resolve_engine
 from repro.sim.profiles import testbed_profile
 from repro.sim.shm import OutcomeArena
 
 #: Every collection path a population campaign can run on (factories —
 #: each test gets a fresh engine).
 BACKENDS = [
-    pytest.param(lambda: "auto", id="auto"),
+    pytest.param(lambda: resolve_engine("auto"), id="auto"),
     pytest.param(lambda: ProcessEngine(2), id="process-shm"),
     # Three workers cut the specs into other chunks than two do.
     pytest.param(lambda: ProcessEngine(3), id="process-shm-3"),
@@ -150,15 +150,21 @@ class TestPopulationCampaignDeterminism:
 
     POLICIES = ("static", "rotate")
 
+    def campaign(self) -> PopulationCampaign:
+        """Every policy over the same two seeded replicates."""
+        experiment = small_experiment()
+        campaign = PopulationCampaign()
+        for policy in self.POLICIES:
+            campaign.add(experiment.specs_for(policy, 2))
+        return campaign
+
     @pytest.fixture(scope="class")
     def serial(self) -> dict[str, PopulationResult]:
-        return small_experiment().compare(self.POLICIES, replicates=2, jobs="serial")
+        return self.campaign().run(SerialEngine())
 
-    @pytest.mark.parametrize("make_jobs", BACKENDS)
-    def test_matches_serial(self, serial, make_jobs):
-        got = small_experiment().compare(
-            self.POLICIES, replicates=2, jobs=make_jobs()
-        )
+    @pytest.mark.parametrize("make_engine", BACKENDS)
+    def test_matches_serial(self, serial, make_engine):
+        got = self.campaign().run(make_engine())
         assert list(got) == list(self.POLICIES)
         for policy in self.POLICIES:
             assert got[policy].batch.column_mismatches(serial[policy].batch) == []
@@ -168,10 +174,7 @@ class TestPopulationCampaignDeterminism:
             assert got[policy].results == serial[policy].results
 
     def test_interleaves_policies(self):
-        experiment = small_experiment()
-        campaign = PopulationCampaign(jobs="serial")
-        for policy in self.POLICIES:
-            campaign.add(experiment.specs_for(policy, 2))
+        campaign = self.campaign()
         assert len(campaign) == 4
         assert campaign.labels == list(self.POLICIES)
 
@@ -207,7 +210,7 @@ class TestX6Shape:
     """A fast x6-shaped population pass stays in tier-1."""
 
     def test_x6_population_smoke(self):
-        result = x6_population(replicates=1, clients=6, jobs="serial")
+        result = study_result("x6", "serial", replicates=1, clients=6)
         assert result.experiment_id == "x6"
         raw = result.raw
         # Static selection starves replicas; rotation spreads the load.

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
+from repro.ext.population import PopulationCampaign
 from repro.rng import RngFactory
 from repro.scenarios import (
     ArrivalSpec,
@@ -292,9 +293,7 @@ class TestSLO:
             client_count=4,
             seed=31,
         )
-        population = experiment.compare(
-            policies=("rotate",), replicates=2, jobs="serial"
-        )
+        population = PopulationCampaign().add(experiment.specs_for("rotate", 2)).run()
         slo = population_slo(population["rotate"].batch)
         assert slo.sessions == 8
         assert 0 < slo.completed <= 8

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenarios.experiments import x8_city_diurnal, x9_flash_crowd
+from conftest import study_result
 from repro.sim.execution import ProcessEngine
-from repro.study import Study, run_experiment
+from repro.study import Study
 from repro.study.archive import load_study, save_study
 from repro.study.cache import StudyCache
 
@@ -40,16 +40,16 @@ class TestScenarioCrossBackend:
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_x8_matches_serial(self, make_jobs):
-        reference = x8_city_diurnal(jobs="serial", **_SMOKE)
-        _assert_identical(x8_city_diurnal(jobs=make_jobs(), **_SMOKE), reference)
+        reference = study_result("x8", "serial", **_SMOKE)
+        _assert_identical(study_result("x8", make_jobs(), **_SMOKE), reference)
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_x9_matches_serial(self, make_jobs):
         """x9 exercises churn (brownouts + crashes) across the process
         boundary: the fault timeline must be rebuilt identically from
         the pickled spec, not shipped as live sim state."""
-        reference = x9_flash_crowd(jobs="serial", **_SMOKE)
-        _assert_identical(x9_flash_crowd(jobs=make_jobs(), **_SMOKE), reference)
+        reference = study_result("x9", "serial", **_SMOKE)
+        _assert_identical(study_result("x9", make_jobs(), **_SMOKE), reference)
 
 
 class TestScenarioRoundTrips:
@@ -82,8 +82,8 @@ class TestPaperScaleScenarios:
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_x8_population_scale(self, make_jobs):
         kwargs = dict(replicates=2, clients=200)
-        reference = x8_city_diurnal(jobs="serial", **kwargs)
-        got = x8_city_diurnal(jobs=make_jobs(), **kwargs)
+        reference = study_result("x8", "serial", **kwargs)
+        got = study_result("x8", make_jobs(), **kwargs)
         _assert_identical(got, reference)
         for slo in reference.raw.values():
             assert slo["sessions"] == 400
@@ -91,8 +91,8 @@ class TestPaperScaleScenarios:
 
     def test_x9_population_scale(self):
         kwargs = dict(replicates=1, clients=200)
-        reference = run_experiment("x9", jobs="serial", **kwargs)
-        got = run_experiment("x9", jobs="auto", **kwargs)
+        reference = study_result("x9", "serial", **kwargs)
+        got = study_result("x9", "auto", **kwargs)
         _assert_identical(got, reference)
 
     def test_x9_lazy_links_equal_the_eager_oracle_at_100_clients(self, monkeypatch):

@@ -10,12 +10,14 @@ error instead of sinking the study.
 """
 
 import filecmp
+import http.client
 import json
 import tempfile
 import threading
 import time
 from contextlib import contextmanager
 from types import SimpleNamespace
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -464,6 +466,90 @@ class TestHttpSurface:
         box[0].shutdown()
         thread.join(timeout=10)
         broker.close()
+
+
+def _raw_exchange(url, method, path, body=b"", headers=None):
+    """One hand-made HTTP exchange → ``(status, decoded JSON body)``.
+
+    Bypasses ``BrokerClient`` so a test can send what no client would.
+    A handler that raises drops the connection (``RemoteDisconnected``)
+    and one that hangs trips the socket timeout; both fail the test.
+    """
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        connection.request(method, path, body=body, headers=headers or {})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestMalformedRequests:
+    """Every malformed request gets a 400 with ``{"error": ...}``, fast."""
+
+    @pytest.mark.parametrize(
+        "query,field",
+        [
+            pytest.param("?wait=abc&done=0", "wait", id="wait-not-a-number"),
+            pytest.param("?wait=1&done=x", "done", id="done-not-an-integer"),
+            # A NaN deadline never passes: the request would hold a
+            # server thread for as long as the job runs.
+            pytest.param("?wait=nan&done=0", "wait", id="wait-nan"),
+            pytest.param("?wait=inf&done=0", "wait", id="wait-inf"),
+            pytest.param("?wait=-1&done=0", "wait", id="wait-negative"),
+        ],
+    )
+    def test_status_query(self, tmp_path, query, field):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
+            job = BrokerClient(stack.url).submit(payload)["job_id"]
+            status, reply = _raw_exchange(stack.url, "GET", f"/api/v1/studies/{job}{query}")
+            assert status == 400
+            assert field in reply["error"]
+            assert stack.broker.status(job)["state"] == "running"
+
+    @pytest.mark.parametrize(
+        "path,body,field",
+        [
+            pytest.param("/api/v1/lease", ["w1"], "JSON object", id="lease-list-body"),
+            pytest.param(
+                "/api/v1/complete",
+                {"job_id": "j", "cell": "x", "manifest_text": "", "npz_b64": ""},
+                "cell",
+                id="complete-cell-not-an-integer",
+            ),
+            pytest.param(
+                "/api/v1/complete",
+                {"job_id": "j", "cell": 0, "manifest_text": "", "npz_b64": "not base64!"},
+                "npz_b64",
+                id="complete-npz-not-base64",
+            ),
+        ],
+    )
+    def test_post_body(self, tmp_path, path, body, field):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            status, reply = _raw_exchange(
+                stack.url,
+                "POST",
+                path,
+                json.dumps(body).encode(),
+                {"Content-Type": "application/json"},
+            )
+            assert status == 400
+            assert field in reply["error"]
+            assert BrokerClient(stack.url).health() is True
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_content_length(self, tmp_path, length):
+        # No body bytes: the server must answer from the header alone
+        # (unread bytes at close would reset the connection).
+        with service_stack(tmp_path, start_workers=False) as stack:
+            status, reply = _raw_exchange(
+                stack.url, "POST", "/api/v1/lease", b"", {"Content-Length": length}
+            )
+            assert status == 400
+            assert "Content-Length" in reply["error"]
 
 
 class TestCli:

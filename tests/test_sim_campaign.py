@@ -1,10 +1,10 @@
 """Campaign scheduling and columnar aggregation.
 
-The acceptance bar mirrors PR-1's: interleaving *all* configurations of
-a figure sweep into one pool submission must change nothing about the
-per-label results — byte-identical to running ``TrialRunner.run`` once
-per configuration, whatever the backend (serial, process-shm, auto).
-The columnar ``OutcomeBatch`` must agree exactly with the per-trial
+The acceptance bar: interleaving *all* configurations of a figure sweep
+into one pool submission must change nothing about the per-label
+results — byte-identical to running each configuration as a campaign of
+its own, whatever the backend (serial, process-shm, auto).  The
+columnar ``OutcomeBatch`` must agree exactly with the per-trial
 Python-loop accessors it replaced.
 """
 
@@ -16,19 +16,18 @@ import pytest
 from conftest import assert_batches_identical
 from repro.core.config import PlayerConfig
 from repro.errors import ConfigError
-from repro.sim.campaign import Campaign, OutcomeBatch, TrialResult, interleave
-from repro.sim.execution import ProcessEngine, TrialSpec
+from repro.sim.campaign import Campaign, OutcomeBatch, TrialResult, run_together
+from repro.sim.execution import ProcessEngine, SerialEngine, TrialSpec, resolve_engine
 from repro.sim.profiles import testbed_profile, youtube_profile
 from repro.sim.runner import TrialRunner
 from repro.sim.scenario import ScenarioConfig
 from repro.units import KB, format_size
 
-#: Every collection path a campaign can run on, as ``jobs`` values
-#: (engine instances pass through ``resolve_engine`` unchanged).
-#: Factories, not instances — each test gets a fresh engine.
+#: Every collection path a campaign can run on.  Factories, not
+#: instances — each test gets a fresh engine.
 BACKENDS = [
-    pytest.param(lambda: "serial", id="serial"),
-    pytest.param(lambda: "auto", id="auto"),
+    pytest.param(SerialEngine, id="serial"),
+    pytest.param(lambda: resolve_engine("auto"), id="auto"),
     pytest.param(lambda: ProcessEngine(2), id="process-shm"),
     # Three workers cut the specs into other chunks than two do.
     pytest.param(lambda: ProcessEngine(3), id="process-shm-3"),
@@ -49,22 +48,52 @@ def _spec(label: str, trial: int) -> TrialSpec:
     )
 
 
+class RecordingEngine:
+    """Records each submission; every spec comes back as its own outcome."""
+
+    def __init__(self) -> None:
+        self.submissions: list[list[TrialSpec]] = []
+
+    def map(self, specs):
+        self.submissions.append(list(specs))
+        return list(specs)
+
+
 class TestInterleave:
+    """``run_together``'s one submission order: trial i of every batch
+    before trial i+1 of any; per-label results stay in trial order."""
+
     def test_round_robin_order(self):
-        batches = [
-            [_spec("a", 0), _spec("a", 1), _spec("a", 2)],
-            [_spec("b", 0), _spec("b", 1)],
-            [_spec("c", 0)],
-        ]
-        merged = interleave(batches)
-        assert [(s.label, s.trial) for s in merged] == [
+        campaign = (
+            Campaign()
+            .add([_spec("a", 0), _spec("a", 1), _spec("a", 2)])
+            .add([_spec("b", 0), _spec("b", 1)])
+        )
+        other = Campaign().add([_spec("c", 0)])
+        engine = RecordingEngine()
+        results = run_together([campaign, other], engine)
+        [submitted] = engine.submissions
+        assert [(s.label, s.trial) for s in submitted] == [
             ("a", 0), ("b", 0), ("c", 0),
             ("a", 1), ("b", 1),
             ("a", 2),
         ]
+        assert [s.trial for s in results[0]["a"].outcomes] == [0, 1, 2]
+        assert [s.trial for s in results[0]["b"].outcomes] == [0, 1]
+        assert [s.trial for s in results[1]["c"].outcomes] == [0]
 
-    def test_empty(self):
-        assert interleave([]) == []
+    def test_empty(self, monkeypatch):
+        # Nothing to submit: the engine is never called, and an unset
+        # backend is never resolved (a broken REPRO_JOBS stays unread).
+        engine = RecordingEngine()
+        assert run_together([], engine) == []
+        skipped = Campaign().add([_spec("a", 0)])
+        assert run_together([skipped], engine, skip=[0]) == [None]
+        assert engine.submissions == []
+        monkeypatch.setenv("REPRO_JOBS", "not-a-backend")
+        assert run_together([skipped], skip=[0]) == [None]
+        with pytest.raises(ConfigError, match="not-a-backend"):
+            run_together([skipped])
 
 
 class TestCampaignAPI:
@@ -120,33 +149,31 @@ def _assert_results_identical(campaign_result: TrialResult, barrier_result: Tria
     ]
 
 
-class TestCampaignDeterminism:
-    """Interleaved campaign == per-configuration barrier path, bytewise."""
+def _solo(runner, label, make_driver):
+    """One configuration run as a campaign of its own, serially."""
+    return Campaign().add_run(runner, label, make_driver).run(SerialEngine())[label]
 
-    @pytest.mark.parametrize("make_jobs", BACKENDS)
-    def test_fig3_style_sweep_matches_per_configuration_path(self, make_jobs):
+
+class TestCampaignDeterminism:
+    """Merged campaign == one solo campaign per label, bytewise."""
+
+    @pytest.mark.parametrize("make_engine", BACKENDS)
+    def test_fig3_style_sweep_matches_per_configuration_path(self, make_engine):
         runner = TrialRunner(
             testbed_profile, scenario_config=short_config(), root_seed=2015, trials=3
         )
-        campaign = Campaign(jobs=make_jobs())
+        campaign = Campaign()
         for label, config in _fig3_mini_configs():
             campaign.add_run(runner, label, runner.msplayer(config))
-        campaign_results = campaign.run()
+        campaign_results = campaign.run(make_engine())
 
-        barrier = TrialRunner(
-            testbed_profile,
-            scenario_config=short_config(),
-            root_seed=2015,
-            trials=3,
-            jobs=1,
-        )
         for label, config in _fig3_mini_configs():
             _assert_results_identical(
-                campaign_results[label], barrier.run(label, barrier.msplayer(config))
+                campaign_results[label], _solo(runner, label, runner.msplayer(config))
             )
 
-    @pytest.mark.parametrize("make_jobs", BACKENDS)
-    def test_table1_style_sweep_matches_per_configuration_path(self, make_jobs):
+    @pytest.mark.parametrize("make_engine", BACKENDS)
+    def test_table1_style_sweep_matches_per_configuration_path(self, make_engine):
         """Table 1's shape: one runner per duration (different scenario
         configs), all registered in a single campaign."""
 
@@ -162,18 +189,20 @@ class TestCampaignDeterminism:
                 config = PlayerConfig(prebuffer_s=duration, rebuffer_fetch_s=duration)
                 yield duration, runner, config
 
-        campaign = Campaign(jobs=make_jobs())
+        campaign = Campaign()
         for duration, runner, config in runners():
             campaign.add_run(
                 runner,
                 f"t1-{duration}",
                 runner.msplayer(config, stop="cycles", target_cycles=3),
             )
-        campaign_results = campaign.run()
+        campaign_results = campaign.run(make_engine())
 
         for duration, runner, config in runners():
-            reference = runner.run(
-                f"t1-{duration}", runner.msplayer(config, stop="cycles", target_cycles=3)
+            reference = _solo(
+                runner,
+                f"t1-{duration}",
+                runner.msplayer(config, stop="cycles", target_cycles=3),
             )
             _assert_results_identical(campaign_results[f"t1-{duration}"], reference)
             campaign_batch = campaign_results[f"t1-{duration}"].batch
@@ -191,8 +220,8 @@ class TestOutcomeBatch:
         runner = TrialRunner(
             testbed_profile, scenario_config=short_config(), root_seed=99, trials=4
         )
-        return runner.run(
-            "batch", runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
+        return _solo(
+            runner, "batch", runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
         )
 
     def test_startup_delays_match_loop(self, result):

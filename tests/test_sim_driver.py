@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import PlayerConfig
+from repro.sim.campaign import Campaign
 from repro.sim.driver import MSPlayerDriver
 from repro.sim.profiles import mobility_profile, testbed_profile, youtube_profile
 from repro.sim.runner import TrialRunner
@@ -199,10 +200,14 @@ class TestSinglePathDriver:
             SinglePathDriver(scenario, 0, HTML5_CHUNK, stop="whenever")
 
 
+def _campaign_run(runner, label, make_driver):
+    return Campaign().add_run(runner, label, make_driver).run()[label]
+
+
 class TestTrialRunner:
     def test_runner_produces_requested_trials(self):
         runner = TrialRunner(testbed_profile, scenario_config=short_video(), trials=3)
-        result = runner.run("ms", runner.msplayer(PlayerConfig(), stop="prebuffer"))
+        result = _campaign_run(runner, "ms", runner.msplayer(PlayerConfig(), stop="prebuffer"))
         assert len(result.outcomes) == 3
         assert len(result.startup_delays()) == 3
 
@@ -216,7 +221,7 @@ class TestTrialRunner:
 
     def test_traffic_fraction_helper(self):
         runner = TrialRunner(testbed_profile, scenario_config=short_video(), trials=2)
-        result = runner.run("ms", runner.msplayer(PlayerConfig(), stop="prebuffer"))
+        result = _campaign_run(runner, "ms", runner.msplayer(PlayerConfig(), stop="prebuffer"))
         fractions = result.traffic_fractions(0, "prebuffer")
         assert len(fractions) == 2
         assert all(0.0 <= f <= 1.0 for f in fractions)

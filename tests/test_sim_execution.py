@@ -17,13 +17,10 @@ from functools import partial
 import pytest
 
 import repro
-from repro.analysis.experiments import (
-    fig3_scheduler_sweep,
-    fig5_rebuffer,
-    table1_traffic_fraction,
-)
+from conftest import study_result
 from repro.core.config import PlayerConfig
 from repro.errors import ConfigError
+from repro.sim.campaign import Campaign
 from repro.sim.execution import (
     MPTCPLikeSpec,
     MSPlayerSpec,
@@ -140,15 +137,10 @@ class TestEngineResolution:
 
 class TestSerialParallelEquivalence:
     def test_trial_runner_outcomes_identical(self):
-        config = PlayerConfig()
-        serial = TrialRunner(
-            testbed_profile, scenario_config=short_config(), trials=4, jobs=1
-        )
-        parallel = TrialRunner(
-            testbed_profile, scenario_config=short_config(), trials=4, jobs=2
-        )
-        a = serial.run("eq", serial.msplayer(config))
-        b = parallel.run("eq", parallel.msplayer(config))
+        runner = TrialRunner(testbed_profile, scenario_config=short_config(), trials=4)
+        campaign = Campaign().add_run(runner, "eq", runner.msplayer(PlayerConfig()))
+        a = campaign.run(SerialEngine())["eq"]
+        b = campaign.run(ProcessEngine(2))["eq"]
         assert a.startup_delays() == b.startup_delays()
         assert [o.finished_at for o in a.outcomes] == [o.finished_at for o in b.outcomes]
         assert [o.server_bytes for o in a.outcomes] == [o.server_bytes for o in b.outcomes]
@@ -157,21 +149,21 @@ class TestSerialParallelEquivalence:
         kwargs = dict(
             trials=3, prebuffers=(20.0,), chunks=(64 * KB,), schedulers=("harmonic", "ratio")
         )
-        serial = fig3_scheduler_sweep(jobs="serial", **kwargs)
-        parallel = fig3_scheduler_sweep(jobs=2, **kwargs)
+        serial = study_result("fig3", "serial", **kwargs)
+        parallel = study_result("fig3", 2, **kwargs)
         assert serial.rendered == parallel.rendered
         assert serial.raw == parallel.raw
 
     def test_fig5_mini_rendered_byte_identical(self):
         kwargs = dict(trials=2, rebuffers=(20.0,), target_cycles=1)
-        serial = fig5_rebuffer(jobs="serial", **kwargs)
-        parallel = fig5_rebuffer(jobs=2, **kwargs)
+        serial = study_result("fig5", "serial", **kwargs)
+        parallel = study_result("fig5", 2, **kwargs)
         assert serial.rendered == parallel.rendered
 
     def test_table1_mini_rendered_byte_identical(self):
         kwargs = dict(trials=2, durations=(20.0,))
-        serial = table1_traffic_fraction(jobs="serial", **kwargs)
-        parallel = table1_traffic_fraction(jobs=2, **kwargs)
+        serial = study_result("table1", "serial", **kwargs)
+        parallel = study_result("table1", 2, **kwargs)
         assert serial.rendered == parallel.rendered
 
 
@@ -195,22 +187,23 @@ class TestBrokenPoolRecovery:
 
         from repro.sim import execution
 
-        runner = TrialRunner(
-            testbed_profile,
-            scenario_config=short_config(),
-            trials=4,
-            engine=ProcessEngine(self.JOBS),
-        )
+        runner = TrialRunner(testbed_profile, scenario_config=short_config(), trials=4)
+        engine = ProcessEngine(self.JOBS)
         # Specs that kill their worker break the fresh retry pool too,
         # so the engine re-raises — but must leave no dead pool behind.
+        killer = Campaign().add_run(
+            runner, "killer", runner.msplayer(PlayerConfig()), scenario_hook=_kill_worker
+        )
         with pytest.raises(BrokenProcessPool):
-            runner.run(
-                "killer", runner.msplayer(PlayerConfig()), scenario_hook=_kill_worker
-            )
+            killer.run(engine)
         assert self.JOBS not in execution._POOLS
 
         # The same worker count must now work again on a fresh fork.
-        healthy = runner.run("healthy", runner.msplayer(PlayerConfig()))
+        healthy = (
+            Campaign()
+            .add_run(runner, "healthy", runner.msplayer(PlayerConfig()))
+            .run(engine)["healthy"]
+        )
         assert len(healthy.outcomes) == 4
         assert self.JOBS in execution._POOLS
 
@@ -234,13 +227,12 @@ class TestBrokenPoolRecovery:
 
         broken = _BrokenOnce()
         monkeypatch.setitem(execution._POOLS, self.JOBS, broken)
-        runner = TrialRunner(
-            testbed_profile,
-            scenario_config=short_config(),
-            trials=4,
-            engine=ProcessEngine(self.JOBS),
+        runner = TrialRunner(testbed_profile, scenario_config=short_config(), trials=4)
+        result = (
+            Campaign()
+            .add_run(runner, "recovered", runner.msplayer(PlayerConfig()))
+            .run(ProcessEngine(self.JOBS))["recovered"]
         )
-        result = runner.run("recovered", runner.msplayer(PlayerConfig()))
         assert broken.calls == 1
         assert len(result.outcomes) == 4
         assert execution._POOLS.get(self.JOBS) is not broken
@@ -248,14 +240,10 @@ class TestBrokenPoolRecovery:
 
 class TestClosureHandling:
     def test_process_engine_rejects_closures_loudly(self):
-        runner = TrialRunner(
-            testbed_profile,
-            scenario_config=short_config(),
-            trials=2,
-            engine=ProcessEngine(2),
-        )
+        runner = TrialRunner(testbed_profile, scenario_config=short_config(), trials=2)
+        closure = Campaign().add_run(runner, "closure", lambda scenario: None)
         with pytest.raises(ConfigError, match="not picklable"):
-            runner.run("closure", lambda scenario: None)
+            closure.run(ProcessEngine(2))
 
     def test_auto_engine_falls_back_to_serial_for_closures(self):
         from repro.sim.driver import MSPlayerDriver
@@ -263,15 +251,15 @@ class TestClosureHandling:
         def closure_factory(scenario):
             return MSPlayerDriver(scenario, PlayerConfig(), stop="prebuffer")
 
-        auto = TrialRunner(
-            testbed_profile,
-            scenario_config=short_config(),
-            trials=2,
-            engine=ProcessEngine(2, fallback_to_serial=True),
+        runner = TrialRunner(testbed_profile, scenario_config=short_config(), trials=2)
+        a = (
+            Campaign()
+            .add_run(runner, "cl", closure_factory)
+            .run(ProcessEngine(2, fallback_to_serial=True))["cl"]
         )
-        serial = TrialRunner(
-            testbed_profile, scenario_config=short_config(), trials=2, jobs=1
+        b = (
+            Campaign()
+            .add_run(runner, "cl", runner.msplayer(PlayerConfig()))
+            .run(SerialEngine())["cl"]
         )
-        a = auto.run("cl", closure_factory)
-        b = serial.run("cl", serial.msplayer(PlayerConfig()))
         assert a.startup_delays() == b.startup_delays()

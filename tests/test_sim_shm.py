@@ -42,10 +42,17 @@ def short_config() -> ScenarioConfig:
     return ScenarioConfig(video_duration_s=120.0)
 
 
-def _runner(engine) -> TrialRunner:
-    return TrialRunner(
-        testbed_profile, scenario_config=short_config(), trials=4, engine=engine
+def _runner() -> TrialRunner:
+    return TrialRunner(testbed_profile, scenario_config=short_config(), trials=4)
+
+
+def _run(engine, label: str, scenario_hook=None):
+    """Four short MSPlayer trials, run as a one-configuration campaign."""
+    runner = _runner()
+    campaign = Campaign().add_run(
+        runner, label, runner.msplayer(PlayerConfig()), scenario_hook
     )
+    return campaign.run(engine)[label]
 
 
 def _kill_worker(scenario) -> None:
@@ -82,7 +89,7 @@ class TestArenaLifecycle:
 
     def test_attach_sees_writes(self):
         serial = SerialEngine()
-        runner = _runner(serial)
+        runner = _runner()
         outcomes = serial.map(runner.specs_for("att", runner.msplayer(PlayerConfig())))
         arena = OutcomeArena.create(len(outcomes))
         attached = None
@@ -106,7 +113,7 @@ class TestEngineCollection:
 
     def test_serial_conditions_are_not_columnar(self):
         engine = ProcessEngine(2)
-        runner = _runner(engine)
+        runner = _runner()
         specs = runner.specs_for("one", runner.msplayer(PlayerConfig()))[:1]
         collection = engine.collect(specs)  # single spec: in-process path
         assert not collection.columnar
@@ -114,7 +121,7 @@ class TestEngineCollection:
 
     def test_shm_collection_is_columnar_and_lazy(self):
         engine = ProcessEngine(2)
-        runner = _runner(engine)
+        runner = _runner()
         specs = runner.specs_for("col", runner.msplayer(PlayerConfig()))
         collection = engine.collect(specs)
         assert collection.columnar
@@ -124,7 +131,7 @@ class TestEngineCollection:
         assert collection._outcomes is not None
 
     def test_map_identical_to_serial(self):
-        runner = _runner(SerialEngine())
+        runner = _runner()
         specs = runner.specs_for("modes", runner.msplayer(PlayerConfig()))
         assert ProcessEngine(2).map(specs) == SerialEngine().map(specs)
 
@@ -132,7 +139,7 @@ class TestEngineCollection:
         "variable,value", [("REPRO_IPC", "pickle"), ("REPRO_KERNEL", "calendar")]
     )
     def test_retired_selection_variables_change_nothing(self, variable, value, monkeypatch):
-        runner = _runner(SerialEngine())
+        runner = _runner()
         specs = runner.specs_for("retired", runner.msplayer(PlayerConfig()))
         reference = SerialEngine().map(specs)
         monkeypatch.setenv(variable, value)
@@ -148,28 +155,25 @@ class TestEngineCollection:
             return MSPlayerDriver(scenario, PlayerConfig(), stop="prebuffer")
 
         engine = ProcessEngine(2, fallback_to_serial=True)
-        runner = _runner(engine)
+        runner = _runner()
         collection = engine.collect(runner.specs_for("cl", closure_factory))
         assert not collection.columnar
         assert len(collection) == 4
 
     def test_collect_trials_wraps_plain_engines(self):
-        runner = _runner(SerialEngine())
+        runner = _runner()
         specs = runner.specs_for("wrap", runner.msplayer(PlayerConfig()))
         collection = collect_trials(SerialEngine(), specs)
         assert not collection.columnar
         assert collection.outcomes == SerialEngine().map(specs)
 
     def test_campaign_shm_results_preassembled_and_lazy(self):
-        runner = _runner(SerialEngine())  # the runner only builds specs here
-        campaign = Campaign(engine=ProcessEngine(2))
-        campaign.add_run(runner, "lazy", runner.msplayer(PlayerConfig()))
-        result = campaign.run()["lazy"]
+        result = _run(ProcessEngine(2), "lazy")
         # The batch came straight off the arena columns...
         assert result._batch is not None
         assert result._outcomes is None
         # ...and equals the object-built batch exactly.
-        serial = _runner(SerialEngine()).run("lazy", runner.msplayer(PlayerConfig()))
+        serial = _run(SerialEngine(), "lazy")
         assert_batches_identical(result.batch, serial.batch)
         # Walking .outcomes materializes and matches, and the batch
         # cache survives (same length, no rebuild).
@@ -193,22 +197,17 @@ class TestCrashCleanup:
 
         before = _arena_segments()
         engine = ProcessEngine(self.JOBS)
-        runner = _runner(engine)
         # Killer specs break the fresh retry pool too: the engine
         # re-raises, but the arena (both attempts') must be gone.
         with pytest.raises(BrokenProcessPool):
-            runner.run(
-                "killer", runner.msplayer(PlayerConfig()), scenario_hook=_kill_worker
-            )
+            _run(engine, "killer", _kill_worker)
         assert _arena_segments() == before
         assert self.JOBS not in execution._POOLS
 
         # The same engine keeps working on a fresh fork, byte-identical
         # to a serial run.
-        healthy = runner.run("healthy", runner.msplayer(PlayerConfig()))
-        reference = _runner(SerialEngine()).run(
-            "healthy", runner.msplayer(PlayerConfig())
-        )
+        healthy = _run(engine, "healthy")
+        reference = _run(SerialEngine(), "healthy")
         assert healthy.outcomes == reference.outcomes
         assert _arena_segments() == before
 
@@ -230,12 +229,8 @@ class TestCrashCleanup:
 
         monkeypatch.setitem(execution._POOLS, self.JOBS, _BrokenOnce())
         before = _arena_segments()
-        engine = ProcessEngine(self.JOBS)
-        runner = _runner(engine)
-        result = runner.run("recovered", runner.msplayer(PlayerConfig()))
-        reference = _runner(SerialEngine()).run(
-            "recovered", runner.msplayer(PlayerConfig())
-        )
+        result = _run(ProcessEngine(self.JOBS), "recovered")
+        reference = _run(SerialEngine(), "recovered")
         assert result.outcomes == reference.outcomes
         assert _arena_segments() == before
 
@@ -248,6 +243,7 @@ class TestCrashCleanup:
             "import os, sys\n"
             "from concurrent.futures.process import BrokenProcessPool\n"
             "from repro.core.config import PlayerConfig\n"
+            "from repro.sim.campaign import Campaign\n"
             "from repro.sim.execution import ProcessEngine\n"
             "from repro.sim.profiles import testbed_profile\n"
             "from repro.sim.runner import TrialRunner\n"
@@ -255,15 +251,16 @@ class TestCrashCleanup:
             "def kill(scenario):\n"
             "    os._exit(13)\n"
             "runner = TrialRunner(testbed_profile,\n"
-            "    scenario_config=ScenarioConfig(video_duration_s=120.0),\n"
-            "    trials=4, engine=ProcessEngine(2))\n"
+            "    scenario_config=ScenarioConfig(video_duration_s=120.0), trials=4)\n"
+            "engine = ProcessEngine(2)\n"
+            "driver = runner.msplayer(PlayerConfig())\n"
             "try:\n"
-            "    runner.run('killer', runner.msplayer(PlayerConfig()), scenario_hook=kill)\n"
+            "    Campaign().add_run(runner, 'killer', driver, kill).run(engine)\n"
             "except BrokenProcessPool:\n"
             "    pass\n"
             "else:\n"
             "    sys.exit(3)\n"
-            "healthy = runner.run('healthy', runner.msplayer(PlayerConfig()))\n"
+            "healthy = Campaign().add_run(runner, 'healthy', driver).run(engine)['healthy']\n"
             "assert len(healthy.outcomes) == 4\n"
             "print('OK')\n"
         )

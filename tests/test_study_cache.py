@@ -187,13 +187,12 @@ class TestCacheHitsAndResume:
         assert first.cache_info.misses == 1
         assert second.cache_info == CacheInfo(hits=1, misses=0, submitted_units=0)
 
-    def test_run_experiment_threads_the_cache_through(self, tmp_path):
-        from repro.study import run_experiment
-
-        first = run_experiment("fig2", trials=2, cache=str(tmp_path))
-        second = run_experiment("fig2", trials=2, cache=str(tmp_path))
+    def test_cache_named_by_a_path_string(self, tmp_path):
+        first = Study("fig2", trials=2).run(cache=str(tmp_path))
+        second = Study("fig2", trials=2).run(cache=str(tmp_path))
         assert StudyCache(tmp_path).entries()  # something was stored
-        assert first.rendered == second.rendered
+        assert second.cache_info == CacheInfo(hits=1, misses=0, submitted_units=0)
+        assert first.only().result.rendered == second.only().result.rendered
 
 
 class TestInvalidation:

@@ -10,8 +10,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis import experiments as exp
-from repro.scenarios import experiments as scenario_exp
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.study import (
     ExperimentDef,
@@ -29,21 +28,14 @@ ALL_IDS = [
     "x1", "x2", "x3", "x6", "x8", "x9",
 ]
 
-#: id -> legacy compatibility wrapper (the pre-redesign call surface).
-WRAPPERS = {
-    "fig1": exp.fig1_bootstrap_timing,
-    "fig2": exp.fig2_prebuffer_testbed,
-    "fig3": exp.fig3_scheduler_sweep,
-    "fig4": exp.fig4_prebuffer_youtube,
-    "fig5": exp.fig5_rebuffer,
-    "table1": exp.table1_traffic_fraction,
-    "x1": exp.x1_robustness,
-    "x2": exp.x2_source_diversity,
-    "x3": exp.x3_estimators,
-    "x6": exp.x6_population,
-    "x8": scenario_exp.x8_city_diurnal,
-    "x9": scenario_exp.x9_flash_crowd,
-}
+
+def _set_flags(params: dict) -> list[str]:
+    """``--set key=value`` arguments spelling ``params`` for the CLI."""
+    argv = []
+    for name, value in params.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv += ["--set", f"{name}={text}"]
+    return argv
 
 
 class TestParam:
@@ -154,7 +146,7 @@ class TestRegistryCompletenessGate:
     bench coverage that cannot drift from the registry."""
 
     @pytest.mark.parametrize("experiment_id", ALL_IDS)
-    def test_smoke_runs_via_study_and_matches_legacy_wrapper(self, experiment_id):
+    def test_smoke_runs_via_study_and_matches_the_cli(self, experiment_id, capsys):
         definition = get_experiment(experiment_id)
         assert len(definition.schema) > 0
         assert "seed" in definition.schema  # plumbed uniformly
@@ -163,11 +155,13 @@ class TestRegistryCompletenessGate:
         assert cell.result.experiment_id == experiment_id
         assert cell.result.rendered.strip()
         assert cell.columns  # dense batch columns extracted per label
-        # Cross-API equality: the pre-redesign function surface returns
-        # byte-identical output for the same params.
-        via_wrapper = WRAPPERS[experiment_id](**definition.smoke_params)
-        assert via_wrapper.rendered == cell.result.rendered
-        assert via_wrapper.raw == cell.result.raw
+        # Cross-door equality: `repro experiment <id>` with the same
+        # params prints exactly what the Study rendered.
+        capsys.readouterr()
+        code = main(["experiment", experiment_id, *_set_flags(definition.smoke_params)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out == via_study.rendered + "\n"
 
     def test_every_registry_id_is_exercised_by_a_benchmark(self):
         bench_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
