@@ -40,7 +40,6 @@ from repro.cdn.videoserver import VideoServerApp
 from repro.cdn.webproxy import stream_signature
 from repro.core.config import PlayerConfig
 from repro.http.client import SimHTTPClient
-from repro.http.messages import Request
 from repro.http.ranges import ByteRange
 from repro.http.server import SimHTTPServer
 from repro.net.bandwidth import ConstantBandwidth
@@ -181,7 +180,7 @@ def test_tcp_exchange_throughput(perf_record, smoke):
 
 
 #: requests -> kernel entries the whole warm run schedules when its
-#: caller delegates to ``client.get`` with ``yield from``.  Per request:
+#: caller delegates to ``client.fetch_range`` with ``yield from``.  Per request:
 #: the RTT timer, ``flow.done`` and the link's wakes for the body (the
 #: completion, a slow-start doubling while the window still binds, a
 #: share of the once-per-second segment boundary).  Through the
@@ -191,11 +190,12 @@ RANGE_REQUEST_EVENTS = {300: 1237, 3000: 12368}
 
 
 def test_http_range_request_throughput(perf_record, smoke):
-    """Warm ``SimHTTPClient.get`` of 64 KB ranges against a token-checking
-    ``VideoServerApp`` — MSPlayer's unit of work, whole: request build,
-    header validation, token + signature check, range slicing, think
-    time, RTT, body flow.  No floor on the rate (it tracks the
-    trajectory); the event count is exact and asserted."""
+    """Warm ``SimHTTPClient.fetch_range`` of 64 KB ranges against a
+    token-checking ``VideoServerApp`` — MSPlayer's unit of work, whole,
+    as the simulated players run it: token + signature check, range
+    slicing, header size, think time, RTT, body flow.  No floor on the
+    rate (it tracks the trajectory); the event count is exact and
+    asserted."""
     requests = 300 if smoke else 3000
     repeats = 1 if smoke else 3
 
@@ -225,7 +225,6 @@ def test_http_range_request_throughput(perf_record, smoke):
         )
         token = mint.issue(0.0, "benchVIDEO1", "10.0.0.2", pool="wifi-net")
         signature = stream_signature("benchVIDEO1", 22, b"sig")
-        target = f"/videoplayback?v=benchVIDEO1&itag=22&token={token}&sig={signature}"
         client = SimHTTPClient(env, network, iface)
 
         def main(env):
@@ -234,10 +233,11 @@ def test_http_range_request_throughput(perf_record, smoke):
             start = time.perf_counter()
             for index in range(requests):
                 byte_range = ByteRange(index * 64 * KB, (index + 1) * 64 * KB)
-                request = Request.get(target, host="v1.example", byte_range=byte_range)
-                response, _timing = yield from client.get("v1.example", request, expect=(206,))
-                assert response.body_size == 64 * KB
+                yield from client.fetch_range(
+                    "v1.example", "benchVIDEO1", 22, token, signature, byte_range
+                )
             rate = requests / (time.perf_counter() - start)
+            assert host.bytes_served == requests * 64 * KB
             return rate, env.scheduled_count - before
 
         return env.run(until=env.process(main(env)))

@@ -32,6 +32,7 @@ class Catalog:
 
     def __init__(self) -> None:
         self._videos: dict[str, VideoMeta] = {}
+        self._assets: dict[tuple[str, int], VideoAsset] = {}  # VideoMeta is frozen: never stale
 
     def add(self, meta: VideoMeta) -> VideoMeta:
         if meta.video_id in self._videos:
@@ -46,7 +47,9 @@ class Catalog:
             raise VideoNotFoundError(f"no such video: {video_id!r}") from None
 
     def asset(self, video_id: str, itag: int = DEFAULT_ITAG) -> VideoAsset:
-        return VideoAsset(self.get(video_id), itag)
+        if (video_id, itag) not in self._assets:
+            self._assets[video_id, itag] = VideoAsset(self.get(video_id), itag)
+        return self._assets[video_id, itag]
 
     def __contains__(self, video_id: str) -> bool:
         return video_id in self._videos

@@ -41,7 +41,6 @@ from ..core.estimators import HarmonicMeanEstimator
 from ..core.metrics import QoEMetrics
 from ..errors import CDNError, ConfigError, HTTPError, NetworkError
 from ..http.client import SimHTTPClient
-from ..http.messages import Request
 from ..http.ranges import ByteRange
 from ..sim.driver import fetch_decoder, fetch_video_info
 from ..sim.playout import PlayoutClock
@@ -335,11 +334,12 @@ class AdaptiveSimDriver:
     def _fetch_segment(self, path_id: int, index: int, itag: int):
         env = self.scenario.env
         path = self._paths[path_id]
-        assert path.info is not None
-        byte_range = self._segment_range(path.info, index, itag)
-        target = path.info.playback_target(itag, path.signatures[itag])
-        request = Request.get(target, host=path.server, byte_range=byte_range)
-        _response, timing = yield from path.client.get(path.server, request, expect=(206,))
+        info = path.info
+        assert info is not None
+        byte_range = self._segment_range(info, index, itag)
+        timing = yield from path.client.fetch_range(
+            path.server, info.video_id, itag, info.token, path.signatures[itag], byte_range
+        )
         self._estimators[path_id].update(byte_range.length / timing.duration)
         prebuffering = self.buffer.phase is BufferPhase.PREBUFFERING
         self.metrics.record_chunk(

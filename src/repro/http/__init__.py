@@ -28,7 +28,7 @@ from .ranges import (
 from .status import STATUS_REASONS, status_reason
 from .h1 import H1Parser, ParsedMessage
 from .client import SimHTTPClient
-from .server import SimHTTPServer, JSONResponse
+from .server import SimHTTPServer
 
 __all__ = [
     "Headers",
@@ -45,5 +45,4 @@ __all__ = [
     "ParsedMessage",
     "SimHTTPClient",
     "SimHTTPServer",
-    "JSONResponse",
 ]

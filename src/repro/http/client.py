@@ -6,13 +6,13 @@ issue range requests on it.  The client charges the full cost sequence
 (3WHS → TLS → per-request RTT → body transfer on the fluid link) and
 returns both the parsed :class:`~repro.http.messages.Response` and the
 :class:`~repro.net.tcp.TransferResult` timing record the schedulers
-feed on.
+feed on (``fetch_range``: the same exchange, request and reply as values).
 
 Connections are cached per server address; losing one (path break,
 server failure) evicts it so the next request redials.
 
-``connect``/``request``/``get`` are generator functions, and each
-delegates to its sub-steps with ``yield from``: a whole request runs
+``connect``/``request``/``get``/``fetch_range`` are generator functions,
+and each delegates to its sub-steps with ``yield from``: a whole request runs
 inside the *caller's* process and schedules only the waits that model
 something (handshake and request RTTs, the body flow).  A caller that
 wants a request to run concurrently wraps it — ``env.process(client.get(
@@ -26,9 +26,11 @@ from __future__ import annotations
 from ..errors import HTTPStatusError, NetworkError
 from ..net.env import Environment
 from ..net.iface import NetworkInterface
-from ..net.tcp import TCPConnection, TransferResult
+from ..net.tcp import TCPConnection
 from ..net.topology import Host, Network
-from .messages import Request, Response
+from .messages import Request
+from .ranges import ByteRange
+from .status import status_reason
 
 
 class ClientSession:
@@ -113,24 +115,12 @@ class SimHTTPClient:
         On any network failure the cached session is evicted before the
         exception propagates, so a retry dials fresh.
         """
-        session = yield from self.connect(address)
-        host = session.host
-        if host.app is None:
-            raise NetworkError(f"host {address} has no application attached")
-        app = host.app
-        app.begin_request()
-        try:
-            response, think_time = app.handle(request, client_network=self.iface.network_id)
-            timing = yield from session.connection.exchange(
-                response.wire_size(), server_delay=think_time
-            )
-        except NetworkError:
-            self.disconnect(address)
-            raise
-        finally:
-            app.end_request()
-        host.bytes_served += response.body_size
-        return response, timing
+
+        def answer(server):
+            response, think = server.handle(request, client_network=self.iface.network_id)
+            return response, response.wire_size(), response.body_size, think
+
+        return (yield from self._exchange(address, answer))
 
     def get(self, address: str, request: Request, expect: tuple[int, ...] = (200, 206)):
         """Generator: request + status check; returns ``(response, timing)``.
@@ -143,20 +133,41 @@ class SimHTTPClient:
             raise HTTPStatusError(response.status, response.reason)
         return response, timing
 
+    def fetch_range(
+        self, address: str, video_id: str, itag: int, token: str, sig: str, byte_range: ByteRange
+    ):
+        """Generator: ``get`` of a ``videoplayback`` range expecting 206,
+        made of values (no message built); returns the timing."""
+        status, timing = yield from self._exchange(
+            address, lambda server: server.serve_range(video_id, itag, token, sig, byte_range)
+        )
+        if status != 206:
+            raise HTTPStatusError(status, status_reason(status))
+        return timing
+
+    def _exchange(self, address: str, answer):
+        """Generator: the one exchange; ``answer(server)`` gives ``(reply,
+        wire_size, body_size, think)``.  Returns ``(reply, timing)``."""
+        session = yield from self.connect(address)
+        host = session.host
+        if host.app is None:
+            raise NetworkError(f"host {address} has no application attached")
+        server = host.app
+        server.begin_request()
+        try:
+            reply, wire_size, body_size, think = answer(server)
+            timing = yield from session.connection.exchange(wire_size, server_delay=think)
+        except NetworkError:
+            self.disconnect(address)
+            raise
+        finally:
+            server.end_request()
+        host.bytes_served += body_size
+        return reply, timing
+
     # -- accounting ---------------------------------------------------------------
 
     @property
     def open_session_count(self) -> int:
         return sum(1 for s in self._sessions.values() if s.usable)
 
-
-def body_timing(timing: TransferResult, response: Response) -> TransferResult:
-    """Re-express a wire-level timing as body-bytes timing.
-
-    The schedulers reason about *video bytes* per second; the wire
-    timing includes header bytes.  Throughput measurements use the body
-    size over the same duration.
-    """
-    return TransferResult(
-        timing.requested_at, timing.first_byte_at, timing.completed_at, response.body_size
-    )

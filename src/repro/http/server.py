@@ -11,32 +11,21 @@ worker reading the video file off disk (the testbed ran Apache on Linux
 Applications are synchronous and pure with respect to simulated time;
 all *time* is charged by the server model and the network.  This split
 keeps application logic (token checks, JSON building, range slicing)
-unit-testable without an event loop.
+unit-testable without an event loop.  The simulated players' range
+requests skip the messages: ``serve_range`` hands a video server values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Protocol
 
 from ..errors import ConfigError
 from ..net.topology import Host
 from .messages import Request, Response
+from .ranges import ByteRange
 
 #: Application signature: request + originating network id → response.
 AppCallable = Callable[[Request, str], Response]
-
-
-class ServerApp(Protocol):
-    """What hosts expect to have attached (duck-typed by SimHTTPServer)."""
-
-    def handle(self, request: Request, client_network: str) -> tuple[Response, float]:
-        """Return the response and the server think time in seconds."""
-        ...  # pragma: no cover
-
-
-class JSONResponse(Response):
-    """Alias retained for readability at call sites building JSON bodies."""
 
 
 class SimHTTPServer:
@@ -77,9 +66,21 @@ class SimHTTPServer:
     def handle(self, request: Request, client_network: str) -> tuple[Response, float]:
         """Run the application and compute the think time to charge."""
         response = self.app(request, client_network)
+        return response, self._served(response.body_size)
+
+    def serve_range(
+        self, video_id: str, itag: int, token: str, sig: str, byte_range: ByteRange
+    ) -> tuple[int, int, int, float]:
+        """:meth:`handle` made of values: ``(status, wire_size, body_size, think)``."""
+        reply = self.app.serve_range(video_id, itag, token, sig, byte_range)  # type: ignore[attr-defined]
+        status, body_size, header_size = reply
+        return status, header_size + body_size, body_size, self._served(body_size)
+
+    def _served(self, body_size: int) -> float:
+        """Count one request served; returns the think time to charge."""
         think = (
             self.base_service_time
-            + self.per_megabyte_service_time * response.body_size / (1024 * 1024)
+            + self.per_megabyte_service_time * body_size / (1024 * 1024)
         )
         if (
             self.overload_threshold is not None
@@ -87,7 +88,7 @@ class SimHTTPServer:
         ):
             think += self.overload_penalty * (self._in_flight - self.overload_threshold)
         self.requests_served += 1
-        return response, think
+        return think
 
     @property
     def in_flight(self) -> int:

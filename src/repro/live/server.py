@@ -25,7 +25,7 @@ from collections.abc import Callable
 
 from ..errors import HTTPParseError
 from ..http.h1 import H1Parser
-from ..http.messages import Response
+from ..http.messages import SUPPORTED_METHODS, Response
 from .shaping import PathShape, shaped_write
 
 
@@ -114,7 +114,15 @@ class LiveHTTPServer:
     async def _respond(self, message, writer: asyncio.StreamWriter, bucket) -> None:
         # Request leg + first-byte leg of the emulated path.
         await asyncio.sleep(self.shape.one_way_delay)
-        request = message.to_request()
+        try:
+            request = message.to_request()
+        except HTTPParseError as exc:
+            # Framed, but no request an application takes: an unsupported
+            # method (405) or a target not in origin-form (400).
+            status = 400 if message.method.upper() in SUPPORTED_METHODS else 405
+            writer.write(Response.error(status, str(exc)).encode())
+            await writer.drain()
+            return
         if hasattr(self.app, "begin_request"):
             self.app.begin_request()
         try:

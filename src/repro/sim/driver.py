@@ -251,11 +251,14 @@ class MSPlayerDriver:
         info = runtime.info
         if info is None:
             raise CDNError(f"path {command.path_id} fetching before bootstrap")
-        target = info.playback_target(self.config.itag, runtime.signature)
-        request = Request.get(target, host=command.server, byte_range=command.byte_range)
         try:
-            _response, timing = yield from runtime.client.get(
-                command.server, request, expect=(206,)
+            timing = yield from runtime.client.fetch_range(
+                command.server,
+                info.video_id,
+                self.config.itag,
+                info.token,
+                runtime.signature,
+                command.byte_range,
             )
         except (NetworkError, CDNError, HTTPError) as exc:
             iface = self.scenario.iface_for(command.path_id)

@@ -29,7 +29,6 @@ from ..core.config import PlayerConfig
 from ..core.metrics import QoEMetrics
 from ..errors import CDNError, HTTPError, NetworkError
 from ..http.client import SimHTTPClient
-from ..http.messages import Request
 from ..http.ranges import ByteRange
 from ..units import KB
 from .driver import SessionOutcome, fetch_decoder, fetch_video_info
@@ -162,10 +161,11 @@ class SinglePathDriver:
 
     def _fetch_range(self, byte_range: ByteRange, prebuffering: bool):
         env = self.scenario.env
-        assert self._info is not None
-        target = self._info.playback_target(self.config.itag, self._signature)
-        request = Request.get(target, host=self._server, byte_range=byte_range)
-        _response, timing = yield from self._client.get(self._server, request, expect=(206,))
+        info = self._info
+        assert info is not None
+        timing = yield from self._client.fetch_range(
+            self._server, info.video_id, self.config.itag, info.token, self._signature, byte_range
+        )
         self._clock.look()
         self._frontier = byte_range.stop
         self.metrics.record_chunk(

@@ -290,6 +290,23 @@ class TestVideoServer:
         request = Request.get("/videoplayback?v=plainVIDEO1&itag=HD&token=t&sig=s", host="v")
         assert world["video"](request, "wifi-net").status == 400
 
+    def test_unknown_itag_400(self, world):
+        request = Request.get("/videoplayback?v=plainVIDEO1&itag=37&token=t&sig=s", host="v")
+        response = world["video"](request, "wifi-net")
+        assert response.status == 400
+        assert b"has no itag 37" in response.body
+
+    def test_asset_lookup_defect_is_not_a_400(self, world, monkeypatch):
+        # Only the lookup's "no such itag" is a client error; anything
+        # else raised there is a defect and must surface.
+        def broken(video_id, itag):
+            raise ZeroDivisionError("defect")
+
+        monkeypatch.setattr(world["catalog"], "asset", broken)
+        request = Request.get("/videoplayback?v=plainVIDEO1&itag=22&token=t&sig=s", host="v")
+        with pytest.raises(ZeroDivisionError):
+            world["video"](request, "wifi-net")
+
     def test_accounting(self, world):
         info = video_info(world)
         world["video"](playback_request(world, info), "wifi-net")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HTTPStatusError, NetworkError
-from repro.http.client import SimHTTPClient, body_timing
+from repro.http.client import SimHTTPClient
 from repro.http.messages import Request, Response
 from repro.http.server import SimHTTPServer
 from repro.net.bandwidth import ConstantBandwidth
@@ -102,13 +102,6 @@ class TestRequestResponse:
         _, timing = world.get("/big")
         # 1 MB at 1 MB/s is at least a second on the wire.
         assert timing.duration > 0.9
-
-    def test_body_timing_uses_body_bytes(self, env):
-        world = World(env)
-        response, timing = world.get("/big")
-        adjusted = body_timing(timing, response)
-        assert adjusted.num_bytes == 1_000_000
-        assert adjusted.duration == timing.duration
 
     def test_server_request_counter(self, env):
         world = World(env)

@@ -123,6 +123,41 @@ class TestLiveHTTPServer:
         data = run(main())
         assert b"400" in data.split(b"\r\n")[0]
 
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"DELETE / HTTP/1.1\r\nHost: x\r\n\r\n", 405),  # unsupported method
+            (b"GET http://x/ HTTP/1.1\r\nHost: x\r\n\r\n", 400),  # absolute-form target
+        ],
+        ids=["unsupported-method", "absolute-form-target"],
+    )
+    def test_unbuildable_request_gets_a_reply_and_keeps_the_connection(self, raw, status):
+        # Well framed, so the parser accepts it, but no Request can be
+        # built from it: the handler used to die there without a reply.
+        async def main():
+            server = await one_server()
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                parser = H1Parser(role="response")
+                replies = []
+                for payload in (raw, Request.get("/echo?m=after", host="x").encode()):
+                    writer.write(payload)
+                    await writer.drain()
+                    messages = []
+                    while not messages:
+                        data = await reader.read(65536)
+                        assert data, "connection closed without a reply"
+                        messages = parser.feed(data)
+                    replies.append(messages[0].to_response())
+                writer.close()
+                return replies
+            finally:
+                await server.stop()
+
+        refused, after = run(main())
+        assert refused.status == status
+        assert after.status == 200 and after.body == b"after@test-net"
+
     def test_non_ascii_token_mac_gets_403_not_a_dead_connection(self):
         # hmac.compare_digest raised TypeError on the non-ASCII MAC, which
         # VideoServerApp does not catch: the handler died without a reply.

@@ -16,6 +16,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from repro.cdn.catalog import Catalog
+from repro.cdn.tokens import TokenMint
+from repro.cdn.videos import VideoMeta
+from repro.cdn.videoserver import VideoServerApp
+from repro.cdn.webproxy import stream_signature
 from repro.core.buffer import BufferPhase
 from repro.core.config import PlayerConfig
 from repro.errors import HTTPStatusError, NetworkError
@@ -28,6 +33,7 @@ from repro.net.env import Environment
 from repro.net.iface import NetworkInterface
 from repro.net.latency import ConstantLatency
 from repro.net.link import Link
+from repro.net.tcp import TransferResult
 from repro.net.tls import TLSParams
 from repro.net.topology import Host, Network
 from repro.sim.driver import MSPlayerDriver
@@ -40,6 +46,10 @@ from process_chain_client import ProcessChainClient
 
 ADDRESS = "server.example"
 OTHER = "other.example"
+#: A token-checking video server, for ``fetch_range``.
+VIDEO = "video.example"
+VIDEO_ID = "plainVIDEO1"
+STREAM_SECRET = b"stream-secret"
 
 
 def app(request: Request, client_network: str) -> Response:
@@ -137,6 +147,24 @@ class World:
                 per_megabyte_service_time=0.0005,
                 overload_threshold=overload,
             )
+        catalog = Catalog()
+        catalog.add(VideoMeta(VIDEO_ID, "t", "a", 600.0, itags=(22,)))
+        mint = TokenMint(secret=b"token-secret")
+        self.video_app = VideoServerApp(
+            catalog, mint, lambda: env.now, pool="wifi-net", signature_secret=STREAM_SECRET
+        )
+        host = self.network.add_host(
+            Host(VIDEO, tls=TLSParams(0.004, 0.003, resumption=True), network_id="wifi-net")
+        )
+        self.hosts[VIDEO] = host
+        self.servers[VIDEO] = SimHTTPServer(
+            host,
+            self.video_app,
+            base_service_time=0.001,
+            per_megabyte_service_time=0.0005,
+            overload_threshold=overload,
+        )
+        self.token = mint.issue(0.0, VIDEO_ID, "10.0.0.2", pool="wifi-net")
         self.clients = [client_cls(env, self.network, self.iface) for _ in range(clients)]
         self.client = self.clients[0]
         self.log: list[Snapshot] = []
@@ -150,6 +178,25 @@ class World:
         )
         self.snapshot(label or target, outcome, client, address)
         return outcome
+
+    def fetch(self, byte_range, sig=None, label="fetch"):
+        """A range request to the video server: ``fetch_range`` on the
+        product, the ``Request`` it replaced on the oracle."""
+        client = self.client
+        sig = stream_signature(VIDEO_ID, 22, STREAM_SECRET) if sig is None else sig
+        if isinstance(client, ProcessChainClient):
+            target = f"/videoplayback?v={VIDEO_ID}&itag=22&token={self.token}&sig={sig}"
+            request = Request.get(target, host=VIDEO, byte_range=byte_range)
+            generator = client.get(VIDEO, request, expect=(206,))
+        else:
+            generator = client.fetch_range(VIDEO, VIDEO_ID, 22, self.token, sig, byte_range)
+        outcome = yield from self._attempt(generator)
+        # Status and timing; the body size is in the snapshot's bytes_served.
+        if isinstance(outcome, TransferResult):
+            outcome = (206, *_timing(outcome))
+        elif isinstance(outcome[0], int):
+            outcome = (outcome[0], *outcome[2:])
+        self.snapshot(label, outcome, client, VIDEO)
 
     def connect(self, client=None, address=ADDRESS):
         client = client or self.client
@@ -170,14 +217,7 @@ class World:
             )
         if isinstance(result, tuple):
             response, timing = result
-            return (
-                response.status,
-                response.body_size,
-                timing.requested_at,
-                timing.first_byte_at,
-                timing.completed_at,
-                timing.num_bytes,
-            )
+            return (response.status, response.body_size, *_timing(timing))
         return result
 
     def sleep_until(self, when):
@@ -218,6 +258,10 @@ class World:
         self.env.run(self.env.all_of(processes))
         self.env.run()  # drain link wake-ups so the counts are final
         return self.log, self.env.now, self.env.scheduled_count
+
+
+def _timing(timing):
+    return timing.requested_at, timing.first_byte_at, timing.completed_at, timing.num_bytes
 
 
 def run_everywhere(*scripts, disturb=None, **world_kwargs):
@@ -429,6 +473,39 @@ class TestFlatClientEqualsProcessChain:
         assert [entry.open_sessions for entry in log] == [1, 1, 1, 1]
         assert [entry.in_flight for entry in log] == [0, 0, 0, 0]  # always released
         assert log[-1].requests_served == 4  # the replies were real, paid-for responses
+
+    def test_fetch_range_against_the_chain_clients_get(self, link):
+        def disturb(world):
+            world.env.call_at(3.0, lambda: world.iface.set_up(False))
+            world.env.call_at(4.0, lambda: world.iface.set_up(True))
+
+        def script(world):
+            yield from world.fetch(ByteRange(0, 64 * 1024), label="cold")
+            yield from world.fetch(ByteRange(64 * 1024, 128 * 1024), label="warm")
+            yield from world.fetch(ByteRange(0, 1024), sig="forged", label="403")
+            world.video_app.draining = True
+            yield from world.fetch(ByteRange(0, 1024), label="503")
+            world.video_app.draining = False
+            yield from world.sleep_until(2.5)
+            yield from world.fetch(ByteRange(0, 4_000_000), label="cut")
+            yield from world.sleep_until(4.5)
+            yield from world.fetch(ByteRange(0, 64 * 1024), label="redial")
+
+        log, counts = run_everywhere(script, disturb=disturb, bandwidth=link)
+        cold, warm, forbidden, busy, cut, redial = outcomes(log)
+        assert cold[0] == warm[0] == redial[0] == 206
+        assert forbidden[0] == "HTTPStatusError" and forbidden[3] == 403
+        assert busy[0] == "HTTPStatusError" and busy[3] == 503
+        assert cut[0] == "LinkDownError" and 0 < cut[2] < 4_000_000
+        served = [entry.bytes_served for entry in log]
+        assert served[:2] == [65_536, 131_072]
+        assert served[4] == served[3]  # the cut reply never completed
+        assert served[5] - served[4] == 65_536
+        assert [entry.requests_served for entry in log] == [1, 2, 3, 4, 5, 6]
+        assert [entry.in_flight for entry in log] == [0] * 6
+        assert log[1].connection.name == log[3].connection.name  # 403/503 keep the session
+        assert log[5].connection.name != log[3].connection.name  # the cut evicted it
+        assert counts["product"] < counts["parent"]
 
     def test_pipelined_exchange_guard(self, link):
         # Two processes push requests down one warm connection at the
