@@ -361,6 +361,16 @@ def test_campaign_vs_barrier_throughput(perf_record, smoke):
         assert speedup >= 1.05, f"campaign slower than barrier path: {speedup:.2f}x"
 
 
+def _columnar_batch(outcomes: list) -> OutcomeBatch:
+    """The batch an in-process collection assembles: dense scalars
+    through a private-memory arena, the remainder as side records."""
+    arena = OutcomeArena.local(len(outcomes))
+    for row, outcome in enumerate(outcomes):
+        arena.write(row, outcome)
+    sides = [encode_side(outcome) for outcome in outcomes]
+    return OutcomeBatch.from_dense_and_sides(arena.read_columns(), sides)
+
+
 def _seed_outcomes(label: str) -> list:
     """Four real one-cycle testbed sessions, for replicating into
     campaign-sized outcome lists."""
@@ -395,7 +405,7 @@ def test_columnar_aggregation_throughput(perf_record, smoke):
                 values.append(float(np.std(fractions)))
         return values
 
-    batch = OutcomeBatch.from_outcomes(outcomes)
+    batch = _columnar_batch(outcomes)
 
     def columnar_queries():
         """Vectorized queries on the cached batch — TrialResult builds
@@ -421,7 +431,7 @@ def test_columnar_aggregation_throughput(perf_record, smoke):
             best = min(best, time.perf_counter() - start)
         return best
 
-    extract_s = best_of(lambda: OutcomeBatch.from_outcomes(outcomes))
+    extract_s = best_of(lambda: _columnar_batch(outcomes))
     loop_s = best_of(python_loop_queries)
     columnar_s = best_of(columnar_queries)
     query_speedup = loop_s / columnar_s
@@ -468,9 +478,10 @@ def test_shm_collection_throughput(perf_record, smoke):
             arena.destroy()
         return OutcomeBatch.from_dense_and_sides(dense, sides)
 
-    # Determinism before speed: the collected batch is the object-built
-    # one, bit for bit — every column the dataclass declares.
-    assert shm_collection().column_mismatches(OutcomeBatch.from_outcomes(outcomes)) == []
+    # Determinism before speed: the batch collected through shared
+    # memory and a pickled side channel is the in-process one, bit for
+    # bit — every column the dataclass declares.
+    assert shm_collection().column_mismatches(_columnar_batch(outcomes)) == []
 
     best = float("inf")
     for _ in range(5):

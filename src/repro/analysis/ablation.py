@@ -6,7 +6,7 @@ rest of the surface honors.  This module makes each estimator's trace
 walk a first-class :class:`~repro.sim.execution.WorkSpec` — the third
 spec kind after :class:`~repro.sim.execution.TrialSpec` and
 :class:`~repro.ext.population.PopulationSpec` — so the ablation rides
-the same serial/process engines, the same shm arena transport, and the
+the same serial/process engines, the same columnar collection, and the
 same byte-identity bar as every campaign:
 
 * :class:`EstimatorTraceSpec.run` regenerates the bursty trace from its
@@ -99,7 +99,7 @@ class EstimatorTraceSpec:
     #: Samples ignored before the error average (estimator warm-up).
     warmup: int = 20
 
-    #: Arena layout for the shm collection path (see ``WorkSpec``).
+    #: Arena layout for collection (see ``WorkSpec``).
     dense_columns: ClassVar[ColumnLayout] = ESTIMATOR_COLUMNS
 
     def run(self) -> EstimatorTraceOutcome:
@@ -150,19 +150,15 @@ class EstimatorBatch:
 
 
 class EstimatorResult:
-    """One estimator label's outcomes (one per registered trial)."""
+    """One estimator label's outcomes (one per registered trial) and
+    their columnar batch."""
 
-    def __init__(self, label: str, outcomes: list[EstimatorTraceOutcome]) -> None:
+    def __init__(
+        self, label: str, batch: EstimatorBatch, outcomes: list[EstimatorTraceOutcome]
+    ) -> None:
         self.label = label
+        self.batch = batch
         self.outcomes = outcomes
-
-    @property
-    def batch(self) -> EstimatorBatch:
-        return EstimatorBatch(
-            mean_error=np.asarray(
-                [outcome.mean_error for outcome in self.outcomes], dtype=np.float64
-            )
-        )
 
     @property
     def mean_error(self) -> float:
@@ -176,12 +172,11 @@ class EstimatorResult:
 class EstimatorCampaign(Campaign):
     """Campaign demux for estimator work units."""
 
-    def _result_from_outcomes(
-        self, label: str, outcomes: list[EstimatorTraceOutcome]
-    ) -> EstimatorResult:
-        return EstimatorResult(label, outcomes)
-
-    def _result_from_columnar(
+    def _result(
         self, label: str, dense: dict[str, np.ndarray], sides: list
     ) -> EstimatorResult:
-        return EstimatorResult(label, EstimatorTraceSpec.rebuild(dense, sides))
+        return EstimatorResult(
+            label,
+            EstimatorBatch(mean_error=dense["mean_error"]),
+            EstimatorTraceSpec.rebuild(dense, sides),
+        )

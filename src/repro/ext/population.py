@@ -20,13 +20,12 @@ This module makes a population a campaign work unit:
   (:class:`~repro.sim.execution.WorkSpec` protocol);
 * dense per-population scalars (:data:`POPULATION_COLUMNS`: mean/p95
   start-up, load imbalance, total server bytes, completed sessions)
-  are written through the shared-memory arena by the workers, one row
-  per population, computed by :func:`population_dense_row` on both the
-  worker and serial paths so the bits agree;
+  are written into the collection arena, one row per population,
+  computed by :func:`population_dense_row`;
 * the ragged per-client remainder — every client's
   :class:`~repro.sim.shm.SideRecord` plus the population's
-  ``server_bytes`` — rides the pool pipe as a
-  :class:`PopulationSideRecord`, whose :meth:`~PopulationSideRecord.
+  ``server_bytes`` — is a :class:`PopulationSideRecord` (on the pool,
+  it rides the result pipe), whose :meth:`~PopulationSideRecord.
   rebuild` inverts it into the exact
   :class:`~repro.ext.multi_client.MultiClientResult`;
 * :class:`PopulationCampaign` demultiplexes per policy into columnar
@@ -34,9 +33,9 @@ This module makes a population a campaign work unit:
   the dense replicate columns), wrapped in lazy
   :class:`PopulationResult`s.
 
-Determinism bar, same as every other campaign: the in-process and
-the shared-memory collection paths produce bit-identical batches for a
-fixed root seed (``tests/test_ext_population.py``,
+Determinism bar, same as every other campaign: every engine collects
+the same columns, so serial and process runs produce bit-identical
+batches for a fixed root seed (``tests/test_ext_population.py``,
 ``tests/test_determinism_sweeps.py``).
 """
 
@@ -50,7 +49,6 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from ..core.config import PlayerConfig
-from ..errors import ConfigError
 from ..sim.campaign import Campaign, dense_field_mismatches
 from ..sim.profiles import NetworkProfile
 from ..sim.shm import ColumnLayout, OutcomeArena, encode_side, rebuild_outcome
@@ -98,10 +96,9 @@ def _session_seconds(outcome) -> float:
 def population_dense_row(result: MultiClientResult) -> dict[str, float]:
     """One population's dense scalars, as stored in the arena row.
 
-    The single source of the aggregate arithmetic: the shm path runs it
-    worker-side into the arena, the in-process path runs it
-    parent-side in :meth:`PopulationBatch.from_results` — same numpy
-    operations, so the two collection paths agree bit for bit.
+    The single source of the aggregate arithmetic:
+    :meth:`PopulationSpec.write_dense` runs it into the arena on
+    whichever engine collects the population.
     """
     delays = np.asarray(result.startup_delays(), dtype=np.float64)
     if delays.size:
@@ -214,7 +211,7 @@ class PopulationSpec:
     #: client launches — the churn-injection seam (same pickling rule).
     world_hook: Callable | None = None
 
-    #: Arena layout for the shm collection path (class-level).
+    #: Arena layout for collection (class-level).
     dense_columns: ClassVar[ColumnLayout] = POPULATION_COLUMNS
 
     def run(self) -> MultiClientResult:
@@ -308,24 +305,11 @@ class PopulationBatch:
         )
 
     @classmethod
-    def from_results(cls, results: Sequence[MultiClientResult]) -> "PopulationBatch":
-        """In-process assembly: aggregate each materialized result
-        through the same :func:`population_dense_row` the workers use."""
-        rows = [population_dense_row(result) for result in results]
-        dense = {
-            name: np.asarray([row[name] for row in rows], dtype=dtype)
-            for name, dtype in POPULATION_COLUMNS
-        }
-        return cls._from_csr_source(
-            dense, [result.startup_delays() for result in results]
-        )
-
-    @classmethod
     def from_dense_and_sides(
         cls, dense: dict[str, np.ndarray], sides: Sequence[PopulationSideRecord]
     ) -> "PopulationBatch":
-        """Shm assembly: adopt the worker-written arena columns as-is;
-        only the CSR delays are built from the side records."""
+        """The one assembly: adopt the arena columns as-is; only the
+        CSR delays are built from the side records."""
         return cls._from_csr_source(
             dense, [side.client_startup_delays() for side in sides]
         )
@@ -351,31 +335,22 @@ class PopulationResult:
     """One policy's results across seed replicates.
 
     The population analogue of
-    :class:`~repro.sim.campaign.TrialResult`: holds materialized
-    :class:`~repro.ext.multi_client.MultiClientResult`s (the in-process
-    path) or — on the shm path — a pre-assembled columnar batch plus a
-    thunk that rebuilds the result objects only if something walks
-    them.
+    :class:`~repro.sim.campaign.TrialResult`: the columnar batch plus a
+    thunk that rebuilds the
+    :class:`~repro.ext.multi_client.MultiClientResult`s only if
+    something walks them.
     """
 
     def __init__(
         self,
         label: str,
-        results: list[MultiClientResult] | None = None,
-        batch: PopulationBatch | None = None,
-        result_thunk: Callable[[], list[MultiClientResult]] | None = None,
+        batch: PopulationBatch,
+        result_thunk: Callable[[], list[MultiClientResult]],
     ) -> None:
-        if batch is not None and results is None and result_thunk is None:
-            raise ConfigError(
-                "a PopulationResult built from a batch needs a result source "
-                "(results or result_thunk)"
-            )
         self.label = label
-        self._results = results if results is not None else (
-            None if result_thunk is not None else []
-        )
-        self._batch = batch
+        self.batch = batch
         self._thunk = result_thunk
+        self._results: list[MultiClientResult] | None = None
 
     @property
     def policy(self) -> str:
@@ -388,20 +363,8 @@ class PopulationResult:
             self._results = self._thunk()
         return self._results
 
-    @property
-    def batch(self) -> PopulationBatch:
-        """The columnar view, built once per result on first use."""
-        if self._batch is not None and (
-            self._results is None or len(self._batch) == len(self._results)
-        ):
-            return self._batch
-        self._batch = PopulationBatch.from_results(self.results)
-        return self._batch
-
     def __len__(self) -> int:
-        if self._results is not None:
-            return len(self._results)
-        return len(self._batch)
+        return len(self.batch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PopulationResult(label={self.label!r}, replicates={len(self)})"
@@ -416,20 +379,15 @@ class PopulationCampaign(Campaign):
 
     Identical scheduling to :class:`~repro.sim.campaign.Campaign`
     (round-robin interleave, single engine submission, per-label
-    demux); only the demux hooks differ — each policy's slice becomes a
+    demux); only the demux hook differs — each policy's slice becomes a
     :class:`PopulationBatch` inside a :class:`PopulationResult`.
     """
 
-    def _result_from_outcomes(
-        self, label: str, outcomes: list[MultiClientResult]
-    ) -> PopulationResult:
-        return PopulationResult(label, results=outcomes)
-
-    def _result_from_columnar(
+    def _result(
         self, label: str, dense: dict[str, np.ndarray], sides: list
     ) -> PopulationResult:
         return PopulationResult(
             label,
-            batch=PopulationBatch.from_dense_and_sides(dense, sides),
-            result_thunk=partial(rebuild_populations, dense, sides),
+            PopulationBatch.from_dense_and_sides(dense, sides),
+            partial(rebuild_populations, dense, sides),
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import HTTPParseError
-from .headers import Headers
+from .headers import Headers, parse_digits
 from .messages import Request, Response
 
 #: Header-block size limit; a defense against unbounded buffering.
@@ -173,9 +173,6 @@ class H1Parser:
         parts = line.split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
             raise HTTPParseError(f"malformed status line {line!r}")
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise HTTPParseError(f"non-numeric status in {line!r}") from None
+        status = parse_digits(parts[1], "status")
         reason = parts[2] if len(parts) == 3 else ""
         return ParsedMessage(kind="response", headers=headers, status=status, reason=reason)

@@ -28,6 +28,21 @@ def _validate_name(name: str) -> None:
         raise HTTPParseError(f"header names are ASCII tokens, got {name!r}")
 
 
+def parse_digits(text: str, what: str) -> int:
+    """``text`` as a ``1*DIGIT`` number: ASCII digits and nothing else.
+
+    ``int()`` alone also takes a sign, ``_`` separators, surrounding
+    spaces and other scripts' digits; lenient ``Content-Length``
+    framing is a request-smuggling hazard.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise HTTPParseError(f"non-numeric {what}: {text[:64]!r}")
+    try:
+        return int(text)
+    except ValueError:  # past int()'s digit limit
+        raise HTTPParseError(f"oversized {what}: {text[:64]!r}") from None
+
+
 def _validate_value(value: str) -> None:
     if "\r" in value or "\n" in value:
         raise HTTPParseError(f"illegal header value {value!r} (CR/LF injection)")
@@ -90,14 +105,11 @@ class Headers:
         return [v for n, v in self._items if n.lower() == lowered]
 
     def get_int(self, name: str) -> int | None:
-        """Parse an integer-valued field, raising on garbage."""
+        """Parse a ``1*DIGIT`` field (RFC 9110), raising on anything else."""
         raw = self.get(name)
         if raw is None:
             return None
-        try:
-            return int(raw.strip())
-        except ValueError:
-            raise HTTPParseError(f"non-integer value for {name}: {raw!r}") from None
+        return parse_digits(raw.strip(), name)
 
     def __getitem__(self, name: str) -> str:
         value = self.get(name)

@@ -71,7 +71,17 @@ class ByteRange:
         return f"[{self.start}, {self.stop})"
 
 
-_RANGE_HEADER_RE = re.compile(r"^bytes=(\d*)-(\d*)$")
+# ASCII digits only: ``\d`` also matches other scripts' digits.
+_RANGE_HEADER_RE = re.compile(r"^bytes=([0-9]*)-([0-9]*)$")
+
+
+def _offset(digits: str, value: str) -> int:
+    """A matched digit run as an int.  A run past ``int()``'s digit
+    limit makes the header malformed (416), not a ``ValueError``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise RangeError(f"unparseable number in {value[:64]!r}") from None
 
 
 def format_range_header(byte_range: ByteRange) -> str:
@@ -103,18 +113,18 @@ def parse_range_header(value: str, resource_size: int | None = None) -> ByteRang
         raise RangeError(f"malformed Range header: {value!r}")
     first, last = match.group(1), match.group(2)
     if first and last:
-        start, end = int(first), int(last)
+        start, end = _offset(first, value), _offset(last, value)
         if end < start:
             raise RangeError(f"inverted range in {value!r}")
         return ByteRange(start, end + 1)
     if first:
         if resource_size is None:
             raise RangeError(f"open-ended range {value!r} needs the resource size")
-        return ByteRange(int(first), resource_size).clamp(resource_size)
+        return ByteRange(_offset(first, value), resource_size).clamp(resource_size)
     if last:
         if resource_size is None:
             raise RangeError(f"suffix range {value!r} needs the resource size")
-        suffix = int(last)
+        suffix = _offset(last, value)
         if suffix == 0:
             raise RangeError("zero-length suffix range")
         start = max(resource_size - suffix, 0)
@@ -122,7 +132,7 @@ def parse_range_header(value: str, resource_size: int | None = None) -> ByteRang
     raise RangeError(f"malformed Range header: {value!r}")
 
 
-_CONTENT_RANGE_RE = re.compile(r"^bytes (\d+)-(\d+)/(\d+|\*)$")
+_CONTENT_RANGE_RE = re.compile(r"^bytes ([0-9]+)-([0-9]+)/([0-9]+|\*)$")
 
 
 def format_content_range(byte_range: ByteRange, resource_size: int | None) -> str:
@@ -145,8 +155,8 @@ def parse_content_range(value: str) -> tuple[ByteRange, int | None]:
     if match is None:
         raise RangeError(f"malformed Content-Range: {value!r}")
     start, last, total = match.groups()
-    byte_range = ByteRange(int(start), int(last) + 1)
-    return byte_range, (None if total == "*" else int(total))
+    byte_range = ByteRange(_offset(start, value), _offset(last, value) + 1)
+    return byte_range, (None if total == "*" else _offset(total, value))
 
 
 def coalesce(ranges: list[ByteRange]) -> list[ByteRange]:

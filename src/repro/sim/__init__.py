@@ -24,9 +24,9 @@ the paper, as code:
   figure's configurations interleaved into one pool submission, no
   per-configuration barrier) and columnar outcome aggregation
   (:class:`~repro.sim.campaign.OutcomeBatch`);
-* :mod:`repro.sim.shm` — shared-memory result collection for the
-  process backends: workers write dense outcome columns into an arena
-  in place, only the ragged/string remainder rides the pool pipe.
+* :mod:`repro.sim.shm` — columnar result collection for every engine:
+  dense outcome columns land in an arena in place (shared memory the
+  pool's workers write), the ragged/string remainder in side records.
 """
 
 from .profiles import (

@@ -10,10 +10,11 @@ scheduler keep every worker busy across configuration boundaries.
 * configurations register their spec batches with :meth:`Campaign.add`
   (order of registration is the configuration order of the figure);
 * :meth:`Campaign.run` interleaves the batches round-robin into one
-  ``engine.map`` submission — trial *i* of every configuration before
+  engine submission — trial *i* of every configuration before
   trial *i+1* of any, so heterogeneous trial durations spread evenly
-  over the pool's chunks — and demultiplexes the outcomes back into one
-  :class:`TrialResult` per label, in per-label trial order.
+  over the pool's chunks — and demultiplexes the collected columns
+  back into one :class:`TrialResult` per label, in per-label trial
+  order.
 
 :func:`run_together` is the one place that happens, for one campaign
 or for every cell of a study grid, and the one place below
@@ -123,9 +124,8 @@ class OutcomeBatch:
         """Sparse per-trial ``(pre, re)`` byte dicts → dense ``(n, P)``
         matrices, via COO triples and one fancy-index assignment each.
 
-        Shared by both constructors so batches assembled from side
-        records are built by the very code that builds them from
-        outcome objects.
+        The object-built reference batches of the test oracle
+        (``tests/object_batches.py``) share it verbatim.
         """
         pre_rows: list[int] = []
         pre_cols: list[int] = []
@@ -152,62 +152,19 @@ class OutcomeBatch:
         return prebuffer_bytes, rebuffer_bytes
 
     @classmethod
-    def from_outcomes(cls, outcomes: Sequence[SessionOutcome]) -> "OutcomeBatch":
-        """One pass over the outcome objects; everything after is columnar.
-
-        The pass appends to plain Python lists (amortized-O(1), much
-        cheaper than per-element numpy stores) and converts to arrays
-        once at the end; the sparse per-path byte dicts land in the
-        dense matrices via a single fancy-index assignment each.
-        """
-        n = len(outcomes)
-        startup: list[float] = []
-        finished_at: list[float] = []
-        total_stall: list[float] = []
-        failovers: list[int] = []
-        cycles: list[float] = []
-        cycle_offsets: list[int] = [0]
-        stop_reasons: list[str] = []
-        byte_dicts: list[tuple[dict, dict]] = []
-        for outcome in outcomes:
-            metrics = outcome.metrics
-            delay = outcome.startup_delay
-            startup.append(np.nan if delay is None else delay)
-            finished_at.append(outcome.finished_at)
-            total_stall.append(metrics.total_stall_time)
-            failovers.append(metrics.failovers)
-            cycles.extend(metrics.completed_cycle_durations())
-            cycle_offsets.append(len(cycles))
-            stop_reasons.append(outcome.stop_reason)
-            byte_dicts.append(
-                (metrics.prebuffer_bytes_by_path, metrics.rebuffer_bytes_by_path)
-            )
-        prebuffer_bytes, rebuffer_bytes = cls._byte_matrices(n, byte_dicts)
-        return cls(
-            startup=np.asarray(startup, dtype=float),
-            finished_at=np.asarray(finished_at, dtype=float),
-            total_stall=np.asarray(total_stall, dtype=float),
-            failovers=np.asarray(failovers, dtype=np.int64),
-            cycle_durations=np.asarray(cycles, dtype=float),
-            cycle_offsets=np.asarray(cycle_offsets, dtype=np.int64),
-            prebuffer_bytes=prebuffer_bytes,
-            rebuffer_bytes=rebuffer_bytes,
-            stop_reasons=np.asarray(stop_reasons, dtype=str),
-        )
-
-    @classmethod
     def from_dense_and_sides(
         cls, dense: dict[str, np.ndarray], sides: Sequence[SideRecord]
     ) -> "OutcomeBatch":
         """Assemble a batch from arena columns plus side records.
 
-        The shm collection path: ``dense`` holds the scalar columns the
-        workers wrote in place (already float64/int64 arrays — adopted
-        as-is, zero deserialization and zero copies), ``sides`` the
-        ragged/string remainder.  Byte-identical to ``from_outcomes``
-        over the rebuilt outcome objects: the CSR cycle layout performs
-        the same ``ended - started`` subtractions, and the byte
-        matrices come from the shared ``_byte_matrices`` assembly.
+        The one assembly, whatever engine collected: ``dense`` holds
+        the scalar columns written into the arena (already
+        float64/int64 arrays — adopted as-is, zero deserialization and
+        zero copies), ``sides`` the ragged/string remainder.  The pass
+        over the side records appends to plain Python lists and
+        converts to arrays once; the CSR cycle layout performs the same
+        ``ended - started`` subtractions ``RebufferCycle.duration``
+        does.
         """
         n = len(sides)
         cycles: list[float] = []
@@ -291,33 +248,22 @@ class OutcomeBatch:
 class TrialResult:
     """One configuration's results across trials.
 
-    Holds either materialized ``SessionOutcome`` objects (the
-    in-process collection path) or — on the shm path — a pre-assembled
-    columnar batch plus a thunk that rebuilds the outcome objects only
-    if something actually walks them (EXP-X2's per-server accounting
+    The columnar batch, assembled from the collected columns, plus a
+    thunk that rebuilds the ``SessionOutcome`` objects only if
+    something actually walks them (EXP-X2's per-server accounting
     does; the figure pipelines never do).
     """
 
     def __init__(
         self,
         label: str,
-        outcomes: list[SessionOutcome] | None = None,
-        batch: OutcomeBatch | None = None,
-        outcome_thunk: Callable[[], list[SessionOutcome]] | None = None,
+        batch: OutcomeBatch,
+        outcome_thunk: Callable[[], list[SessionOutcome]],
     ) -> None:
-        if batch is not None and outcomes is None and outcome_thunk is None:
-            # A batch-only result would serve .outcomes == [] next to a
-            # non-empty batch — silently inconsistent.  Fail loudly.
-            raise ConfigError(
-                "a TrialResult built from a batch needs an outcome source "
-                "(outcomes or outcome_thunk)"
-            )
         self.label = label
-        self._outcomes = outcomes if outcomes is not None else (
-            None if outcome_thunk is not None else []
-        )
-        self._batch = batch
+        self.batch = batch
         self._thunk = outcome_thunk
+        self._outcomes: list[SessionOutcome] | None = None
 
     @property
     def outcomes(self) -> list[SessionOutcome]:
@@ -327,37 +273,14 @@ class TrialResult:
         return self._outcomes
 
     def __eq__(self, other: object) -> bool:
-        # Value equality over (label, outcomes), matching the dataclass
-        # this class replaced (_batch was compare=False there too).
-        # Comparing a lazy result materializes its outcomes.
+        # Value equality over (label, outcomes); the batch is derived
+        # from the same data.  Comparing materializes the outcomes.
         if not isinstance(other, TrialResult):
             return NotImplemented
         return self.label == other.label and self.outcomes == other.outcomes
 
-    @property
-    def batch(self) -> OutcomeBatch:
-        """The columnar view, built once per result on first use.
-
-        A pre-assembled batch (shm path) is served as-is unless the
-        materialized outcome list was mutated afterwards, in which case
-        it is rebuilt to match — same invalidation the transposed path
-        has always had.
-        """
-        if self._batch is not None and (
-            self._outcomes is None or len(self._batch) == len(self._outcomes)
-        ):
-            return self._batch
-        self._batch = OutcomeBatch.from_outcomes(self.outcomes)
-        return self._batch
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._outcomes is not None:
-            n = str(len(self._outcomes))
-        elif self._batch is not None:
-            n = str(len(self._batch))
-        else:
-            n = "lazy"  # thunk-only: don't materialize just for repr
-        return f"TrialResult(label={self.label!r}, trials={n})"
+        return f"TrialResult(label={self.label!r}, trials={len(self.batch)})"
 
     def startup_delays(self) -> list[float]:
         return self.batch.startup_delays().tolist()
@@ -427,32 +350,27 @@ class Campaign:
     def run(self, engine: ExecutionEngine | None = None) -> dict[str, TrialResult]:
         """Execute every registered trial as one submission and demux.
 
-        The engine returns results in submission order, so slicing them
+        The engine collects in submission order, so slicing its columns
         back out by each spec's position reconstructs per-label results
         in trial order — identical to running the configurations one at
-        a time.  When the engine collected columnar (the shm path),
-        each label's ``OutcomeBatch`` is assembled directly from the
-        arena's dense columns — no outcome objects, no deserialization
-        of the dense data — and the objects themselves stay lazy.
+        a time.  Each label's ``OutcomeBatch`` is assembled directly
+        from the collected dense columns and side records, whatever the
+        engine, and the outcome objects stay lazy.
         ``engine=None`` resolves one the way :func:`run_together` does.
         """
         return run_together([self], engine)[0]
 
-    # -- demux hooks (overridden by other campaign kinds) -------------------
+    # -- the demux hook (overridden by other campaign kinds) ----------------
 
-    def _result_from_outcomes(self, label: str, outcomes: list) -> TrialResult:
-        """Wrap one label's materialized results (the in-process path)."""
-        return TrialResult(label, outcomes)
-
-    def _result_from_columnar(
+    def _result(
         self, label: str, dense: dict[str, np.ndarray], sides: list
     ) -> TrialResult:
-        """Wrap one label's columnar slice (shm path): batch assembled
-        from the dense arena columns, result objects lazy."""
+        """Wrap one label's columnar slice: batch assembled from the
+        dense columns, result objects lazy."""
         return TrialResult(
             label,
-            batch=OutcomeBatch.from_dense_and_sides(dense, sides),
-            outcome_thunk=partial(rebuild_outcomes, dense, sides),
+            OutcomeBatch.from_dense_and_sides(dense, sides),
+            partial(rebuild_outcomes, dense, sides),
         )
 
 
@@ -480,7 +398,7 @@ def run_together(
     (campaign, label) in label order exactly as before, at their
     original positions.
 
-    All campaigns must be the same class (their demux hooks decide the
+    All campaigns must be the same class (their demux hook decides the
     result kind) and their specs must share one dense column layout,
     which same-kind campaigns do by construction.  ``engine=None``
     resolves a backend with :func:`~repro.sim.execution.resolve_engine`
@@ -537,15 +455,8 @@ def run_together(
         # non-empty batches, which imply a non-empty submission.
         for label in campaign._labels:
             rows = rows_by_key[(index, label)]
-            if collection.columnar:
-                dense = {
-                    name: column[rows] for name, column in collection.dense.items()
-                }
-                sides = [collection.sides[i] for i in rows]
-                per_label[label] = campaign._result_from_columnar(label, dense, sides)
-            else:
-                per_label[label] = campaign._result_from_outcomes(
-                    label, [collection.outcomes[i] for i in rows]
-                )
+            dense = {name: column[rows] for name, column in collection.dense.items()}
+            sides = [collection.sides[i] for i in rows]
+            per_label[label] = campaign._result(label, dense, sides)
         results.append(per_label)
     return results

@@ -17,11 +17,13 @@ Backends:
   machine that silently falls back to serial when a spec cannot be
   pickled (e.g. a hand-written closure factory).
 
-Result collection on the process backend goes through shared memory:
-workers write each trial's dense scalar columns directly into a
-``multiprocessing.shared_memory`` arena at their trial row index, with
-only the ragged/string remainder pickled back through the pool pipe
-(see :mod:`repro.sim.shm`).
+Every backend collects columnar (see :mod:`repro.sim.shm`): each
+unit's dense scalar columns land in an arena at the unit's row index
+and the ragged/string remainder becomes a flat side record.  On the
+process backend the arena is ``multiprocessing.shared_memory`` the
+workers write in place, with only the side records pickled back
+through the pool pipe; in process (:func:`collect_in_process`) it is
+private memory.
 
 Determinism is the acceptance bar: ``engine.map(specs)`` returns
 outcomes in spec order, and every trial derives its randomness from its
@@ -186,8 +188,7 @@ class TrialSpec:
     scenario_config: ScenarioConfig = field(default_factory=ScenarioConfig)
     scenario_hook: ScenarioHook | None = None
 
-    #: Arena layout for the shm collection path (class-level; see
-    #: :class:`WorkSpec`).
+    #: Arena layout for collection (class-level; see :class:`WorkSpec`).
     dense_columns: ClassVar[ColumnLayout] = DENSE_COLUMNS
 
     def run(self) -> SessionOutcome:
@@ -244,6 +245,46 @@ def run_unit_into_arena(
     return spec.encode_side(result)
 
 
+def _dense_layout(specs: Sequence[WorkSpec]) -> ColumnLayout:
+    """The one column layout a collected batch shares (an empty batch
+    collects as per-trial columns)."""
+    if not specs:
+        return DENSE_COLUMNS
+    # Instance access on purpose: the WorkSpec protocol only promises
+    # the attribute is readable on instances (the built-in kinds
+    # declare it as a ClassVar, but a conforming third-party spec may
+    # carry it per instance).
+    columns = specs[0].dense_columns
+    if any(spec.dense_columns != columns for spec in specs):
+        raise ConfigError(
+            "a collected batch must share one dense column layout; "
+            "run heterogeneous spec kinds as separate campaigns"
+        )
+    return columns
+
+
+def collect_in_process(
+    specs: Sequence[WorkSpec], results: Sequence | None = None
+) -> TrialCollection:
+    """Collect work units in this process, columnar.
+
+    Runs each spec (or takes its result from ``results``, what a
+    map-only engine returned) and passes it through the two spec
+    methods a pool worker calls: ``write_dense`` into a private-memory
+    arena and ``encode_side``.  So every engine hands the campaign the
+    same columns, and a serial run never touches ``/dev/shm``.
+    """
+    specs = list(specs)
+    arena = OutcomeArena.local(len(specs), _dense_layout(specs))
+    sides = []
+    for row, spec in enumerate(specs):
+        result = spec.run() if results is None else results[row]
+        spec.write_dense(arena, row, result)
+        sides.append(spec.encode_side(result))
+    rebuild = specs[0].rebuild if specs else rebuild_outcomes
+    return TrialCollection(arena.read_columns(), sides, rebuild)
+
+
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
@@ -266,6 +307,9 @@ class SerialEngine:
 
     def map(self, specs: Sequence[WorkSpec]) -> list:
         return [spec.run() for spec in specs]
+
+    def collect(self, specs: Sequence[WorkSpec]) -> TrialCollection:
+        return collect_in_process(specs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialEngine()"
@@ -324,15 +368,16 @@ class ProcessEngine:
         return self.collect(specs).outcomes
 
     def collect(self, specs: Sequence[WorkSpec]) -> TrialCollection:
-        """Run the batch; on the pool, return it columnar.
+        """Run the batch and collect it columnar.
 
-        The campaign layer assembles each label's batch straight from
-        a columnar collection's dense arrays; result objects
-        materialize lazily if something walks them.
+        On the pool, workers write dense rows into a shared arena and
+        send side records back.  A batch with nothing to fan out (one
+        spec, one job) or, under ``auto``, an unpicklable one is
+        collected in process instead — into the same columns.
         """
         specs = list(specs)
         if len(specs) <= 1 or self.jobs == 1:
-            return TrialCollection(outcomes=[spec.run() for spec in specs])
+            return collect_in_process(specs)
         # A configuration is homogeneous (one driver spec, one hook, one
         # profile factory), but a *campaign* batch interleaves several
         # configurations — so probe one representative per label, which
@@ -346,9 +391,7 @@ class ProcessEngine:
                 pickle.dumps(probe)
             except Exception as exc:
                 if self.fallback_to_serial:
-                    return TrialCollection(
-                        outcomes=[spec.run() for spec in specs]
-                    )
+                    return collect_in_process(specs)
                 raise ConfigError(
                     f"trial specs for {probe.label!r} are not picklable ({exc}); "
                     "use declarative driver specs (MSPlayerSpec / SinglePathSpec / "
@@ -366,24 +409,14 @@ class ProcessEngine:
         # that survives _pool_map's fresh-pool retry — so worker
         # crashes cannot leak /dev/shm segments.  The retry itself
         # reuses the arena: every row is rewritten.
-        # Instance access on purpose: the WorkSpec protocol only
-        # promises the attribute is readable on instances (the built-in
-        # kinds declare it as a ClassVar, but a conforming third-party
-        # spec may carry it per instance).
-        columns = specs[0].dense_columns
-        if any(spec.dense_columns != columns for spec in specs):
-            raise ConfigError(
-                "a collected batch must share one dense column layout; "
-                "run heterogeneous spec kinds as separate campaigns"
-            )
-        arena = OutcomeArena.create(len(specs), columns)
+        arena = OutcomeArena.create(len(specs), _dense_layout(specs))
         try:
             work = partial(run_unit_into_arena, arena.name, len(specs))
             sides = self._pool_map(work, list(enumerate(specs)), chunksize)
             dense = arena.read_columns()
         finally:
             arena.destroy()
-        return TrialCollection(dense=dense, sides=sides, rebuild=specs[0].rebuild)
+        return TrialCollection(dense, sides, specs[0].rebuild)
 
     def _pool_map(self, fn, items: list, chunksize: int) -> list:
         # The pool is sized (and keyed) by self.jobs, not the batch:

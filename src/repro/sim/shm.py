@@ -1,27 +1,26 @@
-"""Shared-memory outcome collection for campaign trials.
+"""Columnar outcome collection for campaign work units.
 
-The process execution backend does not pickle whole
-:class:`~repro.sim.driver.SessionOutcome` graphs (outcome, its
-:class:`~repro.core.metrics.QoEMetrics`, every ``StallEvent`` /
-``RebufferCycle``) back through the pool's result pipe only to
-transpose them into the columnar
-:class:`~repro.sim.campaign.OutcomeBatch`.  This module splits that
-round trip along the batch's own layout:
+No engine hands whole :class:`~repro.sim.driver.SessionOutcome` graphs
+(outcome, its :class:`~repro.core.metrics.QoEMetrics`, every
+``StallEvent`` / ``RebufferCycle``) to the campaign layer only to have
+them transposed into the columnar
+:class:`~repro.sim.campaign.OutcomeBatch`.  Every collection is split
+along the batch's own layout:
 
 * the **dense scalar columns** (start-up delay, finish time, total
-  stall, failover count — :data:`DENSE_COLUMNS`) are written by the
-  workers *in place*, each at its trial's row index, into one
-  ``multiprocessing.shared_memory`` arena the parent sizes from the
-  campaign's spec count (:class:`OutcomeArena`).  The parent assembles
-  the batch's dense columns straight from the arena with **zero
-  deserialization** — the float64/int64 bits the worker stored are the
-  bits the analysis layer reads;
+  stall, failover count — :data:`DENSE_COLUMNS`) are written *in
+  place*, each at its unit's row index, into one arena sized from the
+  spec count (:class:`OutcomeArena`).  On the process pool the arena is
+  a ``multiprocessing.shared_memory`` segment the workers write and
+  the parent reads with **zero deserialization** — the float64/int64
+  bits a worker stored are the bits the analysis layer reads.  In
+  process the arena is private memory (:meth:`OutcomeArena.local`):
+  the same layout and writes, no ``/dev/shm``;
 * the **ragged and string/dict fields** — re-buffering cycles (CSR
   source data), stalls, ``stop_reason``, the per-path byte/bootstrap
-  dicts, ``server_bytes`` — ride a per-worker side channel: a flat
-  :class:`SideRecord` of primitives returned through the existing pool
-  pipe, far cheaper to pickle than the nested dataclass graph it
-  replaces.
+  dicts, ``server_bytes`` — become a flat :class:`SideRecord` of
+  primitives; on the pool it is what comes back through the result
+  pipe, far cheaper to pickle than the nested dataclass graph.
 
 A full ``SessionOutcome`` can always be rebuilt exactly from one dense
 row plus its side record (:func:`rebuild_outcome`); consumers that walk
@@ -35,18 +34,20 @@ population campaigns (:mod:`repro.ext.population`) store per-population
 aggregates per row and ship per-client remainders as their own side
 records.
 
-Cleanup protocol: the parent owns the arena — ``create`` → workers
-``attach`` (and immediately deregister the segment from their resource
-tracker; the parent's registration is the tracked one) → parent copies
-the columns out and calls ``destroy`` (close + unlink) in a
-``finally``, so a worker crash / ``BrokenProcessPool`` — even one that
-breaks the fresh-pool retry too — cannot leak ``/dev/shm`` segments or
-provoke ``resource_tracker`` leak warnings.
+Cleanup protocol for shared arenas: the parent owns the segment —
+``create`` → workers ``attach`` (and immediately deregister the segment
+from their resource tracker; the parent's registration is the tracked
+one) → parent copies the columns out and calls ``destroy`` (close +
+unlink) in a ``finally``, so a worker crash / ``BrokenProcessPool`` —
+even one that breaks the fresh-pool retry too — cannot leak
+``/dev/shm`` segments or provoke ``resource_tracker`` leak warnings.
 
-This is the process engine's only collection path, and it is
-byte-identical to a serial run for the same root seed — the test wall
-in ``tests/test_sim_shm.py`` / ``tests/test_sim_campaign_properties.py``
-holds it to that.
+Every engine hands the campaign the same :class:`TrialCollection` —
+dense columns, side records and the spec kind's rebuild inverse — so
+each result kind is assembled one way, from columns.  The test walls in
+``tests/test_sim_shm.py`` / ``tests/test_sim_campaign_properties.py``
+hold the columns to the object-built batches of
+``tests/object_batches.py``, on every engine.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.metrics import QoEMetrics, RebufferCycle, StallEvent
-from ..errors import ConfigError
 from .driver import SessionOutcome
 
 __all__ = [
@@ -112,20 +112,33 @@ def resolve_ipc() -> str:
 # ---------------------------------------------------------------------------
 
 
+class _PrivateMemory:
+    """The slice of the ``SharedMemory`` surface an arena uses, over a
+    plain ``bytearray``: in-process runs never touch ``/dev/shm``."""
+
+    def __init__(self, size: int) -> None:
+        self.buf = bytearray(size)
+
+    def close(self) -> None:
+        pass
+
+
 class OutcomeArena:
-    """Dense per-work-unit scalar columns in one shared-memory block.
+    """Dense per-work-unit scalar columns in one memory block.
 
     Column-major layout (``columns`` order, :data:`DENSE_COLUMNS` by
     default): column ``c`` of a ``rows``-unit arena occupies bytes
-    ``[c * rows * 8, (c+1) * rows * 8)``.  The parent creates it sized
-    from the campaign's spec count; each worker attaches once per
-    campaign and writes its units' rows in place.  Rows are disjoint
-    per unit, so concurrent writers never touch the same bytes.
+    ``[c * rows * 8, (c+1) * rows * 8)``.  For the pool, the parent
+    creates it in shared memory sized from the campaign's spec count;
+    each worker attaches once per campaign and writes its units' rows
+    in place.  Rows are disjoint per unit, so concurrent writers never
+    touch the same bytes.  In process, :meth:`local` backs the same
+    layout with private memory.
     """
 
     def __init__(
         self,
-        shm: shared_memory.SharedMemory,
+        shm: shared_memory.SharedMemory | _PrivateMemory,
         rows: int,
         owner: bool,
         columns: ColumnLayout = DENSE_COLUMNS,
@@ -162,6 +175,14 @@ class OutcomeArena:
             except FileExistsError:  # pragma: no cover - 64-bit collision
                 continue
             return cls(shm, rows, owner=True, columns=columns)
+
+    @classmethod
+    def local(cls, rows: int, columns: ColumnLayout = DENSE_COLUMNS) -> "OutcomeArena":
+        """An arena in this process's own memory, for in-process
+        collection: the same layout and writes, no segment to name,
+        attach or unlink."""
+        memory = _PrivateMemory(rows * _row_bytes(columns))
+        return cls(memory, rows, owner=False, columns=columns)
 
     @classmethod
     def attach(
@@ -372,40 +393,28 @@ def rebuild_outcomes(
 
 
 class TrialCollection:
-    """An engine's collected work units: result objects, maybe columnar.
+    """An engine's collected work units, columnar — what every engine
+    hands the campaign layer, so each result kind is assembled one way.
 
-    The serial path carries ``outcomes`` only.  The shm path
-    carries ``dense`` (arena column copies, spec order) and ``sides``
-    (side records, spec order) and materializes result objects lazily
-    — the campaign's analytics path assembles its batch straight from
-    the columns and never pays for the object graph.  ``rebuild`` is
-    the spec kind's ``(dense, sides) -> results`` inverse; the default
-    rebuilds per-trial ``SessionOutcome``s.
+    ``dense`` holds the arena's column copies and ``sides`` the side
+    records, both in spec order; the campaign assembles its batches
+    straight from them.  ``rebuild`` is the spec kind's
+    ``(dense, sides) -> results`` inverse: result objects materialize
+    only if something walks :attr:`outcomes`.
     """
 
     def __init__(
         self,
-        outcomes: list | None = None,
-        dense: dict[str, np.ndarray] | None = None,
-        sides: Sequence | None = None,
-        rebuild: Callable[[dict, Sequence], list] | None = None,
+        dense: dict[str, np.ndarray],
+        sides: Sequence,
+        rebuild: Callable[[dict, Sequence], list],
     ) -> None:
-        if outcomes is None and (dense is None or sides is None):
-            raise ConfigError(
-                "a TrialCollection needs outcomes or dense columns + side records"
-            )
-        self._outcomes = outcomes
         self.dense = dense
-        self.sides = list(sides) if sides is not None else None
-        self._rebuild = rebuild if rebuild is not None else rebuild_outcomes
-
-    @property
-    def columnar(self) -> bool:
-        return self.dense is not None
+        self.sides = list(sides)
+        self._rebuild = rebuild
+        self._outcomes: list | None = None
 
     def __len__(self) -> int:
-        if self._outcomes is not None:
-            return len(self._outcomes)
         return len(self.sides)
 
     @property
@@ -416,14 +425,17 @@ class TrialCollection:
 
 
 def collect_trials(engine, specs) -> TrialCollection:
-    """Run specs through an engine, columnar when the engine can.
+    """Run specs through an engine and collect them columnar.
 
-    Engines that grew a ``collect`` method (the process engine) return
-    a columnar collection on their shm path; everything else — serial,
-    third-party ``ExecutionEngine`` implementations — is wrapped via
-    plain ``map``.
+    The built-in engines ``collect`` themselves.  An engine that only
+    has ``map`` (a third-party ``ExecutionEngine``) has its results
+    encoded through the same spec methods the built-ins call.
     """
     collect = getattr(engine, "collect", None)
     if collect is not None:
         return collect(specs)
-    return TrialCollection(outcomes=engine.map(specs))
+    # Imported here: the engines module builds on this one.
+    from .execution import collect_in_process
+
+    specs = list(specs)
+    return collect_in_process(specs, engine.map(specs))

@@ -44,13 +44,14 @@ def latency() -> ConstantLatency:
 
 
 def assert_batches_identical(a, b) -> None:
-    """Two OutcomeBatches hold bit-identical columns (dtypes included).
+    """Two batches of one kind hold bit-identical columns (dtypes included).
 
-    The acceptance bar for both collection paths (serial, process-
-    shm) and both assembly paths (``from_outcomes``,
-    ``from_dense_and_sides``): not statistically close — the same bits.
-    Delegates to ``OutcomeBatch.column_mismatches`` so the column
-    enumeration and comparison semantics live in one place.
+    The acceptance bar for every engine's collection (serial, process-
+    shm, map-only) and for the one assembly (``from_dense_and_sides``)
+    against the object-built oracle in ``tests/object_batches.py``: not
+    statistically close — the same bits.  Delegates to the batch's
+    ``column_mismatches`` so the column enumeration and comparison
+    semantics live in one place.
     """
     assert a.column_mismatches(b) == [], (
         f"columns differ between batches: {a.column_mismatches(b)}"

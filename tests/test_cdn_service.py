@@ -266,6 +266,17 @@ class TestVideoServer:
         )
         assert response.status == 416
 
+    @pytest.mark.parametrize(
+        "value",
+        ["bytes=" + "1" * 5000 + "-", "bytes=0-" + "1" * 5000, "bytes=-" + "1" * 5000],
+        ids=["first", "last", "suffix"],
+    )
+    def test_unparseable_range_number_416(self, world, value):
+        # An over-long number used to raise ValueError out of __call__.
+        request = playback_request(world, video_info(world))
+        request.headers.set("Range", value)
+        assert world["video"](request, "wifi-net").status == 416
+
     def test_range_clamped_to_file(self, world):
         info = video_info(world)
         size = info.stream(22).size_bytes

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import study_result
-from repro.errors import ConfigError
+from object_batches import population_batch_from_results
 from repro.ext.multi_client import MultiClientExperiment, MultiClientResult
 from repro.ext.population import (
     POPULATION_COLUMNS,
@@ -83,20 +83,27 @@ class TestPopulationSpec:
 
 class TestPopulationBatch:
     @pytest.fixture(scope="class")
-    def results(self) -> list[MultiClientResult]:
-        specs = small_experiment().specs_for("rotate", 3)
+    def specs(self) -> list:
+        return small_experiment().specs_for("rotate", 3)
+
+    @pytest.fixture(scope="class")
+    def results(self, specs) -> list[MultiClientResult]:
         return [spec.run() for spec in specs]
 
-    def test_columns_match_per_result_rows(self, results):
-        batch = PopulationBatch.from_results(results)
+    @pytest.fixture(scope="class")
+    def batch(self, specs) -> PopulationBatch:
+        """The batch an in-process collection assembles."""
+        collection = SerialEngine().collect(specs)
+        return PopulationBatch.from_dense_and_sides(collection.dense, collection.sides)
+
+    def test_columns_match_per_result_rows(self, results, batch):
         assert len(batch) == 3
         for i, result in enumerate(results):
             row = population_dense_row(result)
             for name, _dtype in POPULATION_COLUMNS:
                 assert getattr(batch, name)[i] == row[name], name
 
-    def test_client_csr_layout(self, results):
-        batch = PopulationBatch.from_results(results)
+    def test_client_csr_layout(self, results, batch):
         expected: list[float] = []
         for i, result in enumerate(results):
             delays = result.startup_delays()
@@ -105,26 +112,19 @@ class TestPopulationBatch:
             expected.extend(delays)
         assert batch.startup_delays().tolist() == expected
 
-    def test_assembly_paths_agree_bitwise(self, results):
-        specs = small_experiment().specs_for("rotate", 3)
-        sides = [spec.encode_side(result) for spec, result in zip(specs, results, strict=True)]
-        rows = [population_dense_row(result) for result in results]
-        dense = {
-            name: np.asarray([row[name] for row in rows], dtype=dtype)
-            for name, dtype in POPULATION_COLUMNS
-        }
-        rebuilt = PopulationBatch.from_dense_and_sides(dense, sides)
-        assert PopulationBatch.from_results(results).column_mismatches(rebuilt) == []
+    def test_assembly_paths_agree_bitwise(self, results, batch):
+        assert population_batch_from_results(results).column_mismatches(batch) == []
 
-    def test_column_mismatches_flags_diverged_column(self, results):
-        batch = PopulationBatch.from_results(results)
-        other = PopulationBatch.from_results(results)
+    def test_column_mismatches_flags_diverged_column(self, results, batch):
+        other = population_batch_from_results(results)
         assert batch.column_mismatches(other) == []
         other.load_imbalance[0] += 1.0
         assert batch.column_mismatches(other) == ["load_imbalance"]
 
     def test_empty_batch(self):
-        batch = PopulationBatch.from_results([])
+        batch = PopulationBatch.from_dense_and_sides(
+            {name: np.empty(0, dtype=dtype) for name, dtype in POPULATION_COLUMNS}, []
+        )
         assert len(batch) == 0
         assert batch.client_offsets.tolist() == [0]
 
@@ -136,13 +136,11 @@ class TestPopulationBatch:
 
 
 class TestPopulationResult:
-    def test_batch_only_result_rejected(self):
-        batch = PopulationBatch.from_results([])
-        with pytest.raises(ConfigError, match="result source"):
-            PopulationResult("orphan", batch=batch)
-
     def test_policy_aliases_label(self):
-        assert PopulationResult("rotate", results=[]).policy == "rotate"
+        campaign = PopulationCampaign().add(small_experiment().specs_for("rotate", 1))
+        result = campaign.run(SerialEngine())["rotate"]
+        assert result.policy == "rotate"
+        assert len(result) == 1
 
 
 class TestPopulationCampaignDeterminism:

@@ -65,6 +65,14 @@ class TestRequestParsing:
         with pytest.raises(HTTPParseError):
             parser.feed(raw)
 
+    @pytest.mark.parametrize("declared", ["+5", "1_0", "٥", "1" * 5000])
+    def test_content_length_is_ascii_digits_only(self, declared):
+        # int() alone framed "+5" as 5 bytes and "1_0" as 10.
+        parser = H1Parser(role="request")
+        raw = f"POST /x HTTP/1.1\r\nContent-Length: {declared}\r\n\r\nhelloworld"
+        with pytest.raises(HTTPParseError):
+            parser.feed(raw.encode("utf-8"))
+
     def test_oversized_header_block_rejected(self):
         parser = H1Parser(role="request")
         with pytest.raises(HTTPParseError):
@@ -96,6 +104,20 @@ class TestResponseParsing:
         parser = H1Parser(role="response")
         with pytest.raises(HTTPParseError):
             parser.feed(b"HTTP/1.1 200 OK\r\n\r\n")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"HTTP/1.1 2_00 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 +200 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: +1\r\n\r\nx",
+        ],
+        ids=["status-underscore", "status-sign", "length-sign"],
+    )
+    def test_status_and_length_are_ascii_digits_only(self, raw):
+        parser = H1Parser(role="response")
+        with pytest.raises(HTTPParseError):
+            parser.feed(raw)
 
     def test_to_response_roundtrip(self):
         original = Response(206, {"Content-Range": "bytes 0-9/100"}, body=b"0123456789")

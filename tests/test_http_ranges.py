@@ -92,9 +92,20 @@ class TestRangeHeader:
             parse_range_header("bytes=10-5")
 
     def test_garbage_rejected(self):
-        for bad in ("bytes", "octets=0-5", "bytes=a-b", "bytes=-"):
+        # "١" is ARABIC-INDIC DIGIT ONE: int() takes it, the RFC does not.
+        for bad in ("bytes", "octets=0-5", "bytes=a-b", "bytes=-", "bytes=١-٢"):
             with pytest.raises(RangeError):
                 parse_range_header(bad)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["bytes=" + "1" * 5000 + "-", "bytes=0-" + "1" * 5000, "bytes=-" + "1" * 5000],
+        ids=["first", "last", "suffix"],
+    )
+    def test_over_long_number_is_a_range_error(self, value):
+        # Past int()'s 4300-digit limit: a malformed header, not ValueError.
+        with pytest.raises(RangeError):
+            parse_range_header(value, resource_size=10**6)
 
     def test_zero_suffix_rejected(self):
         with pytest.raises(RangeError):
@@ -120,8 +131,14 @@ class TestContentRange:
         assert parse_content_range("bytes 5-9/*") == (ByteRange(5, 10), None)
 
     def test_garbage_rejected(self):
-        with pytest.raises(RangeError):
-            parse_content_range("bytes zero-ten/100")
+        for bad in (
+            "bytes zero-ten/100",
+            "bytes ١-٢/٣",
+            "bytes 0-1/" + "1" * 5000,
+            "bytes " + "1" * 5000 + "-1/*",
+        ):
+            with pytest.raises(RangeError):
+                parse_content_range(bad)
 
     @given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=1, max_value=2**30))
     def test_roundtrip(self, start, length):

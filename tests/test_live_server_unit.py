@@ -35,6 +35,31 @@ async def one_server():
     return server
 
 
+def video_app():
+    """A one-video server app, an honest token for it, and the playback
+    target for a presented token."""
+    catalog = Catalog()
+    catalog.add(
+        VideoMeta(video_id="plainVIDEO1", title="t", author="a", duration_s=60.0, itags=(22,))
+    )
+    mint = TokenMint(secret=b"live-secret")
+    app = VideoServerApp(catalog, mint, clock=lambda: 10.0, pool="test-net", signature_secret=b"s")
+    token = mint.issue(0.0, "plainVIDEO1", "c", pool="test-net")
+    signature = stream_signature("plainVIDEO1", 22, b"s")
+
+    def target(presented: str) -> str:
+        return f"/videoplayback?v=plainVIDEO1&itag=22&token={presented}&sig={signature}"
+
+    return app, token, target
+
+
+async def video_server(app) -> LiveHTTPServer:
+    shape = PathShape(name="test", rate=5_000_000.0, one_way_delay=0.001)
+    server = LiveHTTPServer(app, shape, client_network="test-net")
+    await server.start()
+    return server
+
+
 async def roundtrip(server: LiveHTTPServer, request: Request) -> Response:
     reader, writer = await asyncio.open_connection(server.host, server.port)
     try:
@@ -161,24 +186,10 @@ class TestLiveHTTPServer:
     def test_non_ascii_token_mac_gets_403_not_a_dead_connection(self):
         # hmac.compare_digest raised TypeError on the non-ASCII MAC, which
         # VideoServerApp does not catch: the handler died without a reply.
-        catalog = Catalog()
-        catalog.add(
-            VideoMeta(video_id="plainVIDEO1", title="t", author="a", duration_s=60.0, itags=(22,))
-        )
-        mint = TokenMint(secret=b"live-secret")
-        app = VideoServerApp(
-            catalog, mint, clock=lambda: 10.0, pool="test-net", signature_secret=b"s"
-        )
-        token = mint.issue(0.0, "plainVIDEO1", "c", pool="test-net")
-        signature = stream_signature("plainVIDEO1", 22, b"s")
-
-        def target(presented: str) -> str:
-            return f"/videoplayback?v=plainVIDEO1&itag=22&token={presented}&sig={signature}"
+        app, token, target = video_app()
 
         async def main():
-            shape = PathShape(name="test", rate=5_000_000.0, one_way_delay=0.001)
-            server = LiveHTTPServer(app, shape, client_network="test-net")
-            await server.start()
+            server = await video_server(app)
             try:
                 forged = await roundtrip(
                     server,
@@ -198,6 +209,23 @@ class TestLiveHTTPServer:
         assert forged.status == 403
         assert b"token rejected" in forged.body
         assert honest.status == 206 and len(honest.body) == 64
+
+    def test_over_long_range_number_gets_416_not_a_dead_connection(self):
+        # int() raised ValueError past 4300 digits, which VideoServerApp
+        # did not catch: the handler died without a reply.
+        app, token, target = video_app()
+
+        async def main():
+            server = await video_server(app)
+            try:
+                over_long = "bytes=" + "1" * 5000 + "-"
+                return await roundtrip(
+                    server, Request.get(target(token), host=server.address, Range=over_long)
+                )
+            finally:
+                await server.stop()
+
+        assert run(main()).status == 416
 
     def test_address_requires_start(self):
         shape = PathShape(name="t", rate=1e6, one_way_delay=0.0)

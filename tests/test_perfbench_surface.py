@@ -71,6 +71,19 @@ def test_tracing_engine_replays_trials_bit_identically(specs):
     assert len(tracer.named("sim.driver.run")) == len(specs)
 
 
+def test_tracing_engine_collects_through_the_map_only_branch(specs):
+    from repro.sim.shm import collect_trials
+
+    tracer = trace.Tracer("surface")
+    with trace.counting_environments() as created:
+        traced = collect_trials(trace.TracingEngine(tracer, created), specs)
+    serial = collect_trials(SerialEngine(), specs)
+    for name, column in serial.dense.items():
+        assert traced.dense[name].tobytes() == column.tobytes(), name
+    assert traced.sides == serial.sides
+    assert traced.outcomes == SerialEngine().map(specs)
+
+
 def test_collection_probe_on_real_outcomes(specs):
     metrics = probes.collection(SerialEngine().map(specs))
     assert set(metrics) == {

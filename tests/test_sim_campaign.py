@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import assert_batches_identical
+from object_batches import outcome_batch_from_outcomes
+from repro.analysis.ablation import EstimatorCampaign, EstimatorTraceSpec
 from repro.core.config import PlayerConfig
 from repro.errors import ConfigError
 from repro.sim.campaign import Campaign, OutcomeBatch, TrialResult, run_together
-from repro.sim.execution import ProcessEngine, SerialEngine, TrialSpec, resolve_engine
+from repro.sim.execution import ProcessEngine, SerialEngine, resolve_engine
 from repro.sim.profiles import testbed_profile, youtube_profile
 from repro.sim.runner import TrialRunner
 from repro.sim.scenario import ScenarioConfig
@@ -38,25 +40,22 @@ def short_config() -> ScenarioConfig:
     return ScenarioConfig(video_duration_s=120.0)
 
 
-def _spec(label: str, trial: int) -> TrialSpec:
-    return TrialSpec(
-        label=label,
-        trial=trial,
-        seed=trial,
-        profile_factory=testbed_profile,
-        driver=lambda scenario: None,
+def _spec(label: str, trial: int) -> EstimatorTraceSpec:
+    """A cheap real work unit whose result depends on its trial."""
+    return EstimatorTraceSpec(
+        label=label, trial=trial, seed=trial, estimator="ewma", samples=40
     )
 
 
 class RecordingEngine:
-    """Records each submission; every spec comes back as its own outcome."""
+    """A map-only engine that records each submission."""
 
     def __init__(self) -> None:
-        self.submissions: list[list[TrialSpec]] = []
+        self.submissions: list[list] = []
 
     def map(self, specs):
         self.submissions.append(list(specs))
-        return list(specs)
+        return [spec.run() for spec in specs]
 
 
 class TestInterleave:
@@ -65,11 +64,11 @@ class TestInterleave:
 
     def test_round_robin_order(self):
         campaign = (
-            Campaign()
+            EstimatorCampaign()
             .add([_spec("a", 0), _spec("a", 1), _spec("a", 2)])
             .add([_spec("b", 0), _spec("b", 1)])
         )
-        other = Campaign().add([_spec("c", 0)])
+        other = EstimatorCampaign().add([_spec("c", 0)])
         engine = RecordingEngine()
         results = run_together([campaign, other], engine)
         [submitted] = engine.submissions
@@ -78,9 +77,13 @@ class TestInterleave:
             ("a", 1), ("b", 1),
             ("a", 2),
         ]
-        assert [s.trial for s in results[0]["a"].outcomes] == [0, 1, 2]
-        assert [s.trial for s in results[0]["b"].outcomes] == [0, 1]
-        assert [s.trial for s in results[1]["c"].outcomes] == [0]
+        def errors(trials):
+            return [_spec("x", trial).run().mean_error for trial in trials]
+
+        assert len(set(errors([0, 1, 2]))) == 3  # the trials are told apart
+        assert [o.mean_error for o in results[0]["a"].outcomes] == errors([0, 1, 2])
+        assert [o.mean_error for o in results[0]["b"].outcomes] == errors([0, 1])
+        assert [o.mean_error for o in results[1]["c"].outcomes] == errors([0])
 
     def test_empty(self, monkeypatch):
         # Nothing to submit: the engine is never called, and an unset
@@ -215,14 +218,18 @@ class TestCampaignDeterminism:
 class TestOutcomeBatch:
     """The columnar view agrees exactly with per-outcome Python loops."""
 
-    @pytest.fixture(scope="class")
-    def result(self) -> TrialResult:
+    @staticmethod
+    def _run(label: str = "batch", trials: int = 4) -> TrialResult:
         runner = TrialRunner(
-            testbed_profile, scenario_config=short_config(), root_seed=99, trials=4
+            testbed_profile, scenario_config=short_config(), root_seed=99, trials=trials
         )
         return _solo(
-            runner, "batch", runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
+            runner, label, runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
         )
+
+    @pytest.fixture(scope="class")
+    def result(self) -> TrialResult:
+        return self._run()
 
     def test_startup_delays_match_loop(self, result):
         expected = [
@@ -261,7 +268,7 @@ class TestOutcomeBatch:
     def test_batches_compare_by_identity(self, result):
         batch = result.batch
         assert batch == batch
-        assert batch != OutcomeBatch.from_outcomes(result.outcomes)
+        assert batch != outcome_batch_from_outcomes(result.outcomes)
 
     def test_unknown_phase_rejected(self, result):
         with pytest.raises(ConfigError, match="phase"):
@@ -279,34 +286,23 @@ class TestOutcomeBatch:
         assert batch.stop_reasons.tolist() == [o.stop_reason for o in result.outcomes]
 
     def test_empty_batch(self):
-        batch = OutcomeBatch.from_outcomes([])
+        collection = SerialEngine().collect([])
+        batch = OutcomeBatch.from_dense_and_sides(collection.dense, collection.sides)
         assert len(batch) == 0
         assert batch.startup_delays().size == 0
         assert batch.prebuffer_bytes.shape == (0, 0)
-
-    def test_batch_rebuilds_after_outcomes_change(self, result):
-        partial = TrialResult("partial", result.outcomes[:2])
-        assert len(partial.batch) == 2
-        partial.outcomes.append(result.outcomes[2])
-        assert len(partial.batch) == 3
-
-    def test_batch_only_result_rejected(self, result):
-        # A batch with no outcome source would serve .outcomes == []
-        # beside a non-empty batch; the constructor fails loudly.
-        with pytest.raises(ConfigError, match="outcome source"):
-            TrialResult("orphan", batch=result.batch)
+        assert collection.outcomes == []
 
     def test_results_compare_by_value(self, result):
-        same = TrialResult(result.label, list(result.outcomes))
-        assert result == same
-        assert result != TrialResult("other", list(result.outcomes))
-        assert result != TrialResult(result.label, result.outcomes[:1])
+        assert result == self._run()
+        assert result != self._run(label="other")
+        assert result != self._run(trials=1)
         assert result.__eq__(42) is NotImplemented
 
     def test_column_mismatches_flags_exactly_the_diverged_column(self, result):
         batch = result.batch
         assert batch.column_mismatches(batch) == []
-        rebuilt = OutcomeBatch.from_outcomes(result.outcomes)
+        rebuilt = outcome_batch_from_outcomes(result.outcomes)
         assert batch.column_mismatches(rebuilt) == []
         rebuilt.finished_at[0] += 1.0
         assert batch.column_mismatches(rebuilt) == ["finished_at"]

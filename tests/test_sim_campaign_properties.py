@@ -5,13 +5,15 @@ random trial counts (including none), trials with no completed cycles,
 zero-byte phases (empty per-path dicts), sparse/high path ids, mixed
 stop reasons, never-started playback — and asserts that:
 
-* ``OutcomeBatch.from_outcomes`` agrees exactly with per-trial Python
-  loops over the outcome objects, accessor by accessor;
-* the shm side channel is lossless: ``rebuild_outcome(encode_side(o))``
+* the batch every engine assembles (in-process arena + side records →
+  ``OutcomeBatch.from_dense_and_sides``) agrees exactly with per-trial
+  Python loops over the outcome objects, accessor by accessor;
+* the side channel is lossless: ``rebuild_outcome(encode_side(o))``
   (plus the dense arena row) reproduces ``o`` exactly, through a real
   pickle round trip;
-* ``OutcomeBatch.from_dense_and_sides`` — the zero-deserialization
-  assembly — is bit-identical to ``from_outcomes``, dtypes included.
+* ``from_dense_and_sides`` over a shared arena and pickled side records
+  is bit-identical, dtypes included, to the batch built from the
+  outcome objects by the oracle in ``tests/object_batches.py``.
 
 Examples are derandomized: the suite is a determinism wall, so the
 property tests themselves must not flake.
@@ -26,6 +28,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_batches_identical
+from object_batches import outcome_batch_from_outcomes
 from repro.core.metrics import QoEMetrics, RebufferCycle, StallEvent
 from repro.sim.campaign import OutcomeBatch
 from repro.sim.driver import SessionOutcome
@@ -102,13 +105,22 @@ outcome_lists = st.lists(outcomes(), min_size=0, max_size=12)
 DETERMINISTIC = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
 
-class TestFromOutcomesAgainstLoops:
+def collected(population: list[SessionOutcome]) -> OutcomeBatch:
+    """The batch an in-process collection assembles from these outcomes."""
+    arena = OutcomeArena.local(len(population))
+    for i, outcome in enumerate(population):
+        arena.write(i, outcome)
+    sides = [encode_side(outcome) for outcome in population]
+    return OutcomeBatch.from_dense_and_sides(arena.read_columns(), sides)
+
+
+class TestCollectedBatchAgainstLoops:
     """The columnar view vs per-trial Python loops, accessor by accessor."""
 
     @given(outcome_lists)
     @DETERMINISTIC
     def test_scalar_columns_match_loops(self, population):
-        batch = OutcomeBatch.from_outcomes(population)
+        batch = collected(population)
         assert len(batch) == len(population)
         expected_startup = [
             math.nan if o.startup_delay is None else o.startup_delay
@@ -128,7 +140,7 @@ class TestFromOutcomesAgainstLoops:
     @given(outcome_lists)
     @DETERMINISTIC
     def test_startup_delays_filter_matches_loop(self, population):
-        batch = OutcomeBatch.from_outcomes(population)
+        batch = collected(population)
         assert batch.startup_delays().tolist() == [
             o.startup_delay for o in population if o.startup_delay is not None
         ]
@@ -136,7 +148,7 @@ class TestFromOutcomesAgainstLoops:
     @given(outcome_lists)
     @DETERMINISTIC
     def test_cycle_csr_matches_loop(self, population):
-        batch = OutcomeBatch.from_outcomes(population)
+        batch = collected(population)
         flat: list[float] = []
         for i, outcome in enumerate(population):
             durations = outcome.metrics.completed_cycle_durations()
@@ -150,7 +162,7 @@ class TestFromOutcomesAgainstLoops:
     @given(outcome_lists, st.integers(-1, 6), st.sampled_from(["prebuffer", "rebuffer", "all"]))
     @DETERMINISTIC
     def test_traffic_fractions_match_metrics(self, population, path_id, phase):
-        batch = OutcomeBatch.from_outcomes(population)
+        batch = collected(population)
         assert batch.traffic_fractions(path_id, phase).tolist() == [
             o.metrics.traffic_fraction(path_id, phase) for o in population
         ]
@@ -184,12 +196,13 @@ class TestSideChannelRoundTrip:
 
 
 class TestColumnarAssemblyIdentity:
-    """from_dense_and_sides == from_outcomes, bit for bit."""
+    """from_dense_and_sides == the object-built oracle, bit for bit."""
 
     @given(outcome_lists)
     @DETERMINISTIC
     def test_arena_plus_sides_assemble_identically(self, population):
-        reference = OutcomeBatch.from_outcomes(population)
+        reference = outcome_batch_from_outcomes(population)
+        assert_batches_identical(collected(population), reference)
         arena = OutcomeArena.create(len(population))
         try:
             for i, outcome in enumerate(population):

@@ -1,7 +1,10 @@
-"""Shared-memory outcome collection: arena, engine collection, crash cleanup.
+"""Columnar outcome collection: arena, engine collection, crash cleanup.
 
-The shm path is the process backend's only collection path, so its
-acceptance bar is byte-identity with a serial run — plus a lifecycle
+Every engine — serial, the process pool and its in-process exits, a
+third-party engine with only ``map`` — hands the campaign the same
+columns, so the acceptance bar is byte-identity with the batches
+assembled from the live result objects (``tests/object_batches.py``),
+for every spec kind.  The shared-memory arena adds a lifecycle
 guarantee: however a campaign ends (cleanly, one broken pool,
 two broken pools), no ``/dev/shm`` segment survives it and the resource
 tracker has nothing to complain about at interpreter exit.
@@ -17,8 +20,16 @@ import pytest
 
 import repro
 from conftest import assert_batches_identical
+from object_batches import (
+    estimator_batch_from_outcomes,
+    outcome_batch_from_outcomes,
+    population_batch_from_results,
+)
+from repro.analysis.ablation import EstimatorCampaign, EstimatorTraceSpec
 from repro.core.config import PlayerConfig
-from repro.sim.campaign import Campaign, OutcomeBatch
+from repro.ext.multi_client import MultiClientExperiment
+from repro.ext.population import PopulationCampaign
+from repro.sim.campaign import Campaign
 from repro.sim.execution import ProcessEngine, SerialEngine
 from repro.sim.profiles import testbed_profile
 from repro.sim.runner import TrialRunner
@@ -108,23 +119,40 @@ class TestArenaLifecycle:
             arena.destroy()
 
 
+class MapOnlyEngine:
+    """A third-party engine: ``map`` and nothing else."""
+
+    name = "map-only"
+    jobs = 1
+
+    def map(self, specs):
+        return [spec.run() for spec in specs]
+
+
 class TestEngineCollection:
     """collect() shapes, laziness, and byte-identity with serial."""
 
-    def test_serial_conditions_are_not_columnar(self):
-        engine = ProcessEngine(2)
+    def test_in_process_collection_never_touches_dev_shm(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("in-process collection created a shared segment")
+
         runner = _runner()
-        specs = runner.specs_for("one", runner.msplayer(PlayerConfig()))[:1]
-        collection = engine.collect(specs)  # single spec: in-process path
-        assert not collection.columnar
-        assert len(collection) == 1
+        specs = runner.specs_for("local", runner.msplayer(PlayerConfig()))
+        reference = SerialEngine().map(specs)
+        monkeypatch.setattr(OutcomeArena, "create", refuse)
+        for collection in (
+            SerialEngine().collect(specs),
+            ProcessEngine(2).collect(specs[:1]),  # one spec: nothing to fan out
+            ProcessEngine(1).collect(specs),  # one job
+            collect_trials(MapOnlyEngine(), specs),
+        ):
+            assert collection.outcomes == reference[: len(collection)]
 
     def test_shm_collection_is_columnar_and_lazy(self):
         engine = ProcessEngine(2)
         runner = _runner()
         specs = runner.specs_for("col", runner.msplayer(PlayerConfig()))
         collection = engine.collect(specs)
-        assert collection.columnar
         assert collection._outcomes is None  # nothing materialized yet
         reference = SerialEngine().map(specs)
         assert collection.outcomes == reference  # deep dataclass equality
@@ -144,11 +172,10 @@ class TestEngineCollection:
         reference = SerialEngine().map(specs)
         monkeypatch.setenv(variable, value)
         collection = ProcessEngine(2).collect(specs)
-        assert collection.columnar
         assert collection.outcomes == reference
         assert SerialEngine().map(specs) == reference
 
-    def test_auto_fallback_for_closures_is_not_columnar(self):
+    def test_auto_fallback_for_closures_collects_in_process(self, monkeypatch):
         from repro.sim.driver import MSPlayerDriver
 
         def closure_factory(scenario):
@@ -156,32 +183,100 @@ class TestEngineCollection:
 
         engine = ProcessEngine(2, fallback_to_serial=True)
         runner = _runner()
-        collection = engine.collect(runner.specs_for("cl", closure_factory))
-        assert not collection.columnar
+        specs = runner.specs_for("cl", closure_factory)
+        reference = SerialEngine().map(specs)
+        monkeypatch.setattr(OutcomeArena, "create", None)  # no segment either
+        collection = engine.collect(specs)
         assert len(collection) == 4
+        assert collection.outcomes == reference
 
     def test_collect_trials_wraps_plain_engines(self):
         runner = _runner()
         specs = runner.specs_for("wrap", runner.msplayer(PlayerConfig()))
-        collection = collect_trials(SerialEngine(), specs)
-        assert not collection.columnar
+        collection = collect_trials(MapOnlyEngine(), specs)
+        serial = SerialEngine().collect(specs)
+        assert collection.dense.keys() == serial.dense.keys()
+        for name, column in serial.dense.items():
+            assert collection.dense[name].tobytes() == column.tobytes(), name
+        assert collection.sides == serial.sides
         assert collection.outcomes == SerialEngine().map(specs)
 
     def test_campaign_shm_results_preassembled_and_lazy(self):
         result = _run(ProcessEngine(2), "lazy")
         # The batch came straight off the arena columns...
-        assert result._batch is not None
         assert result._outcomes is None
-        # ...and equals the object-built batch exactly.
+        # ...and equals the serial run's and the object-built batch exactly.
         serial = _run(SerialEngine(), "lazy")
         assert_batches_identical(result.batch, serial.batch)
-        # Walking .outcomes materializes and matches, and the batch
-        # cache survives (same length, no rebuild).
         assert result.outcomes == serial.outcomes
-        assert result._batch is not None
         assert_batches_identical(
-            OutcomeBatch.from_outcomes(result.outcomes), result.batch
+            outcome_batch_from_outcomes(result.outcomes), result.batch
         )
+
+
+def _trial_batches() -> list[list]:
+    runner = _runner()
+    configs = {"harmonic": PlayerConfig(), "ewma": PlayerConfig(scheduler="ewma")}
+    return [runner.specs_for(label, runner.msplayer(c)) for label, c in configs.items()]
+
+
+def _population_batches() -> list[list]:
+    experiment = MultiClientExperiment(
+        testbed_profile, client_count=2, video_duration_s=60.0, seed=5
+    )
+    return [experiment.specs_for(policy, 2) for policy in ("static", "rotate")]
+
+
+def _estimator_batches() -> list[list]:
+    return [
+        [
+            EstimatorTraceSpec(label=name, trial=trial, seed=trial, estimator=name, samples=60)
+            for trial in range(2)
+        ]
+        for name in ("harmonic", "ewma")
+    ]
+
+
+#: Each spec kind: its campaign, its spec batches, the object-built
+#: oracle batch, and the result attribute holding the rebuilt objects.
+SPEC_KINDS = [
+    pytest.param(Campaign, _trial_batches, outcome_batch_from_outcomes, "outcomes", id="trial"),
+    pytest.param(
+        PopulationCampaign, _population_batches, population_batch_from_results, "results",
+        id="population",
+    ),
+    pytest.param(
+        EstimatorCampaign, _estimator_batches, estimator_batch_from_outcomes, "outcomes",
+        id="estimator",
+    ),
+]
+
+ENGINES = [
+    pytest.param(SerialEngine, id="serial"),
+    pytest.param(lambda: ProcessEngine(2), id="process-2"),
+    pytest.param(lambda: ProcessEngine(3), id="process-3"),
+    pytest.param(MapOnlyEngine, id="map-only"),
+]
+
+
+@pytest.mark.parametrize("make_engine", ENGINES)
+@pytest.mark.parametrize("campaign_kind, spec_batches, oracle, objects", SPEC_KINDS)
+def test_every_engine_collects_the_object_built_batch(
+    campaign_kind, spec_batches, oracle, objects, make_engine
+):
+    """The one collection path, for every spec kind on every engine:
+    bit-identical to the batch assembled from the live result objects,
+    and the lazily rebuilt objects equal the live ones."""
+    batches = spec_batches()
+    campaign = campaign_kind()
+    for batch in batches:
+        campaign.add(batch)
+    results = campaign.run(make_engine())
+    for batch in batches:
+        expected = [spec.run() for spec in batch]
+        got = results[batch[0].label]
+        assert_batches_identical(got.batch, oracle(expected))
+        assert getattr(got, objects) == expected
 
 
 class TestCrashCleanup:

@@ -172,7 +172,7 @@ class TestRunTogetherSkip:
 
     def test_fully_skipped_call_never_touches_the_engine(self):
         class ExplodingEngine(SerialEngine):
-            def map(self, specs):
+            def collect(self, specs):
                 raise AssertionError("engine must not be consulted")
 
         results = run_together(

@@ -34,9 +34,9 @@ class CountingEngine(SerialEngine):
     def __init__(self):
         self.mapped = 0
 
-    def map(self, specs):
+    def collect(self, specs):
         self.mapped += len(specs)
-        return super().map(specs)
+        return super().collect(specs)
 
 
 def small_grid(**kwargs):
