@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..errors import ConfigError, RangeError, TokenError, VideoNotFoundError
+from ..errors import ConfigError, HTTPParseError, RangeError, TokenError, VideoNotFoundError
+from ..http.headers import parse_digits
 from ..http.messages import Request, Response
 from ..http.ranges import ByteRange, parse_range_header
 from .catalog import Catalog
@@ -117,8 +118,8 @@ class VideoServerApp:
             return Response.error(404, f"no handler for {request.path}")
         query = request.query
         try:
-            itag: int | None = int(query.get("itag", ""))
-        except ValueError:
+            itag: int | None = parse_digits(query.get("itag", ""), "itag")
+        except HTTPParseError:
             itag = None
         asset = self.admit(query.get("v", ""), itag, query.get("token", ""), query.get("sig", ""))
         if isinstance(asset, Response):

@@ -9,10 +9,10 @@
 * :mod:`repro.ext.multi_client` — many MSPlayer clients sharing one CDN
   deployment, for server-selection-policy studies (the load-balancing
   concern behind §2's source-diversity argument);
-* :mod:`repro.ext.population` — population campaigns: whole
-  multi-client populations as parallel work units (policy ×
-  seed-replicate × client count), collected through the shared-memory
-  arena into per-policy columnar batches.
+* :mod:`repro.ext.population` — the one population runner, and
+  population campaigns: whole multi-client populations as parallel
+  work units (policy × seed-replicate), collected through the
+  shared-memory arena into per-policy columnar batches.
 """
 
 from .energy import EnergyModel, EnergyReport, LTE_ENERGY, WIFI_ENERGY
@@ -24,8 +24,9 @@ from .adaptive import (
     FixedBitrateController,
     ThroughputController,
 )
-from .multi_client import MultiClientExperiment, MultiClientResult
+from .multi_client import MultiClientExperiment
 from .population import (
+    MultiClientResult,
     PopulationBatch,
     PopulationCampaign,
     PopulationResult,

@@ -2,21 +2,33 @@
 
 The paper's §2 source-diversity argument is operationally about
 *populations* — many MSPlayer clients arriving together and stressing
-the CDN's server selection.  One such population is a single
-:class:`~repro.ext.multi_client.MultiClientExperiment` run: every
-client shares one :class:`~repro.net.env.Environment`, so the clients
-*within* a population cannot be split across processes without a
-cross-environment clock sync (see DESIGN.md's conservative-lookahead
+the CDN's server selection.  This module runs them, one way for every
+population experiment:
+
+* :class:`PopulationExperiment` is the one population runner.  A
+  subclass only *plans* its population — the world's profile and
+  catalog, and per client a :class:`ClientPlan` (access profile, video,
+  driver, launch delay); :meth:`~PopulationExperiment.run` builds the
+  shared :class:`~repro.sim.scenario.World`, joins one
+  :class:`~repro.sim.scenario.Scenario` per client, launches each at
+  its delay with its profile's outages shifted by it, and collects a
+  :class:`MultiClientResult`.  The uniform flash crowd
+  (:class:`~repro.ext.multi_client.MultiClientExperiment`, x6) and the
+  declarative city scenarios
+  (:class:`~repro.scenarios.experiment.ScenarioExperiment`, x8/x9) are
+  its two planners.
+
+Every client shares one :class:`~repro.net.env.Environment`, so the
+clients *within* a population cannot be split across processes without
+a cross-environment clock sync (see DESIGN.md's conservative-lookahead
 notes).  But a population-level study needs *seed replicates* — the
 same policy over many independently seeded populations — and replicates
 are embarrassingly parallel for exactly the reason trials are: each
-population builds its whole world from its own derived seed.
+population builds its whole world from its own derived seed.  So:
 
-This module makes a population a campaign work unit:
-
-* :class:`PopulationSpec` — a picklable ``(policy, replicate, seed,
-  client_count, profile)`` description that runs one whole population
-  per unit on the existing serial/process engines
+* :class:`PopulationSpec` — a picklable ``(label, trial, seed, policy,
+  experiment)`` that reruns one whole population at its replicate seed
+  per unit on the serial/process engines
   (:class:`~repro.sim.execution.WorkSpec` protocol);
 * dense per-population scalars (:data:`POPULATION_COLUMNS`: mean/p95
   start-up, load imbalance, total server bytes, completed sessions)
@@ -26,8 +38,7 @@ This module makes a population a campaign work unit:
   :class:`~repro.sim.shm.SideRecord` plus the population's
   ``server_bytes`` — is a :class:`PopulationSideRecord` (on the pool,
   it rides the result pipe), whose :meth:`~PopulationSideRecord.
-  rebuild` inverts it into the exact
-  :class:`~repro.ext.multi_client.MultiClientResult`;
+  rebuild` inverts it into the exact :class:`MultiClientResult`;
 * :class:`PopulationCampaign` demultiplexes per policy into columnar
   :class:`PopulationBatch`es (CSR per-client start-up delays next to
   the dense replicate columns), wrapped in lazy
@@ -41,23 +52,30 @@ batches for a fixed root seed (``tests/test_ext_population.py``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
 from collections.abc import Callable, Sequence
-from typing import ClassVar, NamedTuple
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, ClassVar, NamedTuple
 
 import numpy as np
 
-from ..core.config import PlayerConfig
+from ..cdn.catalog import Catalog
+from ..errors import ConfigError
+from ..rng import RngFactory
 from ..sim.campaign import Campaign, dense_field_mismatches
+from ..sim.driver import SessionOutcome
 from ..sim.profiles import NetworkProfile
+from ..sim.scenario import Scenario, ScenarioConfig, World
 from ..sim.shm import ColumnLayout, OutcomeArena, encode_side, rebuild_outcome
-from .multi_client import MultiClientExperiment, MultiClientResult
+from .adaptive import AdaptiveOutcome
 
 __all__ = [
     "POPULATION_COLUMNS",
+    "ClientPlan",
+    "MultiClientResult",
     "PopulationBatch",
     "PopulationCampaign",
+    "PopulationExperiment",
     "PopulationResult",
     "PopulationSideRecord",
     "PopulationSpec",
@@ -78,6 +96,173 @@ POPULATION_COLUMNS: ColumnLayout = (
     ("total_failovers", np.int64),
     ("sessions", np.int64),
 )
+
+
+@dataclass
+class MultiClientResult:
+    """One population's outcomes under one selection policy."""
+
+    policy: str
+    outcomes: list[SessionOutcome] = field(default_factory=list)
+    server_bytes: dict[str, int] = field(default_factory=dict)
+
+    def startup_delays(self) -> list[float]:
+        return [o.startup_delay for o in self.outcomes if o.startup_delay is not None]
+
+    @property
+    def load_imbalance(self) -> float:
+        """Max/mean byte ratio across *all* video servers.
+
+        1.0 = perfectly even; with S servers, a policy that starves all
+        but one scores S.  Idle servers count — an unused replica is
+        exactly the imbalance the selection policy should prevent.
+        """
+        loads = list(self.server_bytes.values())
+        if not loads or sum(loads) == 0:
+            return 0.0
+        return max(loads) / (sum(loads) / len(loads))
+
+
+# ---------------------------------------------------------------------------
+# The population runner
+# ---------------------------------------------------------------------------
+
+
+class ClientPlan(NamedTuple):
+    """One planned client: what it runs over, what it plays, and when."""
+
+    #: Access profile: the client's links, latencies and outages.
+    profile: NetworkProfile
+    #: The catalog video it plays.
+    video_id: str
+    #: ``scenario -> driver``, called once the client has joined the world.
+    driver: Callable[[Scenario], Any]
+    #: Launch delay in world seconds.
+    delay: float
+
+
+def _launch(env, driver, delay: float):
+    yield env.pooled_timeout(delay)
+    driver.launch()
+
+
+def _collect(driver) -> SessionOutcome:
+    """A client's outcome in the population's common shape.
+
+    The dense rows and side records speak
+    :class:`~repro.sim.driver.SessionOutcome`; an adaptive driver's
+    extras (itag history, switch counts) are per-session diagnostics
+    the population aggregates do not consume.  Metrics ride through
+    untouched, so start-up/stall/failover aggregation is exact, and the
+    fold happens *inside* the run so serial and worker paths encode
+    exactly the same objects.
+    """
+    outcome = driver.collect()
+    if isinstance(outcome, AdaptiveOutcome):
+        return SessionOutcome(
+            metrics=outcome.metrics,
+            finished_at=outcome.finished_at,
+            stop_reason=outcome.stop_reason,
+            peak_out_of_order=outcome.metrics.peak_out_of_order,
+        )
+    return outcome
+
+
+class PopulationExperiment:
+    """Many clients sharing one world, under one selection policy.
+
+    A subclass is a frozen dataclass with ``seed``, ``client_count`` and
+    ``overload_threshold`` fields that *plans* its population
+    (:meth:`plan`) and may disturb the world once every client is
+    launched (:meth:`disturb`); building, launching, running and
+    collecting are this class's, one way for every population.
+    """
+
+    seed: int
+    client_count: int
+    overload_threshold: int | None
+
+    def __post_init__(self) -> None:
+        if self.client_count < 1:
+            raise ConfigError("need at least one client")
+
+    def plan(self) -> tuple[NetworkProfile, Catalog, list[ClientPlan]]:
+        """The world's profile and catalog, and one plan per client."""
+        raise NotImplementedError
+
+    def disturb(self, world: World, scenarios: list[Scenario]) -> None:
+        """Start world-level faults after every launch (none by default)."""
+
+    def run(self, policy: str) -> MultiClientResult:
+        profile, catalog, plans = self.plan()
+        world = World(
+            profile,
+            catalog,
+            policy,
+            self.overload_threshold,
+            RngFactory(self.seed).generator("cdn"),
+        )
+        scenarios: list[Scenario] = []
+        drivers = []
+        for index, plan in enumerate(plans):
+            video = catalog.get(plan.video_id)
+            config = ScenarioConfig(
+                video_duration_s=video.duration_s,
+                video_id=video.video_id,
+                copyrighted=video.copyrighted,
+                itags=video.itags,
+                selection_policy=policy,
+                overload_threshold=self.overload_threshold,
+            )
+            scenarios.append(Scenario.join(world, plan.profile, self.seed, index, config))
+            drivers.append(plan.driver(scenarios[-1]))
+
+        env = world.env
+        for scenario, driver, plan in zip(scenarios, drivers, plans, strict=True):
+            env.process(_launch(env, driver, plan.delay))
+            scenario.schedule_outages(plan.delay)
+        self.disturb(world, scenarios)
+
+        env.run(until=env.all_of([driver.finished for driver in drivers]))
+        return MultiClientResult(
+            policy=policy,
+            outcomes=[_collect(driver) for driver in drivers],
+            server_bytes=world.deployment.total_bytes_served(),
+        )
+
+    # -- population campaigns -------------------------------------------------
+
+    def replicate_seed(self, replicate: int) -> int:
+        """The derived seed of one replicate population.
+
+        Policy-independent on purpose: every policy of a comparison
+        sees the *same* sequence of seeded populations, so policy
+        differences are never confounded with seed differences (the
+        population analogue of the paper's identically seeded
+        configuration repetitions).
+        """
+        return RngFactory(self.seed).child(f"replicate-{replicate}").integer(
+            "population"
+        )
+
+    def specs_for(self, policy: str, replicates: int = 1) -> list[PopulationSpec]:
+        """Picklable specs that rerun this population, one whole
+        population per spec, on any execution backend."""
+        return [
+            PopulationSpec(
+                label=policy,
+                trial=replicate,
+                seed=self.replicate_seed(replicate),
+                policy=policy,
+                experiment=self,
+            )
+            for replicate in range(replicates)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Dense rows and side records
+# ---------------------------------------------------------------------------
 
 
 def _session_seconds(outcome) -> float:
@@ -187,47 +372,23 @@ class PopulationSpec:
     """One (policy, seed-replicate) population, self-contained.
 
     The :class:`~repro.sim.execution.WorkSpec` kind for population
-    campaigns: ``run`` executes a whole
-    :class:`~repro.ext.multi_client.MultiClientExperiment` population —
-    ``client_count`` clients sharing one environment and CDN — under
-    one selection policy, seeded for this replicate.
+    campaigns: ``run`` reruns ``experiment`` — a whole population of
+    clients sharing one environment and CDN — at this replicate's
+    ``seed``, under one selection policy.
     """
 
     label: str
     trial: int
     seed: int
     policy: str
-    client_count: int
-    profile_factory: Callable[[], NetworkProfile]
-    video_duration_s: float = 120.0
-    overload_threshold: int | None = 2
-    player_config: PlayerConfig = field(default_factory=PlayerConfig)
-    stop: str = "prebuffer"
-    #: Optional arrival-schedule hook, ``(rng, count) -> delays`` —
-    #: module-level callables only (specs must stay picklable).  ``None``
-    #: keeps the classic uniform flash-crowd stagger bit-for-bit.
-    launch_schedule: Callable[[np.random.Generator, int], Sequence[float]] | None = None
-    #: Optional world hook ``(env, deployment) -> None`` run before any
-    #: client launches — the churn-injection seam (same pickling rule).
-    world_hook: Callable | None = None
+    experiment: PopulationExperiment
 
     #: Arena layout for collection (class-level).
     dense_columns: ClassVar[ColumnLayout] = POPULATION_COLUMNS
 
     def run(self) -> MultiClientResult:
         """Execute this population start to finish (the pool work unit)."""
-        experiment = MultiClientExperiment(
-            self.profile_factory,
-            client_count=self.client_count,
-            seed=self.seed,
-            video_duration_s=self.video_duration_s,
-            overload_threshold=self.overload_threshold,
-            player_config=self.player_config,
-            stop=self.stop,
-            launch_schedule=self.launch_schedule,
-            world_hook=self.world_hook,
-        )
-        return experiment.run(self.policy)
+        return replace(self.experiment, seed=self.seed).run(self.policy)
 
     def write_dense(
         self, arena: OutcomeArena, row: int, result: MultiClientResult
@@ -336,8 +497,7 @@ class PopulationResult:
 
     The population analogue of
     :class:`~repro.sim.campaign.TrialResult`: the columnar batch plus a
-    thunk that rebuilds the
-    :class:`~repro.ext.multi_client.MultiClientResult`s only if
+    thunk that rebuilds the :class:`MultiClientResult`s only if
     something walks them.
     """
 

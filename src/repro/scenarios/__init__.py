@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .arrivals import ArrivalSpec, DiurnalCurve, FlashCrowd, thinned_arrival_times
 from .churn import ChurnSpec, PathDegradation, ServerBrownout, ServerCrash, schedule_churn
-from .experiment import ScenarioExperiment, ScenarioSpec
+from .experiment import ScenarioExperiment
 from .mix import ClientAssignment, ClientClass, MixSpec
 from .slo import SLOReport, population_slo
 
@@ -40,7 +40,6 @@ __all__ = [
     "PathDegradation",
     "SLOReport",
     "ScenarioExperiment",
-    "ScenarioSpec",
     "ServerBrownout",
     "ServerCrash",
     "population_slo",

@@ -87,7 +87,7 @@ def _plan_x8(params: Mapping) -> ExperimentPlan:
     """Population SLOs under a compressed diurnal day, per policy.
 
     One :class:`~repro.ext.population.PopulationCampaign` of
-    :class:`~repro.scenarios.experiment.ScenarioSpec` work units —
+    :class:`~repro.ext.population.PopulationSpec` work units —
     replicates fan out across processes exactly like x6, and replicate
     seeds stay policy-independent.
     """

@@ -42,12 +42,13 @@ from urllib.parse import parse_qs, urlsplit
 from typing import Any
 
 from ..errors import ConfigError, ReproError
+from ..http.headers import parse_digits
 from .broker import Broker
 
 __all__ = ["BrokerServer", "create_server", "run_server"]
 
 _STATUS = re.compile(r"^/api/v1/studies/([^/]+)$")
-_RESULT = re.compile(r"^/api/v1/studies/([^/]+)/cells/(\d+)/result$")
+_RESULT = re.compile(r"^/api/v1/studies/([^/]+)/cells/([0-9]+)/result$")
 
 #: Long-poll bounds: the status endpoint re-checks at this period and
 #: refuses to hold a connection longer than the cap.
@@ -55,6 +56,16 @@ _POLL_STEP = 0.05
 _MAX_WAIT = 30.0
 
 _b64decode = partial(base64.b64decode, validate=True)
+
+
+def _index(raw: Any, what: str) -> int:
+    """``raw`` as a count or index sqlite can bind: ASCII digits only
+    (``int()`` also takes signs, ``_`` and other scripts' digits), and
+    below ``2**63``, where sqlite's integers end."""
+    value = parse_digits(str(raw), what)
+    if value >= 2**63:
+        raise ConfigError(f"{what} out of range: {str(raw)[:60]}")
+    return value
 
 
 def _parse(kind: Callable[[Any], Any], raw: Any, what: str) -> Any:
@@ -97,15 +108,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict[str, Any]:
-        length = _parse(int, self.headers.get("Content-Length") or 0, "Content-Length")
-        if length < 0:
-            raise ConfigError(f"malformed Content-Length: {length}")
+        # Surrounding whitespace is the header's optional padding, as in h1.
+        length = _index((self.headers.get("Content-Length") or "0").strip(), "Content-Length")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             body = json.loads(raw.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # undecodable, not JSON, or past int()'s digit limit
             raise ConfigError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(body, dict):
             raise ConfigError(f"request body must be a JSON object, got {type(body).__name__}")
@@ -125,7 +135,8 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             match = _RESULT.match(url.path)
             if match:
-                manifest, npz = self.server.broker.result(match.group(1), int(match.group(2)))
+                cell = _index(match.group(2), "cell")
+                manifest, npz = self.server.broker.result(match.group(1), cell)
                 self._send_json(
                     200,
                     {
@@ -179,7 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
                     200,
                     broker.complete(
                         str(body.get("job_id") or ""),
-                        _parse(int, body.get("cell") or 0, "cell"),
+                        _index(body.get("cell") or 0, "cell"),
                         str(body.get("manifest_text") or ""),
                         _parse(_b64decode, str(body.get("npz_b64") or ""), "npz_b64"),
                         lease_id=body.get("lease_id"),

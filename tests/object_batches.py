@@ -16,7 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.analysis.ablation import EstimatorBatch, EstimatorTraceOutcome
-from repro.ext.multi_client import MultiClientResult
+from repro.ext.population import MultiClientResult
 from repro.ext.population import POPULATION_COLUMNS, PopulationBatch, population_dense_row
 from repro.sim.campaign import OutcomeBatch
 from repro.sim.driver import SessionOutcome

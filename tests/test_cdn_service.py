@@ -297,8 +297,13 @@ class TestVideoServer:
         request = Request.get("/videoplayback?v=missingVID1&itag=22&token=t&sig=s", host="v")
         assert world["video"](request, "wifi-net").status == 404
 
-    def test_malformed_itag_400(self, world):
-        request = Request.get("/videoplayback?v=plainVIDEO1&itag=HD&token=t&sig=s", host="v")
+    # A valid request for itag 18 with only the itag respelled: int() read
+    # all but "HD" as 18.
+    @pytest.mark.parametrize("itag", ["HD", "+18", "1_8", " 18", "\u0661\u0668"])
+    def test_malformed_itag_400(self, world, itag):
+        target = playback_request(world, video_info(world), itag=18, byte_range=None).target
+        assert "&itag=18&" in target
+        request = Request.get(target.replace("&itag=18&", f"&itag={itag}&"), host="v1")
         assert world["video"](request, "wifi-net").status == 400
 
     def test_unknown_itag_400(self, world):

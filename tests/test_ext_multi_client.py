@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.ext.multi_client import MultiClientExperiment
 from repro.ext.population import PopulationCampaign, PopulationResult
-from repro.sim.profiles import testbed_profile
+from repro.net.iface import NetworkInterface
+from repro.sim.profiles import mobility_profile, testbed_profile
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +59,31 @@ class TestMultiClient:
         with pytest.raises(ConfigError):
             MultiClientExperiment(testbed_profile, client_count=0)
 
+    def test_profile_outages_follow_each_clients_launch(self, monkeypatch):
+        """Outages are session-relative, as for a single trial: every
+        client's WiFi walks out 20 s after *its* launch and is back 45 s
+        after it."""
+        toggles = []
+        set_up = NetworkInterface.set_up
+
+        def spy(iface, up):
+            toggles.append((iface.name, up, iface.env.now))
+            set_up(iface, up)
+
+        monkeypatch.setattr(NetworkInterface, "set_up", spy)
+        result = MultiClientExperiment(
+            mobility_profile, client_count=3, video_duration_s=60.0, seed=5, stop="full"
+        ).run("rotate")
+        launches = [o.metrics.session_started_at for o in result.outcomes]
+        assert len(set(launches)) == 3
+        expected = []
+        for index, launch in enumerate(launches):
+            expected.append((f"c{index}-wlan0", False, launch + 20.0))
+            expected.append((f"c{index}-wlan0", True, pytest.approx(launch + 45.0)))
+        assert sorted(toggles, key=lambda t: (t[0], t[1])) == expected
+
     def test_imbalance_of_empty_result(self, experiment):
-        from repro.ext.multi_client import MultiClientResult
+        from repro.ext.population import MultiClientResult
 
         assert MultiClientResult(policy="x").load_imbalance == 0.0
 

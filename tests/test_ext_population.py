@@ -8,6 +8,7 @@ root seed.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -15,12 +16,14 @@ import pytest
 
 from conftest import study_result
 from object_batches import population_batch_from_results
-from repro.ext.multi_client import MultiClientExperiment, MultiClientResult
+from repro.ext.multi_client import MultiClientExperiment
 from repro.ext.population import (
     POPULATION_COLUMNS,
+    MultiClientResult,
     PopulationBatch,
     PopulationCampaign,
     PopulationResult,
+    PopulationSpec,
     population_dense_row,
 )
 from repro.sim.execution import ProcessEngine, SerialEngine, resolve_engine
@@ -44,6 +47,19 @@ def small_experiment(seed: int = 5) -> MultiClientExperiment:
 
 
 class TestPopulationSpec:
+    def test_a_spec_is_a_replicate_of_an_experiment(self):
+        """Five fields, each read by ``run``: no spec carries a field its
+        ``run`` ignores."""
+        assert [f.name for f in dataclasses.fields(PopulationSpec)] == [
+            "label",
+            "trial",
+            "seed",
+            "policy",
+            "experiment",
+        ]
+        experiment = small_experiment()
+        assert experiment.specs_for("rotate", 2)[1].experiment is experiment
+
     def test_specs_are_picklable(self):
         specs = small_experiment().specs_for("rotate", 3)
         assert [s.trial for s in pickle.loads(pickle.dumps(specs))] == [0, 1, 2]

@@ -99,14 +99,23 @@ class TestPaperScaleScenarios:
         """The benchmark's flash crowd (200 access links, most idle most
         of the time) with every link swapped for the pre-lazy reference
         in ``tests/eager_link.py``: same panel, same raw SLOs, same
-        dense columns."""
+        dense columns.  ``repro.sim.scenario`` is the one module that
+        builds links; the count proves the oracle run really used them,
+        so a link built anywhere else fails here instead of comparing
+        lazy links with lazy links."""
         from eager_link import EagerLink
 
         kwargs = dict(replicates=1, clients=100, policies=("least_loaded",))
         lazy = Study("x9", **kwargs).run(jobs="serial")
-        monkeypatch.setattr("repro.ext.multi_client.Link", EagerLink)
-        monkeypatch.setattr("repro.sim.scenario.Link", EagerLink)
+        built: list[EagerLink] = []
+
+        def eager_link(*args, **kwargs):
+            built.append(EagerLink(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("repro.sim.scenario.Link", eager_link)
         eager = Study("x9", **kwargs).run(jobs="serial")
+        assert len(built) == 2 * 100
         assert lazy.rendered == eager.rendered
         assert lazy.only().result.raw == eager.only().result.raw
         assert lazy.column_mismatches(eager) == []

@@ -525,6 +525,20 @@ class TestMalformedRequests:
                 "npz_b64",
                 id="complete-npz-not-base64",
             ),
+            # Past sqlite's 64-bit integers: binding raised OverflowError.
+            pytest.param(
+                "/api/v1/complete",
+                {"job_id": "j", "cell": 10**20, "manifest_text": "", "npz_b64": ""},
+                "cell",
+                id="complete-cell-past-64-bits",
+            ),
+            # Past int()'s digit limit: the JSON decoder raised ValueError.
+            pytest.param(
+                "/api/v1/complete",
+                b'{"job_id": "j", "cell": ' + b"9" * 5000 + b"}",
+                "JSON",
+                id="complete-cell-5000-digits",
+            ),
         ],
     )
     def test_post_body(self, tmp_path, path, body, field):
@@ -533,14 +547,25 @@ class TestMalformedRequests:
                 stack.url,
                 "POST",
                 path,
-                json.dumps(body).encode(),
+                body if isinstance(body, bytes) else json.dumps(body).encode(),
                 {"Content-Type": "application/json"},
             )
             assert status == 400
             assert field in reply["error"]
             assert BrokerClient(stack.url).health() is True
 
-    @pytest.mark.parametrize("length", ["abc", "-1"])
+    @pytest.mark.parametrize(
+        "length",
+        [
+            "abc",
+            "-1",
+            # int() reads these as 5, 10 and 10**20: the first two framed
+            # a body, the last raised out of the read.
+            "+5",
+            "1_0",
+            "9" * 20,
+        ],
+    )
     def test_content_length(self, tmp_path, length):
         # No body bytes: the server must answer from the header alone
         # (unread bytes at close would reset the connection).
@@ -550,6 +575,24 @@ class TestMalformedRequests:
             )
             assert status == 400
             assert "Content-Length" in reply["error"]
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            pytest.param("9" * 20, id="past-64-bits"),
+            pytest.param("9" * 5000, id="5000-digits"),
+        ],
+    )
+    def test_result_cell(self, tmp_path, cell):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
+            job = BrokerClient(stack.url).submit(payload)["job_id"]
+            status, reply = _raw_exchange(
+                stack.url, "GET", f"/api/v1/studies/{job}/cells/{cell}/result"
+            )
+            assert status == 400
+            assert "cell" in reply["error"]
+            assert BrokerClient(stack.url).health() is True
 
 
 class TestCli:

@@ -1,7 +1,13 @@
 """Scenario construction and network profiles."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.cdn.catalog import Catalog
+from repro.cdn.videos import VideoMeta
 from repro.errors import ConfigError
 from repro.rng import RngFactory
 from repro.sim.profiles import (
@@ -11,7 +17,7 @@ from repro.sim.profiles import (
     testbed_profile,
     youtube_profile,
 )
-from repro.sim.scenario import LTE_NET, WIFI_NET, Scenario, ScenarioConfig
+from repro.sim.scenario import LTE_NET, WIFI_NET, Scenario, ScenarioConfig, World
 from repro.units import mbit
 
 
@@ -101,3 +107,50 @@ class TestScenario:
         b = Scenario(youtube_profile(), seed=4)
         # Stochastic components draw identically.
         assert a.rng_factory.generator("x").random() == b.rng_factory.generator("x").random()
+
+
+class TestWorld:
+    def world(self) -> World:
+        catalog = Catalog()
+        catalog.add(VideoMeta(video_id="sharedVIDEO", title="t", author="a", duration_s=30.0))
+        return World(testbed_profile(), catalog, "rotate", 2, RngFactory(1).generator("cdn"))
+
+    def test_joined_clients_share_the_world_and_own_their_access(self):
+        world = self.world()
+        config = ScenarioConfig(video_duration_s=30.0, video_id="sharedVIDEO")
+        a = Scenario.join(world, testbed_profile(), 7, 0, config)
+        b = Scenario.join(world, youtube_profile(), 7, 3, config)
+        for client in (a, b):
+            assert client.env is world.env
+            assert client.deployment is world.deployment
+            assert client.resolver is world.resolver
+            assert client.video is world.catalog.get("sharedVIDEO")
+        assert (b.wifi.name, b.lte.name) == ("c3-wlan0", "c3-wwan0")
+        assert (b.wifi_link.name, b.lte_link.name) == ("c3-wifi-link", "c3-lte-link")
+        assert (b.wifi.address, b.lte.address) == ("192.168.1.13", "10.54.3.13")
+        assert a.wifi_link is not b.wifi_link
+        assert b.profile.name == "youtube"
+
+    def test_a_trial_keeps_its_own_names(self):
+        scenario = Scenario(testbed_profile(), seed=1)
+        assert (scenario.wifi.name, scenario.lte.name) == ("wlan0", "wwan0")
+        assert (scenario.wifi_link.name, scenario.lte_link.name) == ("wifi-link", "lte-link")
+        assert (scenario.wifi.address, scenario.lte.address) == ("192.168.1.23", "10.54.3.99")
+        assert scenario.video.title == "Testbed HD clip"
+
+
+def test_one_module_wires_worlds():
+    """Deployments, resolvers and interfaces are built in ``repro.sim.scenario``
+    and nowhere else under ``src/``."""
+    package = Path(repro.__file__).parent
+    builders = {"CDNDeployment", "StubResolver", "NetworkInterface"}
+    wiring = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in builders:
+                wiring.add(path.relative_to(package).as_posix())
+    assert wiring == {"sim/scenario.py"}
