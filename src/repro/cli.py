@@ -370,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         metavar="SECONDS",
-        help="idle sleep between lease attempts (default: %(default)s)",
+        help="how long an idle lease request waits at the broker, which "
+        "answers it the moment a cell arrives; also the back-off after a "
+        "failed request (default: %(default)s)",
     )
     worker.add_argument(
         "--max-cells",

@@ -22,6 +22,9 @@ Lease state machine (per cell)::
   killed, wedged, partitioned — is *lost*, and its cell requeues the
   next time any call scans for expiry (lazy, no background thread: the
   same pattern as ``BrokenProcessPool``'s evict-and-retry, generalized).
+  A parked ``lease`` or ``status`` (see *Waiting*) also wakes at the
+  earliest live deadline, so an expired lease requeues to a parked
+  worker without anyone else calling in.
 * A cell that keeps failing is **quarantined**: after ``max_attempts``
   charged attempts it parks in ``failed`` with its last error, which
   surfaces as a per-cell error in the client's ``StudyResult`` instead
@@ -36,12 +39,22 @@ Cache integration: give the broker a
 :class:`~repro.study.cache.StudyCache` and submissions consult it per
 cell — hits are born ``done`` (served straight from the entry's archive
 bytes, zero leases, zero work units) and fresh completions are stored
-back, so the farm's cache warms across tenants.
+back, so the farm's cache warms across tenants.  A completion is stored
+*before* its cell turns ``done``, so whoever sees ``done`` finds the
+entry, and under the fingerprint its submission was looked up with.
+
+Waiting: ``lease(worker, wait=S)`` and ``status(job, wait=S, done=N)``
+park on one condition over the broker's lock for up to ``S`` seconds.
+Every transition that could answer them — submit, complete, fail,
+requeue, quarantine — notifies it, so a waiter wakes on work, not on a
+timer.  :meth:`Broker.close` wakes every waiter too, and each then
+raises :class:`~repro.errors.ServiceError` instead of touching the
+closed database.
 
 Concurrency: one connection guarded by one lock.  Calls are short
-(sqlite work plus at most one archive validation); the serialization
-point is the queue's correctness argument, not a bottleneck at
-cell-sized work units.
+(sqlite work plus at most one archive validation and one cache store);
+the serialization point is the queue's correctness argument, not a
+bottleneck at cell-sized work units.
 """
 
 from __future__ import annotations
@@ -51,8 +64,9 @@ import os
 import sqlite3
 import threading
 import time
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Callable, Mapping
 from typing import Any
 
 from ..errors import ConfigError, ServiceError
@@ -122,7 +136,11 @@ class Broker:
         self.max_attempts = int(max_attempts)
         self._clock = clock
         self._log = log
-        self._lock = threading.Lock()
+        self._changed = threading.Condition(threading.Lock())
+        self._closed = False
+        #: Each job's submit-time code fingerprint: its completions are
+        #: stored under the key its lookups used.
+        self._fingerprints: dict[str, str] = {}
         self._db = sqlite3.connect(self.db_path, check_same_thread=False)
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute("PRAGMA synchronous=NORMAL")
@@ -131,8 +149,38 @@ class Broker:
         self._db.commit()
 
     def close(self) -> None:
-        with self._lock:
-            self._db.close()
+        """Close the database and wake every parked call (idempotent)."""
+        with self._changed:
+            if not self._closed:
+                self._closed = True
+                self._db.close()
+                self._changed.notify_all()
+
+    @contextmanager
+    def _open(self) -> Iterator[None]:
+        """Hold the lock over a database that is still open."""
+        with self._changed:
+            if self._closed:
+                raise ServiceError("broker is closed")
+            yield
+
+    def _park_locked(self, until: float, now: float) -> bool:
+        """Wait for a transition, the earliest lease deadline or the
+        monotonic time ``until``; ``False`` without waiting if ``until``
+        has passed.  Raises if the broker closed meanwhile."""
+        remaining = until - time.monotonic()
+        if remaining <= 0:
+            return False
+        (deadline,) = self._db.execute(
+            "SELECT MIN(deadline) FROM cells WHERE state='leased'"
+        ).fetchone()
+        if deadline is not None:
+            # Past the deadline itself: expiry is ``deadline < now``.
+            remaining = min(remaining, max(deadline - now, 0.0) + 1e-3)
+        self._changed.wait(remaining)
+        if self._closed:
+            raise ServiceError("broker closed while a request waited")
+        return True
 
     def _emit(self, message: str) -> None:
         if self._log is not None:
@@ -204,7 +252,7 @@ class Broker:
                     npz,
                 )
             )
-        with self._lock:
+        with self._open():
             self._db.execute(
                 "INSERT INTO studies (job_id, experiment, payload, n_cells, created)"
                 " VALUES (?, ?, ?, ?, ?)",
@@ -217,6 +265,8 @@ class Broker:
                 rows,
             )
             self._db.commit()
+            self._fingerprints[job_id] = fingerprint
+            self._changed.notify_all()
         self._emit(
             f"[broker] job {job_id}: submitted {experiment} "
             f"({len(rows)} cell(s), {cached} cached, {units} work units)"
@@ -225,22 +275,27 @@ class Broker:
 
     # -- leases -------------------------------------------------------------
 
-    def lease(self, worker: str) -> dict[str, Any] | None:
+    def lease(self, worker: str, wait: float | None = None) -> dict[str, Any] | None:
         """Hand the oldest pending cell to ``worker``, or ``None``.
 
         Charges an attempt and stamps a deadline; expired leases are
         requeued first, so a single polling worker eventually drains a
-        queue other workers abandoned.
+        queue other workers abandoned.  With ``wait`` it parks up to
+        that many seconds for a cell before answering ``None``.
         """
-        with self._lock:
-            now = self._clock()
-            self._requeue_expired_locked(now)
-            row = self._db.execute(
-                "SELECT job_id, cell, experiment, params, attempts FROM cells"
-                " WHERE state='pending' ORDER BY rowid LIMIT 1"
-            ).fetchone()
-            if row is None:
-                return None
+        until = time.monotonic() + (wait or 0.0)
+        with self._open():
+            while True:
+                now = self._clock()
+                self._requeue_expired_locked(now)
+                row = self._db.execute(
+                    "SELECT job_id, cell, experiment, params, attempts FROM cells"
+                    " WHERE state='pending' ORDER BY rowid LIMIT 1"
+                ).fetchone()
+                if row is not None:
+                    break
+                if not self._park_locked(until, now):
+                    return None
             job_id, cell, experiment, params_text, attempts = row
             lease_id = os.urandom(8).hex()
             deadline = now + self.lease_timeout
@@ -270,7 +325,7 @@ class Broker:
         and requeued, or completed by someone else) — it should stop
         working on the cell.
         """
-        with self._lock:
+        with self._open():
             now = self._clock()
             self._requeue_expired_locked(now)
             cursor = self._db.execute(
@@ -282,7 +337,7 @@ class Broker:
 
     def requeue_expired(self) -> int:
         """Requeue every expired lease now; returns how many moved."""
-        with self._lock:
+        with self._open():
             return self._requeue_expired_locked(self._clock())
 
     def _requeue_expired_locked(self, now: float) -> int:
@@ -313,6 +368,7 @@ class Broker:
                 (error, job_id, cell),
             )
             self._db.commit()
+            self._changed.notify_all()
             self._emit(
                 f"[broker] job {job_id} cell {cell}: quarantined after "
                 f"{attempts} attempt(s): {error}"
@@ -324,6 +380,7 @@ class Broker:
             (error, job_id, cell),
         )
         self._db.commit()
+        self._changed.notify_all()
         self._emit(
             f"[broker] job {job_id} cell {cell}: requeued "
             f"(attempt {attempts}/{self.max_attempts} failed: {error})"
@@ -359,7 +416,7 @@ class Broker:
             loaded_cell = loaded.only()
         except ConfigError as exc:
             invalid = str(exc)
-        with self._lock:
+        with self._open():
             row = self._db.execute(
                 "SELECT state, attempts, experiment, params FROM cells"
                 " WHERE job_id=? AND cell=?",
@@ -389,23 +446,30 @@ class Broker:
                     job_id, cell, attempts, f"invalid result archive: {invalid}"
                 )
                 return {"accepted": False, "reason": f"invalid-archive: {invalid}"}
+            if self.cache is not None:
+                # Stored before the commit below: whoever sees ``done``
+                # finds the entry.  A failed write costs only a future
+                # hit, so the cell completes anyway.
+                fingerprint = self._fingerprints.get(job_id)
+                if fingerprint is None:  # submitted before this broker started
+                    fingerprint = self._fingerprints[job_id] = code_fingerprint()
+                try:
+                    self.cache.store(definition, loaded_cell.params, loaded_cell, fingerprint)
+                except OSError as exc:
+                    self._emit(f"[broker] job {job_id} cell {cell}: cache store failed: {exc}")
             self._db.execute(
                 "UPDATE cells SET state='done', lease_id=NULL, deadline=NULL,"
                 " error=NULL, worker=?, manifest=?, npz=? WHERE job_id=? AND cell=?",
                 (worker, manifest_text, npz_bytes, job_id, cell),
             )
             self._db.commit()
+            self._changed.notify_all()
         self._emit(f"[broker] job {job_id} cell {cell}: completed by {worker or '?'}")
-        if self.cache is not None:
-            # Content-addressed store: concurrent completions of equal
-            # cells race only toward writing identical bytes.
-            assert loaded is not None
-            self.cache.store(get_experiment(experiment), loaded_cell.params, loaded_cell)
         return {"accepted": True, "reason": "stored"}
 
     def fail(self, lease_id: str, error: str) -> dict[str, Any]:
         """A worker reports its leased cell failed; requeue or quarantine."""
-        with self._lock:
+        with self._open():
             row = self._db.execute(
                 "SELECT job_id, cell, attempts FROM cells"
                 " WHERE lease_id=? AND state='leased'",
@@ -423,46 +487,58 @@ class Broker:
 
     # -- status / results ---------------------------------------------------
 
-    def status(self, job_id: str) -> dict[str, Any]:
+    def status(
+        self, job_id: str, wait: float | None = None, done: int | None = None
+    ) -> dict[str, Any]:
         """The job's cell states (expiry-scanned first).
 
         ``state`` is ``running`` until no cell is pending or leased,
-        then ``failed`` if any cell quarantined, else ``done``.
+        then ``failed`` if any cell quarantined, else ``done``.  With
+        ``wait`` it parks up to that many seconds while the job is
+        running and its finished (done + failed) cell count is still
+        ``done`` — the long-poll behind streamed progress.
         """
-        with self._lock:
-            self._requeue_expired_locked(self._clock())
-            study_row = self._db.execute(
-                "SELECT experiment, n_cells FROM studies WHERE job_id=?", (job_id,)
-            ).fetchone()
-            if study_row is None:
-                raise ServiceError(f"unknown job {job_id!r}")
-            experiment, n_cells = study_row
-            cell_rows = self._db.execute(
-                "SELECT cell, state, attempts, units, from_cache, error, worker"
-                " FROM cells WHERE job_id=? ORDER BY cell",
-                (job_id,),
-            ).fetchall()
+        until = time.monotonic() + (wait or 0.0)
+        seen = -1 if done is None else done
+        with self._open():
+            while True:
+                now = self._clock()
+                self._requeue_expired_locked(now)
+                study_row = self._db.execute(
+                    "SELECT experiment, n_cells FROM studies WHERE job_id=?", (job_id,)
+                ).fetchone()
+                if study_row is None:
+                    raise ServiceError(f"unknown job {job_id!r}")
+                experiment, n_cells = study_row
+                cell_rows = self._db.execute(
+                    "SELECT cell, state, attempts, units, from_cache, error, worker"
+                    " FROM cells WHERE job_id=? ORDER BY cell",
+                    (job_id,),
+                ).fetchall()
+                counts: dict[str, int] = {}
+                for row in cell_rows:
+                    counts[row[1]] = counts.get(row[1], 0) + 1
+                if counts.get("pending", 0) or counts.get("leased", 0):
+                    state = "running"
+                elif counts.get("failed", 0):
+                    state = "failed"
+                else:
+                    state = "done"
+                finished = counts.get("done", 0) + counts.get("failed", 0)
+                if finished != seen or state != "running" or not self._park_locked(until, now):
+                    break
         cells = [
             {
                 "cell": cell,
-                "state": state,
+                "state": cell_state,
                 "attempts": attempts,
                 "units": units,
                 "from_cache": bool(from_cache),
                 "error": error,
                 "worker": worker,
             }
-            for cell, state, attempts, units, from_cache, error, worker in cell_rows
+            for cell, cell_state, attempts, units, from_cache, error, worker in cell_rows
         ]
-        counts: dict[str, int] = {}
-        for info in cells:
-            counts[info["state"]] = counts.get(info["state"], 0) + 1
-        if counts.get("pending", 0) or counts.get("leased", 0):
-            state = "running"
-        elif counts.get("failed", 0):
-            state = "failed"
-        else:
-            state = "done"
         return {
             "job_id": job_id,
             "experiment": experiment,
@@ -474,7 +550,7 @@ class Broker:
 
     def result(self, job_id: str, cell: int) -> tuple[str, bytes]:
         """One done cell's ``(manifest_text, npz_bytes)`` archive."""
-        with self._lock:
+        with self._open():
             row = self._db.execute(
                 "SELECT state, manifest, npz FROM cells WHERE job_id=? AND cell=?",
                 (job_id, cell),
@@ -507,7 +583,7 @@ class Broker:
         if keep_days < 0:
             raise ConfigError(f"keep_days must be >= 0, got {keep_days}")
         cutoff = self._clock() - keep_days * 86400.0
-        with self._lock:
+        with self._open():
             rows = self._db.execute(
                 "SELECT s.job_id FROM studies s WHERE s.created < ?"
                 " AND NOT EXISTS (SELECT 1 FROM cells c"
@@ -531,6 +607,7 @@ class Broker:
                     "UPDATE cells SET manifest=NULL, npz=NULL WHERE job_id=?",
                     (job_id,),
                 )
+                self._fingerprints.pop(job_id, None)
                 purged_studies += 1
                 purged_cells += count
                 freed += size

@@ -85,8 +85,16 @@ class BrokerClient:
         timeout = None if wait is None else self.timeout + wait
         return self._request("GET", f"/api/v1/studies/{job_id}{query}", timeout=timeout)
 
-    def lease(self, worker: str) -> dict[str, Any] | None:
-        return self._request("POST", "/api/v1/lease", {"worker": worker})
+    def lease(self, worker: str, wait: float | None = None) -> dict[str, Any] | None:
+        """A cell lease or ``None``; ``wait`` parks up to that many
+        seconds at the broker for a cell to arrive."""
+        wait = wait or 0.0
+        return self._request(
+            "POST",
+            "/api/v1/lease",
+            {"worker": worker, "wait": wait},
+            timeout=self.timeout + wait,
+        )
 
     def heartbeat(self, lease_id: str) -> bool:
         return bool(self._request("POST", "/api/v1/heartbeat", {"lease_id": lease_id}).get("ok"))

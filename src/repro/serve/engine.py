@@ -3,8 +3,10 @@
 ``Study.run(jobs="service")`` (or ``--backend service --broker URL``,
 or ``REPRO_JOBS=service`` + ``REPRO_BROKER``) resolves to this engine.
 Instead of mapping work specs locally it ships the *declarative* study
-to a broker, streams progress while the worker fleet executes, and
-reassembles an ordinary :class:`~repro.study.study.StudyResult` from
+to a broker, streams progress while the worker fleet executes (each
+status request long-polls, parked in the broker until a cell finishes,
+so progress arrives as it happens and nothing sleeps between requests),
+and reassembles an ordinary :class:`~repro.study.study.StudyResult` from
 the per-cell archives — byte-identical to a serial in-process run,
 because the archives themselves are (see :mod:`repro.serve.cells`).
 
@@ -64,12 +66,10 @@ class ServiceEngine:
         self,
         broker: str | BrokerClient | None = None,
         *,
-        poll: float = 0.5,
         timeout: float | None = None,
         progress: Callable[[str], None] | None = None,
     ) -> None:
         self.client = resolve_broker(broker)
-        self.poll = float(poll)
         #: Overall wall-clock budget for one run (None = wait forever).
         self.timeout = timeout
         self._progress = progress
@@ -175,4 +175,3 @@ class ServiceEngine:
                     f"service run timed out after {self.timeout}s (job {job_id}; "
                     "the queue keeps the job — resubmitting reuses its cache)"
                 )
-            time.sleep(self.poll)

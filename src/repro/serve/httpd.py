@@ -14,13 +14,19 @@ GET    /api/v1/studies/<job>                   status (``?wait=S&done=N``
                                                long-polls until the
                                                finished count differs)
 GET    /api/v1/studies/<job>/cells/<i>/result  cell archive (npz base64)
-POST   /api/v1/lease                           ``{"worker": id}`` → lease
-                                               or JSON ``null``
+POST   /api/v1/lease                           ``{"worker": id, "wait": S}``
+                                               → lease, or JSON ``null``
+                                               after ``S`` idle seconds
 POST   /api/v1/heartbeat                       ``{"lease_id"}`` → ok flag
 POST   /api/v1/complete                        commit a cell archive
 POST   /api/v1/fail                            report a failed lease
 GET    /api/v1/health                          liveness probe
 ====== ====================================== =========================
+
+Both long-polls park inside the broker (:meth:`Broker.lease` and
+:meth:`Broker.status` take the ``wait``), so a request returns the
+moment its answer exists: the handler thread sleeps on the broker's
+condition, never on a timer.
 
 Result archives ride as ``{"manifest_text": str, "npz_b64": base64}``
 — text-safe encodings of the exact bytes, so byte-identity survives
@@ -33,8 +39,8 @@ import base64
 import json
 import math
 import re
+import sys
 import threading
-import time
 from collections.abc import Callable
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -50,9 +56,7 @@ __all__ = ["BrokerServer", "create_server", "run_server"]
 _STATUS = re.compile(r"^/api/v1/studies/([^/]+)$")
 _RESULT = re.compile(r"^/api/v1/studies/([^/]+)/cells/([0-9]+)/result$")
 
-#: Long-poll bounds: the status endpoint re-checks at this period and
-#: refuses to hold a connection longer than the cap.
-_POLL_STEP = 0.05
+#: The longest a long-poll may hold a connection.
 _MAX_WAIT = 30.0
 
 _b64decode = partial(base64.b64decode, validate=True)
@@ -77,6 +81,15 @@ def _parse(kind: Callable[[Any], Any], raw: Any, what: str) -> Any:
         raise ConfigError(f"malformed {what}: {raw!r:.60}") from None
 
 
+def _parse_wait(raw: Any) -> float:
+    """A long-poll's ``wait``, capped at ``_MAX_WAIT``: finite and >= 0
+    (a NaN deadline would never pass)."""
+    wait = _parse(float, raw, "wait")
+    if not 0.0 <= wait < math.inf:
+        raise ConfigError(f"wait must be a finite number of seconds >= 0, got {wait!r}")
+    return min(wait, _MAX_WAIT)
+
+
 class BrokerServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`Broker`."""
 
@@ -85,6 +98,13 @@ class BrokerServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], broker: Broker) -> None:
         super().__init__(address, _Handler)
         self.broker = broker
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client gone before its reply (a worker killed while its lease
+        # was parked) is not a server fault: its lease simply expires.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -156,22 +176,12 @@ class _Handler(BaseHTTPRequestHandler):
         (done + failed) cell count differs from ``N``, the job leaves
         ``running``, or ``S`` seconds pass — the "streamed progress"
         primitive: a client looping on it sees every transition without
-        hot-polling.  ``S`` must be finite and >= 0 (a NaN deadline
-        would never pass) and is capped at ``_MAX_WAIT``.
+        hot-polling.
         """
         params = parse_qs(query)
-        wait = _parse(float, params.get("wait", ["0"])[0], "wait")
-        if not 0.0 <= wait < math.inf:
-            raise ConfigError(f"wait must be a finite number of seconds >= 0, got {wait!r}")
+        wait = _parse_wait(params.get("wait", ["0"])[0])
         seen = _parse(int, params.get("done", ["-1"])[0], "done")
-        deadline = time.monotonic() + min(wait, _MAX_WAIT)
-        while True:
-            status = self.server.broker.status(job_id)
-            counts = status["counts"]
-            finished = counts.get("done", 0) + counts.get("failed", 0)
-            if finished != seen or status["state"] != "running" or time.monotonic() >= deadline:
-                return status
-            time.sleep(_POLL_STEP)
+        return self.server.broker.status(job_id, wait=wait, done=seen)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server's naming
         try:
@@ -180,7 +190,9 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path == "/api/v1/studies":
                 self._send_json(200, broker.submit(body))
             elif self.path == "/api/v1/lease":
-                lease = broker.lease(str(body.get("worker") or "?"))
+                lease = broker.lease(
+                    str(body.get("worker") or "?"), wait=_parse_wait(body.get("wait", 0))
+                )
                 self._send_json(200, lease)
             elif self.path == "/api/v1/heartbeat":
                 ok = broker.heartbeat(str(body.get("lease_id") or ""))

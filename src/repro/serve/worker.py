@@ -18,9 +18,14 @@ Per leased cell the worker:
    ``fail`` with the error, letting the broker decide between requeue
    and quarantine.
 
+An idle worker does not sleep: each lease request parks at the broker
+for up to ``poll`` seconds and returns the moment a cell is submitted
+or requeued, so ``poll`` bounds only how long the worker takes to
+notice its ``stop`` switch.
+
 Broker unreachability is survivable by design: the loop logs once and
-keeps polling, so workers ride out a broker restart (whose sqlite queue
-also survives, leases included).
+retries every ``poll`` seconds, so workers ride out a broker restart
+(whose sqlite queue also survives, leases included).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 from contextlib import suppress
 from collections.abc import Callable
 from typing import Any
@@ -74,7 +78,7 @@ def run_worker(
     broker: Any,
     *,
     jobs: int | str | None = None,
-    poll: float = 0.5,
+    poll: float = 0.1,
     max_cells: int | None = None,
     once: bool = False,
     worker_id: str | None = None,
@@ -85,51 +89,43 @@ def run_worker(
 
     ``broker`` is a URL, a :class:`~repro.serve.client.BrokerClient`,
     or a :class:`~repro.serve.broker.Broker` (the surfaces match).
-    ``once`` exits at the first empty poll (drain-and-quit semantics);
-    ``max_cells`` bounds the leases taken; ``stop`` is an external kill
-    switch the sleep and the loop both honor.  Failed cells count as
-    processed — the broker owns retry policy, not the worker.
+    ``poll`` is how long an idle lease request parks at the broker;
+    ``once`` parks not at all and exits at the first empty answer
+    (drain-and-quit semantics); ``max_cells`` bounds the leases taken;
+    ``stop`` is an external kill switch the loop checks between
+    requests.  After a *failed* request the worker backs off ``poll``
+    seconds.  Failed cells count as processed — the broker owns retry
+    policy, not the worker.
     """
     client = BrokerClient(broker) if isinstance(broker, str) else broker
     name = worker_id or default_worker_id()
     engine = resolve_engine(jobs)
+    stop = stop or threading.Event()
 
     def _emit(message: str) -> None:
         if log is not None:
             log(message)
 
-    def _pause() -> bool:
-        """Sleep one poll interval; ``True`` if the stop switch fired."""
-        if stop is not None:
-            return stop.wait(poll)
-        time.sleep(poll)
-        return False
-
     unreachable = False
     processed = 0
-    while True:
-        if stop is not None and stop.is_set():
-            break
+    while not stop.is_set():
         if max_cells is not None and processed >= max_cells:
             break
         try:
-            lease = client.lease(name)
+            lease = client.lease(name, wait=0.0 if once else poll)
         except ServiceError as exc:
             if once:
                 raise
             if not unreachable:
                 _emit(f"[worker {name}] broker unreachable, retrying: {exc}")
                 unreachable = True
-            if _pause():
-                break
+            stop.wait(poll)
             continue
         if unreachable:
             _emit(f"[worker {name}] broker reachable again")
             unreachable = False
         if lease is None:
             if once:
-                break
-            if _pause():
                 break
             continue
         job_id, cell = lease["job_id"], lease["cell"]

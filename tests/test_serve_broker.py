@@ -7,6 +7,8 @@ validation, the sqlite file survives a broker restart with in-flight
 leases intact, and a warm cache turns a resubmission into zero work.
 """
 
+import threading
+import time
 from contextlib import suppress
 
 import pytest
@@ -16,8 +18,10 @@ from repro.serve.broker import Broker
 from repro.serve.cells import cell_archive, execute_cell
 from repro.serve.worker import run_worker
 from repro.sim.execution import SerialEngine
+from repro.study import cache as cache_module
 from repro.study.archive import parse_study
 from repro.study.cache import StudyCache
+from repro.serve import broker as broker_module
 
 
 class Clock:
@@ -81,6 +85,40 @@ def complete_lease(broker: Broker, lease: dict, archives: dict, worker: str = "w
         lease_id=lease["lease_id"],
         worker=worker,
     )
+
+
+class Parked(threading.Thread):
+    """Runs one (possibly parking) broker call; records how it ended
+    and how long it took."""
+
+    def __init__(self, call) -> None:
+        super().__init__(daemon=True)
+        self._call = call
+        self.value = None
+        self.error: Exception | None = None
+        self.elapsed = 0.0
+
+    def run(self) -> None:
+        start = time.monotonic()
+        try:
+            self.value = self._call()
+        except Exception as exc:  # noqa: BLE001 - the test inspects it
+            self.error = exc
+        self.elapsed = time.monotonic() - start
+
+    def finish(self, timeout: float = 10.0) -> "Parked":
+        self.join(timeout)
+        assert not self.is_alive(), "the parked call never returned"
+        return self
+
+
+def park(call) -> Parked:
+    """Start ``call`` and give it time to reach the broker's condition."""
+    parked = Parked(call)
+    parked.start()
+    time.sleep(0.1)
+    assert parked.is_alive(), "the call answered instead of parking"
+    return parked
 
 
 class TestSubmit:
@@ -182,6 +220,68 @@ class TestLeaseLifecycle:
         assert any("quarantined" in line for line in log)
         with pytest.raises(ServiceError):
             broker.result(job, 0)
+
+
+class TestWaiting:
+    """``lease`` and ``status`` park on the broker's condition and wake
+    on the transition they wait for, not on a timer."""
+
+    def test_parked_lease_returns_a_cell_submitted_meanwhile(self, make_broker):
+        broker = make_broker()
+        parked = park(lambda: broker.lease("w0", wait=5.0))
+        broker.submit(single_payload())
+        parked.finish()
+        assert parked.error is None
+        assert parked.value is not None and parked.value["cell"] == 0
+        assert parked.elapsed < 1.0
+
+    def test_parked_lease_times_out_to_none(self, make_broker):
+        broker = make_broker()
+        start = time.monotonic()
+        assert broker.lease("w0", wait=0.2) is None
+        assert 0.2 <= time.monotonic() - start < 1.0
+
+    def test_parked_lease_wakes_at_the_expired_deadline(self, make_broker):
+        # A leases and goes silent; nobody else calls in, yet B gets the
+        # cell when A's lease expires, long before its own wait ends.
+        broker = make_broker(lease_timeout=0.3)
+        broker.submit(single_payload())
+        silent = broker.lease("a")
+        parked = park(lambda: broker.lease("b", wait=5.0))
+        parked.finish()
+        assert parked.error is None
+        assert parked.value is not None
+        assert parked.value["cell"] == silent["cell"]
+        assert parked.elapsed < 1.0
+
+    def test_parked_status_wakes_on_completion(self, make_broker, archives):
+        broker = make_broker()
+        job = broker.submit(single_payload())["job_id"]
+        lease = broker.lease("w0")
+        parked = park(lambda: broker.status(job, wait=5.0, done=0))
+        complete_lease(broker, lease, archives)
+        parked.finish()
+        assert parked.error is None
+        assert parked.value["state"] == "done"
+        assert parked.elapsed < 1.0
+
+    def test_close_wakes_every_parked_call(self, make_broker):
+        broker = make_broker()
+        job = broker.submit(single_payload())["job_id"]
+        broker.lease("w0")
+        parked = [
+            park(lambda: broker.lease("w1", wait=5.0)),
+            park(lambda: broker.status(job, wait=5.0, done=0)),
+        ]
+        broker.close()
+        for call in parked:
+            call.finish()
+            # ServiceError, not sqlite3.ProgrammingError from the closed db.
+            assert isinstance(call.error, ServiceError), call.error
+            assert call.elapsed < 1.0
+        with pytest.raises(ServiceError, match="closed"):
+            broker.lease("w2")
+        broker.close()  # idempotent
 
 
 class TestCompletion:
@@ -316,6 +416,80 @@ class TestCacheIntegration:
             assert second_bytes == first_bytes
         finally:
             second.close()
+
+    def test_a_cell_is_done_only_once_its_entry_is_on_disk(
+        self, tmp_path, make_broker, archives, monkeypatch
+    ):
+        cache = StudyCache(tmp_path / "cache")
+        broker = make_broker(cache=cache)
+        real_store = cache.store
+
+        def slow_store(*args, **kwargs):
+            time.sleep(0.3)
+            return real_store(*args, **kwargs)
+
+        monkeypatch.setattr(cache, "store", slow_store)
+        job = broker.submit(single_payload())["job_id"]
+        lease = broker.lease("w0")
+        torn: list[str] = []
+        finished = threading.Event()
+
+        def watch() -> None:
+            while not finished.is_set():
+                if broker.status(job)["state"] == "done":
+                    if not cache.entries():
+                        torn.append("done before its cache entry existed")
+                    finished.set()
+
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
+        assert complete_lease(broker, lease, archives)["accepted"]
+        watcher.join(timeout=10)
+        finished.set()
+        assert not watcher.is_alive()
+        assert torn == []
+        assert len(cache.entries()) == 1
+
+    def test_fingerprint_once_per_submit_none_per_complete(
+        self, tmp_path, make_broker, archives, monkeypatch
+    ):
+        calls: list[str] = []
+        real = cache_module.code_fingerprint
+
+        def counted(*args, **kwargs):
+            calls.append("fingerprint")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "code_fingerprint", counted)
+        monkeypatch.setattr(broker_module, "code_fingerprint", counted)
+        cache = StudyCache(tmp_path / "cache")
+        broker = make_broker(cache=cache)
+        job = broker.submit(grid_payload())["job_id"]
+        assert len(calls) == 1
+        while (lease := broker.lease("w0")) is not None:
+            assert complete_lease(broker, lease, archives)["accepted"]
+        assert len(calls) == 1
+        assert broker.status(job)["state"] == "done"
+        # Stored under the key the submission looked up with: a second
+        # submission (one more fingerprint) hits both cells.
+        assert broker.submit(grid_payload())["cached"] == 2
+        assert len(calls) == 2
+
+    def test_a_failed_cache_write_still_completes_the_cell(
+        self, tmp_path, make_broker, archives, monkeypatch
+    ):
+        cache = StudyCache(tmp_path / "cache")
+        log: list[str] = []
+        broker = make_broker(cache=cache, log=log.append)
+
+        def full_disk(*_args, **_kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cache, "store", full_disk)
+        job = broker.submit(single_payload())["job_id"]
+        assert complete_lease(broker, broker.lease("w0"), archives)["accepted"]
+        assert broker.status(job)["state"] == "done"
+        assert any("cache store failed" in line for line in log)
 
     def test_worker_archives_match_locally_computed_bytes(self, make_broker, archives):
         broker = make_broker()

@@ -12,6 +12,8 @@ error instead of sinking the study.
 import filecmp
 import http.client
 import json
+import socket
+import struct
 import tempfile
 import threading
 import time
@@ -20,6 +22,7 @@ from types import SimpleNamespace
 from urllib.parse import urlsplit
 
 import pytest
+from test_serve_broker import park
 
 from repro.cli import main
 from repro.errors import ConfigError, ServiceError
@@ -165,7 +168,7 @@ class TestByteIdentity:
         study = Study("fig2", trials=2).grid(seed=[2014, 2015])
         messages: list[str] = []
         with service_stack(tmp_path, workers=2) as stack:
-            engine = ServiceEngine(stack.url, poll=0.05, progress=messages.append)
+            engine = ServiceEngine(stack.url, progress=messages.append)
             service_result = study.run(engine=engine)
         local_result = study.run(jobs="serial")
 
@@ -197,7 +200,7 @@ class TestByteIdentity:
         cache = StudyCache(tmp_path / "cache")
         study = Study("fig2", trials=1).grid(seed=[2014, 2015])
         with service_stack(tmp_path, cache=cache) as stack:
-            engine = ServiceEngine(stack.url, poll=0.05, progress=lambda _: None)
+            engine = ServiceEngine(stack.url, progress=lambda _: None)
             first = study.run(engine=engine)
             second = study.run(engine=engine)
         from repro.study.cache import CacheInfo
@@ -337,7 +340,7 @@ class TestWorkerFailure:
             injectable_fig2() as experiment_id,
             service_stack(tmp_path, max_attempts=2) as stack,
         ):
-            engine = ServiceEngine(stack.url, poll=0.05, progress=lambda _: None)
+            engine = ServiceEngine(stack.url, progress=lambda _: None)
             study = Study(experiment_id, trials=1).grid(boom=[False, True])
             result = study.run(engine=engine)
             # The healthy cell survives the poisoned one.
@@ -356,7 +359,7 @@ class TestWorkerFailure:
             injectable_fig2() as experiment_id,
             service_stack(tmp_path, lease_timeout=0.4) as stack,
         ):
-            engine = ServiceEngine(stack.url, poll=0.05, progress=lambda _: None)
+            engine = ServiceEngine(stack.url, progress=lambda _: None)
             result = Study(experiment_id, trials=1, delay=1.5).run(engine=engine)
         assert result.errors == {}
         # One lease, no expiry: the heartbeat outran the 0.4 s timeout
@@ -430,6 +433,127 @@ class TestWorkerFailure:
                 second.close()
         assert status["state"] == "done"
         assert any("reachable again" in line for line in log)
+
+    def test_a_parked_worker_rides_out_a_broker_restart(self, tmp_path):
+        log: list[str] = []
+        db = tmp_path / "queue.sqlite3"
+        first = Broker(db, log=log.append)
+        server = create_server(first)
+        port = server.server_address[1]
+        url = f"http://127.0.0.1:{port}"
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        stop = threading.Event()
+        worker = threading.Thread(
+            target=run_worker,
+            args=(url,),
+            kwargs={
+                "jobs": "serial",
+                "poll": 1.0,
+                "stop": stop,
+                "worker_id": "parked",
+                "log": log.append,
+            },
+            daemon=True,
+        )
+        worker.start()
+        second = None
+        try:
+            time.sleep(0.3)  # the worker's lease is parked at the broker
+            # Down goes the broker under the parked lease: closing it
+            # answers the parked request with an error, not a traceback.
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+            first.close()
+            second = Broker(db, log=log.append)
+            server = create_server(second, port=port)
+            thread = threading.Thread(
+                target=server.serve_forever,
+                kwargs={"poll_interval": 0.05},
+                daemon=True,
+            )
+            thread.start()
+            client = BrokerClient(url, timeout=5.0)
+            job = client.submit(
+                {"experiment": "fig2", "params": {"trials": 1}, "axes": {"seed": [2014, 2015]}}
+            )["job_id"]
+            status = wait_done(client, job)
+        finally:
+            stop.set()
+            worker.join(timeout=30)
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+            if second is not None:
+                second.close()
+        assert not worker.is_alive()
+        assert status["state"] == "done"
+        assert [cell["worker"] for cell in status["cells"]] == ["parked", "parked"]
+        assert sum("unreachable" in line for line in log) == 1
+        assert any("reachable again" in line for line in log)
+
+
+class TestLongPoll:
+    """Over HTTP nothing waits on a timer: a parked request returns when
+    its answer exists."""
+
+    PAYLOAD = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
+
+    def test_parked_lease_returns_a_cell_submitted_meanwhile(self, tmp_path):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            client = BrokerClient(stack.url)
+            parked = park(lambda: client.lease("w0", wait=5.0))
+            client.submit(self.PAYLOAD)
+            parked.finish()
+        assert parked.error is None
+        assert parked.value is not None and parked.value["cell"] == 0
+        assert parked.elapsed < 1.0
+
+    def test_expired_lease_reaches_a_parked_worker_at_its_deadline(self, tmp_path):
+        with service_stack(tmp_path, lease_timeout=0.3, start_workers=False) as stack:
+            client = BrokerClient(stack.url)
+            client.submit(self.PAYLOAD)
+            silent = client.lease("a")
+            parked = park(lambda: client.lease("b", wait=5.0))
+            parked.finish()
+        assert parked.error is None
+        assert parked.value is not None and parked.value["cell"] == silent["cell"]
+        assert parked.elapsed < 1.0
+
+    def test_a_client_gone_from_a_parked_lease_is_no_server_error(self, tmp_path, capsys):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            parts = urlsplit(stack.url)
+            body = json.dumps({"worker": "doomed", "wait": 0.3}).encode()
+            with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+                sock.sendall(
+                    b"POST /api/v1/lease HTTP/1.0\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+                time.sleep(0.1)  # parked; then the "worker" dies with a reset
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            time.sleep(0.5)  # the park ends and the reply meets the reset
+            assert BrokerClient(stack.url).health() is True
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_worker_at_the_default_poll_stops_promptly(self, tmp_path):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            stop = threading.Event()
+            worker = threading.Thread(
+                target=run_worker,
+                args=(stack.url,),
+                kwargs={"jobs": "serial", "stop": stop},
+                daemon=True,
+            )
+            worker.start()
+            time.sleep(0.3)  # parked at the broker by now
+            stopped = time.monotonic()
+            stop.set()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+            assert time.monotonic() - stopped < 0.25
 
 
 class TestHttpSurface:
@@ -513,6 +637,16 @@ class TestMalformedRequests:
         "path,body,field",
         [
             pytest.param("/api/v1/lease", ["w1"], "JSON object", id="lease-list-body"),
+            # The lease long-poll's wait is checked like the status one's.
+            *(
+                pytest.param("/api/v1/lease", {"worker": "w1", "wait": wait}, "wait", id=name)
+                for wait, name in [
+                    (float("nan"), "lease-wait-nan"),
+                    (float("inf"), "lease-wait-inf"),
+                    (-1, "lease-wait-negative"),
+                    ("abc", "lease-wait-not-a-number"),
+                ]
+            ),
             pytest.param(
                 "/api/v1/complete",
                 {"job_id": "j", "cell": "x", "manifest_text": "", "npz_b64": ""},
