@@ -11,6 +11,7 @@ ServiceError` with the broker's one-line message attached.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -64,6 +65,12 @@ class BrokerClient:
             ) from None
         except urllib.error.URLError as exc:
             raise ServiceError(f"cannot reach broker at {self.url}: {exc.reason}") from None
+        except (http.client.HTTPException, OSError) as exc:
+            # A connection dropped or timed out mid-reply: urllib lets
+            # these out bare (``RemoteDisconnected``, ``TimeoutError``).
+            raise ServiceError(
+                f"cannot reach broker at {self.url}: {type(exc).__name__}: {exc}"
+            ) from None
 
     # -- the broker surface (signature-identical to Broker) -----------------
 

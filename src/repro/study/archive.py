@@ -27,10 +27,11 @@ Write guarantees:
   missing or half-written; a manifest-without-payload pair can only
   come from outside interference and loads as a distinct torn-archive
   error;
-* **byte-deterministic** — the npz payload is written through an
-  explicit zip writer with pinned member metadata, so saving the same
+* **byte-deterministic** — the npz payload's zip headers are packed
+  with ``struct`` from pinned member metadata, so saving the same
   :class:`StudyResult` twice produces byte-identical files (the study
-  cache's repeated-run acceptance check is a literal ``cmp``).
+  cache's repeated-run acceptance check is a literal ``cmp``), and the
+  bytes do not depend on the interpreter's ``zipfile``.
 
 Round-trip guarantees (held by ``tests/test_study_archive.py``):
 
@@ -58,7 +59,9 @@ import itertools
 import json
 import math
 import os
-import zipfile
+import struct
+import sys
+import zlib
 from contextlib import suppress
 from functools import lru_cache
 from pathlib import Path
@@ -181,24 +184,103 @@ def _encode_npy(array: np.ndarray) -> bytes:
     return header + (array.T if fortran_order else array).tobytes("C")
 
 
+# The npz container, packed and parsed with ``struct``.  The layouts are
+# the zip format's; the writer's field values are the ones ``zipfile``
+# emits for a ``ZipInfo`` pinned to 1980-01-01 and stored (version 2.0,
+# create-system 3, external attributes ``0o600 << 16``, the UTF-8 flag
+# for a non-ASCII name, zip64 fields past zipfile's limits).
+_LOCAL = struct.Struct("<4s2B4HL2L2H")  # local file header
+_CENTRAL = struct.Struct("<4s4B4HL2L5H2L")  # central directory entry
+_END = struct.Struct("<4s4H2LH")  # end of central directory record
+_END64 = struct.Struct("<4sQ2H2L4Q")  # zip64 end of central directory record
+_LOCATOR = struct.Struct("<4sLQL")  # zip64 end of central directory locator
+_LOCAL_SIG, _CENTRAL_SIG = b"PK\x03\x04", b"PK\x01\x02"
+_END_SIG, _END64_SIG, _LOCATOR_SIG = b"PK\x05\x06", b"PK\x06\x06", b"PK\x06\x07"
+_STORED, _DEFLATED = 0, 8
+_VERSION, _ZIP64_VERSION, _MAX_VERSION = 20, 45, 63
+_UNIX, _RW = 3, 0o600 << 16  # create-system; external attributes (rw-------)
+_DOS_DATE = 1 << 5 | 1  # 1980-01-01; the DOS time field is 0 (midnight)
+_UTF8_NAME = 1 << 11
+_PATCHED = 1 << 5
+_ENCRYPTED = 1 << 0 | 1 << 6  # traditional or strong encryption
+_SATURATED = 0xFFFFFFFF  # a 32-bit field whose value lives in a zip64 field
+#: zipfile's limits: a size or offset past ``_ZIP64_LIMIT``, or a member
+#: count past ``_COUNT_LIMIT``, moves to a zip64 field.
+_ZIP64_LIMIT = (1 << 31) - 1
+_COUNT_LIMIT = (1 << 16) - 1
+
+
+def _zip64_extra(*values: int) -> bytes:
+    return struct.pack(f"<HH{len(values)}Q", 1, 8 * len(values), *values)
+
+
 def _write_npz(arrays: Mapping[str, np.ndarray]) -> bytes:
     """Render an npz payload with byte-deterministic output.
 
     numpy's ``savez`` round-trips the array bits exactly, but its zip
-    member metadata (timestamps) is numpy-version-dependent; writing
-    the members explicitly with pinned ``ZipInfo`` fields makes the
-    *file bytes* a pure function of the arrays, which is what lets the
-    study cache assert "second run produced the identical archive" with
-    a plain byte compare.  Uncompressed (``ZIP_STORED``) like ``savez``:
-    the columns are small and loads skip decompression.
+    member metadata (timestamps) is numpy-version-dependent; packing the
+    members with pinned fields makes the *file bytes* a pure function of
+    the arrays, which is what lets the study cache assert "second run
+    produced the identical archive" with a plain byte compare.
+    Uncompressed (stored) like ``savez``: the columns are small and
+    loads skip decompression.
     """
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
-        for name, array in arrays.items():
-            member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            member.compress_type = zipfile.ZIP_STORED
-            archive.writestr(member, _encode_npy(np.asanyarray(array)))
-    return buffer.getvalue()
+    parts: list[bytes] = []
+    directory: list[bytes] = []
+    offset = 0
+    for key, array in arrays.items():
+        name = f"{key}.npy"
+        if "\0" in name:  # zipfile cuts a name at its NUL: no column reads back
+            raise ConfigError(f"cannot archive column {key!r}: its name holds a NUL byte")
+        try:
+            filename, flags = name.encode("ascii"), 0
+        except UnicodeEncodeError:
+            filename, flags = name.encode("utf-8"), _UTF8_NAME
+        data = _encode_npy(np.asanyarray(array))
+        size, crc = len(data), zlib.crc32(data)
+        # zipfile's rules: a member that may outgrow the limit gets a
+        # zip64 local header; a size or offset past it moves to a zip64
+        # extra in the directory; either raises the version to 4.5.
+        if size * 1.05 > _ZIP64_LIMIT:
+            version, local_size, extra = _ZIP64_VERSION, _SATURATED, _zip64_extra(size, size)
+        else:
+            version, local_size, extra = _VERSION, size, b""
+        parts += (
+            _LOCAL.pack(
+                _LOCAL_SIG, version, 0, flags, _STORED, 0, _DOS_DATE, crc,
+                local_size, local_size, len(filename), len(extra),
+            ),
+            filename,
+            extra,
+            data,
+        )
+        header_offset, offset = offset, offset + _LOCAL.size + len(filename) + len(extra) + size
+        wide = [size, size] if size > _ZIP64_LIMIT else []
+        if header_offset > _ZIP64_LIMIT:
+            wide.append(header_offset)
+        extra = _zip64_extra(*wide) if wide else b""
+        if wide:
+            version = _ZIP64_VERSION
+        listed = _SATURATED if size > _ZIP64_LIMIT else size
+        directory += (
+            _CENTRAL.pack(
+                _CENTRAL_SIG, version, _UNIX, version, 0, flags, _STORED, 0, _DOS_DATE, crc,
+                listed, listed, len(filename), len(extra), 0, 0, 0, _RW,
+                _SATURATED if header_offset > _ZIP64_LIMIT else header_offset,
+            ),
+            filename,
+            extra,
+        )
+    central = b"".join(directory)
+    count, size = len(arrays), len(central)
+    tail = b""
+    if count > _COUNT_LIMIT or offset > _ZIP64_LIMIT or size > _ZIP64_LIMIT:
+        tail = _END64.pack(
+            _END64_SIG, 44, _ZIP64_VERSION, _ZIP64_VERSION, 0, 0, count, count, size, offset
+        ) + _LOCATOR.pack(_LOCATOR_SIG, 0, offset + size, 1)
+        count, size, offset = min(count, 0xFFFF), min(size, _SATURATED), min(offset, _SATURATED)
+    end = _END.pack(_END_SIG, 0, 0, count, count, size, offset, 0)
+    return b"".join(parts) + central + tail + end
 
 
 def dump_study(result: StudyResult) -> tuple[str, bytes]:
@@ -341,26 +423,172 @@ def _decode_npy(raw: bytes) -> np.ndarray:
     return np.ascontiguousarray(array.T) if fortran_order else array
 
 
+def _directory(data: bytes) -> tuple[int, int, int]:
+    """``(start, size, shift)`` of the central directory, found the way
+    ``zipfile`` finds it.
+
+    The end record is the last 22 bytes when they hold no comment, else
+    the last end signature in the final 64 KiB; a zip64 locator right
+    before it, and a zip64 end record right before that, supply the
+    directory's size.  The directory ends where those records begin, and
+    ``shift`` is how far that is from its recorded offset — zipfile
+    moves every member's header offset by it.
+    """
+    at = len(data) - _END.size
+    if at < 0 or data[at : at + 4] != _END_SIG or data[-2:] != b"\0\0":
+        at = data.rfind(_END_SIG, max(at - (1 << 16), 0))
+        if at < 0 or at + _END.size > len(data):
+            raise ValueError("File is not a zip file")
+    size, offset = _END.unpack_from(data, at)[5:7]
+    start = at - size
+    locator = max(at - _LOCATOR.size, 0)
+    if data[locator : locator + 4] == _LOCATOR_SIG:
+        _sig, disk, recorded, disks = _LOCATOR.unpack_from(data, locator)
+        if disk != 0 or disks > 1:
+            raise ValueError("zipfiles that span multiple disks are not supported")
+        # Stricter than zipfile 3.11, which falls back to the plain end
+        # record: a locator must find its record right before it (no
+        # extensible data), and the record must agree with it.
+        record = locator - _END64.size
+        if record < 0 or data[record : record + 4] != _END64_SIG:
+            raise ValueError("zip64 end of central directory record not found")
+        fields = _END64.unpack_from(data, record)
+        size, offset = fields[8:10]
+        if fields[1] != _END64.size - 12 or offset + size != recorded:
+            raise ValueError("Corrupt zip64 end of central directory record")
+        start = record - size
+    if start < 0:
+        raise ValueError("Bad offset for central directory")
+    return start, size, start - offset
+
+
+def _zip64_fields(extra: bytes, size: int, packed: int, offset: int) -> tuple[int, int, int]:
+    """Walk a directory entry's extra field as ``zipfile`` does: every
+    record must fit, and a zip64 record (id 1) supplies, in order, each
+    of size, compressed size and header offset whose 32-bit field is
+    saturated."""
+    while len(extra) >= 4:
+        kind, length = struct.unpack_from("<HH", extra)
+        if length + 4 > len(extra):
+            raise ValueError(f"Corrupt extra field {kind:04x} (size={length})")
+        if kind == 0x7075:
+            # Python 3.12+ renames the member from it; this reader does not.
+            raise ValueError("unicode path extra field (0x7075) is not supported")
+        if kind == 1:
+            wide, fields = extra[4 : length + 4], [size, packed, offset]
+            for index, value in enumerate(fields):
+                if value == _SATURATED or index == 0 and value == (1 << 64) - 1:
+                    if len(wide) < 8:
+                        raise ValueError("Corrupt zip64 extra field")
+                    fields[index] = int.from_bytes(wide[:8], "little")
+                    wide = wide[8:]
+            size, packed, offset = fields
+        extra = extra[length + 4 :]
+    return size, packed, offset
+
+
+def _name(raw: bytes, flags: int) -> str:
+    """A member name as zipfile decodes it: UTF-8 when flagged, else
+    cp437 (which is ASCII on ASCII bytes)."""
+    if flags & _UTF8_NAME:
+        return raw.decode("utf-8")
+    return raw.decode("ascii" if raw.isascii() else "cp437")
+
+
+def _inflate(packed: bytes, size: int, name: str) -> bytes:
+    """A raw-deflate member, inflated to at most one byte past ``size``:
+    the stream must end and yield exactly ``size`` bytes."""
+    inflater = zlib.decompressobj(-zlib.MAX_WBITS)
+    try:
+        raw = inflater.decompress(packed, min(size + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise ValueError(f"member {name!r} does not inflate: {exc}") from None
+    if len(raw) != size or not inflater.eof:
+        raise ValueError(f"member {name!r} does not inflate to its declared {size} bytes")
+    return raw
+
+
 def _read_npz(data: bytes) -> dict[str, np.ndarray]:
     """Decode an npz payload held in memory, in one pass.
 
     Checks everything numpy's ``load(allow_pickle=False)`` checks: the
-    zip structure and each member's CRC-32 (``zipfile``), the ``.npy``
-    magic, version and header (numpy's own parser), no object dtypes,
-    and a data section of exactly ``count x itemsize`` bytes.  Raises
-    ``zipfile.BadZipFile`` / ``ValueError`` and friends; the caller
-    names the archive.
+    zip structure as ``zipfile`` reads it (end record, central
+    directory, each local header and its name), each member's CRC-32,
+    the ``.npy`` magic, version and header (numpy's own parser), no
+    object dtypes, and a data section of exactly ``count x itemsize``
+    bytes.  Members are stored or deflated; anything else — another
+    method, encryption, a zip version past 6.3, a member overlapping
+    the next one or outside the payload — is rejected.  Raises
+    ``ValueError``; the caller names the archive.
     """
+    start, size, shift = _directory(data)
+    directory = data[start : start + size]
+    members: list[tuple[bytes, str, int, int, int, int, int, int]] = []
+    at = 0
+    while at < size:
+        if at + _CENTRAL.size > size:
+            raise ValueError("Truncated central directory")
+        (sig, _made_by, _system, version, _reserved, flags, method, _time, _date, crc,
+         packed, unpacked, name_length, extra_length, comment_length, _disk, _internal,
+         _external, offset) = _CENTRAL.unpack_from(directory, at)
+        if sig != _CENTRAL_SIG:
+            raise ValueError("Bad magic number for central directory")
+        at += _CENTRAL.size
+        raw_name = directory[at : at + name_length]
+        path = _name(raw_name, flags)
+        if version > _MAX_VERSION:
+            raise ValueError(f"member {path!r} needs zip version {version / 10:.1f}")
+        extra = directory[at + name_length : at + name_length + extra_length]
+        if extra:
+            unpacked, packed, offset = _zip64_fields(extra, unpacked, packed, offset)
+        at += name_length + extra_length + comment_length
+        members.append((raw_name, path, flags, method, crc, packed, unpacked, offset + shift))
+    # zipfile's overlap rule: a member's data ends by the next header (in
+    # offset order) or, for the last one, by the directory.  In a payload
+    # that reads, every such bound lies inside it.
+    ends: dict[int, int] = {}
+    end = start
+    for index in sorted(range(len(members)), key=lambda i: members[i][7], reverse=True):
+        ends[index], end = end, members[index][7]
     arrays: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(io.BytesIO(data)) as archive:
-        for member in archive.infolist():
-            name = member.filename
-            if not name.endswith(".npy"):
-                raise ValueError(f"member {name!r} is not a .npy array")
-            key = name[: -len(".npy")]
-            if key in arrays:
-                raise ValueError(f"duplicate member {name!r}")
-            arrays[key] = _decode_npy(archive.read(member))
+    for index, (raw_name, path, flags, method, crc, packed, unpacked, offset) in enumerate(
+        members
+    ):
+        name = path.partition("\0")[0]  # zipfile's member name stops at a NUL
+        if not name.endswith(".npy"):
+            raise ValueError(f"member {name!r} is not a .npy array")
+        key = name[: -len(".npy")]
+        if key in arrays:
+            raise ValueError(f"duplicate member {name!r}")
+        if offset < 0 or offset + _LOCAL.size > len(data):
+            raise ValueError(f"member {name!r}: header offset {offset} is outside the payload")
+        (sig, _version, _reserved, local_flags, _method, _time, _date, _crc, _packed,
+         _unpacked, name_length, extra_length) = _LOCAL.unpack_from(data, offset)
+        if sig != _LOCAL_SIG:
+            raise ValueError(f"member {name!r}: bad magic number for file header")
+        if flags & _PATCHED:
+            raise ValueError(f"member {name!r} holds compressed patched data")
+        if flags & _ENCRYPTED:
+            raise ValueError(f"member {name!r} is encrypted")
+        if method not in (_STORED, _DEFLATED):
+            raise ValueError(f"member {name!r} uses unsupported compression method {method}")
+        begin = offset + _LOCAL.size
+        local_name = data[begin : begin + name_length]
+        if (local_name != raw_name or (local_flags ^ flags) & _UTF8_NAME) and _name(
+            local_name, local_flags
+        ) != path:
+            raise ValueError(f"member {name!r}: file name in directory and header differ")
+        begin += name_length + extra_length
+        if begin + packed > ends[index]:
+            raise ValueError(f"member {name!r} overlaps the next entry")
+        # zipfile reads a stored member up to the smaller of its sizes
+        # (a CRC over a short read fails).
+        raw = data[begin : begin + (min(packed, unpacked) if method == _STORED else packed)]
+        if method == _DEFLATED:
+            raw = _inflate(raw, unpacked, name)
+        if zlib.crc32(raw) != crc:
+            raise ValueError(f"Bad CRC-32 for file {name!r}")
+        arrays[key] = _decode_npy(raw)
     return arrays
 
 
@@ -455,7 +683,7 @@ def _assemble(manifest: dict[str, Any], npz_bytes: bytes, name: str) -> StudyRes
     schema = get_experiment(manifest["experiment"]).schema
     try:
         arrays = _read_npz(npz_bytes)
-    except (zipfile.BadZipFile, ValueError, OSError, EOFError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(
             f"study archive {name}: payload is not a readable npz archive "
             f"(truncated or corrupt): {exc}"
@@ -465,6 +693,12 @@ def _assemble(manifest: dict[str, Any], npz_bytes: bytes, name: str) -> StudyRes
             f"study archive {name}: npz columns do not match the manifest"
         )
     _check_column_meta(manifest["column_meta"], arrays, name)
+    # Keys are ``cell::label::column``: one pass groups them by cell.
+    by_cell: dict[str, list[tuple[str, np.ndarray]]] = {}
+    for key, column in arrays.items():
+        index_text, sep, rest = key.partition(_KEY_SEP)
+        if sep:
+            by_cell.setdefault(index_text, []).append((rest, column))
     cells = []
     for index, cell in enumerate(manifest["cells"]):
         where = f"{name} cell {index}"
@@ -475,11 +709,8 @@ def _assemble(manifest: dict[str, Any], npz_bytes: bytes, name: str) -> StudyRes
         columns: dict[str, dict[str, np.ndarray]] = {
             label: {} for label in cell["labels"]
         }
-        prefix = f"{index}{_KEY_SEP}"
-        for key, column in arrays.items():
-            if not key.startswith(prefix):
-                continue
-            label, _sep, column_name = key[len(prefix) :].rpartition(_KEY_SEP)
+        for rest, column in by_cell.get(str(index), ()):
+            label, _sep, column_name = rest.rpartition(_KEY_SEP)
             if label not in columns:
                 raise ConfigError(
                     f"study archive {where}: column for unknown label "

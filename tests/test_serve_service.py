@@ -9,9 +9,11 @@ the sweep completes, and a poisoned cell quarantines as a per-cell
 error instead of sinking the study.
 """
 
+import base64
 import filecmp
 import http.client
 import json
+import re
 import socket
 import struct
 import tempfile
@@ -573,6 +575,31 @@ class TestHttpSurface:
         with pytest.raises(ServiceError, match="cannot reach broker"):
             client.health()
 
+    def test_client_surfaces_a_connection_dropped_mid_reply(self):
+        with dropping_server() as (url, requests):
+            client = BrokerClient(url, timeout=5.0)
+            with pytest.raises(ServiceError, match="cannot reach broker"):
+                client.health()
+            with pytest.raises(ServiceError, match="cannot reach broker"):
+                client.lease("w1")
+        assert requests == ["GET /api/v1/health", "POST /api/v1/lease"]
+
+    def test_worker_outlives_a_connection_dropped_mid_reply(self):
+        log: list[str] = []
+        stop = threading.Event()
+        with dropping_server() as (url, requests):
+            timer = threading.Timer(0.5, stop.set)
+            timer.start()
+            try:
+                processed = run_worker(
+                    url, jobs="serial", poll=0.02, worker_id="w1", stop=stop, log=log.append
+                )
+            finally:
+                timer.cancel()
+        assert processed == 0
+        assert sum("unreachable" in line for line in log) == 1
+        assert len(requests) >= 2  # it kept asking after the first drop
+
     def test_run_server_binds_and_shuts_down(self, tmp_path):
         broker = Broker(tmp_path / "queue.sqlite3")
         ready = threading.Event()
@@ -590,6 +617,45 @@ class TestHttpSurface:
         box[0].shutdown()
         thread.join(timeout=10)
         broker.close()
+
+
+@contextmanager
+def dropping_server():
+    """A socket that reads each request in full, then closes without a
+    reply; yields ``(url, request lines seen)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    requests: list[str] = []
+    done = threading.Event()
+
+    def serve() -> None:
+        while not done.is_set():
+            try:
+                connection, _address = listener.accept()
+            except TimeoutError:
+                continue
+            with connection:
+                connection.settimeout(5)
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    chunk = connection.recv(4096)
+                    if not chunk:
+                        break
+                    head += chunk
+                header, _sep, body = head.partition(b"\r\n\r\n")
+                length = re.search(rb"(?im)^content-length:\s*(\d+)", header)
+                while length and len(body) < int(length.group(1)):
+                    body += connection.recv(4096)
+                requests.append(b" ".join(header.split(b" ", 2)[:2]).decode())
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", requests
+    finally:
+        done.set()
+        thread.join(timeout=10)
+        listener.close()
 
 
 def _raw_exchange(url, method, path, body=b"", headers=None):
@@ -709,6 +775,42 @@ class TestMalformedRequests:
             )
             assert status == 400
             assert "Content-Length" in reply["error"]
+
+    def test_complete_with_an_unreadable_zip_is_refused_and_charged(self, tmp_path):
+        # A compression method zipfile cannot read: its NotImplementedError
+        # used to escape the handler and drop the connection.
+        with service_stack(tmp_path, start_workers=False) as stack:
+            client = BrokerClient(stack.url)
+            payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
+            job = client.submit(payload)["job_id"]
+            lease = client.lease("sloppy")
+            manifest_text, npz_bytes = cell_archive(
+                lease["experiment"], execute_cell(lease["experiment"], lease["params"])
+            )
+            directory = struct.unpack_from("<L", npz_bytes, len(npz_bytes) - 6)[0]
+            patched = bytearray(npz_bytes)
+            patched[8] = patched[directory + 10] = 99  # method 99, local and directory
+            body = {
+                "job_id": job,
+                "cell": lease["cell"],
+                "manifest_text": manifest_text,
+                "npz_b64": base64.b64encode(bytes(patched)).decode(),
+                "lease_id": lease["lease_id"],
+                "worker": "sloppy",
+            }
+            status, reply = _raw_exchange(
+                stack.url,
+                "POST",
+                "/api/v1/complete",
+                json.dumps(body).encode(),
+                {"Content-Type": "application/json"},
+            )
+            assert status == 200
+            assert reply["accepted"] is False
+            assert reply["reason"].startswith("invalid-archive: ")
+            assert "compression method 99" in reply["reason"]
+            info = client.status(job)["cells"][0]
+            assert (info["state"], info["attempts"]) == ("pending", 1)
 
     @pytest.mark.parametrize(
         "cell",
