@@ -53,7 +53,7 @@ from repro.sim.campaign import Campaign, OutcomeBatch
 from repro.sim.execution import SerialEngine, resolve_engine
 from repro.sim.profiles import testbed_profile
 from repro.sim.runner import TrialRunner
-from repro.sim.shm import OutcomeArena, encode_side
+from repro.sim.shm import collect_units, dense_row, encode_side
 from repro.units import KB, mbit
 
 RESULT_FILE = RESULTS_DIR / "BENCH_perf_core.json"
@@ -362,13 +362,10 @@ def test_campaign_vs_barrier_throughput(perf_record, smoke):
 
 
 def _columnar_batch(outcomes: list) -> OutcomeBatch:
-    """The batch an in-process collection assembles: dense scalars
-    through a private-memory arena, the remainder as side records."""
-    arena = OutcomeArena.local(len(outcomes))
-    for row, outcome in enumerate(outcomes):
-        arena.write(row, outcome)
-    sides = [encode_side(outcome) for outcome in outcomes]
-    return OutcomeBatch.from_dense_and_sides(arena.read_columns(), sides)
+    """The batch an in-process collection assembles: each outcome's
+    ``(dense_row, side)`` pair through the one collection helper."""
+    collection = collect_units((dense_row(o), encode_side(o)) for o in outcomes)
+    return OutcomeBatch.from_dense_and_sides(collection.dense, collection.sides)
 
 
 def _seed_outcomes(label: str) -> list:
@@ -455,43 +452,43 @@ def test_columnar_aggregation_throughput(perf_record, smoke):
 def test_shm_collection_throughput(perf_record, smoke):
     """The trial-result collection layer in isolation.
 
-    The worker stores the dense scalars straight into the arena row and
-    pickles only the flat ``SideRecord`` remainder through the pool
-    pipe; the parent assembles the batch from the arena columns without
-    materializing a single outcome object.  Simulation time is excluded
-    on purpose — this measures collection alone.
+    The worker pickles each unit's ``(dense_row, side)`` pair — the
+    dense scalars next to the flat ``SideRecord`` remainder — through
+    the pool pipe; the parent fills the columns from the rows and
+    assembles the batch without materializing a single outcome object.
+    Simulation time is excluded on purpose — this measures collection
+    alone.
     """
     n = 400 if smoke else 2000
     seed = _seed_outcomes("ipc")
     outcomes = (seed * (1 + n // len(seed)))[:n]
 
-    def shm_collection() -> OutcomeBatch:
-        arena = OutcomeArena.create(len(outcomes))
-        try:
-            for i, outcome in enumerate(outcomes):  # worker side, in place
-                arena.write(i, outcome)
-            sides = [
-                pickle.loads(pickle.dumps(encode_side(o))) for o in outcomes
-            ]  # the side channel through the pipe
-            dense = arena.read_columns()
-        finally:
-            arena.destroy()
-        return OutcomeBatch.from_dense_and_sides(dense, sides)
+    def pipe_collection() -> OutcomeBatch:
+        units = [
+            pickle.loads(pickle.dumps((dense_row(o), encode_side(o))))
+            for o in outcomes
+        ]  # worker side, then through the pipe
+        collection = collect_units(units)
+        return OutcomeBatch.from_dense_and_sides(collection.dense, collection.sides)
 
-    # Determinism before speed: the batch collected through shared
-    # memory and a pickled side channel is the in-process one, bit for
-    # bit — every column the dataclass declares.
-    assert shm_collection().column_mismatches(_columnar_batch(outcomes)) == []
+    # Determinism before speed: the batch collected through a pickled
+    # (dense_row, side) pair is the in-process one, bit for bit — every
+    # column the dataclass declares.
+    assert pipe_collection().column_mismatches(_columnar_batch(outcomes)) == []
 
     best = float("inf")
     for _ in range(5):
         start = time.perf_counter()
-        shm_collection()
+        pipe_collection()
         best = min(best, time.perf_counter() - start)
 
+    first = outcomes[0]
     perf_record["ipc_outcomes"] = n
-    perf_record["ipc_side_record_bytes"] = len(pickle.dumps(encode_side(outcomes[0])))
-    perf_record["ipc_shm_collection_ms"] = round(best * 1000, 3)
+    perf_record["ipc_side_record_bytes"] = len(pickle.dumps(encode_side(first)))
+    perf_record["ipc_unit_pair_bytes"] = len(
+        pickle.dumps((dense_row(first), encode_side(first)))
+    )
+    perf_record["ipc_pipe_collection_ms"] = round(best * 1000, 3)
 
 
 def test_bootstrap_vectorization_throughput(perf_record, smoke):

@@ -13,7 +13,7 @@ same byte-identity bar as every campaign:
   seed (every spec shares the seed, so every estimator faces the same
   trace — exactly the retired loop's semantics) and walks one estimator
   over it;
-* the dense arena row is the single ``mean_error`` scalar
+* the dense row is the single ``mean_error`` scalar
   (:data:`ESTIMATOR_COLUMNS`); the side channel carries only the
   estimator name, and :meth:`EstimatorTraceSpec.rebuild` inverts the
   pair exactly;
@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.estimators import make_estimator
 from ..sim.campaign import Campaign, dense_field_mismatches
-from ..sim.shm import ColumnLayout, OutcomeArena
+from ..sim.shm import ColumnLayout
 
 __all__ = [
     "BASE_RATE",
@@ -50,7 +50,7 @@ __all__ = [
 #: The sustainable base rate the §3.3 burst trace oscillates around.
 BASE_RATE = 1_000_000.0
 
-#: Dense arena layout: one scalar per estimator work unit.
+#: Dense column layout: one scalar per estimator work unit.
 ESTIMATOR_COLUMNS: ColumnLayout = (("mean_error", np.float64),)
 
 
@@ -99,7 +99,7 @@ class EstimatorTraceSpec:
     #: Samples ignored before the error average (estimator warm-up).
     warmup: int = 20
 
-    #: Arena layout for collection (see ``WorkSpec``).
+    #: Column layout for collection (see ``WorkSpec``).
     dense_columns: ClassVar[ColumnLayout] = ESTIMATOR_COLUMNS
 
     def run(self) -> EstimatorTraceOutcome:
@@ -115,10 +115,8 @@ class EstimatorTraceSpec:
             self.estimator, float(np.mean(errors[self.warmup :]))
         )
 
-    def write_dense(
-        self, arena: OutcomeArena, row: int, result: EstimatorTraceOutcome
-    ) -> None:
-        arena.write_row(row, {"mean_error": result.mean_error})
+    def dense_row(self, result: EstimatorTraceOutcome) -> tuple:
+        return (result.mean_error,)
 
     def encode_side(self, result: EstimatorTraceOutcome) -> _EstimatorSide:
         return _EstimatorSide(result.estimator)

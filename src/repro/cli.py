@@ -478,51 +478,47 @@ def _experiment_inputs(args: argparse.Namespace):
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    try:
-        # Validate the backend before anything runs so a typo'd --jobs
-        # (or REPRO_JOBS) fails in milliseconds with a one-line error.
-        from .sim.execution import resolve_engine
+    # Validate the backend before anything runs so a typo'd --jobs
+    # (or REPRO_JOBS) fails in milliseconds with a one-line error.
+    from .sim.execution import resolve_engine
 
-        overrides, grid = _experiment_inputs(args)
-        if args.backend == "service":
-            if args.cache is not None:
-                raise ConfigError(
-                    "--cache is broker-side under --backend service; start "
-                    "the broker with `repro serve --cache DIR` instead"
-                )
-            if args.jobs is not None:
-                raise ConfigError(
-                    "--jobs applies to the local backend; under --backend "
-                    "service each worker picks its own (`repro worker --jobs N`)"
-                )
-        elif args.broker is not None:
-            raise ConfigError("--broker requires --backend service")
-        if args.backend == "service":
-            from .serve.engine import ServiceEngine
+    overrides, grid = _experiment_inputs(args)
+    if args.backend == "service":
+        if args.cache is not None:
+            raise ConfigError(
+                "--cache is broker-side under --backend service; start "
+                "the broker with `repro serve --cache DIR` instead"
+            )
+        if args.jobs is not None:
+            raise ConfigError(
+                "--jobs applies to the local backend; under --backend "
+                "service each worker picks its own (`repro worker --jobs N`)"
+            )
+    elif args.broker is not None:
+        raise ConfigError("--broker requires --backend service")
+    if args.backend == "service":
+        from .serve.engine import ServiceEngine
 
-            engine = ServiceEngine(args.broker)
-        else:
-            engine = resolve_engine(args.jobs)
-        study = Study(args.id, **overrides)
-        if grid:
-            study = study.grid(**grid)
-        result = study.run(engine=engine, cache=args.cache)
-        print(result.rendered)
-        if result.cache_info is not None:
-            info = result.cache_info
-            print(
-                f"cache: {info.hits} hit(s), {info.misses} miss(es), "
-                f"{info.submitted_units} work units submitted",
-                file=sys.stderr,
-            )
-        if args.save:
-            json_path, npz_path = result.save(args.save)
-            print(
-                f"archived study result: {json_path} + {npz_path}", file=sys.stderr
-            )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        engine = ServiceEngine(args.broker)
+    else:
+        engine = resolve_engine(args.jobs)
+    study = Study(args.id, **overrides)
+    if grid:
+        study = study.grid(**grid)
+    result = study.run(engine=engine, cache=args.cache)
+    print(result.rendered)
+    if result.cache_info is not None:
+        info = result.cache_info
+        print(
+            f"cache: {info.hits} hit(s), {info.misses} miss(es), "
+            f"{info.submitted_units} work units submitted",
+            file=sys.stderr,
+        )
+    if args.save:
+        json_path, npz_path = result.save(args.save)
+        print(
+            f"archived study result: {json_path} + {npz_path}", file=sys.stderr
+        )
     return 0
 
 
@@ -562,58 +558,52 @@ def _command_cache(args: argparse.Namespace) -> int:
 
     from .study.cache import resolve_cache
 
-    try:
-        cache = resolve_cache(args.dir)
-        if cache is None:
-            raise ConfigError(
-                "no cache directory: pass DIR or set REPRO_CACHE"
-            )
-        if args.action == "ls":
-            if args.as_json:
-                print(json_module.dumps(cache.manifest(), indent=2, sort_keys=True))
-                return 0
-            entries = cache.entries()
-            if not entries:
-                print(f"cache {cache.root}: empty")
-                return 0
-            print(f"cache {cache.root}: {len(entries)} entr" + (
-                "y" if len(entries) == 1 else "ies"
-            ))
-            for entry in entries:
-                experiment = entry.meta.get("experiment", "?")
-                state = "ok" if entry.complete() else "incomplete"
-                if "error" in entry.meta and "format" not in entry.meta:
-                    state = "unreadable meta"
-                print(
-                    f"  {entry.key}  {experiment:8s} "
-                    f"{entry.size_bytes():>10d} B  {state}"
-                )
+    cache = resolve_cache(args.dir)
+    if cache is None:
+        raise ConfigError("no cache directory: pass DIR or set REPRO_CACHE")
+    if args.action == "ls":
+        if args.as_json:
+            print(json_module.dumps(cache.manifest(), indent=2, sort_keys=True))
             return 0
-        if args.action == "gc":
-            from .units import parse_size
+        entries = cache.entries()
+        if not entries:
+            print(f"cache {cache.root}: empty")
+            return 0
+        print(f"cache {cache.root}: {len(entries)} entr" + (
+            "y" if len(entries) == 1 else "ies"
+        ))
+        for entry in entries:
+            experiment = entry.meta.get("experiment", "?")
+            state = "ok" if entry.complete() else "incomplete"
+            if "error" in entry.meta and "format" not in entry.meta:
+                state = "unreadable meta"
+            print(
+                f"  {entry.key}  {experiment:8s} "
+                f"{entry.size_bytes():>10d} B  {state}"
+            )
+        return 0
+    if args.action == "gc":
+        from .units import parse_size
 
-            max_bytes = (
-                parse_size(args.max_bytes) if args.max_bytes is not None else None
-            )
-            if args.max_age is not None and args.max_age < 0:
-                raise ConfigError("--max-age must be >= 0 days")
-            removed, freed = cache.gc(
-                everything=args.everything,
-                max_bytes=max_bytes,
-                max_age_days=args.max_age,
-            )
-            print(f"cache gc: removed {removed} entr" + (
-                "y" if removed == 1 else "ies"
-            ) + f", freed {freed} bytes")
-            return 0
-        ok, bad = cache.verify()
-        print(f"cache verify: {len(ok)} ok, {len(bad)} bad")
-        for key, reason in bad:
-            print(f"  bad {key}: {reason}", file=sys.stderr)
-        return 1 if bad else 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        max_bytes = (
+            parse_size(args.max_bytes) if args.max_bytes is not None else None
+        )
+        if args.max_age is not None and args.max_age < 0:
+            raise ConfigError("--max-age must be >= 0 days")
+        removed, freed = cache.gc(
+            everything=args.everything,
+            max_bytes=max_bytes,
+            max_age_days=args.max_age,
+        )
+        print(f"cache gc: removed {removed} entr" + (
+            "y" if removed == 1 else "ies"
+        ) + f", freed {freed} bytes")
+        return 0
+    ok, bad = cache.verify()
+    print(f"cache verify: {len(ok)} ok, {len(bad)} bad")
+    for key, reason in bad:
+        print(f"  bad {key}: {reason}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -623,23 +613,16 @@ def _command_serve(args: argparse.Namespace) -> int:
     def log(message: str) -> None:
         print(message, file=sys.stderr, flush=True)
 
-    try:
-        broker = Broker(
-            args.db,
-            cache=resolve_cache(args.cache),
-            lease_timeout=args.lease_timeout,
-            max_attempts=args.max_attempts,
-            log=log,
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    broker = Broker(
+        args.db,
+        cache=resolve_cache(args.cache),
+        lease_timeout=args.lease_timeout,
+        max_attempts=args.max_attempts,
+        log=log,
+    )
     if args.run_gc:
         try:
             stats = broker.gc(keep_days=args.keep_days)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         finally:
             broker.close()
         print(
@@ -680,18 +663,7 @@ def _command_worker(args: argparse.Namespace) -> int:
         log(f"[worker] processed {processed} cell(s)")
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
-
-
-def _command_lint(args: argparse.Namespace) -> int:
-    try:
-        return command_lint(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 _HANDLERS = {
@@ -702,7 +674,7 @@ _HANDLERS = {
     "cache": _command_cache,
     "serve": _command_serve,
     "worker": _command_worker,
-    "lint": _command_lint,
+    "lint": command_lint,
 }
 
 
@@ -712,7 +684,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     argparse signals rejection (unknown id, a knob aimed at the wrong
     experiment, bad int) by raising ``SystemExit(2)`` after printing to
     stderr; converting that to a return keeps in-process callers —
-    tests, notebooks — on the same contract as the shell.
+    tests, notebooks — on the same contract as the shell.  A
+    :class:`~repro.errors.ConfigError` out of any command is the same
+    rejection after parsing: one ``error:`` line on stderr, exit 2.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -721,7 +695,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -52,17 +52,19 @@ class PlayerConfig:
     max_out_of_order: int = 1
 
     def __post_init__(self) -> None:
-        if self.prebuffer_s <= 0:
+        # Every check is written so that NaN fails it: ``nan <= 0`` is
+        # False, ``not nan > 0`` is True.
+        if not self.prebuffer_s > 0:
             raise ConfigError("prebuffer_s must be positive")
-        if self.low_watermark_s < 0 or self.low_watermark_s >= self.prebuffer_s:
+        if not 0 <= self.low_watermark_s < self.prebuffer_s:
             raise ConfigError("low watermark must sit below the pre-buffer target")
-        if self.rebuffer_fetch_s <= 0:
+        if not self.rebuffer_fetch_s > 0:
             raise ConfigError("rebuffer_fetch_s must be positive")
-        if self.min_chunk_bytes <= 0:
+        if not self.min_chunk_bytes > 0:
             raise ConfigError("min_chunk_bytes must be positive")
-        if self.base_chunk_bytes < self.min_chunk_bytes:
+        if not self.base_chunk_bytes >= self.min_chunk_bytes:
             raise ConfigError("base chunk below the minimum chunk")
-        if self.max_chunk_bytes < self.base_chunk_bytes:
+        if not self.max_chunk_bytes >= self.base_chunk_bytes:
             raise ConfigError("max chunk below the base chunk")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
@@ -70,7 +72,7 @@ class PlayerConfig:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.max_paths not in (1, 2):
             raise ConfigError("MSPlayer supports one or two paths (§2)")
-        if self.tick_s <= 0:
+        if not self.tick_s > 0:
             raise ConfigError("tick_s must be positive")
         if self.max_out_of_order < 1:
             raise ConfigError("max_out_of_order must be at least 1")

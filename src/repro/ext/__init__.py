@@ -11,8 +11,8 @@
   concern behind §2's source-diversity argument);
 * :mod:`repro.ext.population` — the one population runner, and
   population campaigns: whole multi-client populations as parallel
-  work units (policy × seed-replicate), collected through the
-  shared-memory arena into per-policy columnar batches.
+  work units (policy × seed-replicate), collected as dense rows and
+  side records into per-policy columnar batches.
 """
 
 from .energy import EnergyModel, EnergyReport, LTE_ENERGY, WIFI_ENERGY

@@ -32,8 +32,8 @@ population builds its whole world from its own derived seed.  So:
   (:class:`~repro.sim.execution.WorkSpec` protocol);
 * dense per-population scalars (:data:`POPULATION_COLUMNS`: mean/p95
   start-up, load imbalance, total server bytes, completed sessions)
-  are written into the collection arena, one row per population,
-  computed by :func:`population_dense_row`;
+  are one dense row per population, computed by
+  :func:`population_dense_row`;
 * the ragged per-client remainder — every client's
   :class:`~repro.sim.shm.SideRecord` plus the population's
   ``server_bytes`` — is a :class:`PopulationSideRecord` (on the pool,
@@ -66,7 +66,7 @@ from ..sim.campaign import Campaign, dense_field_mismatches
 from ..sim.driver import SessionOutcome
 from ..sim.profiles import NetworkProfile
 from ..sim.scenario import Scenario, ScenarioConfig, World
-from ..sim.shm import ColumnLayout, OutcomeArena, encode_side, rebuild_outcome
+from ..sim.shm import ColumnLayout, encode_side, rebuild_outcome
 from .adaptive import AdaptiveOutcome
 
 __all__ = [
@@ -82,7 +82,7 @@ __all__ = [
     "population_dense_row",
 ]
 
-#: The population arena layout: one row of per-population aggregates
+#: The population column layout: one row of per-population aggregates
 #: per replicate.  Float columns are NaN when no client ever started
 #: playback; ``completed`` counts clients with a defined start-up.
 POPULATION_COLUMNS: ColumnLayout = (
@@ -279,11 +279,11 @@ def _session_seconds(outcome) -> float:
 
 
 def population_dense_row(result: MultiClientResult) -> dict[str, float]:
-    """One population's dense scalars, as stored in the arena row.
+    """One population's dense scalars, by column name.
 
     The single source of the aggregate arithmetic:
-    :meth:`PopulationSpec.write_dense` runs it into the arena on
-    whichever engine collects the population.
+    :meth:`PopulationSpec.dense_row` orders it into the population's
+    dense row on whichever engine collects the population.
     """
     delays = np.asarray(result.startup_delays(), dtype=np.float64)
     if delays.size:
@@ -313,7 +313,7 @@ class PopulationSideRecord(NamedTuple):
     and every client's outcome — each client as the same flat
     :class:`~repro.sim.shm.SideRecord` the per-trial path ships, plus
     the two scalars (``finished_at``, ``failovers``) that per-trial
-    collection stores densely but have no per-client arena row here.
+    collection stores densely but have no per-client dense row here.
     """
 
     policy: str
@@ -383,17 +383,16 @@ class PopulationSpec:
     policy: str
     experiment: PopulationExperiment
 
-    #: Arena layout for collection (class-level).
+    #: Column layout for collection (class-level).
     dense_columns: ClassVar[ColumnLayout] = POPULATION_COLUMNS
 
     def run(self) -> MultiClientResult:
         """Execute this population start to finish (the pool work unit)."""
         return replace(self.experiment, seed=self.seed).run(self.policy)
 
-    def write_dense(
-        self, arena: OutcomeArena, row: int, result: MultiClientResult
-    ) -> None:
-        arena.write_row(row, population_dense_row(result))
+    def dense_row(self, result: MultiClientResult) -> tuple:
+        values = population_dense_row(result)
+        return tuple(values[name] for name, _dtype in POPULATION_COLUMNS)
 
     def encode_side(self, result: MultiClientResult) -> PopulationSideRecord:
         return PopulationSideRecord(
@@ -469,7 +468,7 @@ class PopulationBatch:
     def from_dense_and_sides(
         cls, dense: dict[str, np.ndarray], sides: Sequence[PopulationSideRecord]
     ) -> "PopulationBatch":
-        """The one assembly: adopt the arena columns as-is; only the
+        """The one assembly: adopt the dense columns as-is; only the
         CSR delays are built from the side records."""
         return cls._from_csr_source(
             dense, [side.client_startup_delays() for side in sides]

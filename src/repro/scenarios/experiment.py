@@ -11,7 +11,7 @@ each client's driver / access profile / video from a
 underneath them.  The result is a plain
 :class:`~repro.ext.population.MultiClientResult` and the work unit a
 plain :class:`~repro.ext.population.PopulationSpec`, so the whole
-population rides the existing population machinery — dense arena rows,
+population rides the existing population machinery — dense rows,
 side records, byte-identical batches on every backend — without a new
 collection path.
 

@@ -25,8 +25,9 @@ the paper, as code:
   per-configuration barrier) and columnar outcome aggregation
   (:class:`~repro.sim.campaign.OutcomeBatch`);
 * :mod:`repro.sim.shm` — columnar result collection for every engine:
-  dense outcome columns land in an arena in place (shared memory the
-  pool's workers write), the ragged/string remainder in side records.
+  each work unit's dense scalars come back as a row (through the pool
+  pipe on the process engine) and fill one set of columns; the
+  ragged/string remainder travels as side records.
 """
 
 from .profiles import (

@@ -155,10 +155,10 @@ class OutcomeBatch:
     def from_dense_and_sides(
         cls, dense: dict[str, np.ndarray], sides: Sequence[SideRecord]
     ) -> "OutcomeBatch":
-        """Assemble a batch from arena columns plus side records.
+        """Assemble a batch from dense columns plus side records.
 
         The one assembly, whatever engine collected: ``dense`` holds
-        the scalar columns written into the arena (already
+        the scalar columns filled from the units' dense rows (already
         float64/int64 arrays — adopted as-is, zero deserialization and
         zero copies), ``sides`` the ragged/string remainder.  The pass
         over the side records appends to plain Python lists and

@@ -18,12 +18,13 @@ Backends:
   pickled (e.g. a hand-written closure factory).
 
 Every backend collects columnar (see :mod:`repro.sim.shm`): each
-unit's dense scalar columns land in an arena at the unit's row index
-and the ragged/string remainder becomes a flat side record.  On the
-process backend the arena is ``multiprocessing.shared_memory`` the
-workers write in place, with only the side records pickled back
-through the pool pipe; in process (:func:`collect_in_process`) it is
-private memory.
+unit becomes a ``(dense_row, side)`` pair — its dense scalars as a
+tuple in the spec kind's column order, and its ragged/string remainder
+as a flat side record.  On the process backend each worker sends the
+pair back through the pool pipe; in process
+(:func:`collect_in_process`) it is built in place.  Either way the
+parent fills the columns from the rows with one helper,
+:func:`~repro.sim.shm.collect_units`.
 
 Determinism is the acceptance bar: ``engine.map(specs)`` returns
 outcomes in spec order, and every trial derives its randomness from its
@@ -34,10 +35,11 @@ variable (``N``, ``auto``, or ``serial``); :func:`resolve_engine` turns
 any of those into an engine.
 
 The engines are generic over the :class:`WorkSpec` protocol, not tied
-to per-trial specs: a spec kind supplies its own execution, dense arena
-layout, side-channel encoding, and rebuild inverse.  ``TrialSpec`` (one
-player session per unit) and ``repro.ext.population.PopulationSpec``
-(one whole multi-client population per unit) are the two kinds.
+to per-trial specs: a spec kind supplies its own execution, dense
+column layout and row, side-channel encoding, and rebuild inverse.
+``TrialSpec`` (one player session per unit) and
+``repro.ext.population.PopulationSpec`` (one whole multi-client
+population per unit) are the two kinds.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
 from collections.abc import Callable, Sequence
 from typing import ClassVar, Protocol, runtime_checkable
 
@@ -60,9 +61,10 @@ from .scenario import Scenario, ScenarioConfig
 from .shm import (
     DENSE_COLUMNS,
     ColumnLayout,
-    OutcomeArena,
     SideRecord,
     TrialCollection,
+    collect_units,
+    dense_row,
     encode_side,
     rebuild_outcomes,
 )
@@ -156,19 +158,20 @@ class WorkSpec(Protocol):
     :class:`~repro.ext.population.PopulationSpec` (one whole
     multi-client population per unit).  The engine itself is agnostic —
     a spec kind brings its own execution (:meth:`run`), its own dense
-    arena layout (``dense_columns`` / :meth:`write_dense`), its own
-    side-channel encoding (:meth:`encode_side`), and the inverse that
-    materializes result objects from a columnar collection
-    (:meth:`rebuild`).
+    column layout (``dense_columns``) and the row of plain scalars it
+    stores there (:meth:`dense_row`, one value per column, in order),
+    its own side-channel encoding (:meth:`encode_side`), and the
+    inverse that materializes result objects from a columnar
+    collection (:meth:`rebuild`).
     """
 
     label: str
-    #: Class-level arena layout shared by every spec of this kind.
+    #: Class-level column layout shared by every spec of this kind.
     dense_columns: ColumnLayout
 
     def run(self) -> object: ...
 
-    def write_dense(self, arena: OutcomeArena, row: int, result: object) -> None: ...
+    def dense_row(self, result: object) -> tuple: ...
 
     def encode_side(self, result: object) -> object: ...
 
@@ -188,7 +191,7 @@ class TrialSpec:
     scenario_config: ScenarioConfig = field(default_factory=ScenarioConfig)
     scenario_hook: ScenarioHook | None = None
 
-    #: Arena layout for collection (class-level; see :class:`WorkSpec`).
+    #: Column layout for collection (class-level; see :class:`WorkSpec`).
     dense_columns: ClassVar[ColumnLayout] = DENSE_COLUMNS
 
     def run(self) -> SessionOutcome:
@@ -200,10 +203,8 @@ class TrialSpec:
             self.scenario_hook(scenario)
         return self.driver(scenario).run()
 
-    def write_dense(
-        self, arena: OutcomeArena, row: int, result: SessionOutcome
-    ) -> None:
-        arena.write(row, result)
+    def dense_row(self, result: SessionOutcome) -> tuple:
+        return dense_row(result)
 
     def encode_side(self, result: SessionOutcome) -> SideRecord:
         return encode_side(result)
@@ -213,36 +214,16 @@ class TrialSpec:
         return rebuild_outcomes(dense, sides)
 
 
-#: Worker-side arena attachment cache, keyed by segment name.  A worker
-#: serves one campaign at a time, so a task naming a new arena means the
-#: cached ones belong to finished (already unlinked) campaigns — close
-#: them before attaching, keeping exactly one live mapping per worker.
-_WORKER_ARENAS: dict[str, OutcomeArena] = {}
+def encode_unit(spec: WorkSpec, result: object) -> tuple:
+    """One unit's ``(dense_row, side)`` pair."""
+    return spec.dense_row(result), spec.encode_side(result)
 
 
-def _attached_arena(name: str, rows: int, columns: ColumnLayout) -> OutcomeArena:
-    arena = _WORKER_ARENAS.get(name)
-    if arena is None:
-        for stale in _WORKER_ARENAS.values():
-            stale.close()
-        _WORKER_ARENAS.clear()
-        arena = OutcomeArena.attach(name, rows, columns)
-        _WORKER_ARENAS[name] = arena
-    return arena
-
-
-def run_unit_into_arena(
-    arena_name: str, rows: int, item: tuple[int, WorkSpec]
-) -> object:
-    """The pool work unit: run the spec, store its dense scalars
-    at its row of the shared arena (whose layout the spec kind
-    declares), return only the ragged/string remainder through the
-    pool pipe."""
-    index, spec = item
-    result = spec.run()
-    arena = _attached_arena(arena_name, rows, spec.dense_columns)
-    spec.write_dense(arena, index, result)
-    return spec.encode_side(result)
+def run_unit(spec: WorkSpec) -> tuple:
+    """The pool work unit: run the spec and return its
+    ``(dense_row, side)`` pair — what travels back through the pool
+    pipe."""
+    return encode_unit(spec, spec.run())
 
 
 def _dense_layout(specs: Sequence[WorkSpec]) -> ColumnLayout:
@@ -269,20 +250,20 @@ def collect_in_process(
     """Collect work units in this process, columnar.
 
     Runs each spec (or takes its result from ``results``, what a
-    map-only engine returned) and passes it through the two spec
-    methods a pool worker calls: ``write_dense`` into a private-memory
-    arena and ``encode_side``.  So every engine hands the campaign the
-    same columns, and a serial run never touches ``/dev/shm``.
+    map-only engine returned) and encodes it through the same spec
+    methods a pool worker calls, so every engine hands the campaign
+    the same columns.
     """
     specs = list(specs)
-    arena = OutcomeArena.local(len(specs), _dense_layout(specs))
-    sides = []
-    for row, spec in enumerate(specs):
-        result = spec.run() if results is None else results[row]
-        spec.write_dense(arena, row, result)
-        sides.append(spec.encode_side(result))
+    if results is None:
+        units = (run_unit(spec) for spec in specs)
+    else:
+        units = (
+            encode_unit(spec, result)
+            for spec, result in zip(specs, results, strict=True)
+        )
     rebuild = specs[0].rebuild if specs else rebuild_outcomes
-    return TrialCollection(arena.read_columns(), sides, rebuild)
+    return collect_units(units, _dense_layout(specs), rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +351,9 @@ class ProcessEngine:
     def collect(self, specs: Sequence[WorkSpec]) -> TrialCollection:
         """Run the batch and collect it columnar.
 
-        On the pool, workers write dense rows into a shared arena and
-        send side records back.  A batch with nothing to fan out (one
-        spec, one job) or, under ``auto``, an unpicklable one is
+        On the pool, each worker sends its units' ``(dense_row, side)``
+        pairs back through the pipe.  A batch with nothing to fan out
+        (one spec, one job) or, under ``auto``, an unpicklable one is
         collected in process instead — into the same columns.
         """
         specs = list(specs)
@@ -401,22 +382,9 @@ class ProcessEngine:
         # overhead against tail latency from uneven trial durations.
         active = min(self.jobs, len(specs))
         chunksize = max(1, -(-len(specs) // (active * 4)))
-        # The parent sizes the arena from the spec count (and
-        # the spec kind's column layout), the workers write dense rows
-        # in place, and only the side records come back through the
-        # pipe.  The arena is destroyed (closed + unlinked) in the
-        # ``finally`` whatever happens — including a BrokenProcessPool
-        # that survives _pool_map's fresh-pool retry — so worker
-        # crashes cannot leak /dev/shm segments.  The retry itself
-        # reuses the arena: every row is rewritten.
-        arena = OutcomeArena.create(len(specs), _dense_layout(specs))
-        try:
-            work = partial(run_unit_into_arena, arena.name, len(specs))
-            sides = self._pool_map(work, list(enumerate(specs)), chunksize)
-            dense = arena.read_columns()
-        finally:
-            arena.destroy()
-        return TrialCollection(dense, sides, specs[0].rebuild)
+        columns = _dense_layout(specs)  # a mixed batch fails before dispatch
+        units = self._pool_map(run_unit, specs, chunksize)
+        return collect_units(units, columns, specs[0].rebuild)
 
     def _pool_map(self, fn, items: list, chunksize: int) -> list:
         # The pool is sized (and keyed) by self.jobs, not the batch:

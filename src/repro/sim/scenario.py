@@ -20,6 +20,7 @@ delay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,10 @@ class ScenarioConfig:
     overload_threshold: int | None = None
 
     def __post_init__(self) -> None:
-        if self.video_duration_s <= 0:
-            raise ConfigError("video_duration_s must be positive")
+        if not 0 < self.video_duration_s < math.inf:
+            raise ConfigError(
+                f"video_duration_s must be positive and finite, got {self.video_duration_s}"
+            )
 
 
 class World:

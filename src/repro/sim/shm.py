@@ -4,58 +4,45 @@ No engine hands whole :class:`~repro.sim.driver.SessionOutcome` graphs
 (outcome, its :class:`~repro.core.metrics.QoEMetrics`, every
 ``StallEvent`` / ``RebufferCycle``) to the campaign layer only to have
 them transposed into the columnar
-:class:`~repro.sim.campaign.OutcomeBatch`.  Every collection is split
-along the batch's own layout:
+:class:`~repro.sim.campaign.OutcomeBatch`.  Every work unit is encoded
+along the batch's own layout, as a ``(dense_row, side)`` pair:
 
-* the **dense scalar columns** (start-up delay, finish time, total
-  stall, failover count — :data:`DENSE_COLUMNS`) are written *in
-  place*, each at its unit's row index, into one arena sized from the
-  spec count (:class:`OutcomeArena`).  On the process pool the arena is
-  a ``multiprocessing.shared_memory`` segment the workers write and
-  the parent reads with **zero deserialization** — the float64/int64
-  bits a worker stored are the bits the analysis layer reads.  In
-  process the arena is private memory (:meth:`OutcomeArena.local`):
-  the same layout and writes, no ``/dev/shm``;
-* the **ragged and string/dict fields** — re-buffering cycles (CSR
-  source data), stalls, ``stop_reason``, the per-path byte/bootstrap
-  dicts, ``server_bytes`` — become a flat :class:`SideRecord` of
-  primitives; on the pool it is what comes back through the result
-  pipe, far cheaper to pickle than the nested dataclass graph.
+* the **dense row** is a tuple of plain scalars, one per column of the
+  spec kind's layout — for a trial, start-up delay, finish time, total
+  stall and failover count (:data:`DENSE_COLUMNS`, :func:`dense_row`);
+* the **side record** holds the ragged and string/dict fields —
+  re-buffering cycles (CSR source data), stalls, ``stop_reason``, the
+  per-path byte/bootstrap dicts, ``server_bytes`` — flattened to
+  primitives (:class:`SideRecord`), far cheaper to pickle than the
+  nested dataclass graph.
+
+On the process pool the pair is what a worker sends back through the
+result pipe; in process it is built in place.  Either way the parent
+fills one :class:`OutcomeArena` — numpy columns in its own memory —
+from the rows, at each unit's row index, so the float64/int64 values a
+worker computed are the values the analysis layer reads.  The arena is
+layout-agnostic: ``create`` takes an ordered :data:`ColumnLayout`
+(``DENSE_COLUMNS`` by default), so population campaigns
+(:mod:`repro.ext.population`) store per-population aggregates per row
+and ship per-client remainders as their own side records.
 
 A full ``SessionOutcome`` can always be rebuilt exactly from one dense
 row plus its side record (:func:`rebuild_outcome`); consumers that walk
 outcome objects (EXP-X2's ``server_bytes`` accounting) get them lazily,
 while the analytics path never materializes them at all.
 
-The arena itself is layout-agnostic: ``create``/``attach`` take an
-ordered :data:`ColumnLayout` (``DENSE_COLUMNS`` by default), so other
-campaign kinds reuse the same transport with their own dense scalars —
-population campaigns (:mod:`repro.ext.population`) store per-population
-aggregates per row and ship per-client remainders as their own side
-records.
-
-Cleanup protocol for shared arenas: the parent owns the segment —
-``create`` → workers ``attach`` (and immediately deregister the segment
-from their resource tracker; the parent's registration is the tracked
-one) → parent copies the columns out and calls ``destroy`` (close +
-unlink) in a ``finally``, so a worker crash / ``BrokenProcessPool`` —
-even one that breaks the fresh-pool retry too — cannot leak
-``/dev/shm`` segments or provoke ``resource_tracker`` leak warnings.
-
 Every engine hands the campaign the same :class:`TrialCollection` —
 dense columns, side records and the spec kind's rebuild inverse — so
 each result kind is assembled one way, from columns.  The test walls in
 ``tests/test_sim_shm.py`` / ``tests/test_sim_campaign_properties.py``
 hold the columns to the object-built batches of
-``tests/object_batches.py``, on every engine.
+``tests/object_batches.py``, on every engine.  (The module keeps its
+historical name: the end-to-end benchmark imports it.)
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from multiprocessing import resource_tracker, shared_memory
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -64,24 +51,21 @@ from ..core.metrics import QoEMetrics, RebufferCycle, StallEvent
 from .driver import SessionOutcome
 
 __all__ = [
-    "ARENA_PREFIX",
     "ColumnLayout",
     "DENSE_COLUMNS",
     "OutcomeArena",
     "SideRecord",
     "TrialCollection",
     "collect_trials",
+    "collect_units",
+    "dense_row",
     "encode_side",
     "rebuild_outcome",
     "rebuild_outcomes",
     "resolve_ipc",
 ]
 
-#: Shared-memory segment name prefix — recognizable so leak checks (and
-#: an operator staring at /dev/shm) can attribute segments to us.
-ARENA_PREFIX = "repro-arena-"
-
-#: A dense arena layout: ordered (column name, dtype) pairs.  The layout
+#: A dense column layout: ordered (column name, dtype) pairs.  The layout
 #: is a *parameter* of :class:`OutcomeArena` — per-trial campaigns use
 #: :data:`DENSE_COLUMNS`, population campaigns bring their own
 #: per-population layout (``repro.ext.population.POPULATION_COLUMNS``).
@@ -97,14 +81,22 @@ DENSE_COLUMNS: ColumnLayout = (
 )
 
 
-def _row_bytes(columns: ColumnLayout) -> int:
-    return sum(np.dtype(dtype).itemsize for _name, dtype in columns)
-
-
 # perfbench/round.py reads this; removing it breaks every benchmark round.
 def resolve_ipc() -> str:
     """The process engine's one collection mode."""
-    return "shm"
+    return "pipe"
+
+
+def dense_row(outcome: SessionOutcome) -> tuple:
+    """One trial's dense scalars in :data:`DENSE_COLUMNS` order (NaN
+    start-up for a session whose playback never started)."""
+    delay = outcome.startup_delay
+    return (
+        np.nan if delay is None else delay,
+        outcome.finished_at,
+        outcome.metrics.total_stall_time,
+        outcome.metrics.failovers,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -112,148 +104,41 @@ def resolve_ipc() -> str:
 # ---------------------------------------------------------------------------
 
 
-class _PrivateMemory:
-    """The slice of the ``SharedMemory`` surface an arena uses, over a
-    plain ``bytearray``: in-process runs never touch ``/dev/shm``."""
-
-    def __init__(self, size: int) -> None:
-        self.buf = bytearray(size)
-
-    def close(self) -> None:
-        pass
-
-
 class OutcomeArena:
-    """Dense per-work-unit scalar columns in one memory block.
+    """Dense per-work-unit scalar columns, in this process's memory.
 
-    Column-major layout (``columns`` order, :data:`DENSE_COLUMNS` by
-    default): column ``c`` of a ``rows``-unit arena occupies bytes
-    ``[c * rows * 8, (c+1) * rows * 8)``.  For the pool, the parent
-    creates it in shared memory sized from the campaign's spec count;
-    each worker attaches once per campaign and writes its units' rows
-    in place.  Rows are disjoint per unit, so concurrent writers never
-    touch the same bytes.  In process, :meth:`local` backs the same
-    layout with private memory.
+    One zeroed numpy column, ``rows`` long, per entry of ``columns``
+    (:data:`DENSE_COLUMNS` by default); each work unit's dense row is
+    stored at its row index.
     """
 
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory | _PrivateMemory,
-        rows: int,
-        owner: bool,
-        columns: ColumnLayout = DENSE_COLUMNS,
-    ) -> None:
-        self._shm = shm
+    def __init__(self, rows: int, columns: ColumnLayout = DENSE_COLUMNS) -> None:
         self.rows = rows
         self.columns = columns
-        self._owner = owner
-        self._views: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, dtype in columns:
-            self._views[name] = np.ndarray(
-                (rows,), dtype=dtype, buffer=shm.buf, offset=offset
-            )
-            offset += np.dtype(dtype).itemsize * rows
-
-    @property
-    def name(self) -> str:
-        """The segment name workers attach by."""
-        return self._shm.name
+        self._arrays = {name: np.zeros(rows, dtype=dtype) for name, dtype in columns}
 
     @classmethod
     def create(cls, rows: int, columns: ColumnLayout = DENSE_COLUMNS) -> "OutcomeArena":
-        """Parent side: allocate a fresh arena for ``rows`` work units."""
-        size = max(1, rows * _row_bytes(columns))  # zero-byte segments are invalid
-        while True:
-            # OS entropy is deliberate here: the segment *name* must be
-            # unique across unrelated processes sharing /dev/shm and
-            # never feeds simulation state — results are a function of
-            # the arena's contents, not its label.
-            name = ARENA_PREFIX + os.urandom(8).hex()  # replint: disable=DET001
-            try:
-                shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-            except FileExistsError:  # pragma: no cover - 64-bit collision
-                continue
-            return cls(shm, rows, owner=True, columns=columns)
-
-    @classmethod
-    def local(cls, rows: int, columns: ColumnLayout = DENSE_COLUMNS) -> "OutcomeArena":
-        """An arena in this process's own memory, for in-process
-        collection: the same layout and writes, no segment to name,
-        attach or unlink."""
-        memory = _PrivateMemory(rows * _row_bytes(columns))
-        return cls(memory, rows, owner=False, columns=columns)
-
-    @classmethod
-    def attach(
-        cls, name: str, rows: int, columns: ColumnLayout = DENSE_COLUMNS
-    ) -> "OutcomeArena":
-        """Worker side: map an existing arena by name, untracked.
-
-        CPython (< 3.13) registers a segment with the resource tracker
-        on every ``SharedMemory()`` call, attach included.  The parent
-        owns this segment's lifecycle, so worker-side registration is
-        wrong in both start-method regimes: under ``fork`` the workers
-        share the parent's tracker and the registry entry must outlive
-        them untouched for the parent's unlink to deregister cleanly;
-        under ``spawn``/``forkserver`` a worker's own tracker would
-        "clean up" (unlink!) the live arena and warn about it when that
-        worker exits.  3.13+ exposes ``track=False`` for exactly this;
-        on older interpreters the registration call is shimmed out for
-        the duration of the attach (workers are single-threaded).
-        """
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # Python < 3.13: no track parameter
-            original = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original
-        return cls(shm, rows, owner=False, columns=columns)
+        """A fresh arena for ``rows`` work units."""
+        return cls(rows, columns)
 
     def write(self, row: int, outcome: SessionOutcome) -> None:
-        """Store one trial's dense scalars at its row index.
+        """Store one trial's dense scalars at its row index (the
+        :data:`DENSE_COLUMNS` convenience)."""
+        self.write_row(row, dense_row(outcome))
 
-        The :data:`DENSE_COLUMNS` convenience; arenas with other
-        layouts store through :meth:`write_row`.
-        """
-        metrics = outcome.metrics
-        delay = outcome.startup_delay
-        self._views["startup"][row] = np.nan if delay is None else delay
-        self._views["finished_at"][row] = outcome.finished_at
-        self._views["total_stall"][row] = metrics.total_stall_time
-        self._views["failovers"][row] = metrics.failovers
-
-    def write_row(self, row: int, values: dict[str, float]) -> None:
-        """Store one work unit's dense scalars, one value per column."""
-        for name, _dtype in self.columns:
-            self._views[name][row] = values[name]
+    def write_row(self, row: int, values: Sequence) -> None:
+        """Store one work unit's dense row, one value per column."""
+        for (name, _dtype), value in zip(self.columns, values, strict=True):
+            self._arrays[name][row] = value
 
     def read_columns(self) -> dict[str, np.ndarray]:
-        """Copy the columns out of the segment (the arena can then die)."""
-        return {name: np.array(view) for name, view in self._views.items()}
-
-    def close(self) -> None:
-        """Unmap this process's view (drops the buffer exports first —
-        ``mmap`` refuses to close under live ``ndarray`` views)."""
-        self._views = {}
-        self._shm.close()
+        """Copies of the columns (the arena can then be dropped)."""
+        return {name: column.copy() for name, column in self._arrays.items()}
 
     def destroy(self) -> None:
-        """Close and, if this side created the segment, unlink it.
-
-        Idempotent and safe under exceptions — this is the ``finally``
-        arm of the collection path, so it must succeed whether the map
-        completed, the pool broke once (retry rewrote the rows), or the
-        retry broke too.
-        """
-        with contextlib.suppress(Exception):  # pragma: no cover - already closed
-            self.close()
-        if self._owner:
-            with contextlib.suppress(FileNotFoundError):  # pragma: no cover
-                self._shm.unlink()
+        """Release the columns; idempotent."""
+        self._arrays = {}
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +309,32 @@ class TrialCollection:
         return self._outcomes
 
 
+def collect_units(
+    units: Iterable[tuple[Sequence, object]],
+    columns: ColumnLayout = DENSE_COLUMNS,
+    rebuild: Callable[[dict, Sequence], list] = rebuild_outcomes,
+) -> TrialCollection:
+    """Assemble work units' ``(dense_row, side)`` pairs, in spec order,
+    into a collection — the one assembly every engine shares.
+
+    Each dense row lands at its row index of one :class:`OutcomeArena`
+    with ``columns``' layout; the side records are kept as they are.
+    """
+    units = list(units)
+    arena = OutcomeArena.create(len(units), columns)
+    for row, (dense, _side) in enumerate(units):
+        arena.write_row(row, dense)
+    return TrialCollection(
+        arena.read_columns(), [side for _dense, side in units], rebuild
+    )
+
+
 def collect_trials(engine, specs) -> TrialCollection:
     """Run specs through an engine and collect them columnar.
 
     The built-in engines ``collect`` themselves.  An engine that only
     has ``map`` (a third-party ``ExecutionEngine``) has its results
-    encoded through the same spec methods the built-ins call.
+    encoded through the same spec methods a pool worker calls.
     """
     collect = getattr(engine, "collect", None)
     if collect is not None:

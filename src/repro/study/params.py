@@ -29,6 +29,7 @@ Design notes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
@@ -116,6 +117,10 @@ class Param:
             raise ConfigError(
                 f"param {self.name!r} expects {self.type.__name__}, "
                 f"got {type(value).__name__} ({value!r})"
+            )
+        if self.type is float and not math.isfinite(value):
+            raise ConfigError(
+                f"param {self.name!r} must be a finite number, got {value!r}"
             )
         if self.choices is not None and value not in self.choices:
             raise ConfigError(

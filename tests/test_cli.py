@@ -257,6 +257,38 @@ class TestCommands:
         assert "mean bitrate" in output
 
 
+class TestConfigErrorsExit2:
+    """A rejected value is one ``error:`` line and exit code 2 on every
+    command — never a traceback, and never a run on a NaN."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["play", "--prebuffer", "-5"], id="play-negative-prebuffer"),
+            pytest.param(["play", "--chunk", "0KB"], id="play-zero-chunk"),
+            pytest.param(["adaptive", "--duration", "-1"], id="adaptive-negative-duration"),
+            pytest.param(["play", "--prebuffer", "nan"], id="play-nan-prebuffer"),
+            pytest.param(["play", "--duration", "nan"], id="play-nan-duration"),
+            pytest.param(["play", "--duration", "inf"], id="play-inf-duration"),
+            pytest.param(["adaptive", "--duration", "nan"], id="adaptive-nan-duration"),
+            pytest.param(
+                ["experiment", "fig4", "--trials", "1", "--prebuffers", "nan"],
+                id="experiment-nan-param",
+            ),
+            pytest.param(
+                ["experiment", "fig4", "--trials", "1", "--prebuffers", "inf"],
+                id="experiment-inf-param",
+            ),
+            pytest.param(["experiment", "fig1", "--rtt-wifi", "nan"], id="experiment-nan-rtt"),
+        ],
+    )
+    def test_rejected_value_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestGridUsageErrors:
     """`--grid` typos die as exit-code-2 usage errors, never run short."""
 

@@ -1,5 +1,7 @@
 """Exception hierarchy contracts and PlayerConfig validation."""
 
+import math
+
 import pytest
 
 from repro import errors
@@ -88,6 +90,14 @@ class TestPlayerConfig:
             dict(max_paths=3),
             dict(tick_s=0.0),
             dict(max_out_of_order=0),
+            # NaN compares False both ways, so each check must fail it.
+            dict(prebuffer_s=math.nan),
+            dict(low_watermark_s=math.nan),
+            dict(rebuffer_fetch_s=math.nan),
+            dict(min_chunk_bytes=math.nan),
+            dict(base_chunk_bytes=math.nan),
+            dict(max_chunk_bytes=math.nan),
+            dict(tick_s=math.nan),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

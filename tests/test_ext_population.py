@@ -88,11 +88,8 @@ class TestPopulationSpec:
         result = spec.run()
         row = population_dense_row(result)
         arena = OutcomeArena.create(1, POPULATION_COLUMNS)
-        try:
-            spec.write_dense(arena, 0, result)
-            dense = arena.read_columns()
-        finally:
-            arena.destroy()
+        arena.write_row(0, spec.dense_row(result))
+        dense = arena.read_columns()
         for name, _dtype in POPULATION_COLUMNS:
             assert dense[name][0] == row[name], name
 

@@ -40,7 +40,7 @@ def specs():
 def test_environment_block_names_the_one_kernel_and_transport():
     block = bench_round._environment()
     assert block["default_kernel"] == "heapq"
-    assert block["default_ipc"] == "shm"
+    assert block["default_ipc"] == "pipe"
     assert block["compiled_core_built"] is False
     assert block["numpy"]
 

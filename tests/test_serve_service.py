@@ -713,6 +713,20 @@ class TestMalformedRequests:
                     ("abc", "lease-wait-not-a-number"),
                 ]
             ),
+            # json reads NaN and Infinity; a study param must be finite,
+            # or the broker queues cells that can only fail.
+            pytest.param(
+                "/api/v1/studies",
+                {"experiment": "fig4", "params": {"prebuffers": [float("nan")]}, "axes": {}},
+                "prebuffers",
+                id="submit-nan-param",
+            ),
+            pytest.param(
+                "/api/v1/studies",
+                {"experiment": "fig1", "params": {"rtt_wifi": float("inf")}, "axes": {}},
+                "rtt_wifi",
+                id="submit-inf-param",
+            ),
             pytest.param(
                 "/api/v1/complete",
                 {"job_id": "j", "cell": "x", "manifest_text": "", "npz_b64": ""},

@@ -32,7 +32,7 @@ from object_batches import outcome_batch_from_outcomes
 from repro.core.metrics import QoEMetrics, RebufferCycle, StallEvent
 from repro.sim.campaign import OutcomeBatch
 from repro.sim.driver import SessionOutcome
-from repro.sim.shm import OutcomeArena, encode_side, rebuild_outcome
+from repro.sim.shm import OutcomeArena, collect_units, dense_row, encode_side, rebuild_outcome
 
 # Simulated timestamps: finite, non-negative.  NaN is excluded because
 # the round-trip assertions use ``==`` on rebuilt objects.
@@ -107,11 +107,8 @@ DETERMINISTIC = settings(max_examples=25, deadline=None, database=None, derandom
 
 def collected(population: list[SessionOutcome]) -> OutcomeBatch:
     """The batch an in-process collection assembles from these outcomes."""
-    arena = OutcomeArena.local(len(population))
-    for i, outcome in enumerate(population):
-        arena.write(i, outcome)
-    sides = [encode_side(outcome) for outcome in population]
-    return OutcomeBatch.from_dense_and_sides(arena.read_columns(), sides)
+    collection = collect_units((dense_row(o), encode_side(o)) for o in population)
+    return OutcomeBatch.from_dense_and_sides(collection.dense, collection.sides)
 
 
 class TestCollectedBatchAgainstLoops:
@@ -203,15 +200,13 @@ class TestColumnarAssemblyIdentity:
     def test_arena_plus_sides_assemble_identically(self, population):
         reference = outcome_batch_from_outcomes(population)
         assert_batches_identical(collected(population), reference)
-        arena = OutcomeArena.create(len(population))
-        try:
-            for i, outcome in enumerate(population):
-                arena.write(i, outcome)
-            dense = arena.read_columns()
-        finally:
-            arena.destroy()
-        sides = [pickle.loads(pickle.dumps(encode_side(o))) for o in population]
-        assembled = OutcomeBatch.from_dense_and_sides(dense, sides)
+        # What a pool worker sends: the (dense_row, side) pair, pickled.
+        units = [
+            pickle.loads(pickle.dumps((dense_row(o), encode_side(o))))
+            for o in population
+        ]
+        collection = collect_units(units)
+        assembled = OutcomeBatch.from_dense_and_sides(collection.dense, collection.sides)
         assert_batches_identical(assembled, reference)
 
     @given(outcome_lists)

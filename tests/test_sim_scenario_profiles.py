@@ -1,6 +1,7 @@
 """Scenario construction and network profiles."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -99,8 +100,9 @@ class TestScenario:
         assert scenario.wifi.is_up
 
     def test_duration_validated(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(video_duration_s=0.0)
+        for duration in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(video_duration_s=duration)
 
     def test_same_seed_same_world(self):
         a = Scenario(youtube_profile(), seed=4)

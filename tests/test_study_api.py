@@ -5,6 +5,8 @@ as its own study (the merged submission only changes scheduling), on
 the serial and process backends alike.
 """
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -18,6 +20,13 @@ class TestStudyConstruction:
     def test_bad_param_dies_at_construction(self):
         with pytest.raises(ConfigError, match="trials"):
             Study("fig2", trials=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_dies_at_construction(self, value):
+        with pytest.raises(ConfigError, match="rtt_wifi.*finite"):
+            Study("fig1", rtt_wifi=value)
+        with pytest.raises(ConfigError, match="prebuffers.*finite"):
+            Study("fig4", prebuffers=(20.0, value))
 
     def test_unknown_param_dies_at_construction(self):
         with pytest.raises(ConfigError, match="clients"):
