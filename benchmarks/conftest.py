@@ -36,10 +36,10 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def pytest_addoption(parser):
-    # CI-sized pass: `pytest benchmarks/bench_perf_core.py --smoke`
-    # shrinks workload sizes and skips the speedup floors (shared CI
-    # runners are too noisy to assert ratios on) while still exercising
-    # every path and archiving the measured numbers.
+    # CI-sized pass: `pytest benchmarks/bench_x6_multiclient.py --smoke`
+    # (and x8) shrinks workload sizes and skips the speedup floors
+    # (shared CI runners are too noisy to assert ratios on) while still
+    # exercising every path and archiving the measured numbers.
     parser.addoption(
         "--smoke",
         action="store_true",

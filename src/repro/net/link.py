@@ -29,20 +29,10 @@ import math
 from functools import partial
 from collections.abc import Callable, Iterator
 
-import numpy as np
-
 from ..errors import ConfigError, LinkDownError, NetworkError
 from .bandwidth import BandwidthProcess
 from .env import Environment
 from .events import Event
-
-#: Flow count at and above which the link switches from per-flow Python
-#: arithmetic to one vectorized numpy pass (settlement, allocation, and
-#: completion scheduling).  Below the threshold the scalar code runs so
-#: small experiments keep their historical bit-exact outputs; the two
-#: paths agree to float rounding (reduction order differs), and the
-#: path taken depends on the flow count alone.
-_VECTOR_THRESHOLD = 8
 
 
 def max_min_allocation(capacity: float, caps: list[float]) -> list[float]:
@@ -78,32 +68,6 @@ def max_min_allocation(capacity: float, caps: list[float]) -> list[float]:
             for unfrozen in order[position:]:
                 rates[unfrozen] = share
             break
-    return rates
-
-
-def _max_min_allocation_array(capacity: float, caps: "np.ndarray") -> "np.ndarray":
-    """Vectorized water-filling over a cap array (large flow counts).
-
-    Same algorithm as :func:`max_min_allocation` in one numpy pass:
-    with caps sorted ascending every flow before the first cap
-    exceeding its equal share is frozen at its cap, and that first flow
-    and all later ones get the share.  Frozen rates are *copied* from
-    the caps, so ``rate == cap`` comparisons stay bitwise-exact.
-    """
-    n = caps.size
-    order = np.argsort(caps, kind="stable")
-    sorted_caps = caps[order]
-    frozen_before = np.empty(n)
-    frozen_before[0] = 0.0
-    np.cumsum(sorted_caps[:-1], out=frozen_before[1:])
-    shares = (capacity - frozen_before) / np.arange(n, 0, -1)
-    unfrozen = sorted_caps > shares
-    rates_sorted = sorted_caps.copy()
-    if unfrozen.any():
-        first = int(np.argmax(unfrozen))
-        rates_sorted[first:] = shares[first]
-    rates = np.empty(n)
-    rates[order] = rates_sorted
     return rates
 
 
@@ -360,19 +324,7 @@ class Link:
         self._last_settle = now
         if elapsed <= 0:
             return
-        flows = self._flows
-        if len(flows) >= _VECTOR_THRESHOLD:
-            rates = np.array([f.rate for f in flows])
-            remaining = np.array([f.remaining for f in flows])
-            delivered = np.minimum(rates * elapsed, remaining)
-            total = float(delivered.sum())
-            if total > 0.0:
-                remaining -= delivered
-                for flow, left in zip(flows, remaining.tolist(), strict=True):
-                    flow.remaining = left
-                self.bytes_carried += total
-            return
-        for flow in flows:
+        for flow in self._flows:
             delivered = min(flow.rate * elapsed, flow.remaining)
             if delivered > 0:
                 flow.remaining -= delivered
@@ -430,22 +382,12 @@ class Link:
             self._armed = True
             self.env.call_at(self._segment_end, self._boundary)
         capacity = 0.0 if self._down else self._capacity
-        if len(flows) >= _VECTOR_THRESHOLD:
-            caps = np.array([f.cap for f in flows])
-            rate_array = _max_min_allocation_array(capacity, caps)
-            remaining = np.array([f.remaining for f in flows])
-            completion = np.full(len(flows), math.inf)
-            np.divide(remaining, rate_array, out=completion, where=rate_array > 0.0)
-            next_event = float(completion.min())
-            for flow, rate in zip(flows, rate_array.tolist(), strict=True):
-                flow.rate = rate
-        else:
-            rates = max_min_allocation(capacity, [f.cap for f in flows])
-            next_event = math.inf
-            for flow, rate in zip(flows, rates, strict=True):
-                flow.rate = rate
-                if rate > 0:
-                    next_event = min(next_event, flow.remaining / rate)
+        rates = max_min_allocation(capacity, [f.cap for f in flows])
+        next_event = math.inf
+        for flow, rate in zip(flows, rates, strict=True):
+            flow.rate = rate
+            if rate > 0:
+                next_event = min(next_event, flow.remaining / rate)
         for flow in flows:
             # A doubling only changes the allocation while the cap binds
             # (rates are exactly the cap for saturated flows); unbinding

@@ -206,9 +206,14 @@ class Broker:
             raise ConfigError("submission needs an 'experiment' id string")
         if not isinstance(params, Mapping) or not isinstance(axes, Mapping):
             raise ConfigError("'params' and 'axes' must be JSON objects")
+        for name, values in axes.items():
+            if not isinstance(values, list):
+                raise ConfigError(
+                    f"axis {name!r} must be a JSON array of values, got {type(values).__name__}"
+                )
         study = Study(experiment, **dict(params))
         if axes:
-            study = study.grid(**{name: list(values) for name, values in axes.items()})
+            study = study.grid(**axes)
         definition = study.definition
         fingerprint = "" if self.cache is None else code_fingerprint()
         job_id = f"{experiment}-{os.urandom(6).hex()}"

@@ -48,6 +48,7 @@ from urllib.parse import parse_qs, urlsplit
 from typing import Any
 
 from ..errors import ConfigError, ReproError
+from ..http.h1 import MAX_BODY
 from ..http.headers import parse_digits
 from .broker import Broker
 
@@ -130,12 +131,16 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_json(self) -> dict[str, Any]:
         # Surrounding whitespace is the header's optional padding, as in h1.
         length = _index((self.headers.get("Content-Length") or "0").strip(), "Content-Length")
+        if length > MAX_BODY:  # refused before reading: read() would allocate it
+            raise ConfigError(f"Content-Length {length} exceeds the {MAX_BODY}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             body = json.loads(raw.decode())
-        except ValueError as exc:  # undecodable, not JSON, or past int()'s digit limit
+        # Undecodable, not JSON, past int()'s digit limit, or nested
+        # deeper than the decoder's recursion limit.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(body, dict):
             raise ConfigError(f"request body must be a JSON object, got {type(body).__name__}")

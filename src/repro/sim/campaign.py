@@ -197,9 +197,8 @@ class OutcomeBatch:
     def column_mismatches(self, other: "OutcomeBatch") -> list[str]:
         """Names of columns that are not bit-identical to ``other``'s.
 
-        The determinism predicate the test wall and ``bench_perf_core``
-        assert on; see :func:`dense_field_mismatches` for the
-        comparison semantics.
+        The determinism predicate the test wall asserts on; see
+        :func:`dense_field_mismatches` for the comparison semantics.
         """
         return dense_field_mismatches(self, other)
 

@@ -168,6 +168,31 @@ class TestLinkTransfers:
         # Total time can't beat capacity.
         assert env.now >= sum(sizes) / 1e6 * (1 - 1e-9)
 
+    def test_twelve_flows_with_mixed_caps_share_by_the_scalar_allocator(self, env):
+        # Twelve concurrent flows on one link: the scalar water-filling
+        # sets every rate, bit for bit, whatever the flow count.  The
+        # caps are not round, so an allocator that subtracts a running
+        # sum of caps instead would round some shares differently.
+        link = Link(env, ConstantBandwidth(1.1e6))
+        caps = [math.inf, 40523.7, 160702.9, math.inf, 70978.6, 26030.4] * 2
+        sizes = [1.0e5 * (i % 5 + 1) + 333.3 * i for i in range(12)]
+        flows = [
+            link.start_flow(size, cap=cap) for size, cap in zip(sizes, caps, strict=True)
+        ]
+        for until in (0.05, 0.4, 0.9, 1.7):
+            env.run(until=until)
+            active = [f for f in flows if f.active]
+            assert active, until
+            assert [f.rate for f in active] == max_min_allocation(
+                link.capacity, [f.cap for f in active]
+            )
+        env.run(env.all_of([f.done for f in flows]))
+        assert all(f.finished_at is not None and f.remaining == 0.0 for f in flows)
+        assert link.bytes_carried == pytest.approx(
+            sum(f.bytes_delivered for f in flows), rel=1e-12
+        )
+        assert link.active_flow_count == 0
+
     def test_invalid_flow_sizes_rejected(self, env, link):
         with pytest.raises(Exception):
             link.start_flow(0)

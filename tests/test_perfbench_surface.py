@@ -97,3 +97,11 @@ def test_collection_probe_on_real_outcomes(specs):
 
 def test_kernel_storm_probe_counts_its_events():
     assert probes._callback_storm(chains=2, depth=10) > 0.0
+
+
+def test_kernel_and_tcp_probes_clear_their_sanity_floors():
+    """Floors two orders of magnitude under any real rate: they catch a
+    kernel or TCP path gone pathologically slow, not a regression."""
+    assert probes._callback_storm(chains=10, depth=300) > 10_000
+    assert probes._generator_storm(processes=10, timeouts=300) > 10_000
+    assert probes._tcp_exchanges(exchanges=300) > 100

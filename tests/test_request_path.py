@@ -581,6 +581,57 @@ def test_warm_get_inside_one_process_schedules_four_entries():
     assert counts == [12, 12, 12]
 
 
+def test_warm_fetch_range_run_event_budget():
+    """300 warm ``fetch_range`` calls of 64 KB against a token-checking
+    video server on an 80 Mbit/s, 20 ms path, delegated with
+    ``yield from`` as the simulated players do: 1237 scheduled entries.
+    Per request that is the RTT timer, ``flow.done`` and the link's
+    wakes for the body (the completion, a slow-start doubling while the
+    window still binds, a share of the once-per-second segment
+    boundary).  Through the five-deep process chain this replaced,
+    every request bought eight more (DESIGN.md "Request path")."""
+    requests = 300
+    env = Environment()
+    network = Network(env)
+    iface = NetworkInterface(
+        env,
+        "wlan0",
+        "wifi",
+        Link(env, ConstantBandwidth(mbit(80.0))),
+        ConstantLatency(0.020),
+        "wifi-net",
+        "10.0.0.2",
+    )
+    catalog = Catalog()
+    catalog.add(
+        VideoMeta(video_id="benchVIDEO1", title="t", author="a", duration_s=600.0, itags=(22,))
+    )
+    mint = TokenMint(secret=b"bench-token-secret")
+    host = network.add_host(Host("v1.example", network_id="wifi-net"))
+    SimHTTPServer(
+        host,
+        VideoServerApp(
+            catalog, mint, clock=lambda: env.now, pool="wifi-net", signature_secret=b"sig"
+        ),
+    )
+    token = mint.issue(0.0, "benchVIDEO1", "10.0.0.2", pool="wifi-net")
+    signature = stream_signature("benchVIDEO1", 22, b"sig")
+    client = SimHTTPClient(env, network, iface)
+
+    def main(env):
+        yield from client.connect("v1.example")
+        before = env.scheduled_count
+        for index in range(requests):
+            byte_range = ByteRange(index * 64 * 1024, (index + 1) * 64 * 1024)
+            yield from client.fetch_range(
+                "v1.example", "benchVIDEO1", 22, token, signature, byte_range
+            )
+        return env.scheduled_count - before
+
+    assert env.run(until=env.process(main(env))) == 1237
+    assert host.bytes_served == requests * 64 * 1024
+
+
 def test_single_path_world_event_budget():
     """310 range requests: 5184 scheduled entries through the process
     chain, 2684 with a ticker and OFF-period polls, 1286 on the playout

@@ -150,6 +150,16 @@ class TestSubmit:
         with pytest.raises(ConfigError):
             broker.submit({"experiment": "fig2", "params": [1, 2]})
 
+    @pytest.mark.parametrize(
+        "values", [5, "abc", {"2014": 1}, None], ids=["int", "string", "object", "null"]
+    )
+    def test_rejects_an_axis_that_is_not_a_list(self, make_broker, values):
+        broker = make_broker()
+        payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {"seed": values}}
+        with pytest.raises(ConfigError, match="axis 'seed' must be a JSON array"):
+            broker.submit(payload)
+        assert broker.lease("w0") is None
+
     def test_validation_happens_before_anything_queues(self, make_broker):
         broker = make_broker()
         with pytest.raises(ConfigError):

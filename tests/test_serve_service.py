@@ -28,6 +28,7 @@ from test_serve_broker import park
 
 from repro.cli import main
 from repro.errors import ConfigError, ServiceError
+from repro.http.h1 import MAX_BODY
 from repro.serve.broker import Broker
 from repro.serve.cells import cell_archive, execute_cell
 from repro.serve.client import BrokerClient
@@ -753,6 +754,24 @@ class TestMalformedRequests:
                 "JSON",
                 id="complete-cell-5000-digits",
             ),
+            # Past the decoder's recursion limit: RecursionError, not ValueError.
+            pytest.param(
+                "/api/v1/lease",
+                b"[" * 100_000 + b"]" * 100_000,
+                "JSON",
+                id="lease-nested-100000-deep",
+            ),
+            # An axis is a list of values: an int was iterated (TypeError)
+            # and a string split into characters.
+            *(
+                pytest.param(
+                    "/api/v1/studies",
+                    {"experiment": "fig2", "params": {"trials": 1}, "axes": {"seed": value}},
+                    "axis 'seed' must be a JSON array",
+                    id=name,
+                )
+                for value, name in [(5, "submit-axis-an-int"), ("abc", "submit-axis-a-string")]
+            ),
         ],
     )
     def test_post_body(self, tmp_path, path, body, field):
@@ -778,6 +797,12 @@ class TestMalformedRequests:
             "+5",
             "1_0",
             "9" * 20,
+            # Past the h1 parser's body limit, refused before the read:
+            # reading raised OverflowError, MemoryError, or waited for
+            # bytes that never came.
+            "9223372036854775806",
+            "100000000000",
+            str(MAX_BODY + 1),
         ],
     )
     def test_content_length(self, tmp_path, length):

@@ -249,9 +249,10 @@ class TestOutcomeBatch:
         assert result.cycle_durations() == expected
 
     def test_traffic_fractions_match_metrics(self, result):
-        for phase in ("prebuffer", "rebuffer", "all"):
-            expected = [o.metrics.traffic_fraction(0, phase) for o in result.outcomes]
-            assert result.batch.traffic_fractions(0, phase).tolist() == expected
+        for path_id in (0, 1):
+            for phase in ("prebuffer", "rebuffer", "all"):
+                expected = [o.metrics.traffic_fraction(path_id, phase) for o in result.outcomes]
+                assert result.batch.traffic_fractions(path_id, phase).tolist() == expected
 
     def test_out_of_range_path_is_zero(self, result):
         # Both sides: beyond the widest path id, and negative (which
