@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.config import PlayerConfig
-from ..core.session import PlayerSession
-from ..sim.driver import MSPlayerDriver, SessionOutcome
+from ..sim.driver import MSPlayerDriver
 from ..sim.scenario import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,10 +92,6 @@ class MPTCPLikeDriver(MSPlayerDriver):
             runtime.signature = primary.signature
         yield from super()._fetch(command)
 
-    def run(self) -> SessionOutcome:
-        outcome = super().run()
-        return outcome
-
     @property
     def server_concentration(self) -> float:
         """Fraction of bytes served by the busiest video server (1.0 = all)."""
@@ -109,14 +104,3 @@ if TYPE_CHECKING:  # pragma: no cover - static conformance declaration
 
     def _declares_session_driver(driver: MPTCPLikeDriver) -> "SessionDriver":
         return driver
-
-
-def aggregate_session_paths(session: PlayerSession) -> list[str]:
-    """The distinct server addresses a session actually used (test aid)."""
-    servers: list[str] = []
-    for path in session.paths.values():
-        try:
-            servers.append(path.sources.active)
-        except Exception:  # sources exhausted: path died
-            continue
-    return servers

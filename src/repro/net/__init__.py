@@ -6,7 +6,7 @@ This package is the testbed the paper ran on, rebuilt in software:
   with generator-based processes, in the style popularized by SimPy;
 * stochastic capacity and latency processes (:mod:`repro.net.bandwidth`,
   :mod:`repro.net.latency`) modelling WiFi and LTE dynamics;
-* a fluid bottleneck link with processor sharing among active flows
+* a fluid bottleneck link that carries one flow at a time
   (:mod:`repro.net.link`) and a TCP connection model on top of it
   (:mod:`repro.net.tcp`) that charges 3-way-handshake, slow-start, and
   per-request round-trip costs — the effects the paper's chunk scheduler

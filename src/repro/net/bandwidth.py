@@ -68,9 +68,9 @@ class ConstantBandwidth(BandwidthProcess):
     __slots__ = ("segment_duration",)
 
     def __init__(self, rate: float, segment_duration: float = 1.0) -> None:
-        if rate <= 0:
+        if not rate > 0:
             raise ConfigError(f"rate must be positive, got {rate}")
-        if segment_duration <= 0:
+        if not segment_duration > 0:
             raise ConfigError("segment_duration must be positive")
         self.mean_rate = float(rate)
         self.segment_duration = float(segment_duration)
@@ -102,7 +102,7 @@ class MarkovBandwidth(BandwidthProcess):
         if len(states) < 2:
             raise ConfigError("MarkovBandwidth needs at least two states")
         for rate, holding in states:
-            if rate <= 0 or holding <= 0:
+            if not (rate > 0 and holding > 0):
                 raise ConfigError(f"invalid state (rate={rate}, holding={holding})")
         self.states = [(float(r), float(h)) for r, h in states]
         self._rng = rng
@@ -175,13 +175,13 @@ class ARLogNormalBandwidth(BandwidthProcess):
         floor_fraction: float = 0.1,
         ceiling_fraction: float = 4.0,
     ) -> None:
-        if mean_rate <= 0:
+        if not mean_rate > 0:
             raise ConfigError("mean_rate must be positive")
         if not 0.0 <= rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {rho}")
-        if sigma < 0:
+        if not sigma >= 0:
             raise ConfigError("sigma must be non-negative")
-        if interval <= 0:
+        if not interval > 0:
             raise ConfigError("interval must be positive")
         self.mean_rate = float(mean_rate)
         self.sigma = float(sigma)
@@ -230,7 +230,7 @@ class TraceBandwidth(BandwidthProcess):
         if not trace:
             raise ConfigError("trace must be non-empty")
         for duration, rate in trace:
-            if duration <= 0 or rate <= 0:
+            if not (duration > 0 and rate > 0):
                 raise ConfigError(f"invalid trace segment ({duration}, {rate})")
         self.trace = [(float(d), float(r)) for d, r in trace]
         self.loop = loop

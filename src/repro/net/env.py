@@ -135,14 +135,14 @@ class Environment:
         No Event is allocated; the callback cannot be waited on or
         cancelled.  One validation per schedule happens here.
         """
-        if when < self._clock._now:
+        if not when >= self._clock._now:
             raise ClockError(f"cannot schedule a callback at {when} < now")
         self._counter = counter = self._counter + 1
         heappush(self._heap, (when, NORMAL, counter, callback))
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule a bare ``callback()`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise ClockError(f"cannot schedule a callback {delay} seconds in the past")
         self._counter = counter = self._counter + 1
         heappush(self._heap, (self._clock._now + delay, NORMAL, counter, callback))
@@ -157,7 +157,7 @@ class Environment:
         must yield it exactly once, immediately; it must never be
         stored, composed into conditions, or yielded after it fired.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ClockError(f"cannot schedule a timeout {delay} seconds in the past")
         pool = self._timer_pool
         if pool:
@@ -260,7 +260,7 @@ class Environment:
             while heap:
                 entry = heappop(heap)
                 when = entry[0]
-                if when < clock._now:
+                if not when >= clock._now:
                     raise ClockError(
                         f"clock moving backwards: {clock._now} -> {when}"
                     )
@@ -318,7 +318,7 @@ class Environment:
             return sentinel._value
 
         deadline = float(until)
-        if deadline < clock.now:
+        if not deadline >= clock.now:
             raise ClockError(f"cannot run until {deadline} < now {clock.now}")
         while heap and heap[0][0] <= deadline:
             entry = heappop(heap)

@@ -124,7 +124,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise ProcessError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self.delay = delay

@@ -47,7 +47,7 @@ class ConstantLatency(LatencyProcess):
     __slots__ = ()
 
     def __init__(self, one_way_delay: float) -> None:
-        if one_way_delay < 0:
+        if not one_way_delay >= 0:
             raise ConfigError(f"delay must be non-negative, got {one_way_delay}")
         self.base_delay = float(one_way_delay)
 
@@ -72,9 +72,9 @@ class JitteredLatency(LatencyProcess):
         rng: np.random.Generator,
         min_delay: float | None = None,
     ) -> None:
-        if one_way_delay < 0:
+        if not one_way_delay >= 0:
             raise ConfigError(f"delay must be non-negative, got {one_way_delay}")
-        if jitter_std < 0:
+        if not jitter_std >= 0:
             raise ConfigError(f"jitter_std must be non-negative, got {jitter_std}")
         self.base_delay = float(one_way_delay)
         self.jitter_std = float(jitter_std)

@@ -1,21 +1,24 @@
-"""Fluid bottleneck link with max-min (processor-sharing) bandwidth sharing.
+"""Fluid bottleneck link carrying one flow at a time.
 
 Each wireless interface in the paper's testbed has one bottleneck — the
 WiFi airlink or the LTE radio bearer.  We model each as a :class:`Link`:
 
 * capacity follows a :class:`~repro.net.bandwidth.BandwidthProcess`
   (piecewise constant);
-* concurrently active flows share capacity max-min fairly, with
-  per-flow *rate caps* used by the TCP model to express slow-start and
-  receive-window limits;
+* the link carries at most one flow, at the smaller of the capacity and
+  the flow's *rate cap* (the TCP model's slow-start and receive-window
+  limit).  MSPlayer keeps one persistent connection per interface with
+  one range request outstanding on it (§2, §4), so no two flows ever
+  meet on a link; a second concurrent ``start_flow`` is refused with
+  :class:`~repro.errors.ConfigError`;
 * the link can be taken down/up to model mobility events (the WiFi
   break scenario of §2 "Robust Data Transport").
 
 The implementation is event-driven fluid simulation: whenever the flow
-set, a cap, or the capacity changes, the link settles the bytes
-delivered since the last change, recomputes the allocation, and
-schedules the next completion.  Stale wake-ups are filtered with a
-version counter, so no O(n²) cancellation bookkeeping is needed.
+starts or ends, its cap doubles, or the capacity changes, the link
+settles the bytes delivered since the last change, recomputes the rate,
+and schedules the next completion.  Stale wake-ups are filtered with a
+version counter, so no cancellation bookkeeping is needed.
 
 Capacity is a pure function of simulated time, so no process drives it:
 the link steps its segment iterator forward when someone looks and
@@ -35,52 +38,15 @@ from .env import Environment
 from .events import Event
 
 
-def max_min_allocation(capacity: float, caps: list[float]) -> list[float]:
-    """Max-min fair rates for flows with upper bounds ``caps``.
-
-    Classic water-filling, done in one linear pass over the caps sorted
-    ascending: walking up the sorted order, a flow whose cap is below
-    the equal share of the remaining capacity is frozen at its cap and
-    the surplus is redistributed among the flows still unfrozen; the
-    first flow whose cap exceeds its share ends the walk — it and every
-    later (larger-capped) flow get the equal share.
-
-    >>> max_min_allocation(10.0, [2.0, float("inf")])
-    [2.0, 8.0]
-    >>> max_min_allocation(9.0, [float("inf")] * 3)
-    [3.0, 3.0, 3.0]
-    """
-    if capacity < 0:
-        raise ConfigError("capacity must be non-negative")
-    n = len(caps)
-    if n == 0:
-        return []
-    rates = [0.0] * n
-    remaining = capacity
-    order = sorted(range(n), key=lambda i: caps[i])
-    for position, index in enumerate(order):
-        share = remaining / (n - position)
-        cap = caps[index]
-        if cap <= share:
-            rates[index] = cap
-            remaining -= cap
-        else:
-            for unfrozen in order[position:]:
-                rates[unfrozen] = share
-            break
-    return rates
-
-
 class FlowHandle:
     """A single fluid transfer in progress on a link.
 
-    Exposes the completion :class:`Event` (``done``), live accounting
-    (``bytes_delivered``, ``rate``), and knobs the TCP model uses
-    (``set_cap``).  A flow may carry a *slow-start ramp*: its cap
-    doubles every ``ramp_rtt`` seconds up to ``ramp_limit``, with the
-    doubling instants computed analytically by the link (no pacer
-    process, no per-doubling timeout events).  Cancel with
-    :meth:`abort` (fails ``done`` with the given exception).
+    Exposes the completion :class:`Event` (``done``) and live
+    accounting (``bytes_delivered``, ``rate``).  A flow may carry a
+    *slow-start ramp*: its cap doubles every ``ramp_rtt`` seconds up to
+    ``ramp_limit``, with the doubling instants computed analytically by
+    the link (no pacer process, no per-doubling timeout events).
+    Cancel with :meth:`abort` (fails ``done`` with the given exception).
     """
 
     __slots__ = (
@@ -105,11 +71,11 @@ class FlowHandle:
         ramp_rtt: float | None = None,
         ramp_limit: float = math.inf,
     ) -> None:
-        if total_bytes <= 0:
+        if not total_bytes > 0:
             raise ConfigError(f"flow size must be positive, got {total_bytes}")
-        if cap <= 0:
+        if not cap > 0:
             raise ConfigError(f"flow cap must be positive, got {cap}")
-        if ramp_rtt is not None and ramp_rtt <= 0:
+        if ramp_rtt is not None and not ramp_rtt > 0:
             raise ConfigError(f"ramp_rtt must be positive, got {ramp_rtt}")
         self.link = link
         self.total_bytes = float(total_bytes)
@@ -133,15 +99,6 @@ class FlowHandle:
     @property
     def active(self) -> bool:
         return not self.done.triggered
-
-    def set_cap(self, cap: float) -> None:
-        """Update the flow's rate cap (bytes/s); ``inf`` removes it."""
-        if cap <= 0:
-            raise ConfigError(f"flow cap must be positive, got {cap}")
-        if not self.active:
-            return
-        self.cap = float(cap)
-        self.link._state_changed()
 
     def abort(self, error: NetworkError | None = None) -> None:
         """Terminate the flow; ``done`` fails with ``error``.
@@ -183,7 +140,7 @@ class FlowHandle:
 
 
 class Link:
-    """One bottleneck link: lazily advanced capacity schedule + active flow set."""
+    """One bottleneck link: lazily advanced capacity schedule + at most one flow."""
 
     __slots__ = (
         "env",
@@ -192,7 +149,7 @@ class Link:
         "_capacity",
         "_segment_end",
         "_armed",
-        "_flows",
+        "_flow",
         "_version",
         "_last_settle",
         "_down",
@@ -216,7 +173,7 @@ class Link:
         self._segment_end = env.now
         #: True while a boundary wake-up is queued (one chain per link).
         self._armed = False
-        self._flows: list[FlowHandle] = []
+        self._flow: FlowHandle | None = None
         self._version = 0
         self._last_settle = env.now
         self._down = False
@@ -240,7 +197,7 @@ class Link:
 
     @property
     def active_flow_count(self) -> int:
-        return len(self._flows)
+        return 0 if self._flow is None else 1
 
     def start_flow(
         self,
@@ -255,15 +212,19 @@ class Link:
         schedule: the cap doubles every ``ramp_rtt`` seconds until it
         reaches ``ramp_limit`` (both in bytes/s terms on the cap).
 
-        Raises :class:`~repro.errors.LinkDownError` immediately if the
-        link is down — starting a transfer needs connectivity, whereas
-        flows already in progress merely stall while down.
+        Raises :class:`~repro.errors.ConfigError` if the link already
+        carries a flow (a link carries one flow at a time; the running
+        flow is left untouched), and :class:`~repro.errors.LinkDownError`
+        if the link is down — starting a transfer needs connectivity,
+        whereas a flow already in progress merely stalls while down.
         """
+        if self._flow is not None:
+            raise ConfigError(f"{self.name} already carries a flow")
         if self._down:
             raise LinkDownError(f"{self.name} is down")
         flow = FlowHandle(self, total_bytes, cap, ramp_rtt=ramp_rtt, ramp_limit=ramp_limit)
         self._settle()
-        self._flows.append(flow)
+        self._flow = flow
         self._state_changed(settled=True)
         return flow
 
@@ -278,9 +239,9 @@ class Link:
             listener(down)
 
     def reset_flows(self, error: NetworkError | None = None) -> None:
-        """Abort every active flow (e.g. hard handover kills connections)."""
-        for flow in list(self._flows):
-            flow.abort(error or NetworkError(f"{self.name}: flows reset"))
+        """Abort the active flow, if any (e.g. hard handover kills connections)."""
+        if self._flow is not None:
+            self._flow.abort(error or NetworkError(f"{self.name}: flows reset"))
 
     # -- internal fluid machinery ----------------------------------------------
 
@@ -304,77 +265,75 @@ class Link:
         self._segment_end = end
 
     def _boundary(self) -> None:
-        """A segment ended while flows were (or had just been) active.
+        """A segment ended while a flow was (or had just been) active.
 
-        Settles and re-allocates even if the rate did not change: the
-        split of ``elapsed`` at the boundary is part of every byte
-        count's rounding.  A link left without flows ends the chain;
-        the next ``start_flow`` arms a new one.
+        Settles and re-rates even if the rate did not change: the split
+        of ``elapsed`` at the boundary is part of every byte count's
+        rounding.  A link left without a flow ends the chain; the next
+        ``start_flow`` arms a new one.
         """
         self._state_changed()
-        if self._flows:
+        if self._flow is not None:
             self.env.call_at(self._segment_end, self._boundary)
         else:
             self._armed = False
 
     def _settle(self) -> None:
-        """Account bytes delivered since the last allocation change."""
+        """Account bytes delivered since the last rate change."""
         now = self.env.now
         elapsed = now - self._last_settle
         self._last_settle = now
-        if elapsed <= 0:
+        flow = self._flow
+        if elapsed <= 0 or flow is None:
             return
-        for flow in self._flows:
-            delivered = min(flow.rate * elapsed, flow.remaining)
-            if delivered > 0:
-                flow.remaining -= delivered
-                self.bytes_carried += delivered
+        delivered = min(flow.rate * elapsed, flow.remaining)
+        if delivered > 0:
+            flow.remaining -= delivered
+            self.bytes_carried += delivered
 
     def _detach(self, flow: FlowHandle) -> None:
-        if flow in self._flows:
+        if flow is self._flow:
             self._settle()
-            self._flows.remove(flow)
+            self._flow = None
             self._state_changed(settled=True)
 
     def _state_changed(self, settled: bool = False) -> None:
-        """Recompute allocation and (re)arm the next wake-up.
+        """Recompute the flow's rate and (re)arm the next wake-up.
 
-        The wake-up is the earliest of (a) the next flow completion at
-        current rates and (b) the next slow-start doubling of a flow
-        whose cap currently binds its rate — the closed-form substitute
-        for the per-exchange pacer process.  With flows present it also
-        steps the capacity schedule to ``now`` and makes sure the
-        segment-boundary chain is armed; without any, capacity is left
+        The wake-up is the earlier of (a) the flow's completion at its
+        current rate and (b) its next slow-start doubling while its cap
+        binds the rate — the closed-form substitute for the
+        per-exchange pacer process.  With a flow present it also steps
+        the capacity schedule to ``now`` and makes sure the
+        segment-boundary chain is armed; without one, capacity is left
         alone and nothing is scheduled.
         """
         if not settled:
             self._settle()
         self._version += 1
+        flow = self._flow
+        if flow is None:
+            return
         now = self.env.now
 
-        # Catch up the analytic slow-start schedules before allocating:
-        # every doubling instant that has passed takes effect here, so
-        # the caps are exact whenever the allocation is recomputed.
-        for flow in self._flows:
-            if flow._ramp_at is not None:
-                flow._advance_ramp(now)
+        # Catch up the analytic slow-start schedule before rating: every
+        # doubling instant that has passed takes effect here, so the cap
+        # is exact whenever the rate is recomputed.
+        if flow._ramp_at is not None:
+            flow._advance_ramp(now)
 
-        # Complete flows that have (numerically) hit zero remaining
+        # Complete a flow that has (numerically) hit zero remaining
         # bytes.  The microbyte tolerance absorbs float crumbs from the
         # rate*elapsed settlements; real chunks are >= 16 KB.
-        finished = [f for f in self._flows if f.remaining <= 1e-6]
-        if finished:
-            for flow in finished:
-                self._flows.remove(flow)
-                flow.rate = 0.0
-                flow.remaining = 0.0
-                flow.finished_at = now
-                flow.done.succeed(flow)
+        if flow.remaining <= 1e-6:
+            self._flow = None
+            flow.rate = 0.0
+            flow.remaining = 0.0
+            flow.finished_at = now
+            flow.done.succeed(flow)
             self._version += 1
-
-        flows = self._flows
-        if not flows:
             return
+
         self._advance_capacity()
         if not self._armed:
             # ``call_at``, not ``call_later``: ``now + (end - now)`` can
@@ -382,18 +341,15 @@ class Link:
             self._armed = True
             self.env.call_at(self._segment_end, self._boundary)
         capacity = 0.0 if self._down else self._capacity
-        rates = max_min_allocation(capacity, [f.cap for f in flows])
-        next_event = math.inf
-        for flow, rate in zip(flows, rates, strict=True):
-            flow.rate = rate
-            if rate > 0:
-                next_event = min(next_event, flow.remaining / rate)
-        for flow in flows:
-            # A doubling only changes the allocation while the cap binds
-            # (rates are exactly the cap for saturated flows); unbinding
-            # caps are advanced analytically at the next state change.
-            if flow._ramp_at is not None and flow.rate == flow.cap:
-                next_event = min(next_event, flow._ramp_at - now)
+        # Test the cap first, so ``rate == cap`` holds exactly when the
+        # cap binds.
+        cap = flow.cap
+        rate = flow.rate = cap if cap <= capacity else capacity
+        next_event = flow.remaining / rate if rate > 0 else math.inf
+        if flow._ramp_at is not None and rate == cap:
+            # A doubling only changes the rate while the cap binds; an
+            # unbinding cap is advanced analytically at the next change.
+            next_event = min(next_event, flow._ramp_at - now)
         if math.isfinite(next_event):
             # Floor the delay at one representable step of the clock so
             # the wake-up is guaranteed to advance time (otherwise a
@@ -403,7 +359,7 @@ class Link:
             self._arm_wake(max(next_event, minimum_step))
 
     def _arm_wake(self, delay: float) -> None:
-        """Schedule the next allocation-change wake-up on the fast lane.
+        """Schedule the next rate-change wake-up on the fast lane.
 
         ``call_later`` queues the bound callback directly: no Timeout,
         no Event, no lambda — zero allocations beyond the partial, and
@@ -419,4 +375,4 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "down" if self._down else f"{self._capacity:.0f}B/s"
-        return f"<Link {self.name} {state} flows={len(self._flows)}>"
+        return f"<Link {self.name} {state} flow={self._flow!r}>"

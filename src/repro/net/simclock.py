@@ -22,7 +22,7 @@ class SimClock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
+        if not start >= 0:
             raise ClockError(f"clock cannot start at negative time {start}")
         self._now = float(start)
 
@@ -33,7 +33,7 @@ class SimClock:
 
     def advance_to(self, when: float) -> None:
         """Move the clock forward to ``when`` (used only by the event loop)."""
-        if when < self._now:
+        if not when >= self._now:
             raise ClockError(f"clock moving backwards: {self._now} -> {when}")
         self._now = when
 

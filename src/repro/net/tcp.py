@@ -10,8 +10,9 @@ choice).  What the chunk scheduler feels from TCP is:
 * slow-start: a fresh (or long-idle) connection ramps its window from
   ``IW`` segments, doubling per RTT, so short transfers never reach
   link rate — the reason 16 KB chunks are disproportionately bad;
-* steady state: competing flows share the bottleneck (handled by
-  :class:`~repro.net.link.Link`'s max-min allocation).
+* steady state: the flow runs at the bottleneck's capacity.  An
+  interface has one exchange in flight at a time, so a
+  :class:`~repro.net.link.Link` carries one flow and refuses a second.
 
 We model the congestion window as a *rate cap* ``cwnd / RTT`` on the
 link flow, doubled every RTT until the flow is no longer cap-limited.
@@ -57,11 +58,11 @@ class TCPParams:
     max_window: int = 4 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.mss <= 0 or self.initial_window <= 0:
+        if not (self.mss > 0 and self.initial_window > 0):
             raise ConfigError("mss and initial_window must be positive")
-        if self.idle_reset_after < 0:
+        if not self.idle_reset_after >= 0:
             raise ConfigError("idle_reset_after must be non-negative")
-        if self.max_window < self.mss * self.initial_window:
+        if not self.max_window >= self.mss * self.initial_window:
             raise ConfigError("max_window smaller than the initial window")
 
     @property

@@ -6,14 +6,15 @@ settles, stores the new rate and re-allocates, whether or not a flow is
 there to notice.  The lazy :class:`repro.net.link.Link` must agree with
 it bit for bit on everything a flow can observe (completion times,
 ``bytes_carried``, capacity, ``finished_at``); only the number of kernel
-events may differ.  Flow handles and the scalar ``max_min_allocation``
-are shared with the product: they did not change.  The product link
-dropped its numpy path for eight or more flows (no workload puts two
-flows on one link), so that threshold and the array allocator are kept
-here verbatim, as the old link ran them.  At eight or more concurrent
-flows the two links may therefore round rates differently; the
-schedules the lazy wall generates stay below that (at most four
-concurrent flows in 3 000 generated examples).
+events may differ.  Flow handles are shared with the product.
+
+The product link carries one flow and refuses a second, so it lost its
+allocators; the oracle owns them now, verbatim as the old link ran
+them: the scalar ``max_min_allocation`` (moved here from
+``repro.net.link``), and the numpy threshold and array allocator for
+eight or more flows.  ``EagerLink`` itself still shares capacity among
+any number of flows; the lazy wall never starts a second flow on a busy
+link, so the two are compared on one-flow schedules only.
 """
 
 from __future__ import annotations
@@ -24,10 +25,47 @@ from functools import partial
 
 import numpy as np
 
-from repro.errors import LinkDownError, NetworkError
+from repro.errors import ConfigError, LinkDownError, NetworkError
 from repro.net.bandwidth import BandwidthProcess
 from repro.net.env import Environment
-from repro.net.link import FlowHandle, max_min_allocation
+from repro.net.link import FlowHandle
+
+
+def max_min_allocation(capacity: float, caps: list[float]) -> list[float]:
+    """Max-min fair rates for flows with upper bounds ``caps``.
+
+    Classic water-filling, done in one linear pass over the caps sorted
+    ascending: walking up the sorted order, a flow whose cap is below
+    the equal share of the remaining capacity is frozen at its cap and
+    the surplus is redistributed among the flows still unfrozen; the
+    first flow whose cap exceeds its share ends the walk — it and every
+    later (larger-capped) flow get the equal share.
+
+    >>> max_min_allocation(10.0, [2.0, float("inf")])
+    [2.0, 8.0]
+    >>> max_min_allocation(9.0, [float("inf")] * 3)
+    [3.0, 3.0, 3.0]
+    """
+    if capacity < 0:
+        raise ConfigError("capacity must be non-negative")
+    n = len(caps)
+    if n == 0:
+        return []
+    rates = [0.0] * n
+    remaining = capacity
+    order = sorted(range(n), key=lambda i: caps[i])
+    for position, index in enumerate(order):
+        share = remaining / (n - position)
+        cap = caps[index]
+        if cap <= share:
+            rates[index] = cap
+            remaining -= cap
+        else:
+            for unfrozen in order[position:]:
+                rates[unfrozen] = share
+            break
+    return rates
+
 
 #: Flow count at and above which the link switches from per-flow Python
 #: arithmetic to one vectorized numpy pass (settlement, allocation, and

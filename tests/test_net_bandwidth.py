@@ -1,6 +1,7 @@
 """Bandwidth processes: segment validity and long-run means."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,31 @@ def time_average(process, horizon: float) -> float:
             break
     return weighted / horizon
 
+
+
+def _rng():
+    return np.random.Generator(np.random.PCG64(5))
+
+
+#: A NaN passes every ``x <= 0`` check, then leaves a flow stalled at
+#: zero bytes (or the chain's stationary solve failing to converge).
+NAN_PROCESSES = {
+    "constant-rate": lambda: ConstantBandwidth(math.nan),
+    "constant-duration": lambda: ConstantBandwidth(1e6, segment_duration=math.nan),
+    "trace-duration": lambda: TraceBandwidth([(math.nan, 1e6)]),
+    "trace-rate": lambda: TraceBandwidth([(1.0, 1e6), (1.0, math.nan)]),
+    "ar-mean": lambda: ARLogNormalBandwidth(math.nan, 0.5, _rng()),
+    "ar-sigma": lambda: ARLogNormalBandwidth(1e6, math.nan, _rng()),
+    "ar-interval": lambda: ARLogNormalBandwidth(1e6, 0.5, _rng(), interval=math.nan),
+    "markov-rate": lambda: MarkovBandwidth([(math.nan, 1.0), (1e6, 1.0)], _rng()),
+    "markov-holding": lambda: MarkovBandwidth([(1e6, math.nan), (1e6, 1.0)], _rng()),
+}
+
+
+@pytest.mark.parametrize("make", NAN_PROCESSES.values(), ids=NAN_PROCESSES.keys())
+def test_nan_parameters_rejected(make):
+    with pytest.raises(ConfigError):
+        make()
 
 class TestConstant:
     def test_segments(self):

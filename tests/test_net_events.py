@@ -1,5 +1,7 @@
 """Discrete-event kernel semantics: events, processes, conditions."""
 
+import math
+
 import pytest
 
 from repro.errors import Interrupt, ProcessError
@@ -29,6 +31,9 @@ class TestTimeouts:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ProcessError):
             env.timeout(-1.0)
+        with pytest.raises(ProcessError):
+            env.timeout(math.nan)
+        assert env.peek() == math.inf
 
     def test_zero_delay_fires_immediately(self, env):
         def proc(env):

@@ -24,6 +24,7 @@ from repro.errors import ClockError, ConfigError, Interrupt
 from repro.net.bandwidth import ConstantBandwidth
 from repro.net.env import EmptySchedule, Environment
 from repro.net.link import Link
+from repro.net.simclock import SimClock
 
 
 class TestHeapOrdering:
@@ -383,23 +384,29 @@ class TestClosedFormSlowStart:
         env.run(until=flow.done)
         assert env.now == pytest.approx(0.5, rel=1e-9)
 
-    def test_contended_ramp_only_wakes_while_cap_binds(self, env):
-        """A ramping flow competing with an uncapped one: the capped
-        flow's share is its cap while the cap binds; once doubled past
-        the fair share, the allocation is an even split."""
-        link = self._link(env, rate=100_000.0)
-        capped = link.start_flow(1_000_000.0, cap=10_000.0, ramp_rtt=1.0, ramp_limit=1e9)
-        open_flow = link.start_flow(1_000_000.0)
-        env.run(until=2.0)
-        # t in [0,1): capped 10k/s, open 90k/s; t in [1,2): 20k/80k.
-        assert capped.bytes_delivered == pytest.approx(30_000.0, rel=1e-6)
-        assert open_flow.bytes_delivered == pytest.approx(170_000.0, rel=1e-6)
+    def test_lone_ramp_only_wakes_while_cap_binds(self, env):
+        """A lone ramping flow runs at its cap while the cap binds, and
+        each doubling wakes the link.  At t=4 the cap doubles to
+        160 kB/s, past the 100 kB/s link: the rate is the capacity from
+        then on, and no later doubling schedules anything (the link's
+        one segment outlasts the flow, so no boundary wakes it either)."""
+        link = Link(env, ConstantBandwidth(100_000.0, segment_duration=100.0))
+        flow = link.start_flow(1_000_000.0, cap=10_000.0, ramp_rtt=1.0, ramp_limit=1e9)
         env.run(until=3.0)
-        # t in [2,3): cap 40k < share? share is 50k -> capped at 40k.
-        assert capped.bytes_delivered == pytest.approx(70_000.0, rel=1e-6)
+        # 10k + 20k + 40k: the cap bound for three whole seconds.
+        assert flow.bytes_delivered == 70_000.0
+        assert flow.rate == flow.cap == 80_000.0
         env.run(until=4.0)
-        # cap hit 80k > 50k share: even split from t=3.
-        assert capped.bytes_delivered == pytest.approx(120_000.0, rel=1e-6)
+        assert flow.bytes_delivered == 150_000.0
+        assert flow.rate == 100_000.0 and flow.cap == 160_000.0
+        scheduled = env.scheduled_count
+        env.run(until=12.0)
+        assert env.scheduled_count == scheduled
+        # The remaining 850 kB at the link rate: 8.5 s after t=4.
+        env.run(until=flow.done)
+        assert flow.finished_at == 12.5
+        assert link.bytes_carried == 1_000_000.0
+        assert env.scheduled_count == scheduled + 1  # ``flow.done``
 
     def test_negative_ramp_rtt_rejected(self, env):
         link = self._link(env)
@@ -429,6 +436,19 @@ class TestCallbackFastLane:
             env.call_at(4.9, lambda: None)
         with pytest.raises(ClockError):
             env.call_later(-0.1, lambda: None)
+        # NaN compares false both ways, so each guard must fail it.
+        with pytest.raises(ClockError):
+            env.call_at(math.nan, lambda: None)
+        with pytest.raises(ClockError):
+            env.call_later(math.nan, lambda: None)
+        with pytest.raises(ClockError):
+            env.run(until=math.nan)
+        with pytest.raises(ClockError):
+            SimClock(math.nan)
+        clock = SimClock(5.0)
+        with pytest.raises(ClockError):
+            clock.advance_to(math.nan)
+        assert env.now == 5.0 and clock.now == 5.0 and env.peek() == math.inf
 
     def test_fifo_with_events_at_same_time(self, env):
         """Fast-lane entries share the one FIFO counter with events, so
@@ -484,6 +504,9 @@ class TestPooledTimers:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ClockError):
             env.pooled_timeout(-1.0)
+        with pytest.raises(ClockError):
+            env.pooled_timeout(math.nan)
+        assert env.peek() == math.inf
 
     def test_instances_recycle(self, env):
         """Back-to-back pooled timers run out of a bounded working set:

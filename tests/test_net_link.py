@@ -1,17 +1,17 @@
-"""Fluid link: max-min allocation, sharing dynamics, outages."""
+"""Fluid link: one flow at a time, caps, outages; the oracle's max-min allocator."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import LinkDownError, NetworkError
+from repro.errors import ConfigError, LinkDownError, NetworkError
 from repro.net.bandwidth import ConstantBandwidth, TraceBandwidth
 from repro.net.env import Environment
-from repro.net.link import Link, max_min_allocation
-from repro.units import mbit
+from repro.net.link import Link
 
 from conftest import make_link
+from eager_link import max_min_allocation
 
 
 class TestMaxMinAllocation:
@@ -102,48 +102,11 @@ class TestLinkTransfers:
         env.run(flow.done)
         assert env.now == pytest.approx(2.0, rel=1e-6)
 
-    def test_two_flows_share_equally(self, env):
-        link = make_link(env, mbps=8.0)
-        a = link.start_flow(1_000_000)
-        b = link.start_flow(1_000_000)
-        env.run(a.done & b.done)
-        assert a.finished_at == pytest.approx(2.0, rel=1e-6)
-        assert b.finished_at == pytest.approx(2.0, rel=1e-6)
-
-    def test_staggered_arrival_processor_sharing(self, env):
-        link = Link(env, ConstantBandwidth(1e6))
-        first = link.start_flow(1_500_000)
-
-        def later(env):
-            yield env.timeout(1.0)
-            second = link.start_flow(500_000)
-            yield second.done
-            return second
-
-        process = env.process(later(env))
-        env.run(first.done & process)
-        # first: 1s alone (1e6 B) then shares 0.5e6 B/s for its last 0.5e6 B.
-        assert first.finished_at == pytest.approx(2.0, rel=1e-6)
-        assert process.value.finished_at == pytest.approx(2.0, rel=1e-6)
-
     def test_cap_limits_rate(self, env):
         link = Link(env, ConstantBandwidth(1e6))
         flow = link.start_flow(500_000, cap=250_000.0)
         env.run(flow.done)
         assert env.now == pytest.approx(2.0, rel=1e-6)
-
-    def test_raising_cap_mid_flight_speeds_up(self, env):
-        link = Link(env, ConstantBandwidth(1e6))
-        flow = link.start_flow(1_000_000, cap=250_000.0)
-
-        def raiser(env):
-            yield env.timeout(1.0)
-            flow.set_cap(math.inf)
-
-        env.process(raiser(env))
-        env.run(flow.done)
-        # 1 s at 250 kB/s, then 750 kB at 1 MB/s.
-        assert env.now == pytest.approx(1.75, rel=1e-6)
 
     def test_capacity_change_reshapes_completion(self, env):
         trace = TraceBandwidth([(1.0, 1e6), (100.0, 2e6)])
@@ -159,45 +122,76 @@ class TestLinkTransfers:
         env.run(flow.done)
         assert link.bytes_carried == pytest.approx(3_000_000, rel=1e-9)
 
-    def test_conservation_with_many_flows(self, env):
-        link = Link(env, ConstantBandwidth(1e6))
-        sizes = [100_000 * (i + 1) for i in range(6)]
-        flows = [link.start_flow(size) for size in sizes]
-        env.run(env.all_of([f.done for f in flows]))
-        assert link.bytes_carried == pytest.approx(sum(sizes), rel=1e-9)
-        # Total time can't beat capacity.
-        assert env.now >= sum(sizes) / 1e6 * (1 - 1e-9)
-
-    def test_twelve_flows_with_mixed_caps_share_by_the_scalar_allocator(self, env):
-        # Twelve concurrent flows on one link: the scalar water-filling
-        # sets every rate, bit for bit, whatever the flow count.  The
-        # caps are not round, so an allocator that subtracts a running
-        # sum of caps instead would round some shares differently.
-        link = Link(env, ConstantBandwidth(1.1e6))
-        caps = [math.inf, 40523.7, 160702.9, math.inf, 70978.6, 26030.4] * 2
-        sizes = [1.0e5 * (i % 5 + 1) + 333.3 * i for i in range(12)]
-        flows = [
-            link.start_flow(size, cap=cap) for size, cap in zip(sizes, caps, strict=True)
-        ]
-        for until in (0.05, 0.4, 0.9, 1.7):
-            env.run(until=until)
-            active = [f for f in flows if f.active]
-            assert active, until
-            assert [f.rate for f in active] == max_min_allocation(
-                link.capacity, [f.cap for f in active]
-            )
-        env.run(env.all_of([f.done for f in flows]))
-        assert all(f.finished_at is not None and f.remaining == 0.0 for f in flows)
-        assert link.bytes_carried == pytest.approx(
-            sum(f.bytes_delivered for f in flows), rel=1e-12
-        )
-        assert link.active_flow_count == 0
-
     def test_invalid_flow_sizes_rejected(self, env, link):
         with pytest.raises(Exception):
             link.start_flow(0)
         with pytest.raises(Exception):
             link.start_flow(100, cap=0.0)
+
+    @pytest.mark.parametrize("nan", ["total_bytes", "cap", "ramp_rtt"])
+    def test_nan_flow_parameters_rejected(self, env, link, nan):
+        arguments = {"total_bytes": 1000.0, "cap": 5.0e5, "ramp_rtt": 0.02}
+        arguments[nan] = math.nan
+        with pytest.raises(ConfigError):
+            link.start_flow(**arguments)
+        assert link.active_flow_count == 0 and env.scheduled_count == 0
+
+
+class TestOneFlowPerLink:
+    """A link carries one flow; a second concurrent start is refused."""
+
+    @staticmethod
+    def _run(refuse_at, second_start):
+        env = Environment()
+        link = Link(env, TraceBandwidth([(0.3, 1.0e6), (0.7, 2.0e5), (1.1, 3.0e6)]), "wlan0")
+        flow = link.start_flow(1.5e6, cap=1.0e5, ramp_rtt=0.07, ramp_limit=2.0e6)
+        env.run(until=refuse_at)
+        if second_start:
+            with pytest.raises(ConfigError, match="wlan0"):
+                link.start_flow(1.0e5)
+            assert link.active_flow_count == 1 and flow.active
+        env.run(until=30.0)
+        return flow.finished_at, flow.bytes_delivered, link.bytes_carried, env.scheduled_count
+
+    # 0.0: the first flow's own instant; 0.21: while its cap binds;
+    # 0.3: on a segment boundary; 1.6: after the ramp has unbound.
+    @pytest.mark.parametrize("refuse_at", [0.0, 0.21, 0.3, 1.6])
+    def test_a_second_start_raises_and_changes_nothing(self, refuse_at):
+        refused = self._run(refuse_at, second_start=True)
+        assert refused == self._run(refuse_at, second_start=False)
+        assert refused[0] is not None and refused[0] > refuse_at
+
+    def test_a_busy_link_refuses_even_while_down(self, env):
+        link = Link(env, ConstantBandwidth(1.0e6), "lte0")
+        flow = link.start_flow(1.0e6)
+        env.run(until=0.5)
+        link.set_down(True)
+        with pytest.raises(ConfigError, match="lte0"):
+            link.start_flow(1.0e5)
+        link.set_down(False)
+        env.run(flow.done)
+        assert flow.finished_at == 1.0
+
+    @pytest.mark.parametrize("ending", ["complete", "abort", "reset"])
+    def test_a_new_flow_starts_once_the_link_is_free(self, env, ending):
+        link = Link(env, ConstantBandwidth(1.0e6))
+        first = link.start_flow(2.5e5)
+        if ending == "complete":
+            env.run(first.done)
+        else:
+            env.run(until=0.1)
+            if ending == "abort":
+                first.abort()
+            else:
+                link.reset_flows()
+        assert link.active_flow_count == 0 and not first.active
+        started = env.now
+        second = link.start_flow(5.0e5)
+        assert link.active_flow_count == 1
+        env.run(second.done)
+        assert second.finished_at == started + 0.5
+        assert link.active_flow_count == 0
+        assert link.bytes_carried == pytest.approx(first.bytes_delivered + 5.0e5, rel=1e-12)
 
 
 class TestLinkFailure:

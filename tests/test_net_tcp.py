@@ -1,5 +1,7 @@
 """TCP connection model: handshakes, request timing, slow start, resets."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, ConnectionClosedError, LinkDownError, NetworkError
@@ -167,6 +169,12 @@ class TestExchange:
 
         run_process(env, main(env))
 
+
+
+@pytest.mark.parametrize("field", ["mss", "initial_window", "idle_reset_after", "max_window"])
+def test_nan_params_rejected(field):
+    with pytest.raises(ConfigError):
+        TCPParams(**{field: math.nan})
 
 class TestFailures:
     def test_reset_mid_transfer_raises_in_waiter(self, env):

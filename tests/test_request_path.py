@@ -124,16 +124,27 @@ VARIANTS = {
 
 
 class World:
-    """One link, two server hosts, ``clients`` clients on one interface."""
+    """Two server hosts and ``clients`` clients, each on its own
+    interface and link (a link carries one flow); ``bandwidth`` makes
+    each link's capacity process."""
 
     def __init__(self, client_cls, call, bandwidth=None, clients=1, overload=None):
         self.env = env = Environment()
         self.call = call
         self.network = Network(env)
-        self.link = Link(env, bandwidth or ConstantBandwidth(mbit(8)))
-        self.iface = NetworkInterface(
-            env, "wlan0", "wifi", self.link, ConstantLatency(0.010), "wifi-net", "10.0.0.2"
-        )
+        self.ifaces = [
+            NetworkInterface(
+                env,
+                f"wlan{index}",
+                "wifi",
+                Link(env, bandwidth() if bandwidth else ConstantBandwidth(mbit(8))),
+                ConstantLatency(0.010),
+                "wifi-net",
+                f"10.0.0.{index + 2}",
+            )
+            for index in range(clients)
+        ]
+        self.iface = self.ifaces[0]
         self.hosts, self.servers = {}, {}
         for address in (ADDRESS, OTHER):
             host = self.network.add_host(
@@ -165,7 +176,7 @@ class World:
             overload_threshold=overload,
         )
         self.token = mint.issue(0.0, VIDEO_ID, "10.0.0.2", pool="wifi-net")
-        self.clients = [client_cls(env, self.network, self.iface) for _ in range(clients)]
+        self.clients = [client_cls(env, self.network, iface) for iface in self.ifaces]
         self.client = self.clients[0]
         self.log: list[Snapshot] = []
 
@@ -239,7 +250,7 @@ class World:
                 server.requests_served,
                 host.bytes_served,
                 len(host._connections),
-                self.link.bytes_carried,
+                client.iface.link.bytes_carried,
                 None
                 if connection is None
                 else ConnectionState(
@@ -271,10 +282,7 @@ def run_everywhere(*scripts, disturb=None, **world_kwargs):
     """
     runs = {}
     for name, (client_cls, call) in VARIANTS.items():
-        kwargs = dict(world_kwargs)
-        if "bandwidth" in kwargs:
-            kwargs["bandwidth"] = kwargs["bandwidth"]()
-        world = World(client_cls, call, **kwargs)
+        world = World(client_cls, call, **world_kwargs)
         if disturb is not None:
             disturb(world)
         runs[name] = world.run(*scripts)
@@ -531,7 +539,7 @@ class TestFlatClientEqualsProcessChain:
         assert by_label["second-redials"].outcome[0] == 206
         assert [entry.label for entry in log] == ["connect", "second", "first", "second-redials"]
 
-    def test_two_clients_share_one_link(self):
+    def test_two_clients_on_two_links(self):
         def bandwidth():
             rng = np.random.Generator(np.random.PCG64([2014, 7]))
             return ARLogNormalBandwidth(1.0e6, sigma=0.5, rng=rng, rho=0.7, interval=0.3)
@@ -551,6 +559,10 @@ class TestFlatClientEqualsProcessChain:
         log, counts = run_everywhere(one, two, bandwidth=bandwidth, clients=2, overload=1)
         assert all(isinstance(outcome[0], int) for outcome in outcomes(log))
         assert len(log) == 11
+        # Each snapshot reads its own client's link: both carried bytes.
+        last_carried = {entry.label[0]: entry.bytes_carried for entry in log}
+        assert last_carried["a"] > 0.0 and last_carried["b"] > 0.0
+        assert last_carried["a"] != last_carried["b"]
         assert counts["product"] < counts["parent"]
 
 
