@@ -14,9 +14,7 @@ same byte-identity bar as every campaign:
   trace — exactly the retired loop's semantics) and walks one estimator
   over it;
 * the dense row is the single ``mean_error`` scalar
-  (:data:`ESTIMATOR_COLUMNS`); the side channel carries only the
-  estimator name, and :meth:`EstimatorTraceSpec.rebuild` inverts the
-  pair exactly;
+  (:data:`ESTIMATOR_COLUMNS`); the side record is the estimator name;
 * :class:`EstimatorCampaign` demultiplexes into per-estimator
   :class:`EstimatorResult`s whose columnar :class:`EstimatorBatch`
   plugs into the same :func:`~repro.sim.campaign.dense_field_mismatches`
@@ -27,7 +25,6 @@ same byte-identity bar as every campaign:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -79,12 +76,6 @@ class EstimatorTraceOutcome(NamedTuple):
     mean_error: float
 
 
-class _EstimatorSide(NamedTuple):
-    """Side-channel remainder: just the name (the scalar is dense)."""
-
-    estimator: str
-
-
 @dataclass(frozen=True)
 class EstimatorTraceSpec:
     """One estimator's walk over the burst trace, self-contained."""
@@ -118,18 +109,9 @@ class EstimatorTraceSpec:
     def dense_row(self, result: EstimatorTraceOutcome) -> tuple:
         return (result.mean_error,)
 
-    def encode_side(self, result: EstimatorTraceOutcome) -> _EstimatorSide:
-        return _EstimatorSide(result.estimator)
-
-    @staticmethod
-    def rebuild(
-        dense: dict[str, np.ndarray], sides: Sequence[_EstimatorSide]
-    ) -> list[EstimatorTraceOutcome]:
-        errors = dense["mean_error"]
-        return [
-            EstimatorTraceOutcome(side.estimator, float(errors[i]))
-            for i, side in enumerate(sides)
-        ]
+    def encode_side(self, result: EstimatorTraceOutcome) -> str:
+        """The side record: the estimator name (the scalar is dense)."""
+        return result.estimator
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,23 +130,20 @@ class EstimatorBatch:
 
 
 class EstimatorResult:
-    """One estimator label's outcomes (one per registered trial) and
-    their columnar batch."""
+    """One estimator label's columnar batch (one row per registered
+    trial)."""
 
-    def __init__(
-        self, label: str, batch: EstimatorBatch, outcomes: list[EstimatorTraceOutcome]
-    ) -> None:
+    def __init__(self, label: str, batch: EstimatorBatch) -> None:
         self.label = label
         self.batch = batch
-        self.outcomes = outcomes
 
     @property
     def mean_error(self) -> float:
         """The (single-trial) tracking error for this estimator."""
-        return self.outcomes[0].mean_error
+        return float(self.batch.mean_error[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EstimatorResult(label={self.label!r}, n={len(self.outcomes)})"
+        return f"EstimatorResult(label={self.label!r}, n={len(self.batch)})"
 
 
 class EstimatorCampaign(Campaign):
@@ -173,8 +152,4 @@ class EstimatorCampaign(Campaign):
     def _result(
         self, label: str, dense: dict[str, np.ndarray], sides: list
     ) -> EstimatorResult:
-        return EstimatorResult(
-            label,
-            EstimatorBatch(mean_error=dense["mean_error"]),
-            EstimatorTraceSpec.rebuild(dense, sides),
-        )
+        return EstimatorResult(label, EstimatorBatch(mean_error=dense["mean_error"]))

@@ -180,12 +180,12 @@ def _render_fig1(params: Mapping, results: Mapping) -> ExperimentResult:
     raw: dict[str, dict[str, dict[str, float]]] = {}
     for theta in params["thetas"]:
         rtt_lte = theta * rtt_wifi
-        outcome = results[f"theta={theta}"].outcomes[0]
+        side = results[f"theta={theta}"].sides[0]
         measured = {
-            "psi_wifi": outcome.path_json_delay.get(0, float("nan")),
-            "psi_lte": outcome.path_json_delay.get(1, float("nan")),
-            "pi_wifi": outcome.path_first_video_delay.get(0, float("nan")),
-            "pi_lte": outcome.path_first_video_delay.get(1, float("nan")),
+            "psi_wifi": side.path_json_delay.get(0, float("nan")),
+            "psi_lte": side.path_json_delay.get(1, float("nan")),
+            "pi_wifi": side.path_first_video_delay.get(0, float("nan")),
+            "pi_lte": side.path_first_video_delay.get(1, float("nan")),
         }
         predicted = {
             "psi_wifi": psi(rtt_wifi, _FIG1_TLS),
@@ -781,10 +781,10 @@ def _plan_x2(params: Mapping) -> ExperimentPlan:
 def _render_x2(results: Mapping) -> ExperimentResult:
     ms, mp = results["x2-ms"], results["x2-mptcp"]
 
-    def concentration(outcomes) -> float:
+    def concentration(sides) -> float:
         tops = []
-        for outcome in outcomes:
-            served = outcome.server_bytes
+        for side in sides:
+            served = side.server_bytes
             total = sum(served.values())
             if total:
                 tops.append(max(served.values()) / total)
@@ -793,11 +793,11 @@ def _render_x2(results: Mapping) -> ExperimentResult:
     raw = {
         "msplayer": {
             "median_startup_s": summarize(ms.startup_delays()).median,
-            "peak_server_share": concentration(ms.outcomes),
+            "peak_server_share": concentration(ms.sides),
         },
         "mptcp_like": {
             "median_startup_s": summarize(mp.startup_delays()).median,
-            "peak_server_share": concentration(mp.outcomes),
+            "peak_server_share": concentration(mp.sides),
         },
     }
     rows = [

@@ -588,8 +588,6 @@ def _command_cache(args: argparse.Namespace) -> int:
         max_bytes = (
             parse_size(args.max_bytes) if args.max_bytes is not None else None
         )
-        if args.max_age is not None and args.max_age < 0:
-            raise ConfigError("--max-age must be >= 0 days")
         removed, freed = cache.gc(
             everything=args.everything,
             max_bytes=max_bytes,

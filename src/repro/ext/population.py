@@ -37,12 +37,11 @@ population builds its whole world from its own derived seed.  So:
 * the ragged per-client remainder — every client's
   :class:`~repro.sim.shm.SideRecord` plus the population's
   ``server_bytes`` — is a :class:`PopulationSideRecord` (on the pool,
-  it rides the result pipe), whose :meth:`~PopulationSideRecord.
-  rebuild` inverts it into the exact :class:`MultiClientResult`;
+  it rides the result pipe);
 * :class:`PopulationCampaign` demultiplexes per policy into columnar
   :class:`PopulationBatch`es (CSR per-client start-up delays next to
-  the dense replicate columns), wrapped in lazy
-  :class:`PopulationResult`s.
+  the dense replicate columns), each wrapped in a
+  :class:`PopulationResult`.
 
 Determinism bar, same as every other campaign: every engine collects
 the same columns, so serial and process runs produce bit-identical
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, ClassVar, NamedTuple
 
 import numpy as np
@@ -66,7 +64,7 @@ from ..sim.campaign import Campaign, dense_field_mismatches
 from ..sim.driver import SessionOutcome
 from ..sim.profiles import NetworkProfile
 from ..sim.scenario import Scenario, ScenarioConfig, World
-from ..sim.shm import ColumnLayout, encode_side, rebuild_outcome
+from ..sim.shm import ColumnLayout, encode_side
 from .adaptive import AdaptiveOutcome
 
 __all__ = [
@@ -337,35 +335,6 @@ class PopulationSideRecord(NamedTuple):
             if side.playback_started_at is not None
         ]
 
-    def rebuild(self) -> MultiClientResult:
-        """Invert :meth:`PopulationSpec.encode_side` exactly."""
-        return MultiClientResult(
-            policy=self.policy,
-            outcomes=[
-                rebuild_outcome(side, finished_at, failovers)
-                for side, finished_at, failovers in zip(
-                    self.client_sides,
-                    self.client_finished_at,
-                    self.client_failovers,
-                    strict=True,
-                )
-            ],
-            server_bytes=dict(self.server_bytes),
-        )
-
-
-def rebuild_populations(
-    dense: dict[str, np.ndarray], sides: Sequence[PopulationSideRecord]
-) -> list[MultiClientResult]:
-    """Materialize result objects from a columnar population collection.
-
-    The dense columns are aggregates *derived* from the side records,
-    so the rebuild needs only the sides; the signature matches the
-    ``TrialCollection`` rebuild contract.
-    """
-    del dense
-    return [side.rebuild() for side in sides]
-
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -403,8 +372,6 @@ class PopulationSpec:
             client_failovers=tuple(o.metrics.failovers for o in result.outcomes),
             client_sides=tuple(encode_side(o) for o in result.outcomes),
         )
-
-    rebuild = staticmethod(rebuild_populations)
 
 
 # ---------------------------------------------------------------------------
@@ -492,35 +459,17 @@ class PopulationBatch:
 
 
 class PopulationResult:
-    """One policy's results across seed replicates.
+    """One policy's results across seed replicates: the population
+    analogue of :class:`~repro.sim.campaign.TrialResult`, its columnar
+    batch."""
 
-    The population analogue of
-    :class:`~repro.sim.campaign.TrialResult`: the columnar batch plus a
-    thunk that rebuilds the :class:`MultiClientResult`s only if
-    something walks them.
-    """
-
-    def __init__(
-        self,
-        label: str,
-        batch: PopulationBatch,
-        result_thunk: Callable[[], list[MultiClientResult]],
-    ) -> None:
+    def __init__(self, label: str, batch: PopulationBatch) -> None:
         self.label = label
         self.batch = batch
-        self._thunk = result_thunk
-        self._results: list[MultiClientResult] | None = None
 
     @property
     def policy(self) -> str:
         return self.label
-
-    @property
-    def results(self) -> list[MultiClientResult]:
-        """The per-replicate result objects, materialized on first use."""
-        if self._results is None:
-            self._results = self._thunk()
-        return self._results
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -545,8 +494,4 @@ class PopulationCampaign(Campaign):
     def _result(
         self, label: str, dense: dict[str, np.ndarray], sides: list
     ) -> PopulationResult:
-        return PopulationResult(
-            label,
-            PopulationBatch.from_dense_and_sides(dense, sides),
-            partial(rebuild_populations, dense, sides),
-        )
+        return PopulationResult(label, PopulationBatch.from_dense_and_sides(dense, sides))

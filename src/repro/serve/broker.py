@@ -60,6 +60,7 @@ bottleneck at cell-sized work units.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sqlite3
 import threading
@@ -126,8 +127,14 @@ class Broker:
         clock: Callable[[], float] = time.time,
         log: Callable[[str], None] | None = None,
     ) -> None:
-        if lease_timeout <= 0:
-            raise ConfigError(f"lease_timeout must be > 0, got {lease_timeout}")
+        # Written so NaN fails too (a NaN deadline never expires), and
+        # bounded by the longest wait a thread can make: the workers'
+        # heartbeat waits a third of it.
+        if not 0 < lease_timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(
+                f"lease_timeout must be > 0 and <= {threading.TIMEOUT_MAX:.0f} s, "
+                f"got {lease_timeout}"
+            )
         if max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {max_attempts}")
         self.db_path = str(db_path)
@@ -585,8 +592,8 @@ class Broker:
         forever, only ``result`` reports the blobs gone.  Returns
         ``{"studies", "cells", "bytes"}`` purge accounting.
         """
-        if keep_days < 0:
-            raise ConfigError(f"keep_days must be >= 0, got {keep_days}")
+        if not 0 <= keep_days < math.inf:  # NaN fails too
+            raise ConfigError(f"keep_days must be a finite number >= 0, got {keep_days}")
         cutoff = self._clock() - keep_days * 86400.0
         with self._open():
             rows = self._db.execute(

@@ -2,7 +2,7 @@
 
 ``Study.run(jobs="service")`` (or ``--backend service --broker URL``,
 or ``REPRO_JOBS=service`` + ``REPRO_BROKER``) resolves to this engine.
-Instead of mapping work specs locally it ships the *declarative* study
+Instead of collecting work specs locally it ships the *declarative* study
 to a broker, streams progress while the worker fleet executes (each
 status request long-polls, parked in the broker until a cell finishes,
 so progress arrives as it happens and nothing sleeps between requests),
@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import Any, NoReturn
 
 from ..errors import ConfigError, ServiceError
 from ..study.archive import parse_study
@@ -83,7 +83,7 @@ class ServiceEngine:
         else:
             print(message, file=sys.stderr)
 
-    def map(self, specs: Sequence[Any]) -> list:
+    def collect(self, specs: Sequence[Any]) -> NoReturn:
         raise ConfigError(
             "the service backend executes whole studies, not raw spec batches; "
             "go through Study.run / repro experiment --backend service"

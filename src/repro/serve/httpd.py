@@ -78,7 +78,9 @@ def _parse(kind: Callable[[Any], Any], raw: Any, what: str) -> Any:
     (a :class:`ConfigError`, hence a 400), not the handler's."""
     try:
         return kind(raw)
-    except (TypeError, ValueError):  # binascii.Error is a ValueError
+    # binascii.Error is a ValueError; an int too large for a float
+    # raises OverflowError.
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"malformed {what}: {raw!r:.60}") from None
 
 

@@ -37,7 +37,7 @@ from contextlib import suppress
 from collections.abc import Callable
 from typing import Any
 
-from ..errors import ServiceError
+from ..errors import ConfigError, ServiceError
 from ..sim.execution import resolve_engine
 from .cells import cell_archive, execute_cell
 from .client import BrokerClient
@@ -97,6 +97,13 @@ def run_worker(
     seconds.  Failed cells count as processed — the broker owns retry
     policy, not the worker.
     """
+    # Written so NaN fails too: a NaN, negative or zero poll would
+    # retry every failed request at once, and one past the longest wait
+    # a thread can make crashes ``stop.wait``.
+    if not 0 < poll <= threading.TIMEOUT_MAX:
+        raise ConfigError(
+            f"poll must be > 0 and <= {threading.TIMEOUT_MAX:.0f} s, got {poll}"
+        )
     client = BrokerClient(broker) if isinstance(broker, str) else broker
     name = worker_id or default_worker_id()
     engine = resolve_engine(jobs)

@@ -38,15 +38,13 @@ loops per trial.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Collection, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
-from .driver import SessionOutcome
 from .execution import ExecutionEngine, TrialSpec, resolve_engine
-from .shm import SideRecord, collect_trials, rebuild_outcomes
+from .shm import SideRecord, collect_trials
 
 __all__ = [
     "Campaign",
@@ -245,38 +243,26 @@ class OutcomeBatch:
 
 
 class TrialResult:
-    """One configuration's results across trials.
+    """One configuration's results across trials: the columnar batch
+    assembled from the collected columns, and the trials' side records
+    in trial order (what a reader needs beyond the batch — fig1's
+    per-path delays, x2's ``server_bytes``)."""
 
-    The columnar batch, assembled from the collected columns, plus a
-    thunk that rebuilds the ``SessionOutcome`` objects only if
-    something actually walks them (EXP-X2's per-server accounting
-    does; the figure pipelines never do).
-    """
-
-    def __init__(
-        self,
-        label: str,
-        batch: OutcomeBatch,
-        outcome_thunk: Callable[[], list[SessionOutcome]],
-    ) -> None:
+    def __init__(self, label: str, batch: OutcomeBatch, sides: list[SideRecord]) -> None:
         self.label = label
         self.batch = batch
-        self._thunk = outcome_thunk
-        self._outcomes: list[SessionOutcome] | None = None
-
-    @property
-    def outcomes(self) -> list[SessionOutcome]:
-        """The outcome objects, materialized on first access."""
-        if self._outcomes is None:
-            self._outcomes = self._thunk()
-        return self._outcomes
+        self.sides = sides
 
     def __eq__(self, other: object) -> bool:
-        # Value equality over (label, outcomes); the batch is derived
-        # from the same data.  Comparing materializes the outcomes.
+        # Value equality: the label, every column bit for bit, and the
+        # side records.
         if not isinstance(other, TrialResult):
             return NotImplemented
-        return self.label == other.label and self.outcomes == other.outcomes
+        return (
+            self.label == other.label
+            and self.sides == other.sides
+            and not self.batch.column_mismatches(other.batch)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TrialResult(label={self.label!r}, trials={len(self.batch)})"
@@ -354,7 +340,7 @@ class Campaign:
         in trial order — identical to running the configurations one at
         a time.  Each label's ``OutcomeBatch`` is assembled directly
         from the collected dense columns and side records, whatever the
-        engine, and the outcome objects stay lazy.
+        engine.
         ``engine=None`` resolves one the way :func:`run_together` does.
         """
         return run_together([self], engine)[0]
@@ -364,13 +350,9 @@ class Campaign:
     def _result(
         self, label: str, dense: dict[str, np.ndarray], sides: list
     ) -> TrialResult:
-        """Wrap one label's columnar slice: batch assembled from the
-        dense columns, result objects lazy."""
-        return TrialResult(
-            label,
-            OutcomeBatch.from_dense_and_sides(dense, sides),
-            partial(rebuild_outcomes, dense, sides),
-        )
+        """Wrap one label's columnar slice: the batch assembled from
+        it, and its side records."""
+        return TrialResult(label, OutcomeBatch.from_dense_and_sides(dense, sides), sides)
 
 
 def run_together(

@@ -26,17 +26,17 @@ pair back through the pool pipe; in process
 parent fills the columns from the rows with one helper,
 :func:`~repro.sim.shm.collect_units`.
 
-Determinism is the acceptance bar: ``engine.map(specs)`` returns
-outcomes in spec order, and every trial derives its randomness from its
-own seed, so parallel results are byte-identical to serial ones for the
-same root seed.  Select a backend with ``Study(...).run(jobs=...)``,
-``repro experiment --jobs N``, or the ``REPRO_JOBS`` environment
-variable (``N``, ``auto``, or ``serial``); :func:`resolve_engine` turns
-any of those into an engine.
+Determinism is the acceptance bar: ``engine.collect(specs)`` returns
+the columns and side records in spec order, and every trial derives its
+randomness from its own seed, so parallel collections are
+byte-identical to serial ones for the same root seed.  Select a backend
+with ``Study(...).run(jobs=...)``, ``repro experiment --jobs N``, or the
+``REPRO_JOBS`` environment variable (``N``, ``auto``, or ``serial``);
+:func:`resolve_engine` turns any of those into an engine.
 
 The engines are generic over the :class:`WorkSpec` protocol, not tied
 to per-trial specs: a spec kind supplies its own execution, dense
-column layout and row, side-channel encoding, and rebuild inverse.
+column layout and row, and side-channel encoding.
 ``TrialSpec`` (one player session per unit) and
 ``repro.ext.population.PopulationSpec`` (one whole multi-client
 population per unit) are the two kinds.
@@ -66,7 +66,6 @@ from .shm import (
     collect_units,
     dense_row,
     encode_side,
-    rebuild_outcomes,
 )
 from .singlepath import HTML5_CHUNK, SinglePathDriver
 
@@ -160,9 +159,7 @@ class WorkSpec(Protocol):
     a spec kind brings its own execution (:meth:`run`), its own dense
     column layout (``dense_columns``) and the row of plain scalars it
     stores there (:meth:`dense_row`, one value per column, in order),
-    its own side-channel encoding (:meth:`encode_side`), and the
-    inverse that materializes result objects from a columnar
-    collection (:meth:`rebuild`).
+    and its own side-channel encoding (:meth:`encode_side`).
     """
 
     label: str
@@ -174,9 +171,6 @@ class WorkSpec(Protocol):
     def dense_row(self, result: object) -> tuple: ...
 
     def encode_side(self, result: object) -> object: ...
-
-    @staticmethod
-    def rebuild(dense: dict, sides: Sequence) -> list: ...
 
 
 @dataclass(frozen=True)
@@ -208,10 +202,6 @@ class TrialSpec:
 
     def encode_side(self, result: SessionOutcome) -> SideRecord:
         return encode_side(result)
-
-    @staticmethod
-    def rebuild(dense: dict, sides: Sequence[SideRecord]) -> list[SessionOutcome]:
-        return rebuild_outcomes(dense, sides)
 
 
 def encode_unit(spec: WorkSpec, result: object) -> tuple:
@@ -262,8 +252,7 @@ def collect_in_process(
             encode_unit(spec, result)
             for spec, result in zip(specs, results, strict=True)
         )
-    rebuild = specs[0].rebuild if specs else rebuild_outcomes
-    return collect_units(units, _dense_layout(specs), rebuild)
+    return collect_units(units, _dense_layout(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +261,12 @@ def collect_in_process(
 
 
 class ExecutionEngine(Protocol):
-    """Maps work specs to their results, preserving spec order."""
+    """Collects work specs columnar, preserving spec order."""
 
     name: str
     jobs: int
 
-    def map(self, specs: Sequence[WorkSpec]) -> list: ...
+    def collect(self, specs: Sequence[WorkSpec]) -> TrialCollection: ...
 
 
 class SerialEngine:
@@ -285,9 +274,6 @@ class SerialEngine:
 
     name = "serial"
     jobs = 1
-
-    def map(self, specs: Sequence[WorkSpec]) -> list:
-        return [spec.run() for spec in specs]
 
     def collect(self, specs: Sequence[WorkSpec]) -> TrialCollection:
         return collect_in_process(specs)
@@ -345,9 +331,6 @@ class ProcessEngine:
         self.fallback_to_serial = fallback_to_serial
         self.name = "auto" if fallback_to_serial else "process"
 
-    def map(self, specs: Sequence[WorkSpec]) -> list:
-        return self.collect(specs).outcomes
-
     def collect(self, specs: Sequence[WorkSpec]) -> TrialCollection:
         """Run the batch and collect it columnar.
 
@@ -384,7 +367,7 @@ class ProcessEngine:
         chunksize = max(1, -(-len(specs) // (active * 4)))
         columns = _dense_layout(specs)  # a mixed batch fails before dispatch
         units = self._pool_map(run_unit, specs, chunksize)
-        return collect_units(units, columns, specs[0].rebuild)
+        return collect_units(units, columns)
 
     def _pool_map(self, fn, items: list, chunksize: int) -> list:
         # The pool is sized (and keyed) by self.jobs, not the batch:
@@ -422,13 +405,16 @@ def resolve_engine(jobs: int | str | ExecutionEngine | None = None) -> Execution
     * ``"service"`` — the distributed study backend
       (:class:`repro.serve.engine.ServiceEngine`; broker URL from
       ``REPRO_BROKER``) — ``Study.run`` ships whole studies to it
-      instead of mapping specs;
-    * an engine instance — passed through unchanged.
+      instead of collecting specs;
+    * an engine instance — passed through unchanged (anything with
+      ``collect``, or a map-only engine that
+      :func:`~repro.sim.shm.collect_trials` encodes itself).
     """
     if jobs is None:
         jobs = os.environ.get("REPRO_JOBS") or "serial"
-    if not isinstance(jobs, (int, str)) and hasattr(jobs, "map"):
-        # Any ExecutionEngine implementation, not just the built-ins.
+    if not isinstance(jobs, (int, str)) and (
+        hasattr(jobs, "collect") or hasattr(jobs, "map")
+    ):
         return jobs
     if isinstance(jobs, str):
         token = jobs.strip().lower()

@@ -26,28 +26,25 @@ layout-agnostic: ``create`` takes an ordered :data:`ColumnLayout`
 (:mod:`repro.ext.population`) store per-population aggregates per row
 and ship per-client remainders as their own side records.
 
-A full ``SessionOutcome`` can always be rebuilt exactly from one dense
-row plus its side record (:func:`rebuild_outcome`); consumers that walk
-outcome objects (EXP-X2's ``server_bytes`` accounting) get them lazily,
-while the analytics path never materializes them at all.
-
 Every engine hands the campaign the same :class:`TrialCollection` —
-dense columns, side records and the spec kind's rebuild inverse — so
-each result kind is assembled one way, from columns.  The test walls in
-``tests/test_sim_shm.py`` / ``tests/test_sim_campaign_properties.py``
-hold the columns to the object-built batches of
-``tests/object_batches.py``, on every engine.  (The module keeps its
-historical name: the end-to-end benchmark imports it.)
+dense columns and side records — and the columns plus side records are
+the whole collected result: each result kind is assembled from them,
+and a reader that needs a per-trial field the batch does not carry
+(fig1's per-path delays, x2's ``server_bytes``) reads it off the side
+record.  The test walls in ``tests/test_sim_shm.py`` /
+``tests/test_sim_campaign_properties.py`` hold the columns to the
+object-built batches of ``tests/object_batches.py`` and the side
+records to the workers' own encoding, on every engine.  (The module
+keeps its historical name: the end-to-end benchmark imports it.)
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from ..core.metrics import QoEMetrics, RebufferCycle, StallEvent
 from .driver import SessionOutcome
 
 __all__ = [
@@ -60,8 +57,6 @@ __all__ = [
     "collect_units",
     "dense_row",
     "encode_side",
-    "rebuild_outcome",
-    "rebuild_outcomes",
     "resolve_ipc",
 ]
 
@@ -153,7 +148,6 @@ class SideRecord(NamedTuple):
     in the arena, with the nested ``StallEvent`` / ``RebufferCycle``
     objects flattened to tuples — a pickle of this is a flat tuple of
     strings, floats, and small dicts instead of a dataclass graph.
-    ``rebuild_outcome`` inverts it exactly.
     """
 
     stop_reason: str
@@ -224,95 +218,25 @@ def encode_side(outcome: SessionOutcome) -> SideRecord:
     )
 
 
-def rebuild_outcome(
-    side: SideRecord, finished_at: float, failovers: int
-) -> SessionOutcome:
-    """Invert :func:`encode_side`: one dense row + side record →
-    a ``SessionOutcome`` equal (``==``) to the worker's original."""
-    metrics = QoEMetrics(
-        session_started_at=side.session_started_at,
-        playback_started_at=side.playback_started_at,
-        prebuffer_completed_at=side.prebuffer_completed_at,
-        playback_finished_at=side.playback_finished_at,
-        download_completed_at=side.download_completed_at,
-        prebuffer_bytes_by_path=dict(side.prebuffer_bytes_by_path),
-        rebuffer_bytes_by_path=dict(side.rebuffer_bytes_by_path),
-        requests_by_path=dict(side.metrics_requests_by_path),
-        active_time_by_path=dict(side.active_time_by_path),
-        path_bootstrap=dict(side.path_bootstrap),
-        stalls=[StallEvent(started, ended) for started, ended in side.stalls],
-        rebuffer_cycles=[
-            RebufferCycle(started, ended, level)
-            for started, ended, level in side.rebuffer_cycles
-        ],
-        failovers=int(failovers),
-        peak_out_of_order=side.metrics_peak_out_of_order,
-    )
-    return SessionOutcome(
-        metrics=metrics,
-        finished_at=float(finished_at),
-        stop_reason=side.stop_reason,
-        peak_out_of_order=side.peak_out_of_order,
-        path_json_delay=dict(side.path_json_delay),
-        path_first_video_delay=dict(side.path_first_video_delay),
-        server_bytes=dict(side.server_bytes),
-        requests_by_path=dict(side.requests_by_path),
-    )
-
-
-def rebuild_outcomes(
-    dense: dict[str, np.ndarray], sides: Sequence[SideRecord]
-) -> list[SessionOutcome]:
-    """Materialize full outcome objects for object-graph consumers."""
-    finished = dense["finished_at"]
-    failovers = dense["failovers"]
-    return [
-        rebuild_outcome(side, finished[i], failovers[i])
-        for i, side in enumerate(sides)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # What a collection hands back to the campaign layer
 # ---------------------------------------------------------------------------
 
 
-class TrialCollection:
+class TrialCollection(NamedTuple):
     """An engine's collected work units, columnar — what every engine
     hands the campaign layer, so each result kind is assembled one way.
 
     ``dense`` holds the arena's column copies and ``sides`` the side
-    records, both in spec order; the campaign assembles its batches
-    straight from them.  ``rebuild`` is the spec kind's
-    ``(dense, sides) -> results`` inverse: result objects materialize
-    only if something walks :attr:`outcomes`.
+    records, both in spec order.
     """
 
-    def __init__(
-        self,
-        dense: dict[str, np.ndarray],
-        sides: Sequence,
-        rebuild: Callable[[dict, Sequence], list],
-    ) -> None:
-        self.dense = dense
-        self.sides = list(sides)
-        self._rebuild = rebuild
-        self._outcomes: list | None = None
-
-    def __len__(self) -> int:
-        return len(self.sides)
-
-    @property
-    def outcomes(self) -> list:
-        if self._outcomes is None:
-            self._outcomes = self._rebuild(self.dense, self.sides)
-        return self._outcomes
+    dense: dict[str, np.ndarray]
+    sides: list
 
 
 def collect_units(
-    units: Iterable[tuple[Sequence, object]],
-    columns: ColumnLayout = DENSE_COLUMNS,
-    rebuild: Callable[[dict, Sequence], list] = rebuild_outcomes,
+    units: Iterable[tuple[Sequence, object]], columns: ColumnLayout = DENSE_COLUMNS
 ) -> TrialCollection:
     """Assemble work units' ``(dense_row, side)`` pairs, in spec order,
     into a collection — the one assembly every engine shares.
@@ -324,16 +248,15 @@ def collect_units(
     arena = OutcomeArena.create(len(units), columns)
     for row, (dense, _side) in enumerate(units):
         arena.write_row(row, dense)
-    return TrialCollection(
-        arena.read_columns(), [side for _dense, side in units], rebuild
-    )
+    return TrialCollection(arena.read_columns(), [side for _dense, side in units])
 
 
 def collect_trials(engine, specs) -> TrialCollection:
     """Run specs through an engine and collect them columnar.
 
-    The built-in engines ``collect`` themselves.  An engine that only
-    has ``map`` (a third-party ``ExecutionEngine``) has its results
+    An ``ExecutionEngine`` ``collect``s itself.  An engine that only
+    has ``map`` (spec batch → result objects, in spec order — the
+    end-to-end benchmark's tracing engine is one) has its results
     encoded through the same spec methods a pool worker calls.
     """
     collect = getattr(engine, "collect", None)

@@ -54,6 +54,7 @@ complete entry or none.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -477,6 +478,10 @@ class StudyCache:
 
         ``now`` overrides the wall clock (tests).
         """
+        if max_age_days is not None and not 0 <= max_age_days < math.inf:  # NaN fails too
+            raise ConfigError(
+                f"max_age_days must be a finite number >= 0, got {max_age_days}"
+            )
         removed = 0
         freed = 0
         current = code_fingerprint()

@@ -110,7 +110,13 @@ class Param:
                         f"{self.type.__name__}"
                     ) from None
         if self.type is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(
+                    f"param {self.name!r} must be a finite number, got an "
+                    "integer too large for a float"
+                ) from None
         if not isinstance(value, self.type) or (
             self.type is not bool and isinstance(value, bool)
         ):

@@ -58,6 +58,27 @@ def assert_batches_identical(a, b) -> None:
     )
 
 
+def assert_collected(collection, specs, reference) -> None:
+    """A collection holds exactly what the workers computed for ``specs``.
+
+    ``reference`` is ``[spec.run() for spec in specs]``.  Each dense
+    column must carry the bytes of the specs' own dense rows, and the
+    side records must equal the specs' own encoding of each result:
+    between them, every field of every result.
+    """
+    specs = list(specs)
+    layout = specs[0].dense_columns
+    assert list(collection.dense) == [name for name, _dtype in layout]
+    rows = [spec.dense_row(result) for spec, result in zip(specs, reference, strict=True)]
+    for index, (name, dtype) in enumerate(layout):
+        expected = np.array([row[index] for row in rows], dtype=dtype)
+        assert collection.dense[name].dtype == dtype, name
+        assert collection.dense[name].tobytes() == expected.tobytes(), name
+    assert collection.sides == [
+        spec.encode_side(result) for spec, result in zip(specs, reference, strict=True)
+    ]
+
+
 def study_result(experiment_id: str, jobs=None, **params):
     """The finished figure/table of one registered experiment, run the
     one way there is: ``Study(id, **params).run(jobs=...)``."""

@@ -467,7 +467,12 @@ class TestCacheGCBounds:
         capsys.readouterr()
         code = main(["cache", "gc", "--max-age", "-1", str(tmp_path / "cache")])
         assert code == 2
-        assert "--max-age" in capsys.readouterr().err
+        assert "max_age" in capsys.readouterr().err
+
+    def test_gc_nan_max_age_exits_2(self, tmp_path, capsys):
+        code = main(["cache", "gc", "--max-age", "nan", str(tmp_path / "cache")])
+        assert code == 2
+        assert "max_age" in capsys.readouterr().err
 
     def test_gc_unparseable_max_bytes_exits_2(self, tmp_path, capsys):
         assert self._sweep(tmp_path) == 0
@@ -507,3 +512,15 @@ class TestCacheGCBounds:
         code = main(["serve", "--db", str(db), "--gc", "--keep-days", "-2"])
         assert code == 2
         assert "keep_days" in capsys.readouterr().err
+
+    def test_serve_gc_nan_keep_days_exits_2(self, tmp_path, capsys):
+        db = tmp_path / "queue.sqlite3"
+        code = main(["serve", "--db", str(db), "--gc", "--keep-days", "nan"])
+        assert code == 2
+        assert "keep_days" in capsys.readouterr().err
+
+    def test_serve_nan_lease_timeout_exits_2(self, tmp_path, capsys):
+        db = tmp_path / "queue.sqlite3"
+        code = main(["serve", "--db", str(db), "--gc", "--lease-timeout", "nan"])
+        assert code == 2
+        assert "lease_timeout" in capsys.readouterr().err

@@ -48,9 +48,9 @@ class TestX1X2CrossBackend:
 
     @pytest.mark.parametrize("make_jobs", PARALLEL_BACKENDS)
     def test_x2_source_diversity_matches_serial(self, make_jobs):
-        """x2 is the outcome-object consumer: its per-server byte
-        accounting walks ``result.outcomes``, so this also pins the
-        shm path's lazy outcome rebuild to the serial objects."""
+        """x2 reads side records: its per-server byte accounting walks
+        each trial's ``server_bytes``, so this also pins the pool's side
+        records to the serial ones."""
         reference = study_result("x2", "serial", trials=2)
         _assert_experiments_identical(
             study_result("x2", make_jobs(), trials=2), reference

@@ -2,6 +2,7 @@
 
 import pytest
 
+from object_batches import population_batch_from_results
 from repro.errors import ConfigError
 from repro.ext.multi_client import MultiClientExperiment
 from repro.ext.population import PopulationCampaign, PopulationResult
@@ -120,4 +121,5 @@ class TestCompare:
             video_duration_s=60.0,
             seed=experiment.replicate_seed(0),
         ).run("rotate")
-        assert compared.results == [direct]
+        assert experiment.specs_for("rotate", 1)[0].run() == direct
+        assert compared.batch.column_mismatches(population_batch_from_results([direct])) == []

@@ -1,9 +1,9 @@
 """Population campaigns: whole populations as parallel work units.
 
 The acceptance bar mirrors the trial campaigns': a population campaign
-must produce bit-identical per-policy batches — and equal rebuilt
-result objects — across serial and process-shm collection for a fixed
-root seed.
+must produce bit-identical per-policy batches — and side records equal
+to the specs' own encoding of each population — across serial and
+process-shm collection for a fixed root seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import study_result
+from conftest import assert_collected, study_result
 from object_batches import population_batch_from_results
 from repro.ext.multi_client import MultiClientExperiment
 from repro.ext.population import (
@@ -28,7 +28,7 @@ from repro.ext.population import (
 )
 from repro.sim.execution import ProcessEngine, SerialEngine, resolve_engine
 from repro.sim.profiles import testbed_profile
-from repro.sim.shm import OutcomeArena
+from repro.sim.shm import OutcomeArena, collect_trials, encode_side
 
 #: Every collection path a population campaign can run on (factories —
 #: each test gets a fresh engine).
@@ -77,11 +77,15 @@ class TestPopulationSpec:
         assert a == b
         assert isinstance(a, MultiClientResult)
 
-    def test_side_record_rebuilds_exactly(self):
+    def test_side_record_carries_the_whole_population(self):
         spec = small_experiment().specs_for("static", 1)[0]
         result = spec.run()
-        side = spec.encode_side(result)
-        assert side.rebuild() == result
+        side = pickle.loads(pickle.dumps(spec.encode_side(result)))
+        assert (side.policy, side.replicate) == (result.policy, spec.trial)
+        assert side.server_bytes == result.server_bytes
+        assert list(side.client_finished_at) == [o.finished_at for o in result.outcomes]
+        assert list(side.client_failovers) == [o.metrics.failovers for o in result.outcomes]
+        assert list(side.client_sides) == [encode_side(o) for o in result.outcomes]
 
     def test_dense_row_through_arena_round_trips(self):
         spec = small_experiment().specs_for("rotate", 1)[0]
@@ -173,16 +177,24 @@ class TestPopulationCampaignDeterminism:
     def serial(self) -> dict[str, PopulationResult]:
         return self.campaign().run(SerialEngine())
 
+    @pytest.fixture(scope="class")
+    def specs(self) -> list[PopulationSpec]:
+        return [spec for batch in self.campaign()._batches for spec in batch]
+
+    @pytest.fixture(scope="class")
+    def reference(self, specs) -> list[MultiClientResult]:
+        return [spec.run() for spec in specs]
+
     @pytest.mark.parametrize("make_engine", BACKENDS)
-    def test_matches_serial(self, serial, make_engine):
+    def test_matches_serial(self, serial, specs, reference, make_engine):
         got = self.campaign().run(make_engine())
         assert list(got) == list(self.POLICIES)
         for policy in self.POLICIES:
             assert got[policy].batch.column_mismatches(serial[policy].batch) == []
             assert got[policy].startup_delays() == serial[policy].startup_delays()
-            # Materializing the lazy shm-path results must rebuild the
-            # exact objects the serial path produced.
-            assert got[policy].results == serial[policy].results
+        # The side records the engine collects are the specs' own
+        # encoding of the populations a serial run produces.
+        assert_collected(collect_trials(make_engine(), specs), specs, reference)
 
     def test_interleaves_policies(self):
         campaign = self.campaign()

@@ -7,6 +7,7 @@ validation, the sqlite file survives a broker restart with in-flight
 leases intact, and a warm cache turns a resubmission into zero work.
 """
 
+import math
 import threading
 import time
 from contextlib import suppress
@@ -165,6 +166,53 @@ class TestSubmit:
         with pytest.raises(ConfigError):
             broker.submit({"experiment": "fig2", "params": {}, "axes": {"seed": []}})
         assert broker.lease("w0") is None
+
+
+class TestTimingValidation:
+    """Every timing the broker or a worker waits on is refused at the
+    door unless a thread can wait that long: NaN fails the check too."""
+
+    # NaN stored a NULL deadline (the lease never expired); inf and
+    # anything past TIMEOUT_MAX crashed the workers' heartbeat waits.
+    @pytest.mark.parametrize(
+        "timeout", [math.nan, math.inf, threading.TIMEOUT_MAX * 4], ids=["nan", "inf", "huge"]
+    )
+    def test_lease_timeout_refused(self, make_broker, timeout):
+        with pytest.raises(ConfigError, match="lease_timeout"):
+            make_broker(lease_timeout=timeout)
+
+    @pytest.mark.parametrize("keep_days", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_keep_days_refused(self, make_broker, keep_days):
+        with pytest.raises(ConfigError, match="keep_days"):
+            make_broker().gc(keep_days=keep_days)
+
+    class _DeadBroker:
+        """A broker client whose every lease request fails, as an HTTP
+        broker's 400 for a malformed ``wait`` does; it trips ``stop``
+        after a bounded number of calls, so a spinning loop ends."""
+
+        def __init__(self, stop: threading.Event, limit: int = 50) -> None:
+            self.stop = stop
+            self.limit = limit
+            self.leases = 0
+
+        def lease(self, worker: str, wait: float = 0.0):
+            self.leases += 1
+            if self.leases >= self.limit:
+                self.stop.set()
+            raise ServiceError(f"400: malformed wait {wait!r}")
+
+    # NaN and negative polls retried every failed lease at once; inf
+    # crashed ``stop.wait``.
+    @pytest.mark.parametrize(
+        "poll", [math.nan, -1.0, 0.0, math.inf], ids=["nan", "negative", "zero", "inf"]
+    )
+    def test_worker_poll_refused_before_any_lease(self, poll):
+        stop = threading.Event()
+        client = self._DeadBroker(stop)
+        with pytest.raises(ConfigError, match="poll"):
+            run_worker(client, jobs="serial", poll=poll, worker_id="w0", stop=stop)
+        assert client.leases == 0
 
 
 class TestLeaseLifecycle:

@@ -214,6 +214,25 @@ class TestByteIdentity:
         assert second.column_mismatches(first) == []
 
 
+class TestRawSpecBatches:
+    """Cells, not specs, are the service's unit of work."""
+
+    class _Untouched(BrokerClient):
+        def _request(self, *args, **kwargs):
+            raise AssertionError("a raw spec batch reached the broker")
+
+    def test_a_campaign_on_the_service_engine_is_refused(self):
+        from repro.analysis.ablation import EstimatorCampaign, EstimatorTraceSpec
+        from repro.sim.execution import resolve_engine
+
+        engine = ServiceEngine(self._Untouched("http://127.0.0.1:1"))
+        assert resolve_engine(engine) is engine
+        spec = EstimatorTraceSpec(label="a", trial=0, seed=0, estimator="ewma", samples=40)
+        with pytest.raises(ConfigError, match="whole studies"):
+            EstimatorCampaign().add([spec]).run(engine)
+        assert not hasattr(engine, "map")
+
+
 class TestInMemoryTransport:
     """Archives cross the service as bytes: no temp files, and a cache
     hit is served from the very bytes ``lookup`` validated."""
@@ -712,6 +731,8 @@ class TestMalformedRequests:
                     (float("inf"), "lease-wait-inf"),
                     (-1, "lease-wait-negative"),
                     ("abc", "lease-wait-not-a-number"),
+                    # An int no float can hold: float() raised OverflowError.
+                    (10**400, "lease-wait-400-digits"),
                 ]
             ),
             # json reads NaN and Infinity; a study param must be finite,
@@ -727,6 +748,12 @@ class TestMalformedRequests:
                 {"experiment": "fig1", "params": {"rtt_wifi": float("inf")}, "axes": {}},
                 "rtt_wifi",
                 id="submit-inf-param",
+            ),
+            pytest.param(
+                "/api/v1/studies",
+                {"experiment": "fig1", "params": {"rtt_wifi": 10**400}, "axes": {}},
+                "rtt_wifi",
+                id="submit-400-digit-param",
             ),
             pytest.param(
                 "/api/v1/complete",

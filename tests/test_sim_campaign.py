@@ -2,8 +2,9 @@
 
 The acceptance bar: interleaving *all* configurations of a figure sweep
 into one pool submission must change nothing about the per-label
-results — byte-identical to running each configuration as a campaign of
-its own, whatever the backend (serial, process-shm, auto).  The
+results — byte-identical columns and equal side records to running
+each configuration as a campaign of its own, whatever the backend
+(serial, process-shm, auto).  The
 columnar ``OutcomeBatch`` must agree exactly with the per-trial
 Python-loop accessors it replaced.
 """
@@ -23,6 +24,7 @@ from repro.sim.execution import ProcessEngine, SerialEngine, resolve_engine
 from repro.sim.profiles import testbed_profile, youtube_profile
 from repro.sim.runner import TrialRunner
 from repro.sim.scenario import ScenarioConfig
+from repro.sim.shm import encode_side
 from repro.units import KB, format_size
 
 #: Every collection path a campaign can run on.  Factories, not
@@ -81,9 +83,9 @@ class TestInterleave:
             return [_spec("x", trial).run().mean_error for trial in trials]
 
         assert len(set(errors([0, 1, 2]))) == 3  # the trials are told apart
-        assert [o.mean_error for o in results[0]["a"].outcomes] == errors([0, 1, 2])
-        assert [o.mean_error for o in results[0]["b"].outcomes] == errors([0, 1])
-        assert [o.mean_error for o in results[1]["c"].outcomes] == errors([0])
+        assert results[0]["a"].batch.mean_error.tolist() == errors([0, 1, 2])
+        assert results[0]["b"].batch.mean_error.tolist() == errors([0, 1])
+        assert results[1]["c"].batch.mean_error.tolist() == errors([0])
 
     def test_empty(self, monkeypatch):
         # Nothing to submit: the engine is never called, and an unset
@@ -144,12 +146,9 @@ def _assert_results_identical(campaign_result: TrialResult, barrier_result: Tria
     assert campaign_result.traffic_fractions(0, "prebuffer") == (
         barrier_result.traffic_fractions(0, "prebuffer")
     )
-    assert [o.finished_at for o in campaign_result.outcomes] == [
-        o.finished_at for o in barrier_result.outcomes
-    ]
-    assert [o.server_bytes for o in campaign_result.outcomes] == [
-        o.server_bytes for o in barrier_result.outcomes
-    ]
+    # Every per-trial field the batch does not carry (stalls, per-path
+    # delays, server bytes, ...), one side record per trial.
+    assert campaign_result.sides == barrier_result.sides
 
 
 def _solo(runner, label, make_driver):
@@ -219,72 +218,84 @@ class TestOutcomeBatch:
     """The columnar view agrees exactly with per-outcome Python loops."""
 
     @staticmethod
-    def _run(label: str = "batch", trials: int = 4) -> TrialResult:
+    def _specs(label: str = "batch", trials: int = 4) -> list:
         runner = TrialRunner(
             testbed_profile, scenario_config=short_config(), root_seed=99, trials=trials
         )
-        return _solo(
-            runner, label, runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
+        return runner.specs_for(
+            label, runner.msplayer(PlayerConfig(), stop="cycles", target_cycles=1)
         )
+
+    @classmethod
+    def _run(cls, label: str = "batch", trials: int = 4) -> TrialResult:
+        return Campaign().add(cls._specs(label, trials)).run(SerialEngine())[label]
 
     @pytest.fixture(scope="class")
     def result(self) -> TrialResult:
         return self._run()
 
-    def test_startup_delays_match_loop(self, result):
+    @pytest.fixture(scope="class")
+    def outcomes(self) -> list:
+        """The same trials' live outcome objects."""
+        return [spec.run() for spec in self._specs()]
+
+    def test_side_records_are_the_outcomes_encoding(self, result, outcomes):
+        assert result.sides == [encode_side(o) for o in outcomes]
+
+    def test_startup_delays_match_loop(self, result, outcomes):
         expected = [
-            o.startup_delay for o in result.outcomes if o.startup_delay is not None
+            o.startup_delay for o in outcomes if o.startup_delay is not None
         ]
         assert result.startup_delays() == expected
         assert result.batch.startup_delays().dtype == np.float64
 
-    def test_cycle_durations_csr_layout(self, result):
+    def test_cycle_durations_csr_layout(self, result, outcomes):
         batch = result.batch
         expected: list[float] = []
-        for i, outcome in enumerate(result.outcomes):
+        for i, outcome in enumerate(outcomes):
             durations = outcome.metrics.completed_cycle_durations()
             start, end = batch.cycle_offsets[i], batch.cycle_offsets[i + 1]
             assert batch.cycle_durations[start:end].tolist() == durations
             expected.extend(durations)
         assert result.cycle_durations() == expected
 
-    def test_traffic_fractions_match_metrics(self, result):
+    def test_traffic_fractions_match_metrics(self, result, outcomes):
         for path_id in (0, 1):
             for phase in ("prebuffer", "rebuffer", "all"):
-                expected = [o.metrics.traffic_fraction(path_id, phase) for o in result.outcomes]
+                expected = [o.metrics.traffic_fraction(path_id, phase) for o in outcomes]
                 assert result.batch.traffic_fractions(path_id, phase).tolist() == expected
 
-    def test_out_of_range_path_is_zero(self, result):
+    def test_out_of_range_path_is_zero(self, result, outcomes):
         # Both sides: beyond the widest path id, and negative (which
         # must not numpy-wrap to the last column).
         for path_id in (99, -1):
             expected = [
                 o.metrics.traffic_fraction(path_id, "prebuffer")
-                for o in result.outcomes
+                for o in outcomes
             ]
             assert result.batch.traffic_fractions(path_id, "prebuffer").tolist() == (
                 expected
             )
 
-    def test_batches_compare_by_identity(self, result):
+    def test_batches_compare_by_identity(self, result, outcomes):
         batch = result.batch
         assert batch == batch
-        assert batch != outcome_batch_from_outcomes(result.outcomes)
+        assert batch != outcome_batch_from_outcomes(outcomes)
 
     def test_unknown_phase_rejected(self, result):
         with pytest.raises(ConfigError, match="phase"):
             result.batch.phase_bytes("warmup")
 
-    def test_scalar_columns(self, result):
+    def test_scalar_columns(self, result, outcomes):
         batch = result.batch
-        assert batch.finished_at.tolist() == [o.finished_at for o in result.outcomes]
+        assert batch.finished_at.tolist() == [o.finished_at for o in outcomes]
         assert batch.total_stall.tolist() == [
-            o.metrics.total_stall_time for o in result.outcomes
+            o.metrics.total_stall_time for o in outcomes
         ]
         assert batch.failovers.tolist() == [
-            o.metrics.failovers for o in result.outcomes
+            o.metrics.failovers for o in outcomes
         ]
-        assert batch.stop_reasons.tolist() == [o.stop_reason for o in result.outcomes]
+        assert batch.stop_reasons.tolist() == [o.stop_reason for o in outcomes]
 
     def test_empty_batch(self):
         collection = SerialEngine().collect([])
@@ -292,7 +303,7 @@ class TestOutcomeBatch:
         assert len(batch) == 0
         assert batch.startup_delays().size == 0
         assert batch.prebuffer_bytes.shape == (0, 0)
-        assert collection.outcomes == []
+        assert collection.sides == []
 
     def test_results_compare_by_value(self, result):
         assert result == self._run()
@@ -300,10 +311,10 @@ class TestOutcomeBatch:
         assert result != self._run(trials=1)
         assert result.__eq__(42) is NotImplemented
 
-    def test_column_mismatches_flags_exactly_the_diverged_column(self, result):
+    def test_column_mismatches_flags_exactly_the_diverged_column(self, result, outcomes):
         batch = result.batch
         assert batch.column_mismatches(batch) == []
-        rebuilt = outcome_batch_from_outcomes(result.outcomes)
-        assert batch.column_mismatches(rebuilt) == []
-        rebuilt.finished_at[0] += 1.0
-        assert batch.column_mismatches(rebuilt) == ["finished_at"]
+        built = outcome_batch_from_outcomes(outcomes)
+        assert batch.column_mismatches(built) == []
+        built.finished_at[0] += 1.0
+        assert batch.column_mismatches(built) == ["finished_at"]

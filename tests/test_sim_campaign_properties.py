@@ -8,9 +8,9 @@ stop reasons, never-started playback — and asserts that:
 * the batch every engine assembles (in-process arena + side records →
   ``OutcomeBatch.from_dense_and_sides``) agrees exactly with per-trial
   Python loops over the outcome objects, accessor by accessor;
-* the side channel is lossless: ``rebuild_outcome(encode_side(o))``
-  (plus the dense arena row) reproduces ``o`` exactly, through a real
-  pickle round trip;
+* the side channel is lossless: after a real pickle round trip, every
+  field of ``encode_side(o)`` equals the field of ``o`` it came from,
+  and the side record plus the dense row carry every field of ``o``;
 * ``from_dense_and_sides`` over a shared arena and pickled side records
   is bit-identical, dtypes included, to the batch built from the
   outcome objects by the oracle in ``tests/object_batches.py``.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -32,10 +33,17 @@ from object_batches import outcome_batch_from_outcomes
 from repro.core.metrics import QoEMetrics, RebufferCycle, StallEvent
 from repro.sim.campaign import OutcomeBatch
 from repro.sim.driver import SessionOutcome
-from repro.sim.shm import OutcomeArena, collect_units, dense_row, encode_side, rebuild_outcome
+from repro.sim.shm import (
+    DENSE_COLUMNS,
+    OutcomeArena,
+    SideRecord,
+    collect_units,
+    dense_row,
+    encode_side,
+)
 
 # Simulated timestamps: finite, non-negative.  NaN is excluded because
-# the round-trip assertions use ``==`` on rebuilt objects.
+# the round-trip assertions use ``==`` on side-record fields.
 times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 maybe_time = st.none() | times
 path_ids = st.integers(min_value=0, max_value=5)
@@ -165,31 +173,58 @@ class TestCollectedBatchAgainstLoops:
         ]
 
 
+#: Side-record fields that carry a ``QoEMetrics`` field whose name the
+#: outcome itself also uses, prefixed to tell the two apart.
+METRICS_PREFIX = "metrics_"
+
+
+def _source(outcome: SessionOutcome, name: str):
+    """The outcome field a side-record field is encoded from."""
+    metrics = outcome.metrics
+    if name == "stalls":
+        return [(stall.started_at, stall.ended_at) for stall in metrics.stalls]
+    if name == "rebuffer_cycles":
+        return [
+            (cycle.started_at, cycle.ended_at, cycle.level_at_start_s)
+            for cycle in metrics.rebuffer_cycles
+        ]
+    if name.startswith(METRICS_PREFIX):
+        return getattr(metrics, name.removeprefix(METRICS_PREFIX))
+    if name in {field.name for field in fields(SessionOutcome)}:
+        return getattr(outcome, name)
+    return getattr(metrics, name)
+
+
 class TestSideChannelRoundTrip:
-    """encode_side → (pickle) → rebuild_outcome is lossless."""
+    """encode_side → (pickle) keeps every field of its outcome."""
 
     @given(outcomes())
     @DETERMINISTIC
-    def test_rebuild_equals_original(self, outcome):
-        side = encode_side(outcome)
-        rebuilt = rebuild_outcome(
-            side, outcome.finished_at, outcome.metrics.failovers
-        )
-        assert rebuilt == outcome
-
-    @given(outcomes())
-    @DETERMINISTIC
-    def test_rebuild_survives_the_pipe(self, outcome):
+    def test_every_side_field_survives_the_pipe(self, outcome):
         # The side record actually crosses a process boundary pickled;
         # round-trip through pickle like the pool pipe does.
         side = pickle.loads(pickle.dumps(encode_side(outcome)))
-        rebuilt = rebuild_outcome(
-            side, outcome.finished_at, outcome.metrics.failovers
-        )
-        assert rebuilt == outcome
-        # Rebuilt objects own their dicts — no aliasing back into the record.
-        rebuilt.server_bytes["poison"] = 1
-        assert "poison" not in side.server_bytes
+        for name in SideRecord._fields:
+            value = getattr(side, name)
+            if name in ("stalls", "rebuffer_cycles"):
+                value = list(value)
+            assert value == _source(outcome, name), name
+
+    def test_side_record_and_dense_row_carry_every_outcome_field(self):
+        dense = {name for name, _dtype in DENSE_COLUMNS}
+        outcome_fields = {field.name for field in fields(SessionOutcome)} - {"metrics"}
+        metrics_fields = {field.name for field in fields(QoEMetrics)}
+        side_fields = set(SideRecord._fields)
+        assert outcome_fields - side_fields == {"finished_at"} <= dense
+        carried = {
+            name.removeprefix(METRICS_PREFIX) for name in side_fields - outcome_fields
+        }
+        assert metrics_fields - carried == {"failovers"} <= dense
+        # Each metrics field the outcome shares a name with is carried
+        # under the prefix, the outcome's own under the bare name.
+        assert {name for name in side_fields if name.startswith(METRICS_PREFIX)} == {
+            METRICS_PREFIX + name for name in outcome_fields & metrics_fields
+        }
 
 
 class TestColumnarAssemblyIdentity:

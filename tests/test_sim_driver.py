@@ -208,7 +208,7 @@ class TestTrialRunner:
     def test_runner_produces_requested_trials(self):
         runner = TrialRunner(testbed_profile, scenario_config=short_video(), trials=3)
         result = _campaign_run(runner, "ms", runner.msplayer(PlayerConfig(), stop="prebuffer"))
-        assert len(result.outcomes) == 3
+        assert len(result.sides) == 3
         assert len(result.startup_delays()) == 3
 
     def test_seed_derivation_stable(self):

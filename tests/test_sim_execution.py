@@ -142,8 +142,8 @@ class TestSerialParallelEquivalence:
         a = campaign.run(SerialEngine())["eq"]
         b = campaign.run(ProcessEngine(2))["eq"]
         assert a.startup_delays() == b.startup_delays()
-        assert [o.finished_at for o in a.outcomes] == [o.finished_at for o in b.outcomes]
-        assert [o.server_bytes for o in a.outcomes] == [o.server_bytes for o in b.outcomes]
+        assert a.batch.finished_at.tobytes() == b.batch.finished_at.tobytes()
+        assert a.sides == b.sides
 
     def test_fig3_mini_rendered_byte_identical(self):
         kwargs = dict(
@@ -204,7 +204,7 @@ class TestBrokenPoolRecovery:
             .add_run(runner, "healthy", runner.msplayer(PlayerConfig()))
             .run(engine)["healthy"]
         )
-        assert len(healthy.outcomes) == 4
+        assert len(healthy.sides) == 4
         assert self.JOBS in execution._POOLS
 
     def test_single_break_retried_on_fresh_pool(self, monkeypatch):
@@ -234,7 +234,7 @@ class TestBrokenPoolRecovery:
             .run(ProcessEngine(self.JOBS))["recovered"]
         )
         assert broken.calls == 1
-        assert len(result.outcomes) == 4
+        assert len(result.sides) == 4
         assert execution._POOLS.get(self.JOBS) is not broken
 
 

@@ -1,9 +1,10 @@
 """Columnar outcome collection: arena, engine collection, crash recovery.
 
-Every engine — serial, the process pool and its in-process exits, a
-third-party engine with only ``map`` — hands the campaign the same
-columns, so the acceptance bar is byte-identity with the batches
-assembled from the live result objects (``tests/object_batches.py``),
+Every engine — serial, the process pool and its in-process exits, an
+engine with only ``map`` — hands the campaign the same columns and side
+records, so the acceptance bar is byte-identity with the batches
+assembled from the live result objects (``tests/object_batches.py``)
+and side records equal to the specs' own encoding of those objects,
 for every spec kind.  Pool workers send each unit's dense row back
 through the pipe with its side record, so no shared memory is
 involved: however a campaign ends (cleanly, one broken pool, two
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 
 import repro
-from conftest import assert_batches_identical
+from conftest import assert_batches_identical, assert_collected
 from object_batches import (
     estimator_batch_from_outcomes,
     outcome_batch_from_outcomes,
@@ -39,11 +40,11 @@ from repro.ext.multi_client import MultiClientExperiment
 from repro.ext.population import PopulationCampaign
 from repro.sim.campaign import Campaign
 from repro.sim import execution
-from repro.sim.execution import ProcessEngine, SerialEngine
+from repro.sim.execution import ProcessEngine, SerialEngine, WorkSpec
 from repro.sim.profiles import testbed_profile
 from repro.sim.runner import TrialRunner
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.shm import DENSE_COLUMNS, OutcomeArena, collect_trials
+from repro.sim.shm import DENSE_COLUMNS, OutcomeArena, collect_trials, encode_side
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -54,6 +55,12 @@ def short_config() -> ScenarioConfig:
 
 def _runner() -> TrialRunner:
     return TrialRunner(testbed_profile, scenario_config=short_config(), trials=4)
+
+
+def _specs(label: str) -> list:
+    """Four short MSPlayer trials of one configuration."""
+    runner = _runner()
+    return runner.specs_for(label, runner.msplayer(PlayerConfig()))
 
 
 def _run(engine, label: str, scenario_hook=None):
@@ -72,10 +79,7 @@ def _kill_worker(scenario) -> None:
 
 class TestArenaLifecycle:
     def test_create_write_destroy(self):
-        runner = _runner()
-        outcomes = SerialEngine().map(
-            runner.specs_for("arena", runner.msplayer(PlayerConfig()))
-        )
+        outcomes = [spec.run() for spec in _specs("arena")]
         arena = OutcomeArena.create(len(outcomes))
         for i, outcome in enumerate(outcomes):
             arena.write(i, outcome)
@@ -109,7 +113,7 @@ class TestArenaLifecycle:
 
 
 class MapOnlyEngine:
-    """A third-party engine: ``map`` and nothing else."""
+    """An engine with ``map`` and nothing else."""
 
     name = "map-only"
     jobs = 1
@@ -119,50 +123,47 @@ class MapOnlyEngine:
 
 
 class TestEngineCollection:
-    """collect() shapes, laziness, and byte-identity with serial."""
+    """collect() shapes and byte-identity with the workers' results."""
 
     def test_in_process_collection_never_starts_a_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("in-process collection reached for a worker pool")
 
-        runner = _runner()
-        specs = runner.specs_for("local", runner.msplayer(PlayerConfig()))
-        reference = SerialEngine().map(specs)
+        specs = _specs("local")
+        reference = [spec.run() for spec in specs]
         monkeypatch.setattr(execution, "_shared_pool", refuse)
-        for collection in (
-            SerialEngine().collect(specs),
-            ProcessEngine(2).collect(specs[:1]),  # one spec: nothing to fan out
-            ProcessEngine(1).collect(specs),  # one job
-            collect_trials(MapOnlyEngine(), specs),
+        for collection, count in (
+            (SerialEngine().collect(specs), 4),
+            (ProcessEngine(2).collect(specs[:1]), 1),  # one spec: nothing to fan out
+            (ProcessEngine(1).collect(specs), 4),  # one job
+            (collect_trials(MapOnlyEngine(), specs), 4),
         ):
-            assert collection.outcomes == reference[: len(collection)]
+            assert_collected(collection, specs[:count], reference[:count])
 
-    def test_shm_collection_is_columnar_and_lazy(self):
-        engine = ProcessEngine(2)
-        runner = _runner()
-        specs = runner.specs_for("col", runner.msplayer(PlayerConfig()))
-        collection = engine.collect(specs)
-        assert collection._outcomes is None  # nothing materialized yet
-        reference = SerialEngine().map(specs)
-        assert collection.outcomes == reference  # deep dataclass equality
-        assert collection._outcomes is not None
+    def test_pool_collection_is_columnar(self):
+        specs = _specs("col")
+        collection = ProcessEngine(2).collect(specs)
+        dense, sides = collection  # a plain (dense, sides) pair
+        assert len(sides) == 4
+        assert all(isinstance(column, np.ndarray) for column in dense.values())
+        assert_collected(collection, specs, [spec.run() for spec in specs])
 
-    def test_map_identical_to_serial(self):
-        runner = _runner()
-        specs = runner.specs_for("modes", runner.msplayer(PlayerConfig()))
-        assert ProcessEngine(2).map(specs) == SerialEngine().map(specs)
+    def test_pool_collection_identical_to_serial(self):
+        specs = _specs("modes")
+        pooled, serial = ProcessEngine(2).collect(specs), SerialEngine().collect(specs)
+        for name, column in serial.dense.items():
+            assert pooled.dense[name].tobytes() == column.tobytes(), name
+        assert pooled.sides == serial.sides
 
     @pytest.mark.parametrize(
         "variable,value", [("REPRO_IPC", "pickle"), ("REPRO_KERNEL", "calendar")]
     )
     def test_retired_selection_variables_change_nothing(self, variable, value, monkeypatch):
-        runner = _runner()
-        specs = runner.specs_for("retired", runner.msplayer(PlayerConfig()))
-        reference = SerialEngine().map(specs)
+        specs = _specs("retired")
+        reference = [spec.run() for spec in specs]
         monkeypatch.setenv(variable, value)
-        collection = ProcessEngine(2).collect(specs)
-        assert collection.outcomes == reference
-        assert SerialEngine().map(specs) == reference
+        assert_collected(ProcessEngine(2).collect(specs), specs, reference)
+        assert_collected(SerialEngine().collect(specs), specs, reference)
 
     def test_auto_fallback_for_closures_collects_in_process(self, monkeypatch):
         from repro.sim.driver import MSPlayerDriver
@@ -173,34 +174,28 @@ class TestEngineCollection:
         engine = ProcessEngine(2, fallback_to_serial=True)
         runner = _runner()
         specs = runner.specs_for("cl", closure_factory)
-        reference = SerialEngine().map(specs)
+        reference = [spec.run() for spec in specs]
         monkeypatch.setattr(execution, "_shared_pool", None)  # no pool either
         collection = engine.collect(specs)
-        assert len(collection) == 4
-        assert collection.outcomes == reference
+        assert len(collection.sides) == 4
+        assert_collected(collection, specs, reference)
 
     def test_collect_trials_wraps_plain_engines(self):
-        runner = _runner()
-        specs = runner.specs_for("wrap", runner.msplayer(PlayerConfig()))
+        specs = _specs("wrap")
         collection = collect_trials(MapOnlyEngine(), specs)
-        serial = SerialEngine().collect(specs)
-        assert collection.dense.keys() == serial.dense.keys()
-        for name, column in serial.dense.items():
-            assert collection.dense[name].tobytes() == column.tobytes(), name
-        assert collection.sides == serial.sides
-        assert collection.outcomes == SerialEngine().map(specs)
+        assert_collected(collection, specs, [spec.run() for spec in specs])
 
-    def test_campaign_shm_results_preassembled_and_lazy(self):
-        result = _run(ProcessEngine(2), "lazy")
-        # The batch came straight off the arena columns...
-        assert result._outcomes is None
-        # ...and equals the serial run's and the object-built batch exactly.
-        serial = _run(SerialEngine(), "lazy")
-        assert_batches_identical(result.batch, serial.batch)
-        assert result.outcomes == serial.outcomes
-        assert_batches_identical(
-            outcome_batch_from_outcomes(result.outcomes), result.batch
-        )
+    def test_built_in_engines_have_no_map(self):
+        for engine in (SerialEngine(), ProcessEngine(2)):
+            assert not hasattr(engine, "map")
+
+    def test_campaign_pool_results_match_the_workers_results(self):
+        result = _run(ProcessEngine(2), "pooled")
+        serial = _run(SerialEngine(), "pooled")
+        assert result == serial  # label, every column's bits, side records
+        reference = [spec.run() for spec in _specs("pooled")]
+        assert_batches_identical(outcome_batch_from_outcomes(reference), result.batch)
+        assert result.sides == [encode_side(outcome) for outcome in reference]
 
 
 def _trial_batches() -> list[list]:
@@ -226,16 +221,16 @@ def _estimator_batches() -> list[list]:
     ]
 
 
-#: Each spec kind: its campaign, its spec batches, the object-built
-#: oracle batch, and the result attribute holding the rebuilt objects.
+#: Each spec kind: its campaign, its spec batches and the object-built
+#: oracle batch.
 SPEC_KINDS = [
-    pytest.param(Campaign, _trial_batches, outcome_batch_from_outcomes, "outcomes", id="trial"),
+    pytest.param(Campaign, _trial_batches, outcome_batch_from_outcomes, id="trial"),
     pytest.param(
-        PopulationCampaign, _population_batches, population_batch_from_results, "results",
+        PopulationCampaign, _population_batches, population_batch_from_results,
         id="population",
     ),
     pytest.param(
-        EstimatorCampaign, _estimator_batches, estimator_batch_from_outcomes, "outcomes",
+        EstimatorCampaign, _estimator_batches, estimator_batch_from_outcomes,
         id="estimator",
     ),
 ]
@@ -249,23 +244,25 @@ ENGINES = [
 
 
 @pytest.mark.parametrize("make_engine", ENGINES)
-@pytest.mark.parametrize("campaign_kind, spec_batches, oracle, objects", SPEC_KINDS)
+@pytest.mark.parametrize("campaign_kind, spec_batches, oracle", SPEC_KINDS)
 def test_every_engine_collects_the_object_built_batch(
-    campaign_kind, spec_batches, oracle, objects, make_engine
+    campaign_kind, spec_batches, oracle, make_engine
 ):
     """The one collection path, for every spec kind on every engine:
     bit-identical to the batch assembled from the live result objects,
-    and the lazily rebuilt objects equal the live ones."""
+    and side records equal to the specs' own encoding of them."""
     batches = spec_batches()
     campaign = campaign_kind()
     for batch in batches:
         campaign.add(batch)
     results = campaign.run(make_engine())
+    specs = [spec for batch in batches for spec in batch]
+    reference = [spec.run() for spec in specs]
+    assert_collected(collect_trials(make_engine(), specs), specs, reference)
     for batch in batches:
         expected = [spec.run() for spec in batch]
         got = results[batch[0].label]
         assert_batches_identical(got.batch, oracle(expected))
-        assert getattr(got, objects) == expected
         # Each unit's dense row — what a pool worker sends through the
         # pipe — is plain scalars, stored bit for bit at its row.
         for row, (spec, result) in enumerate(zip(batch, expected, strict=True)):
@@ -300,7 +297,7 @@ class TestCrashCleanup:
         # to a serial run.
         healthy = _run(engine, "healthy")
         reference = _run(SerialEngine(), "healthy")
-        assert healthy.outcomes == reference.outcomes
+        assert healthy == reference
         assert_batches_identical(healthy.batch, reference.batch)
 
     def test_single_break_retry_reruns_the_batch(self, monkeypatch):
@@ -319,7 +316,7 @@ class TestCrashCleanup:
         monkeypatch.setitem(execution._POOLS, self.JOBS, _BrokenOnce())
         result = _run(ProcessEngine(self.JOBS), "recovered")
         reference = _run(SerialEngine(), "recovered")
-        assert result.outcomes == reference.outcomes
+        assert result == reference
         assert_batches_identical(result.batch, reference.batch)
 
     def test_no_resource_tracker_leak_warnings(self):
@@ -349,7 +346,7 @@ class TestCrashCleanup:
             "else:\n"
             "    sys.exit(3)\n"
             "healthy = Campaign().add_run(runner, 'healthy', driver).run(engine)['healthy']\n"
-            "assert len(healthy.outcomes) == 4\n"
+            "assert len(healthy.sides) == 4\n"
             "print('OK')\n"
         )
         env = {**os.environ, "PYTHONPATH": SRC_DIR}
@@ -408,4 +405,44 @@ class TestNoSharedMemory:
         monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
         pooled = _run(ProcessEngine(2), "no-shm")
         assert_batches_identical(pooled.batch, serial.batch)
-        assert pooled.outcomes == serial.outcomes
+        assert pooled.sides == serial.sides
+
+
+class TestNoRebuildInverse:
+    """A collected result is its columns and side records: no module
+    turns them back into result objects."""
+
+    SOURCES = TestNoSharedMemory.SOURCES
+
+    @staticmethod
+    def _defined_names(tree: ast.AST) -> set[str]:
+        names: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+        return names
+
+    def test_no_module_defines_a_rebuild_name(self):
+        assert self.SOURCES
+        offenders = {
+            str(path.relative_to(SRC_DIR)): sorted(found)
+            for path in self.SOURCES
+            if (
+                found := {
+                    name
+                    for name in self._defined_names(ast.parse(path.read_text(encoding="utf-8")))
+                    if name.startswith("rebuild")
+                }
+            )
+        }
+        assert offenders == {}
+
+    def test_work_spec_members_are_exactly_the_collection_surface(self):
+        members = set(WorkSpec.__annotations__) | {
+            name for name in vars(WorkSpec) if not name.startswith("_")
+        }
+        assert members == {"label", "dense_columns", "run", "dense_row", "encode_side"}

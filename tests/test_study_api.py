@@ -21,7 +21,10 @@ class TestStudyConstruction:
         with pytest.raises(ConfigError, match="trials"):
             Study("fig2", trials=0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # 10**400 is an integer no float can hold: float() overflows.
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_float_dies_at_construction(self, value):
         with pytest.raises(ConfigError, match="rtt_wifi.*finite"):
             Study("fig1", rtt_wifi=value)

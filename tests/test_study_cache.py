@@ -405,6 +405,13 @@ class TestRetentionGC:
         assert freed > 0
         assert [entry.key for entry in cache.entries()] == [keys[2]]
 
+    # NaN compared false against every cutoff (nothing evicted, exit 0),
+    # and a negative age was refused only by the CLI.
+    @pytest.mark.parametrize("max_age", [float("nan"), float("inf"), -1.0])
+    def test_max_age_must_be_a_finite_number_of_days(self, tmp_path, max_age):
+        with pytest.raises(ConfigError, match="max_age_days"):
+            StudyCache(tmp_path / "cache").gc(max_age_days=max_age)
+
     def test_max_bytes_evicts_oldest_first(self, tmp_path):
         cache, keys = self._filled_cache(tmp_path)
         sizes = {entry.key: entry.size_bytes() for entry in cache.entries()}
