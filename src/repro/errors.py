@@ -48,17 +48,6 @@ class ProcessError(SimulationError):
     """A simulation process misbehaved (e.g. yielded a non-event)."""
 
 
-class Interrupt(SimulationError):
-    """Raised *inside* a simulation process that another process interrupted.
-
-    The interrupt cause is available as :attr:`cause`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
-
-
 # --------------------------------------------------------------------------
 # Network substrate
 # --------------------------------------------------------------------------

@@ -38,7 +38,6 @@ HOT_CORE_STEMS = ("buffer", "chunks")
 KERNEL_INTERNAL_SUFFIXES = (
     "net/env.py",
     "net/events.py",
-    "net/simclock.py",
 )
 
 

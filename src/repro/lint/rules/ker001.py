@@ -4,18 +4,17 @@ Four parts:
 
 * **Bypass** — the scheduler's internals (the ``env._heap`` queue,
   ``_schedule_event``/``_schedule_resume``, the timer pool) are owned
-  by the kernel modules (``net/env.py``, ``net/events.py``,
-  ``net/simclock.py``).  Anything else reaching for them skips the
-  one-validation-per-schedule contract and couples itself to the
-  kernel's data layout.
+  by the kernel modules (``net/env.py``, ``net/events.py``).  Anything
+  else reaching for them skips the one-validation-per-schedule contract
+  and couples itself to the kernel's data layout.
 
 * **Fast-lane advisory** — a bare ``yield env.timeout(...)`` statement
   allocates a fresh ``Timeout`` event per wait and discards it; per-
   chunk churners should use ``env.pooled_timeout(...)`` (recycled
   event, bit-identical dispatch order) or ``env.call_at`` for fire-and-
   forget wake-ups.  Sites that genuinely need a composable event
-  (stored, raced with ``AnyOf``) keep ``env.timeout`` and waive or
-  baseline the finding with a justification.
+  (stored, composed with ``env.all_of``) keep ``env.timeout`` and waive
+  or baseline the finding with a justification.
 
 * **Spawn-and-wait advisory** — ``yield env.process(gen(...))``, bare
   or as an assignment's value, starts a ``Process`` only to wait for it
@@ -24,9 +23,9 @@ Four parts:
   inside the caller at no kernel cost.  Sub-steps delegate; only
   concurrency spawns (``env.process(...)`` *not* yielded there — a
   ticker, a per-path loop, a fetch the session races).  A site that
-  must be a Process although it is awaited at once (interrupted from
-  outside, raced in ``AnyOf``, handle kept for later) waives the
-  finding with that reason.
+  must be a Process although it is awaited at once (composed with
+  ``env.all_of``, handle kept for later) waives the finding with that
+  reason.
 
 * **Fixed-period wake** — ``yield env.pooled_timeout(<…>.tick_s)`` is a
   loop waking every playback tick whether or not anything changed: one
@@ -54,7 +53,6 @@ _SCHEDULER_INTERNALS = frozenset(
         "_schedule_resume",
         "_heap",
         "_timer_pool",
-        "_active_process",
     }
 )
 
@@ -64,7 +62,7 @@ class KernelApiBypass(Rule):
     id = "KER001"
     title = "no scheduler-internal access; prefer the kernel fast lanes"
     rationale = (
-        "scheduler internals are owned by net/env|events|simclock; "
+        "scheduler internals are owned by net/env|events; "
         "external access skips delay validation and breaks when the kernel "
         "changes.  Discarded per-wait Timeouts should ride the pooled-timer "
         "or bare-callback fast lanes, a sub-step awaited on the spot "
@@ -118,8 +116,8 @@ class KernelApiBypass(Rule):
                     node,
                     "spawn-and-wait costs a Process and two kernel events per "
                     "call; delegate with `yield from`, or waive with the "
-                    "reason it must be a Process (interrupted, raced in "
-                    "`AnyOf`, awaited later)",
+                    "reason it must be a Process (composed with "
+                    "`env.all_of`, awaited later)",
                 )
 
 

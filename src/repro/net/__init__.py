@@ -20,7 +20,7 @@ This package is the testbed the paper ran on, rebuilt in software:
 """
 
 from .env import Environment
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import AllOf, Event, Process, Timeout
 from .bandwidth import (
     ARLogNormalBandwidth,
     BandwidthProcess,
@@ -42,7 +42,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "AllOf",
     "BandwidthProcess",
     "ConstantBandwidth",

@@ -22,7 +22,7 @@ comparison never reaches the payload slots:
 
 * ``(time, priority, counter, event, None)`` — dispatch ``event``;
 * ``(time, priority, counter, event, process)`` — direct resume of
-  ``process`` with the already-processed ``event`` (dropped if stale);
+  ``process`` with the already-processed ``event``;
 * ``(time, priority, counter, callback)`` — fast lane: call the bare
   callable, no Event machinery at all (a 4-tuple — the fast lane does
   not pay for the ``None`` process slot).
@@ -40,30 +40,38 @@ Two scheduling lanes exist beside the classic event machinery:
   object and its callback list return to a free pool after dispatch.
   Contract: the caller yields it exactly once, immediately, and never
   stores, composes, or re-yields it.
+
+:meth:`Environment.run` is the one dispatch loop, whatever it runs
+until: the queue draining, a simulated time (a private stop event
+queued behind everything due at that instant), or an event's own
+dispatch.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Generator
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from ..errors import ClockError, SimulationError
 from .events import (
     _URGENT,
     NORMAL,
     AllOf,
-    AnyOf,
     Event,
     PooledTimeout,
     Process,
     Timeout,
 )
-from .simclock import SimClock
 
 #: Pooled timers kept for reuse per environment; beyond this they are
 #: left to the garbage collector (a bound, not a working-set estimate).
 _TIMER_POOL_LIMIT = 128
+
+#: Priority of ``run(until=<time>)``'s stop entry: after every urgent
+#: and normal entry due at that instant.  It is the only entry of its
+#: priority, so its tie-breaker slot needs no counter bump.
+_STOP = NORMAL + 1
 
 
 class EmptySchedule(SimulationError):
@@ -73,15 +81,16 @@ class EmptySchedule(SimulationError):
 class Environment:
     """Owns simulated time and the pending-event heap."""
 
-    __slots__ = ("_clock", "_heap", "_counter", "_active_process", "_timer_pool")
+    __slots__ = ("_now", "_heap", "_counter", "_timer_pool")
 
     def __init__(self, start: float = 0.0) -> None:
-        self._clock = SimClock(start)
+        if not start >= 0:
+            raise ClockError(f"clock cannot start at negative time {start}")
+        self._now = float(start)
         self._heap: list[tuple] = []
         #: FIFO tie-breaker for co-timed entries, bumped once per entry
         #: on every lane — so it is also the total ever scheduled.
         self._counter = 0
-        self._active_process: Process | None = None
         self._timer_pool: list[PooledTimeout] = []
 
     # -- time ---------------------------------------------------------------
@@ -89,12 +98,7 @@ class Environment:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._clock.now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
+        return self._now
 
     @property
     def scheduled_count(self) -> int:
@@ -115,10 +119,6 @@ class Environment:
         """Start a new process from a generator."""
         return Process(self, generator)
 
-    def any_of(self, events) -> AnyOf:
-        """Condition event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
-
     def all_of(self, events) -> AllOf:
         """Condition event firing when all of ``events`` have fired."""
         return AllOf(self, events)
@@ -135,7 +135,7 @@ class Environment:
         No Event is allocated; the callback cannot be waited on or
         cancelled.  One validation per schedule happens here.
         """
-        if not when >= self._clock._now:
+        if not when >= self._now:
             raise ClockError(f"cannot schedule a callback at {when} < now")
         self._counter = counter = self._counter + 1
         heappush(self._heap, (when, NORMAL, counter, callback))
@@ -145,7 +145,7 @@ class Environment:
         if not delay >= 0:
             raise ClockError(f"cannot schedule a callback {delay} seconds in the past")
         self._counter = counter = self._counter + 1
-        heappush(self._heap, (self._clock._now + delay, NORMAL, counter, callback))
+        heappush(self._heap, (self._now + delay, NORMAL, counter, callback))
 
     def pooled_timeout(self, delay: float, value: object = None) -> PooledTimeout:
         """A timeout event drawn from the environment's free pool.
@@ -167,7 +167,7 @@ class Environment:
         else:
             timer = PooledTimeout(self, delay, value)
         self._counter = counter = self._counter + 1
-        heappush(self._heap, (self._clock._now + delay, NORMAL, counter, timer, None))
+        heappush(self._heap, (self._now + delay, NORMAL, counter, timer, None))
         return timer
 
     # -- scheduling (internal API used by events) ----------------------------
@@ -177,7 +177,7 @@ class Environment:
         # schedule): Timeout.__init__ checks user-supplied delays; every
         # other internal caller schedules at "now".
         self._counter = counter = self._counter + 1
-        heappush(self._heap, (self._clock._now + delay, priority, counter, event, None))
+        heappush(self._heap, (self._now + delay, priority, counter, event, None))
 
     def _schedule_resume(self, process: Process, event: Event) -> None:
         """Urgently redeliver a processed ``event`` straight to ``process``.
@@ -187,7 +187,7 @@ class Environment:
         outcome to one late waiter.
         """
         self._counter = counter = self._counter + 1
-        heappush(self._heap, (self._clock._now, _URGENT, counter, event, process))
+        heappush(self._heap, (self._now, _URGENT, counter, event, process))
 
     # -- execution ------------------------------------------------------------
 
@@ -196,50 +196,6 @@ class Environment:
         heap = self._heap
         return heap[0][0] if heap else math.inf
 
-    def step(self) -> None:
-        """Dispatch exactly one event (advancing the clock to it)."""
-        if not self._heap:
-            raise EmptySchedule("no scheduled events")
-        entry = heappop(self._heap)
-        self._clock.advance_to(entry[0])
-        self._dispatch(entry)
-
-    def _dispatch(self, entry: tuple) -> None:
-        """Deliver one popped entry.  ``run(None)`` inlines this body —
-        keep the two copies in sync (the duplication buys the kernel
-        its single largest constant-factor win; see DESIGN.md)."""
-        if len(entry) == 4:
-            entry[3]()  # fast lane: a bare callback, no event at all
-            return
-        event = entry[3]
-        process = entry[4]
-        if process is not None:
-            # Stale-entry guard: an interrupt may have resumed the
-            # process since this entry was queued, moving it to another
-            # wait; delivering here would double-resume the generator.
-            if process._waiting_on is event:
-                process._resume(event)
-            return
-        if event.__class__ is PooledTimeout:
-            callbacks = event.callbacks
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-                callbacks.clear()
-            pool = self._timer_pool
-            if len(pool) < _TIMER_POOL_LIMIT:
-                pool.append(event)
-            return
-        callbacks = event.callbacks
-        event.callbacks = None  # marks the event processed
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event.defused:
-            # An event failed and nobody was listening: surface it rather
-            # than letting the error pass silently.
-            raise event._value  # type: ignore[misc]
-
     def run(self, until: float | Event | None = None) -> object:
         """Run until the queue drains, a deadline passes, or an event fires.
 
@@ -247,32 +203,49 @@ class Environment:
         * ``until=<float>`` — run to that simulated time (clock is left at
           exactly ``until`` even if the next event is later);
         * ``until=<Event>`` — run until that event is *processed*, then
-          return its value (re-raising if it failed).
+          return its value (re-raising if it failed).  Entries due at
+          the same instant behind it stay queued.
         """
         heap = self._heap
-        clock = self._clock
+        stop: tuple | None = None
         if until is None:
-            # The drain loop is the kernel's hottest code: the dispatch
-            # body is inlined (one _dispatch call per event would cost
-            # ~10% of the fast lane's throughput) and hot attributes
-            # are cached in locals.  Mirror of _dispatch — keep in sync.
-            pool = self._timer_pool
+            sentinel = None
+        elif isinstance(until, Event):
+            sentinel = until
+            if sentinel.processed:
+                if not sentinel.ok:
+                    raise sentinel._value  # type: ignore[misc]
+                return sentinel.value
+        else:
+            deadline = float(until)
+            if not deadline >= self._now:
+                raise ClockError(f"cannot run until {deadline} < now {self._now}")
+            # A time is run to as a private event due at ``deadline``,
+            # queued behind every entry due then: the loop below stops
+            # at its dispatch exactly as it stops at an awaited event's.
+            sentinel = Event(self)
+            sentinel._ok = True
+            sentinel._value = None
+            stop = (deadline, _STOP, 0, sentinel, None)
+            heappush(heap, stop)
+        # The kernel's hottest code: the dispatch body is written out
+        # here once (a call per event would cost ~10% of the fast
+        # lane's throughput) and hot attributes are cached in locals.
+        pool = self._timer_pool
+        try:
             while heap:
                 entry = heappop(heap)
                 when = entry[0]
-                if not when >= clock._now:
-                    raise ClockError(
-                        f"clock moving backwards: {clock._now} -> {when}"
-                    )
-                clock._now = when
+                if not when >= self._now:
+                    raise ClockError(f"clock moving backwards: {self._now} -> {when}")
+                self._now = when
                 if len(entry) == 4:
-                    entry[3]()
+                    entry[3]()  # fast lane: a bare callback, no event at all
                     continue
                 event = entry[3]
                 process = entry[4]
                 if process is not None:
-                    if process._waiting_on is event:
-                        process._resume(event)
+                    process._resume(event)
                     continue
                 if event.__class__ is PooledTimeout:
                     callbacks = event.callbacks
@@ -284,45 +257,26 @@ class Environment:
                         pool.append(event)
                     continue
                 callbacks = event.callbacks
-                event.callbacks = None
+                event.callbacks = None  # marks the event processed
                 if callbacks:
                     for callback in callbacks:
                         callback(event)
                 if not event._ok and not event.defused:
+                    # An event failed and nobody was listening: surface
+                    # it rather than letting the error pass silently.
                     raise event._value  # type: ignore[misc]
-            return None
-
-        if isinstance(until, Event):
-            sentinel = until
-            result: list[object] = []
-
-            def _capture(event: Event) -> None:
-                result.append(event)
-
-            if sentinel.processed:
-                if not sentinel.ok:
-                    raise sentinel._value  # type: ignore[misc]
-                return sentinel.value
-            sentinel.callbacks.append(_capture)
-            while not result:
-                if not heap:
-                    raise EmptySchedule(
-                        "event queue drained before the awaited event fired"
-                    )
-                entry = heappop(heap)
-                clock.advance_to(entry[0])
-                self._dispatch(entry)
-            if not sentinel._ok:
-                sentinel.defused = True
-                raise sentinel._value  # type: ignore[misc]
-            return sentinel._value
-
-        deadline = float(until)
-        if not deadline >= clock.now:
-            raise ClockError(f"cannot run until {deadline} < now {clock.now}")
-        while heap and heap[0][0] <= deadline:
-            entry = heappop(heap)
-            clock.advance_to(entry[0])
-            self._dispatch(entry)
-        clock.advance_to(deadline)
-        return None
+                if event is sentinel:
+                    break
+            else:
+                if sentinel is None:
+                    return None
+                raise EmptySchedule("event queue drained before the awaited event fired")
+        except BaseException:
+            if stop is not None and stop in heap:
+                heap.remove(stop)
+                heapify(heap)
+            raise
+        if not sentinel._ok:
+            sentinel.defused = True
+            raise sentinel._value  # type: ignore[misc]
+        return sentinel._value

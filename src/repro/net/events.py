@@ -9,7 +9,7 @@ The design follows the classic generator-based pattern (as in SimPy):
   that event fires;
 * :class:`Timeout` is an event triggered by the passage of simulated
   time;
-* :class:`AnyOf` / :class:`AllOf` compose events.
+* :class:`AllOf` fires once every one of its events has fired.
 
 Only the scheduling queue lives in :mod:`repro.net.env`; the state
 machine for events and processes is entirely here so it can be unit
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Generator, Iterable
 from typing import TYPE_CHECKING
 
-from ..errors import Interrupt, ProcessError
+from ..errors import ProcessError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .env import Environment
@@ -97,22 +97,6 @@ class Event:
         self.env._schedule_event(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Relay another event's outcome into this one (used by conditions)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defused = True
-            self.fail(event._value)  # type: ignore[arg-type]
-
-    # -- composition ------------------------------------------------------
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
@@ -176,8 +160,8 @@ class Initialize(Event):
         env._schedule_event(self, priority=_URGENT)
 
 
-#: Scheduling priorities: urgent events (process init, interrupts) are
-#: dispatched before normal events at the same timestamp.
+#: Scheduling priorities: urgent entries (process starts, late-waiter
+#: resumes) are dispatched before normal ones at the same timestamp.
 _URGENT = 0
 NORMAL = 1
 
@@ -190,56 +174,19 @@ class Process(Event):
     each other (``yield env.process(...)`` or ``yield proc``).
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise ProcessError(f"process target must be a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Event | None = Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`~repro.errors.Interrupt` into the process.
-
-        The interrupt is delivered as an urgent event so that, like
-        SimPy, interrupting a process at time *t* wakes it at time *t*.
-        Interrupting a finished process is an error; interrupting a
-        process that is about to resume anyway is allowed (the interrupt
-        wins).
-        """
-        if self.triggered:
-            raise ProcessError("cannot interrupt a finished process")
-        if self._waiting_on is None:
-            raise ProcessError("process cannot interrupt itself")
-        exc = Interrupt(cause)
-        event = Event(self.env)
-        event._ok = False
-        event._value = exc
-        event.defused = True
-        event.callbacks.append(self._resume)
-        self.env._schedule_event(event, priority=_URGENT)
+        Initialize(env, self)
 
     # -- resumption machinery ----------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        self.env._active_process = self
-        # Deregister from the event we were genuinely waiting on, in case
-        # we are being resumed early by an interrupt.
-        waited = self._waiting_on
-        if waited is not None and waited is not event and waited.callbacks is not None:
-            try:  # noqa: SIM105 — interrupt hot path; suppress() costs a frame
-                waited.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._waiting_on = None
-
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -247,14 +194,11 @@ class Process(Event):
                 event.defused = True
                 target = self._generator.throw(event._value)  # type: ignore[arg-type]
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_process = None
             self.fail(exc)
             return
-        self.env._active_process = None
 
         if not isinstance(target, Event):
             error = ProcessError(
@@ -267,19 +211,14 @@ class Process(Event):
             # Already fired and dispatched: resume on the next urgent
             # tick.  The scheduler redelivers the target itself — no
             # clone event is allocated (_resume defuses failures when it
-            # throws them into the generator).  The entry carries this
-            # process so dispatch can drop it if an interrupt resumed
-            # the process first (the moral equivalent of the clone
-            # path's callbacks.remove deregistration).
+            # throws them into the generator).
             self.env._schedule_resume(self, target)
-            self._waiting_on = target
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
+class AllOf(Event):
+    """Fires when every one of its events has fired (or any fails)."""
 
     __slots__ = ("events", "_count")
 
@@ -305,9 +244,6 @@ class _Condition(Event):
         # until the clock reaches it and its callbacks run.
         return {e: e._value for e in self.events if e.processed and e._ok}
 
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             if not event._ok:
@@ -318,23 +254,5 @@ class _Condition(Event):
             self.fail(event._value)  # type: ignore[arg-type]
             return
         self._count += 1
-        if self._satisfied():
+        if self._count >= len(self.events):
             self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Fires when the first of its events fires (or any fails)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_Condition):
-    """Fires when every one of its events has fired (or any fails)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self.events)

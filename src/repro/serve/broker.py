@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sqlite3
 import threading
@@ -135,12 +136,16 @@ class Broker:
                 f"lease_timeout must be > 0 and <= {threading.TIMEOUT_MAX:.0f} s, "
                 f"got {lease_timeout}"
             )
-        if max_attempts < 1:
+        try:
+            attempts = operator.index(max_attempts)
+        except TypeError:
+            raise ConfigError(f"max_attempts must be an integer, got {max_attempts!r}") from None
+        if attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {max_attempts}")
         self.db_path = str(db_path)
         self.cache = cache
         self.lease_timeout = float(lease_timeout)
-        self.max_attempts = int(max_attempts)
+        self.max_attempts = attempts
         self._clock = clock
         self._log = log
         self._changed = threading.Condition(threading.Lock())

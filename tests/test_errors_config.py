@@ -28,10 +28,6 @@ class TestHierarchy:
         assert issubclass(errors.ServerUnavailableError, errors.CDNError)
         assert issubclass(errors.ServerUnavailableError, errors.NetworkError)
 
-    def test_interrupt_carries_cause(self):
-        interrupt = errors.Interrupt(cause="timeout")
-        assert interrupt.cause == "timeout"
-
     def test_http_status_error_carries_status(self):
         error = errors.HTTPStatusError(503, "Service Unavailable")
         assert error.status == 503

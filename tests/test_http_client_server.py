@@ -189,7 +189,7 @@ class TestOverloadModel:
 
         p1 = env.process(one(env))
         p2 = env.process(two(env))
-        env.run(p1 & p2)
+        env.run(env.all_of([p1, p2]))
 
         env2_world = World(type(env)(), overload_threshold=None)
         _, solo_timing = env2_world.get("/big")

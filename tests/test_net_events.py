@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import Interrupt, ProcessError
+from repro.errors import ProcessError
 from repro.net.env import EmptySchedule, Environment
 
 
@@ -109,73 +109,12 @@ class TestProcesses:
             env.process(lambda: None)  # type: ignore[arg-type]
 
 
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self, env):
-        causes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                causes.append((interrupt.cause, env.now))
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt("wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run(victim)
-        # The interrupt is delivered at its own time, not the timeout's.
-        assert causes == [("wake up", 1.0)]
-
-    def test_interrupt_finished_process_is_error(self, env):
-        def quick(env):
-            yield env.timeout(0.1)
-
-        process = env.process(quick(env))
-        env.run()
-        with pytest.raises(ProcessError):
-            process.interrupt()
-
-    def test_interrupted_process_can_continue(self, env):
-        def resilient(env):
-            try:  # noqa: SIM105 — the except-around-yield IS the behaviour under test
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            return "survived"
-
-        process = env.process(resilient(env))
-
-        def interrupter(env):
-            yield env.timeout(2.0)
-            process.interrupt()
-
-        env.process(interrupter(env))
-        result = env.run(process)
-        assert result == "survived"
-
-
 class TestConditions:
-    def test_any_of_first_wins(self, env):
-        def proc(env):
-            fast = env.timeout(1.0, value="fast")
-            slow = env.timeout(5.0, value="slow")
-            result = yield fast | slow
-            return [v for v in result.values()]
-
-        process = env.process(proc(env))
-        env.run(process)
-        assert process.value == ["fast"]
-        assert env.now >= 1.0
-
     def test_all_of_waits_for_all(self, env):
         def proc(env):
             a = env.timeout(1.0, value="a")
             b = env.timeout(3.0, value="b")
-            result = yield a & b
+            result = yield env.all_of([a, b])
             return sorted(result.values())
 
         process = env.process(proc(env))

@@ -7,9 +7,9 @@ These pin the microbehaviour the perf work must not change:
   dispatches the boundary instant and nothing after it;
 * yielding an *already-processed* event resumes the process at the same
   timestamp with the event's original outcome (success and failure);
-* an interrupt racing that fast-path resume loses the same way it lost
-  against the old clone-event implementation: the resume runs first,
-  the interrupt lands at the process's next wait point;
+* ``run()``, stepwise ``run(until=<time>)`` and ``run(until=<event>)``
+  dispatch drawn mixed-lane schedules exactly as the two-copy kernel
+  kept in ``tests/two_copy_kernel/`` did;
 * the link's analytic slow-start schedule reproduces the doubling
   timeline the per-exchange pacer process used to produce.
 """
@@ -20,18 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ClockError, ConfigError, Interrupt
+from repro.errors import ClockError, ConfigError, SimulationError
 from repro.net.bandwidth import ConstantBandwidth
 from repro.net.env import EmptySchedule, Environment
 from repro.net.link import Link
-from repro.net.simclock import SimClock
+from two_copy_kernel.env import Environment as TwoCopyEnvironment
 
 
 class TestHeapOrdering:
-    def test_empty_queue_peeks_inf_and_refuses_to_step(self, env):
+    def test_empty_queue_peeks_inf_and_never_reaches_an_event(self, env):
         assert env.peek() == math.inf
         with pytest.raises(EmptySchedule):
-            env.step()
+            env.run(until=env.event())
 
     def test_same_time_priority_then_fifo(self, env):
         """At one instant, urgent entries (process starts) dispatch
@@ -132,7 +132,7 @@ class TestHeapOrdering:
                     ),
                     st.sampled_from(["event", "callback"]),
                 ),
-                st.tuples(st.just("step")),
+                st.tuples(st.just("run")),
             ),
             min_size=1,
             max_size=120,
@@ -141,7 +141,9 @@ class TestHeapOrdering:
     def test_scheduling_while_dispatching_matches_a_sorted_reference(self, ops):
         """Entries pushed relative to the last dispatch (as a running
         environment pushes them), on the event and fast lanes, pop in
-        ``(time, schedule order)`` — the order of a sorted list."""
+        ``(time, schedule order)`` — the order of a sorted list.  Each
+        ``run`` op runs to the earliest pending time, which dispatches
+        every entry due then and nothing later."""
         env = Environment()
         dispatched, expected, pending = [], [], []
         for op in ops:
@@ -157,8 +159,11 @@ class TestHeapOrdering:
                 pending.append((env.now + delay, token))
             elif pending:
                 pending.sort()
-                expected.append(pending.pop(0)[1])
-                env.step()
+                when = pending[0][0]
+                while pending and pending[0][0] == when:
+                    expected.append(pending.pop(0)[1])
+                env.run(until=when)
+                assert env.now == when
         env.run()
         assert dispatched == expected + [token for _when, token in sorted(pending)]
 
@@ -266,94 +271,6 @@ class TestProcessedTargetResume:
         env.run()
         assert order == ["first", "second", "timer"]
 
-    def test_interrupt_vs_fastpath_resume_race(self, env):
-        """An interrupt issued while a fast-path resume is pending is
-        delivered *after* the resume, at the next wait point."""
-        early = env.timeout(1.0, value="x")
-        seen = []
-
-        def victim(env):
-            yield env.timeout(2.0)
-            value = yield early  # pending fast-path resume at t=2
-            seen.append(("resumed", env.now, value))
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as interrupt:
-                seen.append(("interrupted", env.now, interrupt.cause))
-
-        process = env.process(victim(env))
-
-        def interrupter(env):
-            yield env.timeout(2.0)
-            process.interrupt("race")
-
-        env.process(interrupter(env))
-        env.run()
-        assert seen == [("resumed", 2.0, "x"), ("interrupted", 2.0, "race")]
-
-    def test_stale_direct_resume_dropped_after_interrupt(self, env):
-        """A pending fast-path resume whose process was meanwhile moved
-        on by an interrupt must be dropped, not delivered: the old
-        clone-event path deregistered via callbacks.remove, and the
-        direct entry needs the equivalent staleness guard."""
-        e1 = env.timeout(0.5, value="one")
-        e2 = env.timeout(0.5, value="two")
-        # Both processes wake from the same event, so the attacker's
-        # interrupt is issued inside the same callback cascade — after
-        # the victim queued its fast-path resume, before it dispatched.
-        shared = env.timeout(1.0)
-        trace = []
-
-        def victim(env):
-            yield shared
-            value = yield e1  # fast-path resume pending at t=1
-            trace.append(("resumed", env.now, value))
-            try:
-                yield e2  # second fast-path entry, queued behind the interrupt
-                trace.append(("not-reached", env.now))
-            except Interrupt:
-                trace.append(("interrupted", env.now))
-                yield env.timeout(5.0)
-                trace.append(("slept", env.now))
-
-        process = env.process(victim(env))
-
-        def attacker(env):
-            yield shared
-            process.interrupt()
-
-        env.process(attacker(env))
-        env.run()
-        # Without the guard the stale e2 entry re-resumes the generator
-        # at t=1, silently skipping the 5 s sleep.
-        assert trace == [("resumed", 1.0, "one"), ("interrupted", 1.0), ("slept", 6.0)]
-
-    def test_process_waiting_on_processed_event_is_interruptible(self, env):
-        # The fast path must leave the process in an interruptible state
-        # (waiting_on set): interrupt() here must not raise "process
-        # cannot interrupt itself".
-        early = env.timeout(0.5)
-
-        def victim(env):
-            yield env.timeout(1.0)
-            try:
-                yield early
-                yield env.timeout(5.0)
-            except Interrupt:
-                return "interrupted"
-
-        process = env.process(victim(env))
-
-        def interrupter(env):
-            yield env.timeout(1.0)
-            assert process.is_alive
-            process.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert process.value == "interrupted"
-
-
 class TestClosedFormSlowStart:
     def _link(self, env, rate=1e9):
         return Link(env, ConstantBandwidth(rate))
@@ -444,11 +361,10 @@ class TestCallbackFastLane:
         with pytest.raises(ClockError):
             env.run(until=math.nan)
         with pytest.raises(ClockError):
-            SimClock(math.nan)
-        clock = SimClock(5.0)
+            Environment(math.nan)
         with pytest.raises(ClockError):
-            clock.advance_to(math.nan)
-        assert env.now == 5.0 and clock.now == 5.0 and env.peek() == math.inf
+            Environment(-1.0)
+        assert env.now == 5.0 and env.peek() == math.inf
 
     def test_fifo_with_events_at_same_time(self, env):
         """Fast-lane entries share the one FIFO counter with events, so
@@ -473,10 +389,10 @@ class TestCallbackFastLane:
         env.run()
         assert fired == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]
 
-    def test_step_dispatches_callbacks(self, env):
+    def test_run_until_dispatches_callbacks(self, env):
         fired = []
         env.call_later(1.0, lambda: fired.append(env.now))
-        env.step()
+        env.run(until=1.0)
         assert fired == [1.0] and env.now == 1.0
 
 
@@ -540,30 +456,6 @@ class TestPooledTimers:
         # number of exchanges.
         assert len(env._timer_pool) <= 3
 
-    def test_interrupt_while_on_pooled_timer(self, env):
-        """An interrupted waiter deregisters; the timer still fires
-        harmlessly, recycles, and serves the next request."""
-        trace = []
-
-        def sleeper(env):
-            try:
-                yield env.pooled_timeout(10.0)
-                trace.append("slept")
-            except Interrupt:
-                trace.append(("interrupted", env.now))
-                yield env.pooled_timeout(1.0)
-                trace.append(("resumed", env.now))
-
-        process = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(2.0)
-            process.interrupt("wake")
-
-        env.process(interrupter(env))
-        env.run()
-        assert trace == [("interrupted", 2.0), ("resumed", 3.0)]
-
     def test_counter_parity_with_plain_timeout(self):
         """One counter bump per pooled timer — the same schedule count a
         plain Timeout produces, so dispatch order never shifts."""
@@ -584,3 +476,280 @@ class TestPooledTimers:
             return env.scheduled_count
 
         assert run(pooled=True) == run(pooled=False)
+
+
+# -- the one-loop kernel against the two-copy kernel ----------------------
+#
+# A drawn schedule is built on a fresh environment of each kernel and run
+# the same way; every callback and process step appends to a trace, so
+# equal traces (times compared with ``==``) mean the same entries
+# dispatched at the same instants in the same order.
+
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5]),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+)
+_STEPS = st.one_of(
+    st.tuples(st.just("timeout"), _DELAYS),
+    st.tuples(st.just("pooled"), _DELAYS),
+    st.tuples(st.just("again")),
+    st.tuples(st.just("shared"), st.integers(0, 7)),
+    st.tuples(st.just("all_of"), st.lists(_DELAYS, max_size=3), st.booleans()),
+    st.tuples(st.just("fail"), _DELAYS, st.booleans()),
+    st.tuples(st.just("callback"), _DELAYS),
+    st.tuples(st.just("spawn"), _DELAYS),
+    st.tuples(st.just("succeed_later"), _DELAYS),
+)
+_SCHEDULES = st.lists(
+    st.one_of(
+        st.tuples(st.just("timeout"), _DELAYS),
+        st.tuples(st.just("call_at"), _DELAYS),
+        st.tuples(st.just("call_later"), _DELAYS),
+        st.tuples(st.just("failing"), _DELAYS),
+        st.tuples(st.just("process"), st.lists(_STEPS, max_size=6)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _plain(value):
+    """A kernel-free copy of a delivered value (an AllOf's is a dict
+    keyed by events)."""
+    return sorted(value.values()) if isinstance(value, dict) else value
+
+
+def _failing(env, delay, tag):
+    yield env.timeout(delay)
+    raise ValueError(tag)
+
+
+def _child(env, trace, tag, delay):
+    yield env.pooled_timeout(delay)
+    trace.append(("child", tag, env.now))
+
+
+def _process(env, trace, pid, steps, shared):
+    last = None
+    for index, step in enumerate(steps):
+        kind, tag = step[0], (pid, index)
+        if kind == "timeout":
+            last = wait = env.timeout(step[1], value=tag)
+        elif kind == "pooled":
+            wait = env.pooled_timeout(step[1], value=tag)
+        elif kind == "again":  # processed once waited on: the resume lane
+            wait = last if last is not None else env.timeout(0.0, value=tag)
+        elif kind == "shared":
+            wait = shared[step[1] % len(shared)] if shared else env.timeout(0.0)
+        elif kind == "all_of":
+            members = [
+                env.timeout(delay, value=(pid, index, k)) for k, delay in enumerate(step[1])
+            ]
+            if step[2]:
+                members.append(env.process(_failing(env, 0.5, f"all_of {tag}")))
+            last = wait = env.all_of(members)
+        elif kind == "fail":
+            child = env.process(_failing(env, step[1], f"fail {tag}"))
+            if not step[2]:  # nobody waits: the failure surfaces from run
+                continue
+            last = wait = child
+        elif kind == "callback":
+            env.call_later(step[1], lambda tag=tag: trace.append(("cb", tag, env.now)))
+            continue
+        elif kind == "spawn":
+            env.process(_child(env, trace, tag, step[1]))
+            continue
+        else:  # succeed_later: a plain event triggered from the fast lane
+            last = wait = env.event()
+            env.call_later(step[1], lambda event=wait, tag=tag: event.succeed(tag))
+        try:
+            value = yield wait
+        except ValueError as exc:
+            value = ("caught", str(exc))
+        trace.append(("step", tag, env.now, _plain(value)))
+    return ("done", pid)
+
+
+def _build(env, schedule, trace):
+    """Queue ``schedule`` on ``env``; returns the events it can run until."""
+    shared = [
+        env.timeout(item[1], value=("shared", index))
+        for index, item in enumerate(schedule)
+        if item[0] == "timeout"
+    ]
+    for event in shared:
+        event.callbacks.append(lambda e: trace.append(("timeout", e.value, env.now)))
+    targets = list(shared)
+    for index, item in enumerate(schedule):
+        kind = item[0]
+        if kind == "call_at":
+            env.call_at(item[1], lambda index=index: trace.append(("call_at", index, env.now)))
+        elif kind == "call_later":
+            env.call_later(item[1], lambda index=index: trace.append(("call_later", index, env.now)))
+        elif kind == "failing":
+            targets.append(env.process(_failing(env, item[1], f"failing {index}")))
+        elif kind == "process":
+            targets.append(env.process(_process(env, trace, index, item[1], shared)))
+    return targets
+
+
+def _drain(env, trace):
+    while True:
+        try:
+            env.run()
+            return
+        except ValueError as exc:
+            trace.append(("raised", str(exc), env.now, env.peek()))
+
+
+def _run_stepwise(env, trace, checkpoints):
+    for until in checkpoints:
+        while True:
+            try:
+                env.run(until=until)
+                break
+            except ValueError as exc:
+                trace.append(("raised", str(exc), env.now, env.peek()))
+        trace.append(("at", until, env.now, env.peek(), env.scheduled_count))
+    _drain(env, trace)
+
+
+def _run_until_events(env, trace, targets, picks):
+    for pick in picks:
+        target = targets[pick % len(targets)]
+        try:
+            value = env.run(until=target)
+            trace.append(("until", pick, env.now, _plain(value)))
+        except ValueError as exc:
+            trace.append(("until raised", pick, str(exc), env.now, env.peek()))
+        except SimulationError as exc:  # EmptySchedule: each kernel has its own class
+            trace.append(("until failed", pick, type(exc).__name__, env.now))
+        trace.append(("count", env.scheduled_count))
+    _drain(env, trace)
+
+
+def _on_both_kernels(schedule, run):
+    """``(trace, now, scheduled_count, peek)`` of ``run`` on each kernel."""
+    outcomes = []
+    for kernel in (Environment, TwoCopyEnvironment):
+        env, trace = kernel(), []
+        targets = _build(env, schedule, trace)
+        run(env, trace, targets)
+        outcomes.append((trace, env.now, env.scheduled_count, env.peek()))
+    return outcomes
+
+
+class TestOneLoopMatchesTwoCopyKernel:
+    """The one dispatch loop against the kernel it replaced, kept
+    verbatim in ``tests/two_copy_kernel/``: equal traces, clocks and
+    counters on every drawn schedule, under each form of ``run``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=_SCHEDULES)
+    def test_drain(self, schedule):
+        one, two = _on_both_kernels(schedule, lambda env, trace, _targets: _drain(env, trace))
+        assert one == two
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        schedule=_SCHEDULES,
+        checkpoints=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.5, 4.0]),
+                st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_stepwise_run_until_time(self, schedule, checkpoints):
+        checkpoints = sorted(set(checkpoints))
+        one, two = _on_both_kernels(
+            schedule, lambda env, trace, _targets: _run_stepwise(env, trace, checkpoints)
+        )
+        assert one == two
+
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=_SCHEDULES, picks=st.lists(st.integers(0, 15), max_size=6))
+    def test_run_until_event(self, schedule, picks):
+        one, two = _on_both_kernels(
+            schedule,
+            lambda env, trace, targets: _run_until_events(env, trace, targets, picks)
+            if targets
+            else _drain(env, trace),
+        )
+        assert one == two
+
+
+class TestOneLoop:
+    """What the one loop does at its edges, and what it no longer has."""
+
+    def test_run_until_time_queues_no_counted_entry(self, env):
+        env.run(until=3.0)
+        assert env.now == 3.0 and env.scheduled_count == 0 and env.peek() == math.inf
+
+    def test_run_until_event_leaves_co_timed_entries_queued(self, env):
+        fired = []
+        target = env.timeout(1.0, value="target")
+        env.call_at(1.0, lambda: fired.append(env.now))
+        assert env.run(until=target) == "target"
+        assert fired == [] and env.now == 1.0 and env.peek() == 1.0
+        env.run()
+        assert fired == [1.0]
+
+    def test_a_failure_before_the_deadline_leaves_no_stop_entry(self, env):
+        def failing(env):
+            yield env.timeout(1.0)
+            raise ValueError("nobody listening")
+
+        env.process(failing(env))
+        env.call_at(2.0, lambda: None)
+        with pytest.raises(ValueError, match="nobody listening"):
+            env.run(until=5.0)
+        assert env.now == 1.0 and env.peek() == 2.0
+        env.run()
+        assert env.now == 2.0 and env.peek() == math.inf
+
+    def test_clock_moving_backwards_is_refused(self, env):
+        env.run(until=2.0)
+        env._heap.append((1.0, 1, 0, lambda: None))
+        with pytest.raises(ClockError, match="moving backwards"):
+            env.run()
+        assert env.now == 2.0
+
+    def test_cut_kernel_api_stays_gone(self):
+        """No module under ``src/repro`` defines the machinery the one
+        loop replaced or that nothing but the kernel's tests called."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        cut = {
+            "_dispatch",
+            "step",
+            "interrupt",
+            "Interrupt",
+            "AnyOf",
+            "any_of",
+            "_waiting_on",
+            "_active_process",
+            "SimClock",
+        }
+        package = Path(repro.__file__).parent
+        assert not (package / "net" / "simclock.py").exists()
+        defined = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = node.name
+                elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                    node.ctx, ast.Store
+                ):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value  # a __slots__ entry, among other strings
+                else:
+                    continue
+                if name in cut:
+                    defined.add((path.relative_to(package).as_posix(), name))
+        assert defined == set()

@@ -47,7 +47,7 @@ def test_environment_block_names_the_one_kernel_and_transport():
 
 def test_kernel_modules_map_to_the_kernel_layer():
     package = Path(trace._PACKAGE_ROOT)
-    for module in ("net/env.py", "net/events.py", "net/simclock.py"):
+    for module in ("net/env.py", "net/events.py"):
         assert trace.layer_of_module(str(package / module)) == "net.kernel"
 
 

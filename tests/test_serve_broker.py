@@ -168,6 +168,21 @@ class TestSubmit:
         assert broker.lease("w0") is None
 
 
+class TestMaxAttempts:
+    """``max_attempts`` is a count: an integer of at least one."""
+
+    # NaN raised a raw ValueError out of int(); 2.5 was stored as 2.
+    @pytest.mark.parametrize(
+        "attempts", [math.nan, 2.5, 3.0, "3", 0, -1], ids=["nan", "half", "float", "str", "0", "-1"]
+    )
+    def test_refused_unless_a_positive_integer(self, make_broker, attempts):
+        with pytest.raises(ConfigError, match="max_attempts"):
+            make_broker(max_attempts=attempts)
+
+    def test_an_integer_is_kept(self, make_broker):
+        assert make_broker(max_attempts=2).max_attempts == 2
+
+
 class TestTimingValidation:
     """Every timing the broker or a worker waits on is refused at the
     door unless a thread can wait that long: NaN fails the check too."""

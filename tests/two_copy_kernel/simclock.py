@@ -7,7 +7,7 @@ interface instead of the whole environment.
 
 from __future__ import annotations
 
-from ..errors import ClockError
+from repro.errors import ClockError
 
 
 class SimClock:
