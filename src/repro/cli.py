@@ -648,16 +648,16 @@ def _command_worker(args: argparse.Namespace) -> int:
         print(message, file=sys.stderr, flush=True)
 
     try:
-        client = resolve_broker(args.url)
-        processed = run_worker(
-            client,
-            jobs=args.jobs,
-            poll=args.poll,
-            max_cells=args.max_cells,
-            once=args.once,
-            worker_id=args.worker_id,
-            log=log,
-        )
+        with resolve_broker(args.url) as client:
+            processed = run_worker(
+                client,
+                jobs=args.jobs,
+                poll=args.poll,
+                max_cells=args.max_cells,
+                once=args.once,
+                worker_id=args.worker_id,
+                log=log,
+            )
         log(f"[worker] processed {processed} cell(s)")
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         return 0

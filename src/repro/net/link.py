@@ -71,12 +71,18 @@ class FlowHandle:
         ramp_rtt: float | None = None,
         ramp_limit: float = math.inf,
     ) -> None:
-        if not total_bytes > 0:
-            raise ConfigError(f"flow size must be positive, got {total_bytes}")
+        # Written so NaN fails too; an infinite flow never completes and
+        # its link wakes at every capacity boundary for ever.
+        if not 0 < total_bytes < math.inf:
+            raise ConfigError(f"flow size must be positive and finite, got {total_bytes}")
         if not cap > 0:
             raise ConfigError(f"flow cap must be positive, got {cap}")
         if ramp_rtt is not None and not ramp_rtt > 0:
             raise ConfigError(f"ramp_rtt must be positive, got {ramp_rtt}")
+        # ``min(cap, nan)`` is ``cap``: a NaN limit would double the cap
+        # without end.
+        if not ramp_limit > 0:
+            raise ConfigError(f"ramp_limit must be positive, got {ramp_limit}")
         self.link = link
         self.total_bytes = float(total_bytes)
         self.remaining = float(total_bytes)

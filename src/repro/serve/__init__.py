@@ -27,7 +27,8 @@ repo's core invariant — results byte-identical to a local serial run:
 
 Results move as single-cell study archives — the ``(manifest text, npz
 bytes)`` pair of :func:`~repro.study.archive.dump_study`, encoded and
-decoded in memory — the byte-deterministic format the cache already
+decoded in memory and carried as one raw frame
+(:func:`~repro.serve.cells.pack_frame`) — the byte-deterministic format the cache already
 round-trips bit-exactly, which is what makes service-backed archives
 ``cmp``-identical to in-process ones.
 """

@@ -12,19 +12,30 @@ the client all speak this format; nothing else crosses the wire, and
 nothing touches the file system on the way: workers encode with
 :func:`cell_archive`, the broker and the client check and decode with
 :func:`~repro.study.archive.parse_study`.
+
+On the wire the pair travels as one raw frame (:func:`pack_frame`,
+checked by :func:`unpack_frame`)::
+
+    u32 big-endian manifest length | manifest UTF-8 | npz bytes
+
+— the exact bytes, with no text encoding to inflate or to decode.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Any
 
+from ..errors import ConfigError
 from ..sim.campaign import run_together
 from ..study.archive import dump_study
 from ..study.cache import single_cell_study
 from ..study.registry import get_experiment
 from ..study.study import StudyCell, _batch_columns
 
-__all__ = ["cell_archive", "execute_cell"]
+__all__ = ["cell_archive", "execute_cell", "pack_frame", "unpack_frame"]
+
+_LENGTH = struct.Struct(">I")
 
 
 def execute_cell(experiment_id: str, params: dict[str, Any], engine: Any = None) -> StudyCell:
@@ -60,3 +71,31 @@ def cell_archive(experiment_id: str, cell: StudyCell) -> tuple[str, bytes]:
     :func:`~repro.study.archive.parse_study`.
     """
     return dump_study(single_cell_study(get_experiment(experiment_id), cell.params, cell))
+
+
+
+def pack_frame(manifest_text: str, npz_bytes: bytes) -> bytes:
+    """One cell archive as a wire frame: the manifest's length, the
+    manifest, the npz payload."""
+    manifest = manifest_text.encode()
+    return _LENGTH.pack(len(manifest)) + manifest + npz_bytes
+
+
+def unpack_frame(frame: bytes) -> tuple[str, bytes]:
+    """``(manifest_text, npz_bytes)`` from a :func:`pack_frame` frame;
+    a frame whose prefix or manifest does not check out raises
+    :class:`~repro.errors.ConfigError`.  The payload itself is
+    :func:`~repro.study.archive.parse_study`'s to check."""
+    if len(frame) < _LENGTH.size:
+        raise ConfigError(f"archive frame of {len(frame)} byte(s) has no length prefix")
+    (length,) = _LENGTH.unpack_from(frame)
+    end = _LENGTH.size + length
+    if end > len(frame):
+        raise ConfigError(
+            f"archive frame's manifest length {length} runs past its {len(frame)} byte(s)"
+        )
+    try:
+        manifest_text = frame[_LENGTH.size : end].decode()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"archive frame's manifest is not UTF-8: {exc}") from None
+    return manifest_text, frame[end:]

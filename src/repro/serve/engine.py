@@ -69,7 +69,12 @@ class ServiceEngine:
         timeout: float | None = None,
         progress: Callable[[str], None] | None = None,
     ) -> None:
+        # Written so NaN fails too: a NaN deadline never passes.
+        if timeout is not None and not timeout >= 0:
+            raise ConfigError(f"timeout must be >= 0 s or None, got {timeout}")
         self.client = resolve_broker(broker)
+        #: Whether ``client`` was made here, and so is closed here.
+        self._owns_client = self.client is not broker
         #: Overall wall-clock budget for one run (None = wait forever).
         self.timeout = timeout
         self._progress = progress
@@ -90,7 +95,15 @@ class ServiceEngine:
         )
 
     def run_study(self, study: Study) -> StudyResult:
-        """Submit, stream progress, reassemble the StudyResult."""
+        """Submit, stream progress, reassemble the StudyResult; a client
+        made from a URL is closed when the run ends."""
+        try:
+            return self._run_study(study)
+        finally:
+            if self._owns_client:
+                self.client.close()
+
+    def _run_study(self, study: Study) -> StudyResult:
         axes = {name: list(values) for name, values in study.axes.items()}
         submitted = self.client.submit(
             {

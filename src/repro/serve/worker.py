@@ -63,11 +63,16 @@ class _Heartbeat(threading.Thread):
         self.lost = False
 
     def run(self) -> None:
-        while not self._stopped.wait(self._interval):
-            with suppress(ServiceError):
-                if not self._client.heartbeat(self._lease_id):
-                    self.lost = True
-                    return
+        try:
+            while not self._stopped.wait(self._interval):
+                with suppress(ServiceError):
+                    if not self._client.heartbeat(self._lease_id):
+                        self.lost = True
+                        return
+        finally:
+            # This thread's own connection to the broker ends with it.
+            if isinstance(self._client, BrokerClient):
+                self._client.release()
 
     def stop(self) -> None:
         self._stopped.set()
@@ -115,62 +120,66 @@ def run_worker(
 
     unreachable = False
     processed = 0
-    while not stop.is_set():
-        if max_cells is not None and processed >= max_cells:
-            break
-        try:
-            lease = client.lease(name, wait=0.0 if once else poll)
-        except ServiceError as exc:
-            if once:
-                raise
-            if not unreachable:
-                _emit(f"[worker {name}] broker unreachable, retrying: {exc}")
-                unreachable = True
-            stop.wait(poll)
-            continue
-        if unreachable:
-            _emit(f"[worker {name}] broker reachable again")
-            unreachable = False
-        if lease is None:
-            if once:
+    try:
+        while not stop.is_set():
+            if max_cells is not None and processed >= max_cells:
                 break
-            continue
-        job_id, cell = lease["job_id"], lease["cell"]
-        _emit(f"[worker {name}] leased job {job_id} cell {cell}")
-        beat = _Heartbeat(
-            client,
-            lease["lease_id"],
-            max(0.05, float(lease.get("lease_timeout", 60.0)) / 3.0),
-        )
-        beat.start()
-        try:
-            result = execute_cell(lease["experiment"], lease["params"], engine=engine)
-            manifest_text, npz_bytes = cell_archive(lease["experiment"], result)
-        except Exception as exc:  # a cell failure must not kill the worker
-            beat.stop()
-            error = f"{type(exc).__name__}: {exc}"
-            _emit(f"[worker {name}] job {job_id} cell {cell} failed: {error}")
-            with suppress(ServiceError):
-                client.fail(lease["lease_id"], error)
-            processed += 1
-            continue
-        beat.stop()
-        try:
-            response = client.complete(
-                job_id,
-                cell,
-                manifest_text,
-                npz_bytes,
-                lease_id=lease["lease_id"],
-                worker=name,
+            try:
+                lease = client.lease(name, wait=0.0 if once else poll)
+            except ServiceError as exc:
+                if once:
+                    raise
+                if not unreachable:
+                    _emit(f"[worker {name}] broker unreachable, retrying: {exc}")
+                    unreachable = True
+                stop.wait(poll)
+                continue
+            if unreachable:
+                _emit(f"[worker {name}] broker reachable again")
+                unreachable = False
+            if lease is None:
+                if once:
+                    break
+                continue
+            job_id, cell = lease["job_id"], lease["cell"]
+            _emit(f"[worker {name}] leased job {job_id} cell {cell}")
+            beat = _Heartbeat(
+                client,
+                lease["lease_id"],
+                max(0.05, float(lease.get("lease_timeout", 60.0)) / 3.0),
             )
-        except ServiceError as exc:
-            _emit(f"[worker {name}] job {job_id} cell {cell} commit failed: {exc}")
+            beat.start()
+            try:
+                result = execute_cell(lease["experiment"], lease["params"], engine=engine)
+                manifest_text, npz_bytes = cell_archive(lease["experiment"], result)
+            except Exception as exc:  # a cell failure must not kill the worker
+                beat.stop()
+                error = f"{type(exc).__name__}: {exc}"
+                _emit(f"[worker {name}] job {job_id} cell {cell} failed: {error}")
+                with suppress(ServiceError):
+                    client.fail(lease["lease_id"], error)
+                processed += 1
+                continue
+            beat.stop()
+            try:
+                response = client.complete(
+                    job_id,
+                    cell,
+                    manifest_text,
+                    npz_bytes,
+                    lease_id=lease["lease_id"],
+                    worker=name,
+                )
+            except ServiceError as exc:
+                _emit(f"[worker {name}] job {job_id} cell {cell} commit failed: {exc}")
+                processed += 1
+                continue
+            verdict = (
+                "completed" if response.get("accepted") else f"discarded ({response.get('reason')})"
+            )
+            _emit(f"[worker {name}] job {job_id} cell {cell} {verdict}")
             processed += 1
-            continue
-        verdict = (
-            "completed" if response.get("accepted") else f"discarded ({response.get('reason')})"
-        )
-        _emit(f"[worker {name}] job {job_id} cell {cell} {verdict}")
-        processed += 1
+    finally:
+        if client is not broker:  # a client made here is closed here
+            client.close()
     return processed

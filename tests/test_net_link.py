@@ -128,12 +128,19 @@ class TestLinkTransfers:
         with pytest.raises(Exception):
             link.start_flow(100, cap=0.0)
 
-    @pytest.mark.parametrize("nan", ["total_bytes", "cap", "ramp_rtt"])
+    @pytest.mark.parametrize("nan", ["total_bytes", "cap", "ramp_rtt", "ramp_limit"])
     def test_nan_flow_parameters_rejected(self, env, link, nan):
-        arguments = {"total_bytes": 1000.0, "cap": 5.0e5, "ramp_rtt": 0.02}
+        arguments = {"total_bytes": 1000.0, "cap": 5.0e5, "ramp_rtt": 0.02, "ramp_limit": 4.0e6}
         arguments[nan] = math.nan
         with pytest.raises(ConfigError):
             link.start_flow(**arguments)
+        assert link.active_flow_count == 0 and env.scheduled_count == 0
+
+    def test_an_infinite_flow_is_refused(self, env, link):
+        # It would never complete, and its link would queue a boundary
+        # wake every second for ever.
+        with pytest.raises(ConfigError, match="finite"):
+            link.start_flow(math.inf)
         assert link.active_flow_count == 0 and env.scheduled_count == 0
 
 

@@ -9,10 +9,10 @@ the sweep completes, and a poisoned cell quarantines as a per-cell
 error instead of sinking the study.
 """
 
-import base64
 import filecmp
 import http.client
 import json
+import math
 import re
 import socket
 import struct
@@ -30,9 +30,10 @@ from repro.cli import main
 from repro.errors import ConfigError, ServiceError
 from repro.http.h1 import MAX_BODY
 from repro.serve.broker import Broker
-from repro.serve.cells import cell_archive, execute_cell
+from repro.serve.cells import cell_archive, execute_cell, pack_frame, unpack_frame
 from repro.serve.client import BrokerClient
 from repro.serve.engine import ServiceEngine, resolve_broker
+from repro.serve import httpd
 from repro.serve.httpd import create_server, run_server
 from repro.serve.worker import run_worker
 from repro.study import Study, StudyCache
@@ -67,7 +68,9 @@ def service_stack(
         log=log.append,
     )
     server = create_server(broker)
+    handlers = record_handlers(server)
     url = f"http://127.0.0.1:{server.server_address[1]}"
+    client = BrokerClient(url)
     server_thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
@@ -98,6 +101,8 @@ def service_stack(
         yield SimpleNamespace(
             broker=broker,
             url=url,
+            client=client,
+            handlers=handlers,
             log=log,
             stop=stop,
             start_worker=start_worker,
@@ -106,10 +111,25 @@ def service_stack(
         stop.set()
         for thread in threads:
             thread.join(timeout=30)
+        client.close()
         server.shutdown()
         server_thread.join(timeout=10)
         server.server_close()
         broker.close()
+
+
+def record_handlers(server) -> list:
+    """Record the handler thread of each connection ``server`` accepts;
+    returns the record."""
+    handlers: list[threading.Thread] = []
+    serve = server.process_request_thread
+
+    def process_request_thread(request, client_address):
+        handlers.append(threading.current_thread())
+        serve(request, client_address)
+
+    server.process_request_thread = process_request_thread
+    return handlers
 
 
 @contextmanager
@@ -249,7 +269,7 @@ class TestInMemoryTransport:
             monkeypatch.setattr(tempfile, name, forbidden)
         cache = StudyCache(tmp_path / "cache")
         with service_stack(tmp_path, cache=cache) as stack:
-            client = BrokerClient(stack.url)
+            client = stack.client
             # submit -> lease -> complete (the worker thread) -> fetch
             fresh = client.submit(self.PAYLOAD)
             assert fresh["cached"] == 0
@@ -277,7 +297,7 @@ class TestInMemoryTransport:
         cache = StudyCache(tmp_path / "cache")
         payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
         with service_stack(tmp_path, cache=cache) as stack:
-            client = BrokerClient(stack.url)
+            client = stack.client
             job = client.submit(payload)["job_id"]
             wait_done(client, job)
             good = client.result(job, 0)
@@ -320,7 +340,7 @@ class TestInMemoryTransport:
     )
     def test_malformed_manifest_over_http_is_charged_and_requeued(self, tmp_path, mutate):
         with service_stack(tmp_path, start_workers=False) as stack:
-            client = BrokerClient(stack.url)
+            client = stack.client
             payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
             job = client.submit(payload)["job_id"]
             lease = client.lease("sloppy")
@@ -343,7 +363,7 @@ class TestInMemoryTransport:
 class TestWorkerFailure:
     def test_lost_worker_lease_requeues_and_sweep_completes(self, tmp_path):
         with service_stack(tmp_path, lease_timeout=0.5, start_workers=False) as stack:
-            client = BrokerClient(stack.url)
+            client = stack.client
             payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
             job = client.submit(payload)["job_id"]
             # A "worker" that takes the lease and dies: no heartbeat, no
@@ -400,13 +420,14 @@ class TestWorkerFailure:
             target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         thread.start()
-        job = BrokerClient(url, timeout=5.0).submit(
-            {
-                "experiment": "fig2",
-                "params": {"trials": 1},
-                "axes": {"seed": [2014, 2015]},
-            }
-        )["job_id"]
+        with BrokerClient(url, timeout=5.0) as client:
+            job = client.submit(
+                {
+                    "experiment": "fig2",
+                    "params": {"trials": 1},
+                    "axes": {"seed": [2014, 2015]},
+                }
+            )["job_id"]
         # Take the HTTP front end down before any worker exists; the
         # sqlite queue keeps the submitted job.
         server.shutdown()
@@ -444,7 +465,8 @@ class TestWorkerFailure:
                 daemon=True,
             )
             thread.start()
-            status = wait_done(BrokerClient(url, timeout=5.0), job)
+            with BrokerClient(url, timeout=5.0) as client:
+                status = wait_done(client, job)
         finally:
             stop.set()
             worker.join(timeout=30)
@@ -498,11 +520,11 @@ class TestWorkerFailure:
                 daemon=True,
             )
             thread.start()
-            client = BrokerClient(url, timeout=5.0)
-            job = client.submit(
-                {"experiment": "fig2", "params": {"trials": 1}, "axes": {"seed": [2014, 2015]}}
-            )["job_id"]
-            status = wait_done(client, job)
+            with BrokerClient(url, timeout=5.0) as client:
+                job = client.submit(
+                    {"experiment": "fig2", "params": {"trials": 1}, "axes": {"seed": [2014, 2015]}}
+                )["job_id"]
+                status = wait_done(client, job)
         finally:
             stop.set()
             worker.join(timeout=30)
@@ -526,7 +548,7 @@ class TestLongPoll:
 
     def test_parked_lease_returns_a_cell_submitted_meanwhile(self, tmp_path):
         with service_stack(tmp_path, start_workers=False) as stack:
-            client = BrokerClient(stack.url)
+            client = stack.client
             parked = park(lambda: client.lease("w0", wait=5.0))
             client.submit(self.PAYLOAD)
             parked.finish()
@@ -536,7 +558,7 @@ class TestLongPoll:
 
     def test_expired_lease_reaches_a_parked_worker_at_its_deadline(self, tmp_path):
         with service_stack(tmp_path, lease_timeout=0.3, start_workers=False) as stack:
-            client = BrokerClient(stack.url)
+            client = stack.client
             client.submit(self.PAYLOAD)
             silent = client.lease("a")
             parked = park(lambda: client.lease("b", wait=5.0))
@@ -557,7 +579,7 @@ class TestLongPoll:
                 time.sleep(0.1)  # parked; then the "worker" dies with a reset
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             time.sleep(0.5)  # the park ends and the reply meets the reset
-            assert BrokerClient(stack.url).health() is True
+            assert stack.client.health() is True
         assert "Traceback" not in capsys.readouterr().err
 
     def test_worker_at_the_default_poll_stops_promptly(self, tmp_path):
@@ -578,10 +600,128 @@ class TestLongPoll:
             assert time.monotonic() - stopped < 0.25
 
 
+class TestKeepAlive:
+    """One connection per client thread, one round trip per request."""
+
+    PAYLOAD = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
+
+    def test_one_connection_carries_every_request(self, tmp_path):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            client = stack.client
+            assert client.health() is True
+            job = client.submit(self.PAYLOAD)["job_id"]
+            lease = client.lease("w0")
+            manifest_text, npz_bytes = cell_archive(
+                lease["experiment"], execute_cell(lease["experiment"], lease["params"])
+            )
+            assert client.complete(job, 0, manifest_text, npz_bytes, lease["lease_id"], "w0")[
+                "accepted"
+            ]
+            assert client.status(job, wait=0.0, done=0)["state"] == "done"
+            assert client.result(job, 0) == (manifest_text, npz_bytes)
+            assert len(stack.handlers) == 1
+
+    def test_kept_alive_round_trips_wait_out_no_delayed_ack(self, tmp_path):
+        # Headers and body leave the server in two sends: with Nagle on,
+        # each reply waits for the client's delayed ACK (about 44 ms).
+        with service_stack(tmp_path, start_workers=False) as stack:
+            stack.client.health()
+            start = time.perf_counter()
+            for _ in range(20):
+                stack.client.health()
+            elapsed = time.perf_counter() - start
+            assert len(stack.handlers) == 1
+        assert elapsed < 0.5
+
+    def test_server_close_ends_every_handler_thread(self, tmp_path):
+        broker = Broker(tmp_path / "queue.sqlite3")
+        server = create_server(broker)
+        handlers = record_handlers(server)
+        serving = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+        serving.start()
+        try:
+            with BrokerClient(f"http://127.0.0.1:{server.server_address[1]}") as client:
+                assert client.health() is True
+                # The connection stays open, its handler waiting for the
+                # next request, while the server goes down.
+                server.shutdown()
+                serving.join(timeout=10)
+                start = time.monotonic()
+                server.server_close()
+                assert time.monotonic() - start < 1.0
+        finally:
+            broker.close()
+        assert len(handlers) == 1 and not handlers[0].is_alive()
+
+    def test_an_idle_connection_the_server_closed_is_replaced_before_the_write(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(httpd, "_IDLE_TIMEOUT", 0.2)
+        with service_stack(tmp_path, start_workers=False) as stack:
+            stack.client.health()
+            stack.handlers[0].join(timeout=5)  # the server closes it idle
+            assert not stack.handlers[0].is_alive()
+            stack.client.submit(self.PAYLOAD)
+            assert len(stack.handlers) == 2
+        assert sum("submitted" in line for line in stack.log) == 1
+
+    def test_a_request_whose_reply_is_lost_is_not_sent_again(self, tmp_path, monkeypatch):
+        # The broker commits the lease, then the connection drops before
+        # the reply: a client that re-sent the request would be handed
+        # nothing (the cell is leased) and report no error.
+        with service_stack(tmp_path, lease_timeout=0.3, start_workers=False) as stack:
+            leases: list[str] = []
+            lease = stack.broker.lease
+
+            def lease_then_drop(worker, wait=None):
+                leases.append(worker)
+                granted = lease(worker, wait=wait)
+                if worker == "lost":
+                    raise ConnectionResetError("reply lost")
+                return granted
+
+            monkeypatch.setattr(stack.broker, "lease", lease_then_drop)
+            stack.client.submit(self.PAYLOAD)
+            with pytest.raises(ServiceError, match="cannot reach broker"):
+                stack.client.lease("lost")
+            parked = park(lambda: stack.client.lease("parked", wait=5.0))
+            parked.finish()
+        assert leases == ["lost", "parked"]
+        assert parked.error is None
+        assert parked.value is not None and parked.value["cell"] == 0
+        assert parked.elapsed < 1.0
+        assert any("requeued" in line and "lease expired" in line for line in stack.log)
+
+    def test_a_heartbeat_thread_closes_its_own_connection(self, tmp_path):
+        with (
+            injectable_fig2() as experiment_id,
+            service_stack(tmp_path, lease_timeout=0.3, start_workers=False) as stack,
+        ):
+            job = stack.client.submit(
+                {"experiment": experiment_id, "params": {"trials": 1, "delay": 0.5}, "axes": {}}
+            )["job_id"]
+            with BrokerClient(stack.url) as client:
+                assert run_worker(client, jobs="serial", once=True, worker_id="w0") == 1
+                # The loop's connection and the heartbeat's; the latter
+                # closed when its thread stopped.
+                (loop, beat) = stack.handlers[1:]
+                beat.join(timeout=5)
+                assert loop.is_alive() and not beat.is_alive()
+            assert stack.broker.status(job)["state"] == "done"
+
+
+class TestFrame:
+    def test_round_trip(self):
+        for manifest_text, npz_bytes in [("{}", b""), ("{\"label\": \"\u00e9\"}", b"PK\x00\x01")]:
+            frame = pack_frame(manifest_text, npz_bytes)
+            assert frame[:4] == len(manifest_text.encode()).to_bytes(4, "big")
+            assert unpack_frame(frame) == (manifest_text, npz_bytes)
+
+
 class TestHttpSurface:
     def test_health_and_errors(self, tmp_path):
         with service_stack(tmp_path, start_workers=False) as stack:
-            client = BrokerClient(stack.url)
+            client = stack.client
             assert client.health() is True
             with pytest.raises(ServiceError, match="unknown job"):
                 client.status("nope")
@@ -590,18 +730,39 @@ class TestHttpSurface:
             with pytest.raises(ConfigError, match="broker URL"):
                 resolve_broker(None)
 
+    @pytest.mark.parametrize(
+        "timeout", [math.nan, -1.0, 0.0, math.inf, threading.TIMEOUT_MAX * 2]
+    )
+    def test_client_timeout_is_refused_at_construction(self, timeout):
+        # Each used to construct, then fail at the first request: a raw
+        # ValueError or OverflowError from the socket, or "Operation now
+        # in progress" for 0.
+        with pytest.raises(ConfigError, match="timeout"):
+            BrokerClient("http://127.0.0.1:1", timeout=timeout)
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1", "http://", "http://x:abc", "x:80"])
+    def test_client_url_is_checked_at_construction(self, url):
+        with pytest.raises(ConfigError, match="broker URL"):
+            BrokerClient(url)
+
+    @pytest.mark.parametrize("timeout", [math.nan, -1.0])
+    def test_engine_timeout_is_refused_at_construction(self, timeout):
+        # A NaN deadline never passes: the run would never time out.
+        with pytest.raises(ConfigError, match="timeout"):
+            ServiceEngine("http://127.0.0.1:1", timeout=timeout)
+
     def test_client_surfaces_unreachable_broker(self):
-        client = BrokerClient("http://127.0.0.1:1", timeout=0.5)
-        with pytest.raises(ServiceError, match="cannot reach broker"):
-            client.health()
+        with BrokerClient("http://127.0.0.1:1", timeout=0.5) as client:
+            with pytest.raises(ServiceError, match="cannot reach broker"):
+                client.health()
 
     def test_client_surfaces_a_connection_dropped_mid_reply(self):
         with dropping_server() as (url, requests):
-            client = BrokerClient(url, timeout=5.0)
-            with pytest.raises(ServiceError, match="cannot reach broker"):
-                client.health()
-            with pytest.raises(ServiceError, match="cannot reach broker"):
-                client.lease("w1")
+            with BrokerClient(url, timeout=5.0) as client:
+                with pytest.raises(ServiceError, match="cannot reach broker"):
+                    client.health()
+                with pytest.raises(ServiceError, match="cannot reach broker"):
+                    client.lease("w1")
         assert requests == ["GET /api/v1/health", "POST /api/v1/lease"]
 
     def test_worker_outlives_a_connection_dropped_mid_reply(self):
@@ -633,7 +794,8 @@ class TestHttpSurface:
         thread.start()
         assert ready.wait(timeout=10)
         url = f"http://127.0.0.1:{box[0].server_address[1]}"
-        assert BrokerClient(url).health() is True
+        with BrokerClient(url) as client:
+            assert client.health() is True
         box[0].shutdown()
         thread.join(timeout=10)
         broker.close()
@@ -684,15 +846,41 @@ def _raw_exchange(url, method, path, body=b"", headers=None):
     Bypasses ``BrokerClient`` so a test can send what no client would.
     A handler that raises drops the connection (``RemoteDisconnected``)
     and one that hangs trips the socket timeout; both fail the test.
+    A health check follows on the same connection and must get its 200:
+    a refusal leaves the stream in step for the next request.
     """
     parts = urlsplit(url)
     connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
     try:
         connection.request(method, path, body=body, headers=headers or {})
         response = connection.getresponse()
-        return response.status, json.loads(response.read())
+        reply = response.status, json.loads(response.read())
+        assert not response.will_close, "the refusal closed a readable stream"
+        sock = connection.sock
+        connection.request("GET", "/api/v1/health")
+        response = connection.getresponse()
+        assert (response.status, json.loads(response.read())) == (200, {"ok": True})
+        assert connection.sock is sock  # the same connection, not a new one
+        return reply
     finally:
         connection.close()
+
+
+def _raw_replies(url, data):
+    """Send ``data`` on one socket as it stands; every reply the server
+    writes before it closes, as ``[(status, headers, body)]``."""
+    parts = urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(data)
+        stream = sock.makefile("rb")
+        replies = []
+        while True:
+            status_line = stream.readline()
+            if not status_line:  # EOF
+                return replies
+            message = http.client.parse_headers(stream)
+            body = stream.read(int(message["Content-Length"]))
+            replies.append((int(status_line.split()[1]), message, body))
 
 
 class TestMalformedRequests:
@@ -713,7 +901,7 @@ class TestMalformedRequests:
     def test_status_query(self, tmp_path, query, field):
         with service_stack(tmp_path, start_workers=False) as stack:
             payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
-            job = BrokerClient(stack.url).submit(payload)["job_id"]
+            job = stack.client.submit(payload)["job_id"]
             status, reply = _raw_exchange(stack.url, "GET", f"/api/v1/studies/{job}{query}")
             assert status == 400
             assert field in reply["error"]
@@ -755,31 +943,12 @@ class TestMalformedRequests:
                 "rtt_wifi",
                 id="submit-400-digit-param",
             ),
-            pytest.param(
-                "/api/v1/complete",
-                {"job_id": "j", "cell": "x", "manifest_text": "", "npz_b64": ""},
-                "cell",
-                id="complete-cell-not-an-integer",
-            ),
-            pytest.param(
-                "/api/v1/complete",
-                {"job_id": "j", "cell": 0, "manifest_text": "", "npz_b64": "not base64!"},
-                "npz_b64",
-                id="complete-npz-not-base64",
-            ),
-            # Past sqlite's 64-bit integers: binding raised OverflowError.
-            pytest.param(
-                "/api/v1/complete",
-                {"job_id": "j", "cell": 10**20, "manifest_text": "", "npz_b64": ""},
-                "cell",
-                id="complete-cell-past-64-bits",
-            ),
             # Past int()'s digit limit: the JSON decoder raised ValueError.
             pytest.param(
-                "/api/v1/complete",
-                b'{"job_id": "j", "cell": ' + b"9" * 5000 + b"}",
+                "/api/v1/lease",
+                b'{"worker": "w1", "wait": ' + b"9" * 5000 + b"}",
                 "JSON",
-                id="complete-cell-5000-digits",
+                id="lease-wait-5000-digits",
             ),
             # Past the decoder's recursion limit: RecursionError, not ValueError.
             pytest.param(
@@ -812,7 +981,52 @@ class TestMalformedRequests:
             )
             assert status == 400
             assert field in reply["error"]
-            assert BrokerClient(stack.url).health() is True
+            assert stack.client.health() is True
+
+    @pytest.mark.parametrize(
+        "query,field",
+        [
+            pytest.param("job_id=j&cell=x", "cell", id="cell-not-an-integer"),
+            # Past sqlite's 64-bit integers: binding raised OverflowError.
+            pytest.param(f"job_id=j&cell={10**20}", "cell", id="cell-past-64-bits"),
+            pytest.param("job_id=j&cell=" + "9" * 5000, "cell", id="cell-5000-digits"),
+            pytest.param("job_id=j&cell=0", "unknown cell", id="unknown-cell"),
+        ],
+    )
+    def test_complete_query(self, tmp_path, query, field):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            status, reply = _raw_exchange(
+                stack.url, "POST", f"/api/v1/complete?{query}", pack_frame("{}", b"PK")
+            )
+            assert status == 400
+            assert field in reply["error"]
+
+    @pytest.mark.parametrize(
+        "frame,field",
+        [
+            pytest.param(b"", "no length prefix", id="empty"),
+            pytest.param(b"\x00\x00\x01", "no length prefix", id="truncated-prefix"),
+            pytest.param(b"\x00\x00\x00\x09{}", "runs past", id="length-past-the-end"),
+            pytest.param(b"\x00\x00\x00\x02\xff\xfePK", "not UTF-8", id="manifest-not-utf8"),
+            # The retired JSON form: its first four bytes read as a length.
+            pytest.param(
+                json.dumps({"job_id": "j", "cell": 0, "npz_b64": ""}).encode(),
+                "runs past",
+                id="json-body",
+            ),
+        ],
+    )
+    def test_complete_frame(self, tmp_path, frame, field):
+        with service_stack(tmp_path, start_workers=False) as stack:
+            job = stack.client.submit(
+                {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
+            )["job_id"]
+            status, reply = _raw_exchange(
+                stack.url, "POST", f"/api/v1/complete?job_id={job}&cell=0", frame
+            )
+            assert status == 400
+            assert field in reply["error"]
+            assert stack.broker.status(job)["cells"][0]["state"] == "pending"
 
     @pytest.mark.parametrize(
         "length",
@@ -833,20 +1047,38 @@ class TestMalformedRequests:
         ],
     )
     def test_content_length(self, tmp_path, length):
-        # No body bytes: the server must answer from the header alone
-        # (unread bytes at close would reset the connection).
+        # Refused from the header alone, before any body is read: the
+        # bytes behind it cannot be framed, so the reply closes the
+        # connection and the well-formed request after it goes unread.
         with service_stack(tmp_path, start_workers=False) as stack:
-            status, reply = _raw_exchange(
-                stack.url, "POST", "/api/v1/lease", b"", {"Content-Length": length}
+            replies = _raw_replies(
+                stack.url,
+                f"POST /api/v1/lease HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+                "GET /api/v1/health HTTP/1.1\r\nHost: x\r\n\r\n".encode(),
             )
-            assert status == 400
-            assert "Content-Length" in reply["error"]
+        ((status, headers, body),) = replies
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_transfer_encoding_is_refused_and_closes(self, tmp_path):
+        # A chunked body is not read: its bytes would be taken for the
+        # next request.
+        with service_stack(tmp_path, start_workers=False) as stack:
+            replies = _raw_replies(
+                stack.url,
+                b"POST /api/v1/lease HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+            )
+        ((status, headers, body),) = replies
+        assert (status, headers["Connection"]) == (400, "close")
+        assert "Transfer-Encoding" in json.loads(body)["error"]
 
     def test_complete_with_an_unreadable_zip_is_refused_and_charged(self, tmp_path):
         # A compression method zipfile cannot read: its NotImplementedError
         # used to escape the handler and drop the connection.
         with service_stack(tmp_path, start_workers=False) as stack:
-            client = BrokerClient(stack.url)
+            client = stack.client
             payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
             job = client.submit(payload)["job_id"]
             lease = client.lease("sloppy")
@@ -856,20 +1088,13 @@ class TestMalformedRequests:
             directory = struct.unpack_from("<L", npz_bytes, len(npz_bytes) - 6)[0]
             patched = bytearray(npz_bytes)
             patched[8] = patched[directory + 10] = 99  # method 99, local and directory
-            body = {
-                "job_id": job,
-                "cell": lease["cell"],
-                "manifest_text": manifest_text,
-                "npz_b64": base64.b64encode(bytes(patched)).decode(),
-                "lease_id": lease["lease_id"],
-                "worker": "sloppy",
-            }
+            query = f"job_id={job}&cell={lease['cell']}&lease_id={lease['lease_id']}&worker=sloppy"
             status, reply = _raw_exchange(
                 stack.url,
                 "POST",
-                "/api/v1/complete",
-                json.dumps(body).encode(),
-                {"Content-Type": "application/json"},
+                f"/api/v1/complete?{query}",
+                pack_frame(manifest_text, bytes(patched)),
+                {"Content-Type": "application/octet-stream"},
             )
             assert status == 200
             assert reply["accepted"] is False
@@ -888,13 +1113,13 @@ class TestMalformedRequests:
     def test_result_cell(self, tmp_path, cell):
         with service_stack(tmp_path, start_workers=False) as stack:
             payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
-            job = BrokerClient(stack.url).submit(payload)["job_id"]
+            job = stack.client.submit(payload)["job_id"]
             status, reply = _raw_exchange(
                 stack.url, "GET", f"/api/v1/studies/{job}/cells/{cell}/result"
             )
             assert status == 400
             assert "cell" in reply["error"]
-            assert BrokerClient(stack.url).health() is True
+            assert stack.client.health() is True
 
 
 class TestCli:
@@ -925,7 +1150,7 @@ class TestCli:
     def test_worker_command_drains_a_queue(self, tmp_path, capsys):
         with service_stack(tmp_path, start_workers=False) as stack:
             payload = {"experiment": "fig2", "params": {"trials": 1}, "axes": {}}
-            job = BrokerClient(stack.url).submit(payload)["job_id"]
+            job = stack.client.submit(payload)["job_id"]
             code = main(["worker", stack.url, "--jobs", "serial", "--once", "--id", "cliw"])
             assert code == 0
             assert stack.broker.status(job)["state"] == "done"
