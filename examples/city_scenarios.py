@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 
-from repro.ext.population import PopulationCampaign
 from repro.scenarios import (
     ArrivalSpec,
     ChurnSpec,
@@ -30,6 +29,7 @@ from repro.scenarios import (
     ScenarioExperiment,
     population_slo,
 )
+from repro.sim.campaign import Campaign
 from repro.study import Study
 
 
@@ -57,7 +57,9 @@ def main() -> None:
         client_count=clients,
         seed=2026,
     )
-    population = PopulationCampaign().add(experiment.specs_for("rotate", 1)).run()
+    # Population specs name their own batch, so a plain Campaign returns
+    # the policy's PopulationBatch.
+    population = Campaign().add(experiment.specs_for("rotate", 1)).run()
     slo = population_slo(population["rotate"].batch)
     print(
         f"  rotate: p95 start-up {slo.p95_startup_s:.2f}s, "

@@ -15,30 +15,28 @@ same byte-identity bar as every campaign:
   over it;
 * the dense row is the single ``mean_error`` scalar
   (:data:`ESTIMATOR_COLUMNS`); the side record is the estimator name;
-* :class:`EstimatorCampaign` demultiplexes into per-estimator
-  :class:`EstimatorResult`s whose columnar :class:`EstimatorBatch`
-  plugs into the same :func:`~repro.sim.campaign.dense_field_mismatches`
-  determinism predicate (and the study archive's column extraction) as
-  the other batch kinds.
+* the spec kind's batch is :class:`EstimatorBatch`: the one
+  :class:`~repro.sim.campaign.Campaign` assembles each estimator's
+  rows into it, and it plugs into the same
+  :func:`~repro.sim.shm.dense_field_mismatches` determinism predicate
+  (and the study archive's column extraction) as the other batch kinds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from ..core.estimators import make_estimator
-from ..sim.campaign import Campaign, dense_field_mismatches
-from ..sim.shm import ColumnLayout
+from ..sim.shm import ColumnLayout, dense_field_mismatches
 
 __all__ = [
     "BASE_RATE",
     "ESTIMATOR_COLUMNS",
     "EstimatorBatch",
-    "EstimatorCampaign",
-    "EstimatorResult",
     "EstimatorTraceOutcome",
     "EstimatorTraceSpec",
     "burst_trace",
@@ -76,6 +74,29 @@ class EstimatorTraceOutcome(NamedTuple):
     mean_error: float
 
 
+@dataclass(frozen=True, eq=False)
+class EstimatorBatch:
+    """Columnar view of one label's outcomes (a single column here —
+    the point is protocol uniformity: archives and determinism checks
+    enumerate ndarray dataclass fields, whatever the batch kind)."""
+
+    mean_error: np.ndarray
+
+    @classmethod
+    def from_dense_and_sides(
+        cls, dense: dict[str, np.ndarray], sides: Sequence[str]
+    ) -> "EstimatorBatch":
+        """Adopt the one dense column; the side records (estimator
+        names) carry nothing the batch needs."""
+        return cls(mean_error=dense["mean_error"])
+
+    def __len__(self) -> int:
+        return len(self.mean_error)
+
+    def column_mismatches(self, other: "EstimatorBatch") -> list[str]:
+        return dense_field_mismatches(self, other)
+
+
 @dataclass(frozen=True)
 class EstimatorTraceSpec:
     """One estimator's walk over the burst trace, self-contained."""
@@ -90,8 +111,9 @@ class EstimatorTraceSpec:
     #: Samples ignored before the error average (estimator warm-up).
     warmup: int = 20
 
-    #: Column layout for collection (see ``WorkSpec``).
+    #: Column layout and batch class for collection (see ``WorkSpec``).
     dense_columns: ClassVar[ColumnLayout] = ESTIMATOR_COLUMNS
+    batch: ClassVar[type] = EstimatorBatch
 
     def run(self) -> EstimatorTraceOutcome:
         trace = burst_trace(self.seed, self.samples)
@@ -112,44 +134,3 @@ class EstimatorTraceSpec:
     def encode_side(self, result: EstimatorTraceOutcome) -> str:
         """The side record: the estimator name (the scalar is dense)."""
         return result.estimator
-
-
-@dataclass(frozen=True, eq=False)
-class EstimatorBatch:
-    """Columnar view of one label's outcomes (a single column here —
-    the point is protocol uniformity: archives and determinism checks
-    enumerate ndarray dataclass fields, whatever the batch kind)."""
-
-    mean_error: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.mean_error)
-
-    def column_mismatches(self, other: "EstimatorBatch") -> list[str]:
-        return dense_field_mismatches(self, other)
-
-
-class EstimatorResult:
-    """One estimator label's columnar batch (one row per registered
-    trial)."""
-
-    def __init__(self, label: str, batch: EstimatorBatch) -> None:
-        self.label = label
-        self.batch = batch
-
-    @property
-    def mean_error(self) -> float:
-        """The (single-trial) tracking error for this estimator."""
-        return float(self.batch.mean_error[0])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EstimatorResult(label={self.label!r}, n={len(self.batch)})"
-
-
-class EstimatorCampaign(Campaign):
-    """Campaign demux for estimator work units."""
-
-    def _result(
-        self, label: str, dense: dict[str, np.ndarray], sides: list
-    ) -> EstimatorResult:
-        return EstimatorResult(label, EstimatorBatch(mean_error=dense["mean_error"]))

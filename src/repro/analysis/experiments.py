@@ -50,7 +50,6 @@ import numpy as np
 
 from ..core.config import PlayerConfig
 from ..ext.multi_client import MultiClientExperiment
-from ..ext.population import PopulationCampaign
 from ..net.tls import TLSParams, eta, head_start, psi
 from ..sim.campaign import Campaign
 from ..sim.execution import MSPlayerSpec, TrialSpec
@@ -61,7 +60,7 @@ from ..sim.singlepath import FLASH_CHUNK, HTML5_CHUNK
 from ..study.params import Param, ParamSchema
 from ..study.registry import ExperimentDef, ExperimentPlan, register
 from ..units import KB, MB, MS, format_size, parse_size
-from .ablation import EstimatorCampaign, EstimatorTraceSpec
+from .ablation import EstimatorTraceSpec
 from .stats import summarize
 from .tables import format_table, render_distribution_rows
 
@@ -846,7 +845,7 @@ def _plan_x3(params: Mapping) -> ExperimentPlan:
     trusted to deliver, not one lucky burst.  Each estimator's walk is
     one work unit on the engine (all share the seed, hence the trace).
     """
-    campaign = EstimatorCampaign()
+    campaign = Campaign()
     for name in params["estimators"]:
         campaign.add(
             [
@@ -866,7 +865,7 @@ def _render_x3(params: Mapping, results: Mapping) -> ExperimentResult:
     rows = []
     raw: dict[str, float] = {}
     for name in params["estimators"]:
-        error = results[name].mean_error
+        error = float(results[name].batch.mean_error[0])
         raw[name] = error
         rows.append({"estimator": name, "mean |err| vs sustainable rate": f"{error:.1%}"})
     rendered = format_table(
@@ -918,8 +917,8 @@ def _plan_x6(params: Mapping) -> ExperimentPlan:
     """Load imbalance and start-up per selection policy, over replicated
     flash-crowd populations (§2's source-diversity argument at scale).
 
-    One :class:`~repro.ext.population.PopulationCampaign`: every
-    (policy, replicate) pair is a whole ``clients``-strong
+    One campaign of :class:`~repro.ext.population.PopulationSpec` work
+    units: every (policy, replicate) pair is a whole ``clients``-strong
     :class:`~repro.ext.multi_client.MultiClientExperiment` population
     run as one work unit, so replicates fan out across processes while
     each population keeps its single shared environment.  Replicate
@@ -933,7 +932,7 @@ def _plan_x6(params: Mapping) -> ExperimentPlan:
         video_duration_s=120.0,
         overload_threshold=2,
     )
-    campaign = PopulationCampaign()
+    campaign = Campaign()
     for policy in params["policies"]:
         campaign.add(experiment.specs_for(policy, params["replicates"]))
     return ExperimentPlan(campaign, partial(_render_x6, params))

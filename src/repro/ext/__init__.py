@@ -28,15 +28,11 @@ from .multi_client import MultiClientExperiment
 from .population import (
     MultiClientResult,
     PopulationBatch,
-    PopulationCampaign,
-    PopulationResult,
     PopulationSpec,
 )
 
 __all__ = [
     "PopulationBatch",
-    "PopulationCampaign",
-    "PopulationResult",
     "PopulationSpec",
     "EnergyModel",
     "EnergyReport",

@@ -38,10 +38,12 @@ population builds its whole world from its own derived seed.  So:
   :class:`~repro.sim.shm.SideRecord` plus the population's
   ``server_bytes`` — is a :class:`PopulationSideRecord` (on the pool,
   it rides the result pipe);
-* :class:`PopulationCampaign` demultiplexes per policy into columnar
-  :class:`PopulationBatch`es (CSR per-client start-up delays next to
-  the dense replicate columns), each wrapped in a
-  :class:`PopulationResult`.
+* each policy's rows are assembled into the spec kind's batch, a
+  columnar :class:`PopulationBatch` (CSR per-client start-up delays
+  next to the dense replicate columns), by the one
+  :class:`~repro.sim.campaign.Campaign` every kind runs on; the
+  policy's :class:`~repro.sim.campaign.TrialResult` carries it and
+  the side records.
 
 Determinism bar, same as every other campaign: every engine collects
 the same columns, so serial and process runs produce bit-identical
@@ -60,11 +62,10 @@ import numpy as np
 from ..cdn.catalog import Catalog
 from ..errors import ConfigError
 from ..rng import RngFactory
-from ..sim.campaign import Campaign, dense_field_mismatches
 from ..sim.driver import SessionOutcome
 from ..sim.profiles import NetworkProfile
 from ..sim.scenario import Scenario, ScenarioConfig, World
-from ..sim.shm import ColumnLayout, encode_side
+from ..sim.shm import ColumnLayout, dense_field_mismatches, encode_side
 from .adaptive import AdaptiveOutcome
 
 __all__ = [
@@ -72,9 +73,7 @@ __all__ = [
     "ClientPlan",
     "MultiClientResult",
     "PopulationBatch",
-    "PopulationCampaign",
     "PopulationExperiment",
-    "PopulationResult",
     "PopulationSideRecord",
     "PopulationSpec",
     "population_dense_row",
@@ -259,7 +258,7 @@ class PopulationExperiment:
 
 
 # ---------------------------------------------------------------------------
-# Dense rows and side records
+# Dense rows, side records and the per-policy batch
 # ---------------------------------------------------------------------------
 
 
@@ -336,49 +335,6 @@ class PopulationSideRecord(NamedTuple):
         ]
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
-    """One (policy, seed-replicate) population, self-contained.
-
-    The :class:`~repro.sim.execution.WorkSpec` kind for population
-    campaigns: ``run`` reruns ``experiment`` — a whole population of
-    clients sharing one environment and CDN — at this replicate's
-    ``seed``, under one selection policy.
-    """
-
-    label: str
-    trial: int
-    seed: int
-    policy: str
-    experiment: PopulationExperiment
-
-    #: Column layout for collection (class-level).
-    dense_columns: ClassVar[ColumnLayout] = POPULATION_COLUMNS
-
-    def run(self) -> MultiClientResult:
-        """Execute this population start to finish (the pool work unit)."""
-        return replace(self.experiment, seed=self.seed).run(self.policy)
-
-    def dense_row(self, result: MultiClientResult) -> tuple:
-        values = population_dense_row(result)
-        return tuple(values[name] for name, _dtype in POPULATION_COLUMNS)
-
-    def encode_side(self, result: MultiClientResult) -> PopulationSideRecord:
-        return PopulationSideRecord(
-            policy=result.policy,
-            replicate=self.trial,
-            server_bytes=result.server_bytes,
-            client_finished_at=tuple(o.finished_at for o in result.outcomes),
-            client_failovers=tuple(o.metrics.failovers for o in result.outcomes),
-            client_sides=tuple(encode_side(o) for o in result.outcomes),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Columnar per-policy storage
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, eq=False)
 class PopulationBatch:
     """One policy's replicated populations, transposed into columns.
@@ -453,45 +409,40 @@ class PopulationBatch:
         return self.client_startup
 
 
-# ---------------------------------------------------------------------------
-# Per-policy results and the campaign
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class PopulationSpec:
+    """One (policy, seed-replicate) population, self-contained.
 
-
-class PopulationResult:
-    """One policy's results across seed replicates: the population
-    analogue of :class:`~repro.sim.campaign.TrialResult`, its columnar
-    batch."""
-
-    def __init__(self, label: str, batch: PopulationBatch) -> None:
-        self.label = label
-        self.batch = batch
-
-    @property
-    def policy(self) -> str:
-        return self.label
-
-    def __len__(self) -> int:
-        return len(self.batch)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PopulationResult(label={self.label!r}, replicates={len(self)})"
-
-    def startup_delays(self) -> list[float]:
-        """All defined client start-up delays across replicates."""
-        return self.batch.startup_delays().tolist()
-
-
-class PopulationCampaign(Campaign):
-    """A figure's worth of population batches, one pool submission.
-
-    Identical scheduling to :class:`~repro.sim.campaign.Campaign`
-    (round-robin interleave, single engine submission, per-label
-    demux); only the demux hook differs — each policy's slice becomes a
-    :class:`PopulationBatch` inside a :class:`PopulationResult`.
+    The :class:`~repro.sim.execution.WorkSpec` kind for population
+    campaigns: ``run`` reruns ``experiment`` — a whole population of
+    clients sharing one environment and CDN — at this replicate's
+    ``seed``, under one selection policy.
     """
 
-    def _result(
-        self, label: str, dense: dict[str, np.ndarray], sides: list
-    ) -> PopulationResult:
-        return PopulationResult(label, PopulationBatch.from_dense_and_sides(dense, sides))
+    label: str
+    trial: int
+    seed: int
+    policy: str
+    experiment: PopulationExperiment
+
+    #: Column layout and batch class for collection (class-level).
+    dense_columns: ClassVar[ColumnLayout] = POPULATION_COLUMNS
+    batch: ClassVar[type] = PopulationBatch
+
+    def run(self) -> MultiClientResult:
+        """Execute this population start to finish (the pool work unit)."""
+        return replace(self.experiment, seed=self.seed).run(self.policy)
+
+    def dense_row(self, result: MultiClientResult) -> tuple:
+        values = population_dense_row(result)
+        return tuple(values[name] for name, _dtype in POPULATION_COLUMNS)
+
+    def encode_side(self, result: MultiClientResult) -> PopulationSideRecord:
+        return PopulationSideRecord(
+            policy=result.policy,
+            replicate=self.trial,
+            server_bytes=result.server_bytes,
+            client_finished_at=tuple(o.finished_at for o in result.outcomes),
+            client_failovers=tuple(o.metrics.failovers for o in result.outcomes),
+            client_sides=tuple(encode_side(o) for o in result.outcomes),
+        )

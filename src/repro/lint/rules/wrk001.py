@@ -59,7 +59,7 @@ class UnpicklableWorkSpec(Rule):
     rationale = (
         "work specs cross the process boundary by pickle, which resolves "
         "by qualified name: nested spec classes, lambdas, and closures "
-        "break the worker protocol (or silently force the serial fallback)."
+        "break the worker protocol: a process engine refuses them."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 
 from ..analysis.experiments import POLICY_CHOICES, ExperimentResult
 from ..analysis.tables import format_table
-from ..ext.population import PopulationCampaign
+from ..sim.campaign import Campaign
 from ..study.params import Param, ParamSchema
 from ..study.registry import ExperimentDef, ExperimentPlan, register
 from .arrivals import ArrivalSpec, DiurnalCurve, FlashCrowd
@@ -86,13 +86,12 @@ def _x8_experiment(params: Mapping) -> ScenarioExperiment:
 def _plan_x8(params: Mapping) -> ExperimentPlan:
     """Population SLOs under a compressed diurnal day, per policy.
 
-    One :class:`~repro.ext.population.PopulationCampaign` of
-    :class:`~repro.ext.population.PopulationSpec` work units —
-    replicates fan out across processes exactly like x6, and replicate
-    seeds stay policy-independent.
+    One campaign of :class:`~repro.ext.population.PopulationSpec` work
+    units — replicates fan out across processes exactly like x6, and
+    replicate seeds stay policy-independent.
     """
     experiment = _x8_experiment(params)
-    campaign = PopulationCampaign()
+    campaign = Campaign()
     for policy in params["policies"]:
         campaign.add(experiment.specs_for(policy, params["replicates"]))
     return ExperimentPlan(campaign, partial(_render_x8, params))
@@ -205,7 +204,7 @@ def _x9_experiment(params: Mapping) -> ScenarioExperiment:
 def _plan_x9(params: Mapping) -> ExperimentPlan:
     """The robustness scenario: a burst arrival meets CDN churn."""
     experiment = _x9_experiment(params)
-    campaign = PopulationCampaign()
+    campaign = Campaign()
     for policy in params["policies"]:
         campaign.add(experiment.specs_for(policy, params["replicates"]))
     return ExperimentPlan(campaign, partial(_render_x9, params))

@@ -5,8 +5,10 @@ the tier-1 tests and the CI e2e job run a real broker + workers over
 real sockets on any checkout.  It is the service's only front end.
 
 Endpoints (JSON unless noted; errors are ``{"error": msg}`` with a 4xx
-code — a malformed query, header or body included, never a dropped
-connection):
+or 5xx code — a malformed query, header or body included, and the
+refusals ``http.server`` makes itself (an unknown method's 501, an
+over-long request or header line's 414/431, a garbled request line's
+400) — never an HTML page or a dropped connection):
 
 ====== ====================================== =========================
 POST   /api/v1/studies                         submit a study
@@ -186,6 +188,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, code: int, payload: Any, *, close: bool = False) -> None:
         self._send(code, json.dumps(payload).encode(), "application/json", close=close)
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """``http.server``'s own refusals, as JSON instead of its HTML
+        page: same status, ``Connection: close``, and no body on a HEAD
+        reply or a 1xx/204/205/304."""
+        if message is None:
+            message = self.responses.get(code, ("???",))[0]
+        self.send_response(code, message)
+        self.send_header("Connection", "close")
+        body = b""
+        if code >= 200 and code not in (204, 205, 304):
+            error = message if explain is None else f"{message}: {explain}"
+            body = json.dumps({"error": error}).encode()
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _read_body(self) -> bytes:
         """The request's body, by ``Content-Length``; the header is

@@ -22,12 +22,14 @@ the paper, as code:
   byte-identical to a serial run;
 * :mod:`repro.sim.campaign` — campaign-level scheduling (all of a
   figure's configurations interleaved into one pool submission, no
-  per-configuration barrier) and columnar outcome aggregation
-  (:class:`~repro.sim.campaign.OutcomeBatch`);
+  per-configuration barrier) and the one demux: each label's rows
+  become the batch its spec kind names;
 * :mod:`repro.sim.shm` — columnar result collection for every engine:
   each work unit's dense scalars come back as a row (through the pool
   pipe on the process engine) and fill one set of columns; the
-  ragged/string remainder travels as side records.
+  ragged/string remainder travels as side records; the per-trial
+  batch (:class:`~repro.sim.shm.OutcomeBatch`) lives beside its
+  layout.
 """
 
 from .profiles import (
@@ -52,8 +54,8 @@ from .execution import (
     WorkSpec,
     resolve_engine,
 )
-from .shm import OutcomeArena, SideRecord, TrialCollection, collect_trials
-from .campaign import Campaign, OutcomeBatch, TrialResult
+from .shm import OutcomeArena, OutcomeBatch, SideRecord, TrialCollection, collect_trials
+from .campaign import Campaign, TrialResult
 from .runner import TrialRunner
 
 __all__ = [

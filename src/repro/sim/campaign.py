@@ -16,6 +16,11 @@ scheduler keep every worker busy across configuration boundaries.
   back into one :class:`TrialResult` per label, in per-label trial
   order.
 
+A campaign holds specs of any one :class:`~repro.sim.execution.WorkSpec`
+kind — per-trial, population or estimator units — and the kind decides
+the result: each label's rows are assembled into the batch class the
+spec kind names (``spec.batch``).
+
 :func:`run_together` is the one place that happens, for one campaign
 or for every cell of a study grid, and the one place below
 :meth:`Study.run <repro.study.study.Study.run>` where a backend left
@@ -28,213 +33,30 @@ per-label results are byte-identical to running each configuration as
 a campaign of its own (asserted in ``tests/test_sim_campaign.py`` for
 fig3 and table1 shapes, on every backend).
 
-Aggregation: outcomes land in a columnar :class:`OutcomeBatch` — numpy
-arrays for start-up delays, completed cycle durations (CSR layout), and
-per-path/per-phase traffic bytes — so the analysis layer computes
-statistics with O(1) vectorized passes per campaign instead of Python
-loops per trial.
+Aggregation: trial outcomes land in a columnar
+:class:`~repro.sim.shm.OutcomeBatch` — numpy arrays for start-up
+delays, completed cycle durations (CSR layout), and per-path/per-phase
+traffic bytes — so the analysis layer computes statistics with O(1)
+vectorized passes per campaign instead of Python loops per trial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from collections.abc import Collection, Sequence
-
-import numpy as np
+from typing import Any
 
 from ..errors import ConfigError
-from .execution import ExecutionEngine, TrialSpec, resolve_engine
-from .shm import SideRecord, collect_trials
+from .execution import ExecutionEngine, WorkSpec, resolve_engine
+# OutcomeBatch lives beside the per-trial layout; the end-to-end
+# benchmark imports it from here.
+from .shm import OutcomeBatch, collect_trials
 
 __all__ = [
     "Campaign",
     "OutcomeBatch",
     "TrialResult",
-    "dense_field_mismatches",
     "run_together",
 ]
-
-
-def dense_field_mismatches(a, b) -> list[str]:
-    """Names of ndarray dataclass fields not bit-identical between two
-    batches of the same kind.
-
-    The determinism predicate every collection-path test asserts on: a
-    column counts as mismatched if its dtype differs or any element's
-    bits do (NaN == NaN — never-started sessions must not read as
-    nondeterminism).  Enumerated from the dataclass fields so a future
-    column cannot silently escape; shared by ``OutcomeBatch`` and
-    ``repro.ext.population.PopulationBatch``.
-    """
-    mismatched = []
-    for batch_field in fields(a):
-        mine, theirs = getattr(a, batch_field.name), getattr(b, batch_field.name)
-        if mine.dtype != theirs.dtype or not np.array_equal(
-            mine, theirs, equal_nan=mine.dtype.kind == "f"
-        ):
-            mismatched.append(batch_field.name)
-    return mismatched
-
-
-# ---------------------------------------------------------------------------
-# Columnar outcome storage
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeBatch:
-    """One configuration's outcomes, transposed into columns.
-
-    ``eq=False``: the dataclass-generated ``__eq__`` would compare
-    ndarray fields elementwise and raise on ``bool()``; identity
-    comparison is the useful semantic for a derived cache anyway.
-
-    Scalar-per-trial metrics are dense ``(n,)`` arrays; the ragged
-    per-trial cycle lists are stored flat with CSR-style offsets
-    (trial ``i`` owns ``cycle_durations[cycle_offsets[i]:cycle_offsets[i+1]]``);
-    per-path byte counters are dense ``(n, P)`` matrices with ``P`` the
-    highest path id seen plus one.
-    """
-
-    #: (n,) start-up delay in seconds; NaN where playback never started.
-    startup: np.ndarray
-    #: (n,) simulated finish time of each trial.
-    finished_at: np.ndarray
-    #: (n,) summed completed-stall seconds.
-    total_stall: np.ndarray
-    #: (n,) failover count.
-    failovers: np.ndarray
-    #: flat completed re-buffering cycle durations, trial-major.
-    cycle_durations: np.ndarray
-    #: (n+1,) CSR offsets into ``cycle_durations``.
-    cycle_offsets: np.ndarray
-    #: (n, P) video bytes per path, pre-buffering phase.
-    prebuffer_bytes: np.ndarray
-    #: (n, P) video bytes per path, after pre-buffering.
-    rebuffer_bytes: np.ndarray
-    #: (n,) stop reason strings (numpy unicode array).
-    stop_reasons: np.ndarray
-
-    @staticmethod
-    def _byte_matrices(
-        n: int, byte_dicts: Sequence[tuple[dict, dict]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse per-trial ``(pre, re)`` byte dicts → dense ``(n, P)``
-        matrices, via COO triples and one fancy-index assignment each.
-
-        The object-built reference batches of the test oracle
-        (``tests/object_batches.py``) share it verbatim.
-        """
-        pre_rows: list[int] = []
-        pre_cols: list[int] = []
-        pre_vals: list[int] = []
-        re_rows: list[int] = []
-        re_cols: list[int] = []
-        re_vals: list[int] = []
-        for i, (pre, re) in enumerate(byte_dicts):
-            for path_id, count in pre.items():
-                pre_rows.append(i)
-                pre_cols.append(path_id)
-                pre_vals.append(count)
-            for path_id, count in re.items():
-                re_rows.append(i)
-                re_cols.append(path_id)
-                re_vals.append(count)
-        paths = max(max(pre_cols, default=-1), max(re_cols, default=-1)) + 1
-        prebuffer_bytes = np.zeros((n, paths), dtype=np.int64)
-        rebuffer_bytes = np.zeros((n, paths), dtype=np.int64)
-        if pre_rows:
-            prebuffer_bytes[pre_rows, pre_cols] = pre_vals
-        if re_rows:
-            rebuffer_bytes[re_rows, re_cols] = re_vals
-        return prebuffer_bytes, rebuffer_bytes
-
-    @classmethod
-    def from_dense_and_sides(
-        cls, dense: dict[str, np.ndarray], sides: Sequence[SideRecord]
-    ) -> "OutcomeBatch":
-        """Assemble a batch from dense columns plus side records.
-
-        The one assembly, whatever engine collected: ``dense`` holds
-        the scalar columns filled from the units' dense rows (already
-        float64/int64 arrays — adopted as-is, zero deserialization and
-        zero copies), ``sides`` the ragged/string remainder.  The pass
-        over the side records appends to plain Python lists and
-        converts to arrays once; the CSR cycle layout performs the same
-        ``ended - started`` subtractions ``RebufferCycle.duration``
-        does.
-        """
-        n = len(sides)
-        cycles: list[float] = []
-        cycle_offsets: list[int] = [0]
-        stop_reasons: list[str] = []
-        byte_dicts: list[tuple[dict, dict]] = []
-        for side in sides:
-            cycles.extend(side.completed_cycle_durations())
-            cycle_offsets.append(len(cycles))
-            stop_reasons.append(side.stop_reason)
-            byte_dicts.append(
-                (side.prebuffer_bytes_by_path, side.rebuffer_bytes_by_path)
-            )
-        prebuffer_bytes, rebuffer_bytes = cls._byte_matrices(n, byte_dicts)
-        return cls(
-            startup=np.asarray(dense["startup"], dtype=float),
-            finished_at=np.asarray(dense["finished_at"], dtype=float),
-            total_stall=np.asarray(dense["total_stall"], dtype=float),
-            failovers=np.asarray(dense["failovers"], dtype=np.int64),
-            cycle_durations=np.asarray(cycles, dtype=float),
-            cycle_offsets=np.asarray(cycle_offsets, dtype=np.int64),
-            prebuffer_bytes=prebuffer_bytes,
-            rebuffer_bytes=rebuffer_bytes,
-            stop_reasons=np.asarray(stop_reasons, dtype=str),
-        )
-
-    def __len__(self) -> int:
-        return len(self.startup)
-
-    def column_mismatches(self, other: "OutcomeBatch") -> list[str]:
-        """Names of columns that are not bit-identical to ``other``'s.
-
-        The determinism predicate the test wall asserts on; see
-        :func:`dense_field_mismatches` for the comparison semantics.
-        """
-        return dense_field_mismatches(self, other)
-
-    # -- vectorized views ---------------------------------------------------
-
-    def startup_delays(self) -> np.ndarray:
-        """Defined start-up delays, trial order (Figs. 2–4)."""
-        return self.startup[~np.isnan(self.startup)]
-
-    def phase_bytes(self, phase: str) -> np.ndarray:
-        """The ``(n, P)`` byte matrix for one phase, or their sum."""
-        if phase == "prebuffer":
-            return self.prebuffer_bytes
-        if phase == "rebuffer":
-            return self.rebuffer_bytes
-        if phase == "all":
-            return self.prebuffer_bytes + self.rebuffer_bytes
-        raise ConfigError(f"unknown phase {phase!r}")
-
-    def traffic_fractions(self, path_id: int, phase: str) -> np.ndarray:
-        """Per-trial share of video bytes carried by ``path_id`` (Table 1).
-
-        Matches ``QoEMetrics.traffic_fraction`` per row: trials that
-        moved no bytes in the phase report 0.0, and a path id beyond
-        anything observed reports 0.0 everywhere.
-        """
-        counts = self.phase_bytes(phase)
-        totals = counts.sum(axis=1)
-        # Bounds-checked on both sides: a negative path_id must report
-        # 0.0 like the dict accessor, not numpy-wrap to the last column.
-        share = (
-            counts[:, path_id]
-            if 0 <= path_id < counts.shape[1]
-            else np.zeros(len(self))
-        )
-        return np.divide(
-            share, totals, out=np.zeros(len(self)), where=totals > 0
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +65,15 @@ class OutcomeBatch:
 
 
 class TrialResult:
-    """One configuration's results across trials: the columnar batch
-    assembled from the collected columns, and the trials' side records
-    in trial order (what a reader needs beyond the batch — fig1's
-    per-path delays, x2's ``server_bytes``)."""
+    """One configuration's results across its work units, whatever the
+    spec kind: the columnar batch (the kind's ``batch`` class —
+    :class:`OutcomeBatch` for trials, ``PopulationBatch`` per policy,
+    ``EstimatorBatch`` per estimator) assembled from the collected
+    columns, and the units' side records in trial order (what a reader
+    needs beyond the batch — fig1's per-path delays, x2's
+    ``server_bytes``)."""
 
-    def __init__(self, label: str, batch: OutcomeBatch, sides: list[SideRecord]) -> None:
+    def __init__(self, label: str, batch: Any, sides: list) -> None:
         self.label = label
         self.batch = batch
         self.sides = sides
@@ -300,10 +125,10 @@ class Campaign:
     """
 
     def __init__(self) -> None:
-        self._batches: list[list[TrialSpec]] = []
+        self._batches: list[list[WorkSpec]] = []
         self._labels: list[str] = []
 
-    def add(self, specs: Sequence[TrialSpec]) -> "Campaign":
+    def add(self, specs: Sequence[WorkSpec]) -> "Campaign":
         """Register one configuration's trial batch; returns the campaign
         (so ``Campaign().add(specs).run(engine)`` reads as one line)."""
         specs = list(specs)
@@ -338,21 +163,11 @@ class Campaign:
         The engine collects in submission order, so slicing its columns
         back out by each spec's position reconstructs per-label results
         in trial order — identical to running the configurations one at
-        a time.  Each label's ``OutcomeBatch`` is assembled directly
-        from the collected dense columns and side records, whatever the
-        engine.
+        a time.  Each label's batch is assembled directly from the
+        collected dense columns and side records, whatever the engine.
         ``engine=None`` resolves one the way :func:`run_together` does.
         """
         return run_together([self], engine)[0]
-
-    # -- the demux hook (overridden by other campaign kinds) ----------------
-
-    def _result(
-        self, label: str, dense: dict[str, np.ndarray], sides: list
-    ) -> TrialResult:
-        """Wrap one label's columnar slice: the batch assembled from
-        it, and its side records."""
-        return TrialResult(label, OutcomeBatch.from_dense_and_sides(dense, sides), sides)
 
 
 def run_together(
@@ -379,20 +194,21 @@ def run_together(
     (campaign, label) in label order exactly as before, at their
     original positions.
 
-    All campaigns must be the same class (their demux hook decides the
-    result kind) and their specs must share one dense column layout,
-    which same-kind campaigns do by construction.  ``engine=None``
+    Every spec of every campaign passed, skipped or not, must name the
+    same ``batch`` class: the spec kind decides each label's batch and
+    its dense column layout, and a mixed submission is refused before
+    any engine is resolved or any spec runs.  ``engine=None``
     resolves a backend with :func:`~repro.sim.execution.resolve_engine`
     (``REPRO_JOBS``, else serial) — but only when the merged submission
     is non-empty, so a fully cached run never reads ``REPRO_JOBS``.
     """
-    if not campaigns:
-        return []
-    kinds = {type(campaign) for campaign in campaigns}
-    if len(kinds) != 1:
+    kinds = {
+        spec.batch for campaign in campaigns for batch in campaign._batches for spec in batch
+    }
+    if len(kinds) > 1:
         names = sorted(kind.__name__ for kind in kinds)
         raise ConfigError(
-            f"run_together needs same-kind campaigns, got {', '.join(names)}"
+            f"run_together needs same-kind campaigns, got specs of {', '.join(names)}"
         )
     skipped = set(skip)
     unknown = skipped - set(range(len(campaigns)))
@@ -434,10 +250,12 @@ def run_together(
         per_label: dict[str, TrialResult] = {}
         # ``collection`` exists whenever any label does: labels imply
         # non-empty batches, which imply a non-empty submission.
-        for label in campaign._labels:
+        for label, specs in zip(campaign._labels, campaign._batches, strict=True):
             rows = rows_by_key[(index, label)]
             dense = {name: column[rows] for name, column in collection.dense.items()}
             sides = [collection.sides[i] for i in rows]
-            per_label[label] = campaign._result(label, dense, sides)
+            per_label[label] = TrialResult(
+                label, specs[0].batch.from_dense_and_sides(dense, sides), sides
+            )
         results.append(per_label)
     return results

@@ -12,10 +12,11 @@ Backends:
 * :class:`SerialEngine` — in-process, one trial after another;
 * :class:`ProcessEngine` — ``concurrent.futures.ProcessPoolExecutor``
   with chunked dispatch; worker pools are shared across campaigns so a
-  figure sweep pays the fork cost once;
-* ``auto`` (via :func:`resolve_engine`) — a process engine sized to the
-  machine that silently falls back to serial when a spec cannot be
-  pickled (e.g. a hand-written closure factory).
+  figure sweep pays the fork cost once; ``auto`` (via
+  :func:`resolve_engine`) is a process engine sized to the machine.
+  A spec that cannot be pickled (e.g. a hand-written closure factory)
+  is refused with a :class:`~repro.errors.ConfigError` naming the
+  declarative specs, whichever way the engine was asked for.
 
 Every backend collects columnar (see :mod:`repro.sim.shm`): each
 unit becomes a ``(dense_row, side)`` pair — its dense scalars as a
@@ -36,22 +37,25 @@ with ``Study(...).run(jobs=...)``, ``repro experiment --jobs N``, or the
 
 The engines are generic over the :class:`WorkSpec` protocol, not tied
 to per-trial specs: a spec kind supplies its own execution, dense
-column layout and row, and side-channel encoding.
-``TrialSpec`` (one player session per unit) and
-``repro.ext.population.PopulationSpec`` (one whole multi-client
-population per unit) are the two kinds.
+column layout and row, side-channel encoding, and the batch class its
+rows are assembled into.  There are three kinds: ``TrialSpec`` (one
+player session per unit), ``repro.ext.population.PopulationSpec`` (one
+whole multi-client population per unit) and
+``repro.analysis.ablation.EstimatorTraceSpec`` (one estimator's walk
+over the §3.3 burst trace per unit).
 """
 
 from __future__ import annotations
 
 import atexit
+import operator
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
-from typing import ClassVar, Protocol, runtime_checkable
+from typing import Any, ClassVar, Protocol, runtime_checkable
 
 from ..core.config import PlayerConfig
 from ..errors import ConfigError
@@ -61,6 +65,7 @@ from .scenario import Scenario, ScenarioConfig
 from .shm import (
     DENSE_COLUMNS,
     ColumnLayout,
+    OutcomeBatch,
     SideRecord,
     TrialCollection,
     collect_units,
@@ -152,19 +157,24 @@ class MPTCPLikeSpec:
 class WorkSpec(Protocol):
     """What any engine executes: a self-contained, picklable work unit.
 
-    Per-trial campaigns use :class:`TrialSpec` (one player session per
-    unit); population campaigns use
-    :class:`~repro.ext.population.PopulationSpec` (one whole
-    multi-client population per unit).  The engine itself is agnostic —
+    There are three kinds: :class:`TrialSpec` (one player session per
+    unit), :class:`~repro.ext.population.PopulationSpec` (one whole
+    multi-client population per unit) and
+    :class:`~repro.analysis.ablation.EstimatorTraceSpec` (one
+    estimator's trace walk per unit).  The engine itself is agnostic —
     a spec kind brings its own execution (:meth:`run`), its own dense
     column layout (``dense_columns``) and the row of plain scalars it
     stores there (:meth:`dense_row`, one value per column, in order),
-    and its own side-channel encoding (:meth:`encode_side`).
+    its own side-channel encoding (:meth:`encode_side`), and the batch
+    class a label's collected rows are assembled into (``batch``, whose
+    ``from_dense_and_sides(dense, sides)`` the campaign calls).
     """
 
     label: str
     #: Class-level column layout shared by every spec of this kind.
     dense_columns: ColumnLayout
+    #: Class-level batch class shared by every spec of this kind.
+    batch: type
 
     def run(self) -> object: ...
 
@@ -185,8 +195,9 @@ class TrialSpec:
     scenario_config: ScenarioConfig = field(default_factory=ScenarioConfig)
     scenario_hook: ScenarioHook | None = None
 
-    #: Column layout for collection (class-level; see :class:`WorkSpec`).
+    #: Column layout and batch class (class-level; see :class:`WorkSpec`).
     dense_columns: ClassVar[ColumnLayout] = DENSE_COLUMNS
+    batch: ClassVar[type] = OutcomeBatch
 
     def run(self) -> SessionOutcome:
         """Execute this trial start to finish (the pool work unit)."""
@@ -315,29 +326,40 @@ def _shutdown_pools() -> None:  # pragma: no cover - interpreter teardown
     _POOLS.clear()
 
 
+def _worker_count(jobs: Any) -> int:
+    """``jobs`` as an integer worker count: ``2.5`` is not silently two
+    workers, and NaN or infinity is a :class:`ConfigError`, not a raw
+    ``ValueError``/``OverflowError`` from ``int()``."""
+    try:
+        return operator.index(jobs)
+    except TypeError:
+        raise ConfigError(f"jobs must be an integer worker count, got {jobs!r}") from None
+
+
 class ProcessEngine:
     """Fan trials out over a process pool with chunked dispatch.
 
-    ``fallback_to_serial`` is the ``auto`` behaviour: specs that cannot
-    be pickled (hand-written closure factories) run serially instead of
-    erroring.  An explicitly requested process engine raises, with a
-    pointer at the declarative specs, so the misconfiguration is loud.
+    ``jobs`` workers, or one per CPU when it is ``None`` or 0.  Specs
+    that cannot be pickled (hand-written closure factories) are
+    refused, with a pointer at the declarative specs, so the
+    misconfiguration is loud.
     """
 
-    def __init__(self, jobs: int | None = None, fallback_to_serial: bool = False) -> None:
-        self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
+    name = "process"
+
+    def __init__(self, jobs: int | None = None) -> None:
+        count = 0 if jobs is None else _worker_count(jobs)
+        self.jobs = count or (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        self.fallback_to_serial = fallback_to_serial
-        self.name = "auto" if fallback_to_serial else "process"
 
     def collect(self, specs: Sequence[WorkSpec]) -> TrialCollection:
         """Run the batch and collect it columnar.
 
         On the pool, each worker sends its units' ``(dense_row, side)``
         pairs back through the pipe.  A batch with nothing to fan out
-        (one spec, one job) or, under ``auto``, an unpicklable one is
-        collected in process instead — into the same columns.
+        (one spec, one job) is collected in process instead — into the
+        same columns.
         """
         specs = list(specs)
         if len(specs) <= 1 or self.jobs == 1:
@@ -354,8 +376,6 @@ class ProcessEngine:
             try:
                 pickle.dumps(probe)
             except Exception as exc:
-                if self.fallback_to_serial:
-                    return collect_in_process(specs)
                 raise ConfigError(
                     f"trial specs for {probe.label!r} are not picklable ({exc}); "
                     "use declarative driver specs (MSPlayerSpec / SinglePathSpec / "
@@ -391,7 +411,7 @@ class ProcessEngine:
                 raise
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessEngine(jobs={self.jobs}, name={self.name!r})"
+        return f"ProcessEngine(jobs={self.jobs})"
 
 
 def resolve_engine(jobs: int | str | ExecutionEngine | None = None) -> ExecutionEngine:
@@ -399,9 +419,9 @@ def resolve_engine(jobs: int | str | ExecutionEngine | None = None) -> Execution
 
     * ``None`` — consult ``REPRO_JOBS``; unset means serial;
     * ``"serial"`` / ``1`` — in-process execution;
-    * ``"auto"`` / ``0`` — one worker per CPU, serial fallback for
-      unpicklable specs;
-    * ``N`` / ``"N"`` — a process pool of N workers;
+    * ``"auto"`` / ``"process"`` / ``0`` — one worker per CPU;
+    * ``N`` / ``"N"`` — a process pool of N workers (an integer: ``2.5``
+      or NaN is a :class:`ConfigError`);
     * ``"service"`` — the distributed study backend
       (:class:`repro.serve.engine.ServiceEngine`; broker URL from
       ``REPRO_BROKER``) — ``Study.run`` ships whole studies to it
@@ -421,7 +441,7 @@ def resolve_engine(jobs: int | str | ExecutionEngine | None = None) -> Execution
         if token in ("", "serial", "1"):
             return SerialEngine()
         if token in ("auto", "0", "process"):
-            return ProcessEngine(fallback_to_serial=True)
+            return ProcessEngine()
         if token == "service":
             # Imported lazily: repro.serve builds on the study layer,
             # which itself imports this module.
@@ -435,8 +455,9 @@ def resolve_engine(jobs: int | str | ExecutionEngine | None = None) -> Execution
                 f"unknown jobs value {token!r}; expected an integer, 'auto', "
                 "'serial', or 'service'"
             ) from None
+    jobs = _worker_count(jobs)
     if jobs == 0:
-        return ProcessEngine(fallback_to_serial=True)
+        return ProcessEngine()
     if jobs == 1:
         return SerialEngine()
     return ProcessEngine(jobs)

@@ -8,9 +8,10 @@ artifacts all write the same pair of files —
   experiment id/kind, resolved params, grid axes, and every cell's
   overrides, rendered panel, raw numbers, and label list;
 * ``<path>.npz`` — the dense payload: every cell's per-label batch
-  columns (``OutcomeBatch`` / ``PopulationBatch`` / ``EstimatorBatch``
-  ndarrays), stored uncompressed so the float64/int64 bits the workers
-  produced are the bits a later session reads back.
+  columns (the ndarray fields of the batch class its spec kind names —
+  ``OutcomeBatch``, ``PopulationBatch`` or ``EstimatorBatch``), stored
+  uncompressed so the float64/int64 bits the workers produced are the
+  bits a later session reads back.
 
 The loader is strict: a missing key, a wrong type, or a schema-version
 bump is a :class:`~repro.errors.ConfigError` naming the problem — not

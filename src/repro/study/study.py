@@ -70,11 +70,12 @@ def _study_runner(
 def _batch_columns(results: Mapping[str, Any]) -> dict[str, dict[str, np.ndarray]]:
     """Every label's dense batch columns, generically.
 
-    Works for any result kind whose ``batch`` is an ndarray dataclass
+    Every result is a :class:`~repro.sim.campaign.TrialResult` whose
+    ``batch`` is the ndarray dataclass its spec kind names
     (``OutcomeBatch``, ``PopulationBatch``, ``EstimatorBatch``) — the
-    same field enumeration :func:`~repro.sim.campaign.
-    dense_field_mismatches` relies on, so archives can never silently
-    drop a column a determinism test would have checked.
+    same field enumeration :func:`~repro.sim.shm.dense_field_mismatches`
+    relies on, so archives can never silently drop a column a
+    determinism test would have checked.
     """
     columns: dict[str, dict[str, np.ndarray]] = {}
     for label, result in results.items():

@@ -4,7 +4,7 @@ Before every engine collected columnar, an in-process run built its
 batches by walking the live result objects.  These are those
 assemblers, kept verbatim as module functions:
 ``OutcomeBatch.from_outcomes``, ``PopulationBatch.from_results`` and
-``EstimatorResult.batch``.  The one collection path
+the estimator result's batch.  The one collection path
 (``from_dense_and_sides`` over an arena and side records) must agree
 with them bit for bit, dtypes included.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from repro.analysis.ablation import EstimatorBatch, EstimatorTraceOutcome
 from repro.ext.population import MultiClientResult
 from repro.ext.population import POPULATION_COLUMNS, PopulationBatch, population_dense_row
-from repro.sim.campaign import OutcomeBatch
+from repro.sim.shm import OutcomeBatch
 from repro.sim.driver import SessionOutcome
 
 

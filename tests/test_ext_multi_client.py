@@ -5,8 +5,9 @@ import pytest
 from object_batches import population_batch_from_results
 from repro.errors import ConfigError
 from repro.ext.multi_client import MultiClientExperiment
-from repro.ext.population import PopulationCampaign, PopulationResult
+from repro.ext.population import PopulationBatch
 from repro.net.iface import NetworkInterface
+from repro.sim.campaign import Campaign, TrialResult
 from repro.sim.profiles import mobility_profile, testbed_profile
 
 
@@ -97,16 +98,20 @@ class TestCompare:
             testbed_profile, client_count=2, video_duration_s=60.0, seed=5
         )
         results = (
-            PopulationCampaign()
+            Campaign()
             .add(experiment.specs_for("static", 2))
             .add(experiment.specs_for("rotate", 2))
             .run()
         )
         assert list(results) == ["static", "rotate"]
-        for result in results.values():
-            assert isinstance(result, PopulationResult)
-            assert len(result) == 2
+        for policy, result in results.items():
+            # The spec kind names the batch: a plain campaign of
+            # population specs yields per-policy population batches.
+            assert isinstance(result, TrialResult)
+            assert isinstance(result.batch, PopulationBatch)
+            assert len(result.batch) == 2
             assert len(result.startup_delays()) == 4  # 2 replicates x 2 clients
+            assert [side.policy for side in result.sides] == [policy, policy]
 
     def test_single_replicate_matches_direct_run_distribution(self):
         """One replicate in a campaign is one seeded ``run`` — same
@@ -114,7 +119,7 @@ class TestCompare:
         experiment = MultiClientExperiment(
             testbed_profile, client_count=2, video_duration_s=60.0, seed=5
         )
-        compared = PopulationCampaign().add(experiment.specs_for("rotate", 1)).run()["rotate"]
+        compared = Campaign().add(experiment.specs_for("rotate", 1)).run()["rotate"]
         direct = MultiClientExperiment(
             testbed_profile,
             client_count=2,

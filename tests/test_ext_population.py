@@ -21,11 +21,10 @@ from repro.ext.population import (
     POPULATION_COLUMNS,
     MultiClientResult,
     PopulationBatch,
-    PopulationCampaign,
-    PopulationResult,
     PopulationSpec,
     population_dense_row,
 )
+from repro.sim.campaign import Campaign, TrialResult
 from repro.sim.execution import ProcessEngine, SerialEngine, resolve_engine
 from repro.sim.profiles import testbed_profile
 from repro.sim.shm import OutcomeArena, collect_trials, encode_side
@@ -154,10 +153,15 @@ class TestPopulationBatch:
 
 class TestPopulationResult:
     def test_policy_aliases_label(self):
-        campaign = PopulationCampaign().add(small_experiment().specs_for("rotate", 1))
+        # A policy's result is the one result class: the label is the
+        # policy, and each replicate's side record names it too.
+        campaign = Campaign().add(small_experiment().specs_for("rotate", 1))
         result = campaign.run(SerialEngine())["rotate"]
-        assert result.policy == "rotate"
-        assert len(result) == 1
+        assert isinstance(result, TrialResult)
+        assert result.label == "rotate"
+        assert [side.policy for side in result.sides] == ["rotate"]
+        assert isinstance(result.batch, PopulationBatch)
+        assert len(result.batch) == 1
 
 
 class TestPopulationCampaignDeterminism:
@@ -165,16 +169,16 @@ class TestPopulationCampaignDeterminism:
 
     POLICIES = ("static", "rotate")
 
-    def campaign(self) -> PopulationCampaign:
+    def campaign(self) -> Campaign:
         """Every policy over the same two seeded replicates."""
         experiment = small_experiment()
-        campaign = PopulationCampaign()
+        campaign = Campaign()
         for policy in self.POLICIES:
             campaign.add(experiment.specs_for(policy, 2))
         return campaign
 
     @pytest.fixture(scope="class")
-    def serial(self) -> dict[str, PopulationResult]:
+    def serial(self) -> dict[str, TrialResult]:
         return self.campaign().run(SerialEngine())
 
     @pytest.fixture(scope="class")

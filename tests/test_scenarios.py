@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.ext.population import PopulationCampaign
 from repro.rng import RngFactory
 from repro.scenarios import (
     ArrivalSpec,
@@ -34,6 +33,7 @@ from repro.scenarios.churn import (
     ServerCrash,
     schedule_churn,
 )
+from repro.sim.campaign import Campaign
 from repro.sim.scenario import LTE_NET, WIFI_NET
 from repro.study import Study
 
@@ -293,7 +293,7 @@ class TestSLO:
             client_count=4,
             seed=31,
         )
-        population = PopulationCampaign().add(experiment.specs_for("rotate", 2)).run()
+        population = Campaign().add(experiment.specs_for("rotate", 2)).run()
         slo = population_slo(population["rotate"].batch)
         assert slo.sessions == 8
         assert 0 < slo.completed <= 8

@@ -242,14 +242,15 @@ class TestRawSpecBatches:
             raise AssertionError("a raw spec batch reached the broker")
 
     def test_a_campaign_on_the_service_engine_is_refused(self):
-        from repro.analysis.ablation import EstimatorCampaign, EstimatorTraceSpec
+        from repro.analysis.ablation import EstimatorTraceSpec
+        from repro.sim.campaign import Campaign
         from repro.sim.execution import resolve_engine
 
         engine = ServiceEngine(self._Untouched("http://127.0.0.1:1"))
         assert resolve_engine(engine) is engine
         spec = EstimatorTraceSpec(label="a", trial=0, seed=0, estimator="ewma", samples=40)
         with pytest.raises(ConfigError, match="whole studies"):
-            EstimatorCampaign().add([spec]).run(engine)
+            Campaign().add([spec]).run(engine)
         assert not hasattr(engine, "map")
 
 
@@ -1060,6 +1061,66 @@ class TestMalformedRequests:
         assert status == 400
         assert headers["Connection"] == "close"
         assert "Content-Length" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize(
+        "data,status,field",
+        [
+            pytest.param(
+                b"PUT /api/v1/health HTTP/1.1\r\nHost: x\r\n\r\n",
+                501,
+                "PUT",
+                id="unknown-method-501",
+            ),
+            # One byte past http.server's 65 536-byte line limit, and
+            # nothing behind it: every byte sent is read before the
+            # server closes, so the close is a FIN, never a reset that
+            # could discard the reply.
+            pytest.param(
+                b"GET /api/v1/health HTTP/1.1\r\nX-Long: " + b"a" * (65_537 - 8),
+                431,
+                "header line",
+                id="long-header-line-431",
+            ),
+            pytest.param(
+                b"GET /" + b"a" * (65_537 - 5), 414, "Too Long", id="long-request-line-414"
+            ),
+            # Five words: a version http.server accepts, so the refusal
+            # is a full HTTP/1.1 reply.
+            pytest.param(
+                b"GARBAGE IN THE LINE HTTP/1.1\r\n", 400, "GARBAGE", id="garbage-request-line-400"
+            ),
+        ],
+    )
+    def test_http_server_refusals_are_json(self, tmp_path, data, status, field):
+        # Refusals http.server makes before any route runs answer like
+        # every other error: JSON, sized, and closing the connection.
+        with service_stack(tmp_path, start_workers=False) as stack:
+            replies = _raw_replies(stack.url, data)
+        ((got, headers, body),) = replies
+        assert (got, headers["Connection"]) == (status, "close")
+        assert headers["Content-Type"] == "application/json"
+        assert field in json.loads(body)["error"]
+
+    def test_http09_refusal_is_a_bare_json_body(self, tmp_path):
+        # A request line without a version reads as HTTP/0.9, whose
+        # replies have no status line or headers: the body alone, still
+        # the JSON error.
+        with service_stack(tmp_path, start_workers=False) as stack:
+            parts = urlsplit(stack.url)
+            with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+                sock.sendall(b"GARBAGE\r\n")
+                reply = sock.makefile("rb").read()
+        assert "GARBAGE" in json.loads(reply)["error"]
+
+    def test_head_refusal_carries_no_body(self, tmp_path):
+        # No do_HEAD: a 501 whose headers size the body a GET would get,
+        # and no body, as HEAD requires.
+        with service_stack(tmp_path, start_workers=False) as stack:
+            replies = _raw_replies(stack.url, b"HEAD /api/v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+        ((got, headers, body),) = replies
+        assert (got, headers["Connection"], body) == (501, "close", b"")
+        assert headers["Content-Type"] == "application/json"
+        assert int(headers["Content-Length"]) > 0
 
     def test_transfer_encoding_is_refused_and_closes(self, tmp_path):
         # A chunked body is not read: its bytes would be taken for the

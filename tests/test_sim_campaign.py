@@ -16,15 +16,15 @@ import pytest
 
 from conftest import assert_batches_identical
 from object_batches import outcome_batch_from_outcomes
-from repro.analysis.ablation import EstimatorCampaign, EstimatorTraceSpec
+from repro.analysis.ablation import EstimatorTraceSpec
 from repro.core.config import PlayerConfig
 from repro.errors import ConfigError
-from repro.sim.campaign import Campaign, OutcomeBatch, TrialResult, run_together
+from repro.sim.campaign import Campaign, TrialResult, run_together
 from repro.sim.execution import ProcessEngine, SerialEngine, resolve_engine
 from repro.sim.profiles import testbed_profile, youtube_profile
 from repro.sim.runner import TrialRunner
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.shm import encode_side
+from repro.sim.shm import OutcomeBatch, encode_side
 from repro.units import KB, format_size
 
 #: Every collection path a campaign can run on.  Factories, not
@@ -66,11 +66,11 @@ class TestInterleave:
 
     def test_round_robin_order(self):
         campaign = (
-            EstimatorCampaign()
+            Campaign()
             .add([_spec("a", 0), _spec("a", 1), _spec("a", 2)])
             .add([_spec("b", 0), _spec("b", 1)])
         )
-        other = EstimatorCampaign().add([_spec("c", 0)])
+        other = Campaign().add([_spec("c", 0)])
         engine = RecordingEngine()
         results = run_together([campaign, other], engine)
         [submitted] = engine.submissions

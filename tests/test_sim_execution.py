@@ -117,10 +117,13 @@ class TestEngineResolution:
     def test_tokens(self):
         assert isinstance(resolve_engine("serial"), SerialEngine)
         assert isinstance(resolve_engine(1), SerialEngine)
-        auto = resolve_engine("auto")
-        assert isinstance(auto, ProcessEngine) and auto.fallback_to_serial
+        # auto, process and 0 are one engine: a process pool sized to
+        # the machine, with no serial fallback of its own.
+        for token in ("auto", "process", 0, "0"):
+            engine = resolve_engine(token)
+            assert type(engine) is ProcessEngine and engine.jobs == (os.cpu_count() or 1)
+            assert not hasattr(engine, "fallback_to_serial")
         assert resolve_engine("4").jobs == 4
-        assert resolve_engine(0).fallback_to_serial
 
     def test_engine_instances_pass_through(self):
         engine = ProcessEngine(2)
@@ -133,6 +136,15 @@ class TestEngineResolution:
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ConfigError):
             ProcessEngine(-2)
+
+    @pytest.mark.parametrize("jobs", [2.5, 2.0, float("nan"), float("inf"), complex(2)])
+    def test_non_integer_worker_counts_rejected(self, jobs):
+        # 2.5 used to build a two-worker pool, NaN to raise a raw
+        # ValueError and infinity a raw OverflowError.
+        with pytest.raises(ConfigError, match="integer worker count"):
+            resolve_engine(jobs)
+        with pytest.raises(ConfigError, match="integer worker count"):
+            ProcessEngine(jobs)
 
 
 class TestSerialParallelEquivalence:
@@ -245,18 +257,22 @@ class TestClosureHandling:
         with pytest.raises(ConfigError, match="not picklable"):
             closure.run(ProcessEngine(2))
 
-    def test_auto_engine_falls_back_to_serial_for_closures(self):
+    def test_auto_engine_rejects_closures_loudly(self, monkeypatch):
         from repro.sim.driver import MSPlayerDriver
 
         def closure_factory(scenario):
             return MSPlayerDriver(scenario, PlayerConfig(), stop="prebuffer")
 
+        # One behaviour for an unpicklable spec, however the process
+        # engine was asked for: the same refusal, never a serial rerun.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         runner = TrialRunner(testbed_profile, scenario_config=short_config(), trials=2)
-        a = (
-            Campaign()
-            .add_run(runner, "cl", closure_factory)
-            .run(ProcessEngine(2, fallback_to_serial=True))["cl"]
-        )
+        closure = Campaign().add_run(runner, "cl", closure_factory)
+        for jobs in ("auto", "process", 0):
+            with pytest.raises(ConfigError, match="not picklable"):
+                closure.run(jobs)
+        # A closure still runs in process on the serial engine.
+        a = closure.run(SerialEngine())["cl"]
         b = (
             Campaign()
             .add_run(runner, "cl", runner.msplayer(PlayerConfig()))

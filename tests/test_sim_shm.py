@@ -34,17 +34,24 @@ from object_batches import (
     outcome_batch_from_outcomes,
     population_batch_from_results,
 )
-from repro.analysis.ablation import EstimatorCampaign, EstimatorTraceSpec
+from repro.analysis.ablation import EstimatorBatch, EstimatorTraceSpec
 from repro.core.config import PlayerConfig
+from repro.errors import ConfigError
 from repro.ext.multi_client import MultiClientExperiment
-from repro.ext.population import PopulationCampaign
+from repro.ext.population import PopulationBatch
 from repro.sim.campaign import Campaign
 from repro.sim import execution
 from repro.sim.execution import ProcessEngine, SerialEngine, WorkSpec
 from repro.sim.profiles import testbed_profile
 from repro.sim.runner import TrialRunner
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.shm import DENSE_COLUMNS, OutcomeArena, collect_trials, encode_side
+from repro.sim.shm import (
+    DENSE_COLUMNS,
+    OutcomeArena,
+    OutcomeBatch,
+    collect_trials,
+    encode_side,
+)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -165,20 +172,22 @@ class TestEngineCollection:
         assert_collected(ProcessEngine(2).collect(specs), specs, reference)
         assert_collected(SerialEngine().collect(specs), specs, reference)
 
-    def test_auto_fallback_for_closures_collects_in_process(self, monkeypatch):
+    def test_auto_engine_refuses_closures_before_any_pool(self, monkeypatch):
         from repro.sim.driver import MSPlayerDriver
 
         def closure_factory(scenario):
             return MSPlayerDriver(scenario, PlayerConfig(), stop="prebuffer")
 
-        engine = ProcessEngine(2, fallback_to_serial=True)
-        runner = _runner()
-        specs = runner.specs_for("cl", closure_factory)
-        reference = [spec.run() for spec in specs]
+        # ``auto`` is the process engine sized to the machine; on two
+        # CPUs it fans out, so it probes the specs and refuses them
+        # exactly as an explicit process engine does.
+        monkeypatch.setattr(execution.os, "cpu_count", lambda: 2)
+        engine = execution.resolve_engine("auto")
+        assert isinstance(engine, ProcessEngine) and engine.jobs == 2
+        specs = _runner().specs_for("cl", closure_factory)
         monkeypatch.setattr(execution, "_shared_pool", None)  # no pool either
-        collection = engine.collect(specs)
-        assert len(collection.sides) == 4
-        assert_collected(collection, specs, reference)
+        with pytest.raises(ConfigError, match="'cl' are not picklable.*MSPlayerSpec"):
+            engine.collect(specs)
 
     def test_collect_trials_wraps_plain_engines(self):
         specs = _specs("wrap")
@@ -221,16 +230,16 @@ def _estimator_batches() -> list[list]:
     ]
 
 
-#: Each spec kind: its campaign, its spec batches and the object-built
-#: oracle batch.
+#: Each spec kind: the batch class it names, its spec batches and the
+#: object-built oracle batch.
 SPEC_KINDS = [
-    pytest.param(Campaign, _trial_batches, outcome_batch_from_outcomes, id="trial"),
+    pytest.param(OutcomeBatch, _trial_batches, outcome_batch_from_outcomes, id="trial"),
     pytest.param(
-        PopulationCampaign, _population_batches, population_batch_from_results,
+        PopulationBatch, _population_batches, population_batch_from_results,
         id="population",
     ),
     pytest.param(
-        EstimatorCampaign, _estimator_batches, estimator_batch_from_outcomes,
+        EstimatorBatch, _estimator_batches, estimator_batch_from_outcomes,
         id="estimator",
     ),
 ]
@@ -244,16 +253,17 @@ ENGINES = [
 
 
 @pytest.mark.parametrize("make_engine", ENGINES)
-@pytest.mark.parametrize("campaign_kind, spec_batches, oracle", SPEC_KINDS)
+@pytest.mark.parametrize("batch_kind, spec_batches, oracle", SPEC_KINDS)
 def test_every_engine_collects_the_object_built_batch(
-    campaign_kind, spec_batches, oracle, make_engine
+    batch_kind, spec_batches, oracle, make_engine
 ):
     """The one collection path, for every spec kind on every engine:
     bit-identical to the batch assembled from the live result objects,
     and side records equal to the specs' own encoding of them."""
     batches = spec_batches()
-    campaign = campaign_kind()
+    campaign = Campaign()
     for batch in batches:
+        assert all(spec.batch is batch_kind for spec in batch)
         campaign.add(batch)
     results = campaign.run(make_engine())
     specs = [spec for batch in batches for spec in batch]
@@ -262,6 +272,10 @@ def test_every_engine_collects_the_object_built_batch(
     for batch in batches:
         expected = [spec.run() for spec in batch]
         got = results[batch[0].label]
+        assert type(got.batch) is batch_kind
+        assert got.sides == [
+            spec.encode_side(result) for spec, result in zip(batch, expected, strict=True)
+        ]
         assert_batches_identical(got.batch, oracle(expected))
         # Each unit's dense row — what a pool worker sends through the
         # pipe — is plain scalars, stored bit for bit at its row.
@@ -445,4 +459,6 @@ class TestNoRebuildInverse:
         members = set(WorkSpec.__annotations__) | {
             name for name in vars(WorkSpec) if not name.startswith("_")
         }
-        assert members == {"label", "dense_columns", "run", "dense_row", "encode_side"}
+        assert members == {
+            "label", "dense_columns", "batch", "run", "dense_row", "encode_side"
+        }

@@ -5,15 +5,15 @@ as its own study (the merged submission only changes scheduling), on
 the serial and process backends alike.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.ext.population import PopulationCampaign
 from repro.sim.campaign import Campaign, run_together
-from repro.sim.execution import SerialEngine
-from repro.study import Study, get_experiment
+from repro.sim.execution import ProcessEngine, SerialEngine
+from repro.study import Study, dump_study, experiment_ids, get_experiment, parse_study
 
 
 class TestStudyConstruction:
@@ -138,10 +138,36 @@ class TestRunTogether:
         population_campaign = get_experiment("x6").build(
             get_experiment("x6").schema.resolve({"replicates": 1, "clients": 2})
         ).campaign
-        assert isinstance(trial_campaign, Campaign)
-        assert isinstance(population_campaign, PopulationCampaign)
+        # One campaign class; the spec kinds (the batch each names) differ.
+        assert type(trial_campaign) is type(population_campaign) is Campaign
         with pytest.raises(ConfigError, match="same-kind"):
             run_together([trial_campaign, population_campaign], SerialEngine())
+
+    @pytest.mark.parametrize(
+        "make_engine",
+        [
+            pytest.param(lambda: _Recording(SerialEngine), id="serial"),
+            pytest.param(lambda: _Recording(ProcessEngine, 2), id="process"),
+            pytest.param(lambda: _Recording(None), id="map-only"),
+        ],
+    )
+    def test_mixed_kinds_refused_before_any_spec_runs(self, make_engine, monkeypatch):
+        fig2, x3 = (
+            get_experiment(name).build(
+                get_experiment(name).schema.resolve(get_experiment(name).smoke_params)
+            ).campaign
+            for name in ("fig2", "x3")
+        )
+        engine = make_engine()
+        for skip in ([], [1]):  # a skipped campaign's kind counts too
+            with pytest.raises(ConfigError, match="same-kind"):
+                run_together([fig2, x3], engine, skip=skip)
+        assert engine.runs == 0
+        # Refused before the backend is resolved: a broken REPRO_JOBS
+        # stays unread.
+        monkeypatch.setenv("REPRO_JOBS", "not-a-backend")
+        with pytest.raises(ConfigError, match="same-kind"):
+            run_together([fig2, x3])
 
     def test_empty_input_is_empty_output(self):
         assert run_together([], SerialEngine()) == []
@@ -154,7 +180,51 @@ class TestRunTogether:
         )[0]
         assert sorted(solo) == sorted(together)
         for label in solo:
-            assert solo[label].mean_error == together[label].mean_error
+            assert solo[label] == together[label]
+            assert solo[label].batch.mean_error.tolist() == (
+                together[label].batch.mean_error.tolist()
+            )
+
+
+class _Recording:
+    """Counts the specs an engine is handed: wraps a built-in engine's
+    ``collect``, or (``base=None``) is a map-only engine itself."""
+
+    def __init__(self, base, *args):
+        self.runs = 0
+        if base is None:
+            self.map = self._map
+        else:
+            inner = base(*args)
+            self.collect = lambda specs: self._count(specs, inner.collect)
+
+    def _count(self, specs, collect):
+        specs = list(specs)
+        self.runs += len(specs)
+        return collect(specs)
+
+    def _map(self, specs):
+        specs = list(specs)
+        self.runs += len(specs)
+        return [spec.run() for spec in specs]
+
+
+class TestSpecKinds:
+    """A spec kind names its batch; that batch is what a label archives."""
+
+    @pytest.mark.parametrize("experiment_id", experiment_ids())
+    def test_batch_fields_are_the_archived_columns(self, experiment_id):
+        definition = get_experiment(experiment_id)
+        params = definition.smoke_params
+        campaign = definition.build(definition.schema.resolve(params)).campaign
+        kinds = {}
+        for label, batch in zip(campaign.labels, campaign._batches, strict=True):
+            [kinds[label]] = {spec.batch for spec in batch}
+        [cell] = parse_study(*dump_study(Study(experiment_id, **params).run())).cells
+        assert sorted(cell.columns) == sorted(kinds)
+        for label, kind in kinds.items():
+            fields = [field.name for field in dataclasses.fields(kind)]
+            assert sorted(cell.columns[label]) == sorted(fields), label
 
 
 class TestRunTogetherSkip:
