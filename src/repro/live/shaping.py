@@ -7,7 +7,7 @@ scheduler's job non-trivial the server shapes each connection:
   awaits tokens before each write, so goodput converges to ``rate``;
 * :class:`PathShape` — a path personality: rate, one-way latency
   (applied before the first response byte of every exchange, emulating
-  the request RTT), and an optional slow-start-like ramp.
+  the request RTT), egress burst and write granularity.
 
 Shaping server-side egress is the standard user-space stand-in for
 netns+tc: it produces the two effects the chunk scheduler actually

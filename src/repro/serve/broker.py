@@ -38,7 +38,8 @@ Lease state machine (per cell)::
 Cache integration: give the broker a
 :class:`~repro.study.cache.StudyCache` and submissions consult it per
 cell — hits are born ``done`` (served straight from the entry's archive
-bytes, zero leases, zero work units) and fresh completions are stored
+bytes, checked by digest but neither decoded nor planned: zero leases,
+zero work units) and fresh completions are stored
 back, so the farm's cache warms across tenants.  A completion is stored
 *before* its cell turns ``done``, so whoever sees ``done`` finds the
 entry, and under the fingerprint its submission was looked up with.
@@ -150,8 +151,9 @@ class Broker:
         self._log = log
         self._changed = threading.Condition(threading.Lock())
         self._closed = False
-        #: Each job's submit-time code fingerprint: its completions are
-        #: stored under the key its lookups used.
+        #: Each job's submit-time code fingerprint, for a job with a
+        #: cache and a pending cell: its completions are stored under
+        #: the key its lookups used.
         self._fingerprints: dict[str, str] = {}
         self._db = sqlite3.connect(self.db_path, check_same_thread=False)
         self._db.execute("PRAGMA journal_mode=WAL")
@@ -236,25 +238,27 @@ class Broker:
         for index, overrides in enumerate(study.cells()):
             cell_params = dict(study.params)
             cell_params.update(overrides)
-            # Building the plan validates the cell end to end and sizes
-            # it (work units = campaign length) for the accounting the
-            # client reports as CacheInfo.
-            plan = definition.build(cell_params)
-            cell_units = len(plan.campaign)
-            state = "pending"
-            from_cache = 0
-            manifest: str | None = None
-            npz: bytes | None = None
-            if self.cache is not None:
-                hit = self.cache.lookup_archive(definition, cell_params, fingerprint)
-                if hit is not None:
-                    # Born done from the very bytes lookup validated.
-                    _cell, manifest, npz = hit
-                    state = "done"
-                    from_cache = 1
-                    cached += 1
-            if state == "pending":
+            hit = (
+                None
+                if self.cache is None
+                else self.cache.lookup_archive(definition, cell_params, fingerprint)
+            )
+            if hit is None:
+                # Building the plan validates a miss end to end and
+                # sizes it (work units = campaign length) for the
+                # accounting the client reports as CacheInfo.
+                cell_units = len(definition.build(cell_params).campaign)
                 units += cell_units
+                state, from_cache = "pending", 0
+                manifest: str | None = None
+                npz: bytes | None = None
+            else:
+                # Born done from the very bytes lookup checked; a hit
+                # charges no work, so it needs no plan.
+                manifest, npz = hit
+                cell_units = 0
+                state, from_cache = "done", 1
+                cached += 1
             rows.append(
                 (
                     job_id,
@@ -282,7 +286,10 @@ class Broker:
                 rows,
             )
             self._db.commit()
-            self._fingerprints[job_id] = fingerprint
+            if self.cache is not None and cached < len(rows):
+                # Only a completion reads it, to store under the key
+                # the lookups used: a job with nothing pending has none.
+                self._fingerprints[job_id] = fingerprint
             self._changed.notify_all()
         self._emit(
             f"[broker] job {job_id}: submitted {experiment} "

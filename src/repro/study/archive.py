@@ -66,7 +66,7 @@ import zlib
 from contextlib import suppress
 from functools import lru_cache
 from pathlib import Path
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # import cycle: study.py imports this module lazily
@@ -345,17 +345,24 @@ def save_study(result: StudyResult, path: str | Path) -> tuple[str, str]:
     manifest_text, npz_bytes = dump_study(result)
     json_path, npz_path = _paths(path)
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_tmp, npz_tmp = _tmp_path(json_path), _tmp_path(npz_path)
+    _replace_all([(npz_path, npz_bytes), (json_path, manifest_text.encode("utf-8"))])
+    return str(json_path), str(npz_path)
+
+
+def _replace_all(files: Sequence[tuple[Path, bytes]]) -> None:
+    """Write each ``(path, data)`` to a temp name beside its path, then
+    commit them with ``os.replace`` in the given order: a reader (or a
+    crash) sees a file only once every file before it is in place."""
+    temps = [_tmp_path(path) for path, _data in files]
     try:
-        npz_tmp.write_bytes(npz_bytes)
-        json_tmp.write_text(manifest_text, encoding="utf-8")
-        os.replace(npz_tmp, npz_path)
-        os.replace(json_tmp, json_path)
+        for temp, (_path, data) in zip(temps, files, strict=True):
+            temp.write_bytes(data)
+        for temp, (path, _data) in zip(temps, files, strict=True):
+            os.replace(temp, path)
     finally:
-        for leftover in (npz_tmp, json_tmp):
+        for leftover in temps:
             with suppress(OSError):
                 leftover.unlink()
-    return str(json_path), str(npz_path)
 
 
 _MANIFEST_TYPES = {

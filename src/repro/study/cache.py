@@ -5,22 +5,25 @@ function of (experiment id, schema-coerced params, archive schema, and
 the code that computes it) — PR 5's versioned archives made the result
 bit-exact and serializable, so cell results are cacheable *by
 construction*.  This module keys each cell by a content hash of exactly
-those inputs and stores the cell as a normal single-cell
-:func:`~repro.study.archive.save_study` archive plus a small meta
-manifest:
+those inputs and stores the cell as a normal single-cell study
+archive (the :func:`~repro.study.archive.dump_study` pair) plus a small
+meta manifest:
 
     <root>/entries/<key>.json        one-cell StudyResult manifest
     <root>/entries/<key>.npz         dense batch columns (bit-exact)
-    <root>/entries/<key>.meta.json   cache-level manifest (params,
-                                     fingerprint, creation time)
+    <root>/entries/<key>.meta.json   cache-level manifest (key, params,
+                                     fingerprint, digest of the pair,
+                                     creation time)
     <root>/quarantine/...            corrupt entries, moved aside
 
 :meth:`Study.run(cache=DIR) <repro.study.study.Study.run>` (or the
 ``REPRO_CACHE`` env / CLI ``--cache``/``--resume DIR``) consults the
 cache per cell: hits are rebuilt from their archives and merged
 bit-identically into the :class:`StudyResult`; only misses are
-submitted to the execution engine.  A repeated sweep submits zero work
-units; a widened or interrupted one submits only the delta cells.
+submitted to the execution engine.  The study service serves a hit's
+archive bytes as they are, without decoding them.  A repeated sweep
+submits zero work units; a widened or interrupted one submits only the
+delta cells.
 
 Invalidation policy (strict, in the key — nothing is ever "updated in
 place"):
@@ -38,25 +41,30 @@ place"):
 * **archive schema + cache layout versions** — a format bump is a
   cold cache, never a migration.
 
-Corrupt entries (torn by a pre-atomic writer, truncated by a full
-disk, hand-edited) are *quarantined* on lookup — moved into
+A hit is checked, not decoded: the meta manifest must name the key it
+was looked up under, and a blake2b digest of the archive bytes just
+read must equal the one ``store`` recorded.  Corrupt entries (torn by a
+pre-atomic writer, truncated by a full disk, hand-edited, renamed or
+swapped) fail that check and are *quarantined* — moved into
 ``<root>/quarantine/`` and treated as a miss — so one bad file costs
 one recompute, not a crashed sweep.  ``repro cache {ls,gc,verify}``
 expose the same machinery from the command line.
 
-Concurrency: entries are written atomically (temp + ``os.replace``,
-meta file last) and keys are content-addressed, so concurrent
-``Study.run`` calls against one cache directory race only toward
-writing identical bytes — last writer wins and every reader sees a
-complete entry or none.
+Concurrency: entries are written atomically (temp + ``os.replace``;
+payload, manifest, then the meta file last) and keys are
+content-addressed, so concurrent ``Study.run`` calls against one cache
+directory race only toward writing identical bytes — last writer wins
+and every reader sees a complete entry or none.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
@@ -64,7 +72,7 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigError
-from .archive import SCHEMA_VERSION, _jsonify, _tmp_path, load_study, read_study, save_study
+from .archive import SCHEMA_VERSION, _jsonify, _replace_all, dump_study, parse_study, read_study
 from .registry import ExperimentDef, get_experiment
 
 if TYPE_CHECKING:  # import cycle: study.py imports this module lazily
@@ -86,8 +94,8 @@ CACHE_FORMAT = "repro-study-cache"
 
 #: Bump on incompatible cache layout/key changes; old entries then
 #: simply never hit (their keys embed the old version) and ``gc``
-#: collects them.
-CACHE_VERSION = 1
+#: collects them.  v2 added the meta manifest's ``digest``.
+CACHE_VERSION = 2
 
 _META_SUFFIX = ".meta.json"
 
@@ -140,6 +148,17 @@ def code_fingerprint(root: str | Path | None = None) -> str:
     fingerprint = digest.hexdigest()
     _FINGERPRINT_MEMO[str(base)] = (signature, fingerprint)
     return fingerprint
+
+
+def _entry_digest(manifest_bytes: bytes, npz_bytes: bytes) -> str:
+    """The blake2b digest a cache entry's meta records of its archive
+    pair.  Each part is prefixed with its length, so moving bytes
+    across the manifest/payload boundary changes the digest too."""
+    digest = blake2b(digest_size=32)
+    for part in (manifest_bytes, npz_bytes):
+        digest.update(len(part).to_bytes(8, "big"))
+        digest.update(part)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -273,50 +292,62 @@ class StudyCache:
     ) -> "StudyCell | None":
         """The cached cell for (definition, params), or ``None``.
 
-        A present-but-unreadable entry (truncated payload, manifest
-        drift, wrong experiment behind the key) is quarantined and
+        A present-but-bad entry (truncated, flipped, swapped or renamed
+        files, an archive that does not decode) is quarantined and
         reported as a miss — the cache never raises on a bad entry and
         never serves one either.
         """
-        hit = self.lookup_archive(definition, params, fingerprint)
-        return None if hit is None else hit[0]
+        key = self.cell_key(definition, params, fingerprint)
+        pair = self._read_entry(key)
+        if pair is None:
+            return None
+        json_path, _npz_path, _meta_path = self._entry_paths(key)
+        try:
+            return parse_study(*pair, str(json_path)).only()
+        except ConfigError:
+            self._quarantine(key)
+            return None
 
     def lookup_archive(
         self,
         definition: ExperimentDef,
         params: Mapping[str, Any],
         fingerprint: str | None = None,
-    ) -> "tuple[StudyCell, str, bytes] | None":
-        """:meth:`lookup`, plus the entry's archive pair: ``(cell,
-        manifest_text, npz_bytes)``.
+    ) -> tuple[str, bytes] | None:
+        """The cached cell's archive pair ``(manifest_text, npz_bytes)``,
+        checked but not decoded, or ``None``.
 
-        Each entry file is read once and the cell is decoded from those
-        bytes, so the pair returned *is* what was validated.  The study
-        service serves hits from it (the entry is the wire format) —
-        never from a second read of a file that may have changed.
+        Each entry file is read once.  The pair is served only if the
+        meta manifest names this key and its digest matches the bytes
+        read, i.e. they are the bytes :meth:`store` rendered for this
+        cell.  The study service serves hits from it (the entry is the
+        wire format) — never from a second read of a file that may have
+        changed.
         """
-        key = self.cell_key(definition, params, fingerprint)
-        json_path, _npz_path, meta_path = self._entry_paths(key)
-        if not meta_path.exists() or not json_path.exists():
+        return self._read_entry(self.cell_key(definition, params, fingerprint))
+
+    def _read_entry(self, key: str) -> tuple[str, bytes] | None:
+        """:meth:`lookup_archive` by key: a miss if the meta manifest is
+        absent, the pair if it checks out, else quarantine and a miss."""
+        json_path, npz_path, meta_path = self._entry_paths(key)
+        try:
+            meta_bytes = meta_path.read_bytes()
+        except FileNotFoundError:
             return None
         try:
-            loaded, manifest_text, npz_bytes = read_study(json_path)
-            if loaded.experiment_id != definition.experiment_id:
-                raise ConfigError(
-                    f"cache entry {key} holds experiment "
-                    f"{loaded.experiment_id!r}, expected "
-                    f"{definition.experiment_id!r}"
-                )
-            cell = loaded.only()
-            resolved = definition.schema.resolve(dict(params))
-            if cell.params != resolved:
-                raise ConfigError(
-                    f"cache entry {key} params do not match its key"
-                )
-        except ConfigError:
-            self._quarantine(key)
-            return None
-        return cell, manifest_text, npz_bytes
+            manifest_bytes = json_path.read_bytes()
+            npz_bytes = npz_path.read_bytes()
+            meta = json.loads(meta_bytes)
+            if (
+                isinstance(meta, dict)
+                and meta.get("key") == key
+                and meta.get("digest") == _entry_digest(manifest_bytes, npz_bytes)
+            ):
+                return manifest_bytes.decode("utf-8"), npz_bytes
+        except (OSError, ValueError):  # ValueError: bad JSON or UTF-8
+            pass
+        self._quarantine(key)
+        return None
 
     def store(
         self,
@@ -327,17 +358,18 @@ class StudyCache:
     ) -> str:
         """Archive one finished cell under its content key; returns it.
 
-        The archive pair is written atomically by ``save_study``; the
-        meta manifest goes last (temp + replace) so a complete meta file
-        implies a complete entry — readers and ``gc`` treat anything
-        else as incomplete.
+        The archive pair is rendered once; its digest goes into the meta
+        manifest, and the three files are committed atomically, meta
+        last (temp + replace), so a complete meta file implies a
+        complete entry — readers and ``gc`` treat anything else as
+        incomplete.
         """
         if fingerprint is None:
             fingerprint = code_fingerprint()
         key = self.cell_key(definition, params, fingerprint)
-        _json_path, _npz_path, meta_path = self._entry_paths(key)
-        self.entries_dir.mkdir(parents=True, exist_ok=True)
-        save_study(single_cell_study(definition, params, cell), self.entries_dir / key)
+        json_path, npz_path, meta_path = self._entry_paths(key)
+        manifest_text, npz_bytes = dump_study(single_cell_study(definition, params, cell))
+        manifest_bytes = manifest_text.encode("utf-8")
         meta = {
             "format": CACHE_FORMAT,
             "cache_version": CACHE_VERSION,
@@ -347,18 +379,25 @@ class StudyCache:
             "kind": definition.kind,
             "params": _jsonify(dict(params)),
             "fingerprint": fingerprint,
+            "digest": _entry_digest(manifest_bytes, npz_bytes),
             "created_unix": int(time.time()),
         }
-        meta_tmp = _tmp_path(meta_path)
-        meta_tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        os.replace(meta_tmp, meta_path)
+        self.entries_dir.mkdir(parents=True, exist_ok=True)
+        _replace_all(
+            [
+                (npz_path, npz_bytes),
+                (json_path, manifest_bytes),
+                (meta_path, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()),
+            ]
+        )
         return key
 
     def _quarantine(self, key: str) -> None:
         """Move a bad entry's files aside so it costs one recompute."""
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         for path in self._entry_paths(key):
-            if path.exists():
+            # Another reader may be moving the same entry.
+            with suppress(FileNotFoundError):
                 os.replace(path, self.quarantine_dir / path.name)
 
     # -- maintenance (repro cache {ls,gc,verify}) ---------------------------
@@ -412,13 +451,16 @@ class StudyCache:
         }
 
     def verify(self) -> tuple[list[str], list[tuple[str, str]]]:
-        """Fully load and re-key every entry; returns (ok, bad) keys.
+        """Fully load, re-key and re-digest every entry; returns (ok,
+        bad) keys.
 
         ``bad`` carries (key, reason) pairs: unreadable archives,
-        incomplete entries, and entries whose recomputed content key
-        (from the meta manifest's own params + fingerprint) does not
-        match their filename — i.e. a hand-renamed or cross-copied
-        entry that lookup would never have produced.
+        incomplete entries, entries whose recomputed content key (from
+        the meta manifest's own params + fingerprint) does not match
+        their filename — i.e. a hand-renamed or cross-copied entry that
+        lookup would never have produced — and entries whose archive
+        bytes no longer match the meta manifest's digest (a flip that
+        still decodes).
         """
         ok: list[str] = []
         bad: list[tuple[str, str]] = []
@@ -430,7 +472,7 @@ class StudyCache:
                 bad.append((entry.key, "incomplete entry (missing archive file)"))
                 continue
             try:
-                loaded = load_study(entry.json_path)
+                loaded, manifest_text, npz_bytes = read_study(entry.json_path)
                 cell = loaded.only()
                 definition = get_experiment(str(entry.meta.get("experiment")))
                 resolved = definition.schema.resolve(entry.meta.get("params", {}))
@@ -439,14 +481,22 @@ class StudyCache:
                 expected = self.cell_key(
                     definition, resolved, str(entry.meta.get("fingerprint"))
                 )
-                if (
+                current = (
                     entry.meta.get("cache_version") == CACHE_VERSION
                     and entry.meta.get("archive_schema") == SCHEMA_VERSION
-                    and expected != entry.key
-                ):
+                )
+                if current and expected != entry.key:
                     raise ConfigError(
                         f"content key mismatch (expected {expected})"
                     )
+                if current and entry.meta.get("key") != entry.key:
+                    raise ConfigError(
+                        f"meta key mismatch (names {entry.meta.get('key')!r})"
+                    )
+                if current and entry.meta.get("digest") != _entry_digest(
+                    manifest_text.encode("utf-8"), npz_bytes
+                ):
+                    raise ConfigError("archive bytes do not match the meta digest")
             except ConfigError as exc:
                 bad.append((entry.key, str(exc)))
                 continue
@@ -482,6 +532,15 @@ class StudyCache:
             raise ConfigError(
                 f"max_age_days must be a finite number >= 0, got {max_age_days}"
             )
+        if max_bytes is not None:
+            try:
+                max_bytes = operator.index(max_bytes)
+            except TypeError:
+                raise ConfigError(
+                    f"max_bytes must be an integer, got {max_bytes!r}"
+                ) from None
+            if max_bytes < 0:
+                raise ConfigError(f"max_bytes must be >= 0, got {max_bytes}")
         removed = 0
         freed = 0
         current = code_fingerprint()

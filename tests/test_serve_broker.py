@@ -7,6 +7,7 @@ validation, the sqlite file survives a broker restart with in-flight
 leases intact, and a warm cache turns a resubmission into zero work.
 """
 
+import dataclasses
 import math
 import threading
 import time
@@ -20,6 +21,7 @@ from repro.serve.cells import cell_archive, execute_cell
 from repro.serve.worker import run_worker
 from repro.sim.execution import SerialEngine
 from repro.study import cache as cache_module
+from repro.study import registry as registry_module
 from repro.study.archive import parse_study
 from repro.study.cache import StudyCache
 from repro.serve import broker as broker_module
@@ -547,6 +549,44 @@ class TestCacheIntegration:
         # submission (one more fingerprint) hits both cells.
         assert broker.submit(grid_payload())["cached"] == 2
         assert len(calls) == 2
+
+    def test_a_hit_builds_no_plan(self, tmp_path, make_broker, monkeypatch):
+        definition = registry_module.get_experiment("fig2")
+        builds: list[dict] = []
+
+        def counted(params):
+            builds.append(dict(params))
+            return definition.build(params)
+
+        monkeypatch.setitem(
+            registry_module._REGISTRY, "fig2", dataclasses.replace(definition, build=counted)
+        )
+        broker = make_broker(cache=StudyCache(tmp_path / "cache"))
+        cold = broker.submit(grid_payload())
+        assert len(builds) == 2 and cold["units"] > 0
+        run_worker(broker, jobs="serial", once=True, poll=0.01, worker_id="w0")
+        builds.clear()
+        warm = broker.submit(grid_payload())
+        assert builds == []
+        assert (warm["cached"], warm["units"]) == (2, 0)
+        assert [cell["units"] for cell in broker.status(warm["job_id"])["cells"]] == [0, 0]
+
+    def test_fingerprint_kept_only_for_a_job_with_pending_cells(
+        self, tmp_path, make_broker, archives
+    ):
+        cacheless = make_broker("plain.sqlite3")
+        cacheless.submit(grid_payload())
+        assert cacheless._fingerprints == {}
+        broker = make_broker(cache=StudyCache(tmp_path / "cache"))
+        cold = broker.submit(grid_payload())["job_id"]
+        assert list(broker._fingerprints) == [cold]
+        while (lease := broker.lease("w0")) is not None:
+            assert complete_lease(broker, lease, archives)["accepted"]
+        warm = broker.submit(grid_payload())
+        assert warm["cached"] == 2
+        assert warm["job_id"] not in broker._fingerprints
+        partial = broker.submit(grid_payload(seeds=(2014, 2016)))["job_id"]
+        assert partial in broker._fingerprints
 
     def test_a_failed_cache_write_still_completes_the_cell(
         self, tmp_path, make_broker, archives, monkeypatch

@@ -11,12 +11,15 @@ never served and never fatal.
 
 import json
 import os
+import shutil
 import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.serve.broker import Broker
+from repro.serve.worker import run_worker
 from repro.sim.execution import SerialEngine
 from repro.study import (
     Study,
@@ -25,6 +28,7 @@ from repro.study import (
     get_experiment,
     resolve_cache,
 )
+from repro.study.archive import _read_npz, _write_npz, parse_study
 from repro.study.cache import CACHE_VERSION, CacheInfo
 
 
@@ -46,6 +50,28 @@ def small_grid(**kwargs):
 def assert_identical(result, other):
     assert result.rendered == other.rendered
     assert result.column_mismatches(other) == []
+
+
+def flip_column_byte(npz_bytes: bytes) -> bytes:
+    """One bit flipped inside a float column's payload bytes."""
+    column = _read_npz(npz_bytes)["0::wifi::startup"]
+    at = npz_bytes.index(column.tobytes())
+    return npz_bytes[:at] + bytes([npz_bytes[at] ^ 1]) + npz_bytes[at + 1 :]
+
+
+def flip_column_bit_keeping_crc(npz_bytes: bytes) -> bytes:
+    """A payload whose one float differs in its lowest bit, re-encoded
+    with fresh CRC-32s: it decodes cleanly, only the digest sees it."""
+    arrays = _read_npz(npz_bytes)
+    arrays["0::wifi::startup"].view(np.uint8)[0] ^= 1
+    return _write_npz(arrays)
+
+
+def flip_manifest_digit(manifest_bytes: bytes) -> bytes:
+    """One bit flipped in a digit of the raw ``reduction`` figure: still
+    JSON, still a number, still a valid archive."""
+    at = manifest_bytes.index(b'"reduction": 0.') + len(b'"reduction": 0.')
+    return manifest_bytes[:at] + bytes([manifest_bytes[at] ^ 1]) + manifest_bytes[at + 1 :]
 
 
 class TestCodeFingerprint:
@@ -303,6 +329,34 @@ class TestQuarantine:
         assert [key for key, _reason in bad] == [fake]
         assert "key mismatch" in bad[0][1]
 
+    def test_verify_and_rerun_catch_a_flipped_column_byte(self, tmp_path):
+        cache, entries = self.stored_entry(tmp_path)
+        victim = entries[0]
+        victim.npz_path.write_bytes(flip_column_byte(victim.npz_path.read_bytes()))
+        ok, bad = cache.verify()
+        assert ok == [entries[1].key]
+        assert [key for key, _reason in bad] == [victim.key]
+        rerun = small_grid().run(cache=cache)
+        assert rerun.cache_info == CacheInfo(hits=1, misses=1, submitted_units=6)
+        assert (cache.quarantine_dir / victim.npz_path.name).exists()
+        assert_identical(rerun, small_grid().run())
+        assert cache.verify() == (sorted(entry.key for entry in entries), [])
+
+    @pytest.mark.parametrize(
+        "suffix, flip",
+        [("npz", flip_column_bit_keeping_crc), ("json", flip_manifest_digit)],
+        ids=["npz-float-bit", "manifest-digit"],
+    )
+    def test_verify_catches_a_flip_that_still_decodes(self, tmp_path, suffix, flip):
+        cache, entries = self.stored_entry(tmp_path)
+        victim = entries[0]
+        path = victim.npz_path if suffix == "npz" else victim.json_path
+        path.write_bytes(flip(path.read_bytes()))
+        parse_study(victim.json_path.read_text(), victim.npz_path.read_bytes())
+        ok, bad = cache.verify()
+        assert ok == [entries[1].key]
+        assert bad == [(victim.key, "archive bytes do not match the meta digest")]
+
     def test_gc_sweeps_quarantine_and_temp_leftovers(self, tmp_path):
         cache, entries = self.stored_entry(tmp_path)
         entries[0].npz_path.write_bytes(b"junk")
@@ -312,6 +366,103 @@ class TestQuarantine:
         assert freed > 0
         assert not cache.quarantine_dir.exists()
         assert not list(cache.entries_dir.glob("*.tmp-*"))
+
+
+def _flip_file(flip, suffix):
+    def corrupt(victim, _other):
+        path = {"json": victim.json_path, "npz": victim.npz_path}[suffix]
+        path.write_bytes(flip(path.read_bytes()))
+        return [victim.key]
+
+    return corrupt
+
+
+def _flip_meta_digest(victim, _other):
+    text = victim.meta_path.read_text()
+    at = text.index('"digest": "') + len('"digest": "')
+    victim.meta_path.write_text(text[:at] + chr(ord(text[at]) ^ 1) + text[at + 1 :])
+    return [victim.key]
+
+
+def _swap_meta(victim, other):
+    shutil.copyfile(other.meta_path, victim.meta_path)
+    return [victim.key]
+
+
+def _rename_onto(victim, other):
+    for path in (victim.json_path, victim.npz_path, victim.meta_path):
+        path.replace(path.with_name(path.name.replace(victim.key, other.key)))
+    return [other.key]
+
+
+#: Hostile edits of a two-entry cache: each takes (victim, other) and
+#: returns the keys whose entries it spoiled.
+HOSTILE = {
+    "manifest-byte": _flip_file(flip_manifest_digit, "json"),
+    "npz-byte": _flip_file(flip_column_byte, "npz"),
+    "npz-float-bit-keeping-crc": _flip_file(flip_column_bit_keeping_crc, "npz"),
+    "meta-byte": _flip_meta_digest,
+    "meta-swapped": _swap_meta,
+    "entry-renamed": _rename_onto,
+}
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A two-cell cache filled once; each test spoils its own copy."""
+    root = tmp_path_factory.mktemp("warm") / "cache"
+    small_grid().run(cache=root)
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+class TestHostileEntries:
+    """A spoiled entry is never served: the local run and the broker
+    both quarantine it and recompute the cell, and the recompute
+    restores the original bytes."""
+
+    def spoiled(self, tmp_path, warm_cache, case):
+        cache = StudyCache(tmp_path / "cache")
+        shutil.copytree(warm_cache, cache.root)
+        entries = cache.entries()
+        good = {
+            entry.key: (entry.json_path.read_bytes(), entry.npz_path.read_bytes())
+            for entry in entries
+        }
+        spoiled = HOSTILE[case](*entries)
+        return cache, good, spoiled
+
+    def assert_restored(self, cache, good):
+        assert cache.quarantine_dir.is_dir()
+        assert cache.verify() == (sorted(good), [])
+        for entry in cache.entries():
+            assert (entry.json_path.read_bytes(), entry.npz_path.read_bytes()) == good[entry.key]
+
+    def test_local_run_quarantines_and_recomputes(self, tmp_path, warm_cache, case):
+        cache, good, spoiled = self.spoiled(tmp_path, warm_cache, case)
+        lost = 2 if case == "entry-renamed" else len(spoiled)
+        rerun = small_grid().run(cache=cache)
+        assert rerun.cache_info == CacheInfo(
+            hits=2 - lost, misses=lost, submitted_units=6 * lost
+        )
+        assert_identical(rerun, small_grid().run())
+        self.assert_restored(cache, good)
+
+    def test_broker_submit_quarantines_and_recomputes(self, tmp_path, warm_cache, case):
+        cache, good, spoiled = self.spoiled(tmp_path, warm_cache, case)
+        lost = 2 if case == "entry-renamed" else len(spoiled)
+        broker = Broker(tmp_path / "queue.sqlite3", cache=cache)
+        try:
+            summary = broker.submit(
+                {"experiment": "fig2", "params": {"trials": 2}, "axes": {"seed": [2014, 2015]}}
+            )
+            assert (summary["cached"], summary["units"]) == (2 - lost, 6 * lost)
+            assert run_worker(broker, jobs="serial", once=True, poll=0.01) == lost
+            served = [broker.result(summary["job_id"], cell) for cell in (0, 1)]
+        finally:
+            broker.close()
+        assert sorted((text.encode(), npz) for text, npz in served) == sorted(good.values())
+        self.assert_restored(cache, good)
 
 
 class TestConcurrency:
@@ -411,6 +562,15 @@ class TestRetentionGC:
     def test_max_age_must_be_a_finite_number_of_days(self, tmp_path, max_age):
         with pytest.raises(ConfigError, match="max_age_days"):
             StudyCache(tmp_path / "cache").gc(max_age_days=max_age)
+
+    # NaN compared false against every total and a negative budget is
+    # below any, so both used to evict every entry without a word.
+    @pytest.mark.parametrize("max_bytes", [float("nan"), -5, 1.5, "10"])
+    def test_max_bytes_must_be_a_non_negative_integer(self, tmp_path, max_bytes):
+        cache, keys = self._filled_cache(tmp_path)
+        with pytest.raises(ConfigError, match="max_bytes"):
+            cache.gc(max_bytes=max_bytes, now=2_000.0)
+        assert [entry.key for entry in cache.entries()] == keys
 
     def test_max_bytes_evicts_oldest_first(self, tmp_path):
         cache, keys = self._filled_cache(tmp_path)
